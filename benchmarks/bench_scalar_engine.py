@@ -29,7 +29,7 @@ from repro.kernels.stencil_codegen import build_stencil
 from repro.kernels.variants import Variant
 from repro.mem.memory import Allocator
 
-MIN_STENCIL_SPEEDUP = 3.0
+MIN_STENCIL_SPEEDUP = 3.5
 MIN_INDIRECT_SPEEDUP = 1.3
 
 

@@ -244,8 +244,9 @@ class Cluster:
             fp.step_v2(cycle)
             core.step_v2(cycle)
             for streamer in fp.streamers:
-                if streamer.cfg is not None:
-                    streamer.step_v2()
+                step = streamer.step_v2
+                if step is not None:
+                    step()
             if core.barrier_wait:
                 self._release_barrier()
         else:
@@ -253,17 +254,22 @@ class Cluster:
                 fp.step_v2(cycle)
                 core.step_v2(cycle)
                 for streamer in fp.streamers:
-                    if streamer.cfg is not None:
-                        streamer.step_v2()
+                    step = streamer.step_v2
+                    if step is not None:
+                        step()
             self._release_barrier()
         dma = self.dma
         if dma._queue:
             dma.step()
         self.tcdm.arbitrate_v2()
         self.cycle = cycle + 1
-        self.perf.cycles = self.cycle
-        if self.fastpath is not None:
-            self.fastpath.observe()
+        self.perf.cycles = cycle + 1
+        fastpath = self.fastpath
+        # Outside an FREP region an idle fast-path engine has nothing to
+        # observe, so the call is skipped (observe would return at once).
+        if fastpath is not None and (fastpath._state
+                                     or self.fp.sequencer._active):
+            fastpath.observe()
 
     def run(self, max_cycles: int = 5_000_000) -> PerfCounters:
         """Run to completion; returns the performance counters."""

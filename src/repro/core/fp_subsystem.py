@@ -254,9 +254,37 @@ class FpSubsystem:
 
                 uop = entry.uop = lower_fp(entry.instr, self.cfg)
             uop(self, entry, cycle)
-        pipe = self.pipe
-        if pipe.in_flight and pipe.in_flight[0].completes_at <= cycle:
-            self._writeback_v2(cycle)
+        # Writeback phase: a plain register and a chaining push in the
+        # concurrent push/pop mode are inlined; sync results, stream
+        # registers and the conservative chaining mode take
+        # :meth:`_writeback_v2`.
+        in_flight = self.pipe.in_flight
+        if in_flight:
+            op = in_flight[0]
+            if op.completes_at <= cycle:
+                dest = op.dest
+                if op.sync or op.dest_is_ssr:
+                    self._writeback_v2(cycle)
+                elif not chain.mask >> dest & 1:
+                    self.fpregs.values[dest] = float(op.value)
+                    self.fpregs.busy[dest] = False
+                    self._pvals[_S_RF_WRITES] += 1
+                    in_flight.popleft()
+                    if op.unpipelined:
+                        self.pipe._unpipelined -= 1
+                elif not chain.concurrent_push_pop:
+                    self._writeback_v2(cycle)
+                elif chain.valid[dest] \
+                        and dest not in chain._popped_this_cycle:
+                    chain.backpressure_events += 1  # the pipe stalls
+                else:
+                    self.fpregs.values[dest] = float(op.value)
+                    chain.valid[dest] = True
+                    chain.pushes += 1
+                    self._pvals[_S_CHAIN_PUSHES] += 1
+                    in_flight.popleft()
+                    if op.unpipelined:
+                        self.pipe._unpipelined -= 1
         if lsu_commits:
             for dest, value in lsu_commits:
                 if not self.fpregs.try_writeback(dest, value):
@@ -273,9 +301,11 @@ class FpSubsystem:
             seq.queue.popleft()
 
     def _writeback_v2(self, cycle: int) -> None:
-        """Micro-op writeback: the caller has established a complete
-        pipe head; semantics are identical to :meth:`_writeback` with
-        the regfile/chain hand-offs inlined."""
+        """Micro-op writeback of the cases :meth:`step_v2` does not
+        inline: the caller has established a complete pipe head that is
+        a sync result, a stream register, or a chaining register in the
+        conservative push/pop mode.  Semantics are identical to
+        :meth:`_writeback`."""
         pipe = self.pipe
         in_flight = pipe.in_flight
         op = in_flight[0]
@@ -295,22 +325,13 @@ class FpSubsystem:
                 self._pvals[_S_SSR_WRITES] += 1
             else:
                 chain = self.chain
-                if chain.mask >> dest & 1:
-                    if chain.valid[dest] and not (
-                            chain.concurrent_push_pop
-                            and dest in chain._popped_this_cycle) \
-                            or (not chain.concurrent_push_pop
-                                and chain._valid_at_start[dest]):
-                        chain.backpressure_events += 1
-                        return  # chaining backpressure: pipe stalls
-                    self.fpregs.values[dest] = float(op.value)
-                    chain.valid[dest] = True
-                    chain.pushes += 1
-                    self._pvals[_S_CHAIN_PUSHES] += 1
-                else:
-                    self.fpregs.values[dest] = float(op.value)
-                    self.fpregs.busy[dest] = False
-                    self._pvals[_S_RF_WRITES] += 1
+                if chain.valid[dest] or chain._valid_at_start[dest]:
+                    chain.backpressure_events += 1
+                    return  # chaining backpressure: pipe stalls
+                self.fpregs.values[dest] = float(op.value)
+                chain.valid[dest] = True
+                chain.pushes += 1
+                self._pvals[_S_CHAIN_PUSHES] += 1
         in_flight.popleft()
         if op.unpipelined:
             pipe._unpipelined -= 1

@@ -16,7 +16,10 @@ resolved at lowering time:
 * ``x0`` reads need no special case (the register file never writes
   slot 0, so ``values[0]``/``ready_cycle[0]`` are constant) and ``x0``
   writes are compiled out;
-* tracing is compiled in only when a recorder is attached.
+* tracing is compiled in only when a recorder is attached;
+* an FP compute issue runs a body generated for its operand shape --
+  which sources and destination are stream, chaining or plain
+  registers under the current ``ssr_enable`` and chaining mask.
 
 Integer micro-ops are lowered per core (:func:`lower_int`) and capture
 the core's register file and perf slots directly.  FP micro-ops
@@ -32,7 +35,11 @@ this.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Any, Callable
+
 from repro.core.fpu import EXECUTORS, UNPIPELINED_CLASSES, InFlightOp
+from repro.core.lsu import _PendingLoad
 from repro.core.perf import SLOT, StallReason
 from repro.core.sequencer import DispatchedEntry
 from repro.isa.csr import is_fp_csr
@@ -450,9 +457,22 @@ def _lower_dispatch(core, instr: Instr):
         return uop
 
     # Plain FP compute: no integer operands, so one immutable entry
-    # serves every dispatch of this instruction.
+    # serves every dispatch of this instruction.  The hottest dispatch
+    # of the stencils, so the untraced epilogue is inlined.
     shared_entry = DispatchedEntry(instr, _NO_VALS, False)
     shared_entry.uop = fp_uop
+    if core.trace is None:
+        s_instrs = _S_INT_INSTRS
+
+        def uop(cycle):
+            if len(queue) >= qdepth:
+                vals[s_disp] += 1
+                return
+            queue.append(shared_entry)
+            vals[s_fpdisp] += 1
+            core.pc += 4
+            vals[s_instrs] += 1
+        return uop
 
     def uop(cycle):
         if len(queue) >= qdepth:
@@ -515,6 +535,7 @@ def lower_fp(instr: Instr, cfg):
 
 def _lower_fp_load(instr: Instr):
     dest = instr.rd
+    pending_load = _PendingLoad(dest)
 
     def issue(fp, entry, cycle):
         lsu = fp.lsu
@@ -534,7 +555,14 @@ def _lower_fp_load(instr: Instr):
             return
         if not chain_on:
             regs.busy[dest] = True
-        lsu.issue_load(entry.vals["addr"], dest)
+        req = port._req
+        req.addr = entry.vals["addr"]
+        req.is_write = False
+        req.data = None
+        req.width = 8
+        port._pending = req
+        lsu._pending_load = pending_load
+        lsu.loads += 1
         fp._advance()
         pvals = fp._pvals
         pvals[_S_FP_LSU_OPS] += 1
@@ -577,7 +605,14 @@ def _lower_fp_store(instr: Instr):
                 return
             value = fp.fpregs.values[src]
             pvals[_S_RF_READS] += 1
-        lsu.issue_store(entry.vals["addr"], value)
+        req = port._req
+        req.addr = entry.vals["addr"]
+        req.is_write = True
+        req.data = value
+        req.width = 8
+        port._pending = req
+        lsu._pending_store = True
+        lsu.stores += 1
         fp._advance()
         pvals[_S_FP_LSU_OPS] += 1
         pvals[_S_FP_STORES] += 1
@@ -587,196 +622,171 @@ def _lower_fp_store(instr: Instr):
 
 
 def _lower_fp_compute(instr: Instr, cfg):
-    spec = instr.spec
-    mnemonic = instr.mnemonic
-    arity, fn = EXECUTORS[mnemonic]
-    iclass = instr.iclass
-    latency = cfg.fpu_latency[iclass]
-    unpipelined = iclass in UNPIPELINED_CLASSES
-    s_class = SLOT[f"fpu_{iclass.name.lower()}"]
-    sync = spec.rd_domain == "x"       # feq/flt/fle, fcvt.w.d
-    dest = None if sync else instr.rd
-    rs1_is_x = spec.rs1_domain == "x"  # fcvt.d.w reads an int operand
+    """FP compute issue: a dispatcher over operand-specialised bodies.
 
-    sources: list[int] = []
-    if spec.rs1_domain == "f":
-        sources.append(instr.rs1)
-    if spec.rs2_domain == "f":
-        sources.append(instr.rs2)
-    if spec.rs3_domain == "f":
-        sources.append(instr.rs3)
-    srcs = tuple(sources)
-    nsrc = len(srcs)
-    #: A register named in several operand positions needs the seed's
-    #: pop-once (chain) / pop-per-position (stream) bookkeeping; the
-    #: common duplicate-free case compiles to a leaner loop.
-    has_dup = nsrc != len(set(srcs))
-    n_operands = nsrc + (1 if rs1_is_x else 0)
-    if n_operands != arity:  # pragma: no cover - spec table is consistent
-        raise ValueError(f"{mnemonic} expects {arity} operands, got "
-                         f"{n_operands}")
+    Which operands are stream, chaining or plain registers depends on
+    the FP subsystem's ``ssr_enable`` and chaining mask, which change
+    only at CSR writes.  The closure keeps the body specialised for the
+    last-seen ``(fp, ssr_enable, chain.mask)`` and builds another (see
+    :func:`_compute_body`) when that key changes.
+    """
+    spec = instr.spec
+    arity, fn = EXECUTORS[instr.mnemonic]
+    iclass = instr.iclass
+    sync = spec.rd_domain == "x"       # feq/flt/fle, fcvt.w.d
+    rs1_is_x = spec.rs1_domain == "x"  # fcvt.d.w reads an int operand
+    srcs = tuple(reg for reg, domain in (
+        (instr.rs1, spec.rs1_domain), (instr.rs2, spec.rs2_domain),
+        (instr.rs3, spec.rs3_domain)) if domain == "f")
+    if len(srcs) + rs1_is_x != arity:  # pragma: no cover - spec table
+        raise ValueError(f"{instr.mnemonic} expects {arity} operands, got "
+                         f"{len(srcs) + rs1_is_x}")
+    static = _ComputeStatic(
+        instr=instr, fn=fn, srcs=srcs, dest=None if sync else instr.rd,
+        sync=sync, rs1_is_x=rs1_is_x, latency=cfg.fpu_latency[iclass],
+        unpipelined=iclass in UNPIPELINED_CLASSES,
+        s_class=SLOT[f"fpu_{iclass.name.lower()}"])
+    bodies: dict[tuple, Callable] = {}
+    last_fp: Any = None
+    last_ssr: Any = None
+    last_mask: Any = None
+    body: Any = None
 
     def issue(fp, entry, cycle):
-        chain = fp.chain
-        mask = chain.mask
-        valid = chain.valid
-        regs = fp.fpregs
-        busy = regs.busy
-        nstream = fp._num_streamers if fp.ssr_enable else 0
-        streamers = fp.streamers
+        nonlocal last_fp, last_ssr, last_mask, body
+        if fp is not last_fp or fp.ssr_enable is not last_ssr \
+                or fp.chain.mask != last_mask:
+            last_fp, last_ssr, last_mask = fp, fp.ssr_enable, fp.chain.mask
+            key = (fp, last_ssr, last_mask)
+            body = bodies.get(key)
+            if body is None:
+                body = bodies[key] = _compute_body(static, fp)
+        body(entry, cycle)
+    return issue
 
-        # -- operand readiness (seed _sources_ready; chain/RAW stalls are
-        # reported before stream-empty, whatever the operand order) ------
-        ssr_empty = False
-        for reg in srcs:
-            if reg < nstream:
-                if not streamers[reg]._fifo:
-                    ssr_empty = True
-            elif mask >> reg & 1:
-                if not valid[reg]:
-                    fp.perf.stall(StallReason.CHAIN_EMPTY)
-                    return
-            elif busy[reg]:
-                fp.perf.stall(StallReason.RAW)
-                return
-        if ssr_empty and not has_dup:
-            fp.perf.stall(StallReason.SSR_EMPTY)
+
+@dataclass(frozen=True, slots=True)
+class _ComputeStatic:
+    """What lowering knows about an FP compute instruction."""
+
+    instr: Instr
+    fn: Callable
+    srcs: tuple[int, ...]      # FP source registers, in operand order
+    dest: int | None           # None for results sent to the integer core
+    sync: bool
+    rs1_is_x: bool             # fcvt.d.w: rs1 is an integer operand
+    latency: int
+    unpipelined: bool
+    s_class: int               # perf slot of the op's FPU class
+
+
+#: Compiled body factories keyed by operand shape; the generated code
+#: depends on the shape only, so every instruction and cluster of that
+#: shape shares one compilation.
+_BODY_FACTORIES: dict[tuple, Any] = {}
+
+
+def _compute_body(static: _ComputeStatic, fp):
+    """Issue body for ``static`` under ``fp``'s current operand modes.
+
+    A source or destination register below the stream count (while
+    SSRs are enabled) is a stream register, one with its chaining mask
+    bit set is a chaining register, anything else is plain.  The body
+    performs exactly the seed's issue attempt for that classification:
+    chaining/RAW stalls in operand order, then stream-empty stalls (a
+    stream named in several positions must serve one pop per
+    position), WAW on a plain destination, pipe capacity with the
+    head-writeback prediction, then pops, reads and execution.
+    """
+    nstream = fp._num_streamers if fp.ssr_enable else 0
+    mask = fp.chain.mask
+
+    def mode(reg: int) -> str:
+        if reg < nstream:
+            return "ssr"
+        return "chain" if mask >> reg & 1 else "reg"
+
+    srcs = static.srcs
+    kinds = tuple((mode(reg), srcs.index(reg)) for reg in srcs)
+    dest_kind = "none" if static.dest is None else mode(static.dest)
+    shape = (kinds, dest_kind, static.rs1_is_x)
+    factory = _BODY_FACTORIES.get(shape)
+    if factory is None:
+        namespace = {"InFlightOp": InFlightOp, "StallReason": StallReason,
+                     "_S_SSR_READS": _S_SSR_READS,
+                     "_S_CHAIN_POPS": _S_CHAIN_POPS,
+                     "_S_RF_READS": _S_RF_READS, "_S_COMPUTE": _S_COMPUTE}
+        code = compile(_body_source(*shape), f"<fp issue {shape}>", "exec")
+        exec(code, namespace)  # source built from the shape alone
+        factory = _BODY_FACTORIES[shape] = namespace["factory"]
+    chain_srcs = frozenset(reg for reg, (kind, _) in zip(srcs, kinds)
+                           if kind == "chain")
+    return factory(fp, static, chain_srcs)
+
+
+#: The issue body of one operand shape; :func:`_body_source` fills in
+#: the shape-dependent parts.  Below full pipe depth the head-writeback
+#: prediction cannot matter; at full depth a completed head that will
+#: not retire this cycle is chaining backpressure.
+_BODY_TEMPLATE = """\
+def factory(fp, static, chain_srcs):
+    instr, fn, dest = static.instr, static.fn, static.dest
+    sync, latency = static.sync, static.latency
+    unpipelined, s_class = static.unpipelined, static.s_class
+    srcs = static.srcs
+    chain = fp.chain
+    valid = chain.valid
+    popped = chain._popped_this_cycle
+    values = fp.fpregs.values
+    busy = fp.fpregs.busy
+    streamers = fp.streamers
+    pipe = fp.pipe
+    in_flight = pipe.in_flight
+    depth = fp._pipe_depth
+    pvals = fp._pvals
+    seq = fp.sequencer
+    stall = fp.perf.stall
+{bind}
+    def body(entry, cycle):
+{ready}
+        if pipe._unpipelined:
+            stall(StallReason.FPU_BUSY)
             return
-        if has_dup:
-            # One instruction reading the same stream register in
-            # several operand positions consumes one element per
-            # position; count the required pops per lane.
-            need = None
-            for reg in srcs:
-                if reg < nstream:
-                    if need is None:
-                        need = {reg: 1}
-                    else:
-                        need[reg] = need.get(reg, 0) + 1
-            if need is not None:
-                for reg, count in need.items():
-                    if streamers[reg].available_pops() < count:
-                        fp.perf.stall(StallReason.SSR_EMPTY)
-                        return
-
-        # -- destination (WAW) and pipe capacity ---------------------------
-        dest_is_ssr = dest is not None and dest < nstream
-        dest_chain = False
-        if dest is not None and not dest_is_ssr:
-            dest_chain = bool(mask >> dest & 1)
-            if not dest_chain and busy[dest]:
-                fp.perf.stall(StallReason.WAW)
-                return
-
-        pipe = fp.pipe
-        in_flight = pipe.in_flight
-        head_retires = False
-        head_complete = bool(in_flight) \
-            and in_flight[0].completes_at <= cycle
-        if head_complete:
+        n = len(in_flight)
+        if n >= depth:
             op = in_flight[0]
+            if op.completes_at > cycle:
+                stall(StallReason.FPU_BUSY)
+                return
+            hd = op.dest
             if op.sync:
-                head_retires = not fp.sync_ready
+                retires = not fp.sync_ready
             elif op.dest_is_ssr:
-                head_retires = streamers[op.dest].can_push()
-            elif mask >> op.dest & 1:
-                # The candidate's chain pops are exactly its non-stream
-                # chain-enabled sources (all verified poppable above).
-                hd = op.dest
+                retires = streamers[hd].can_push()
+            elif chain.mask >> hd & 1:
                 if chain.concurrent_push_pop:
-                    head_retires = (not valid[hd]) \
-                        or hd in chain._popped_this_cycle \
-                        or (hd >= nstream and hd in srcs)
+                    retires = not valid[hd] or hd in popped \\
+                        or hd in chain_srcs
                 else:
-                    head_retires = not chain._valid_at_start[hd] \
+                    retires = not chain._valid_at_start[hd] \\
                         and not valid[hd]
             else:
-                head_retires = True
-        if pipe._unpipelined or (
-                len(in_flight) - (1 if head_retires else 0)
-                >= fp._pipe_depth):
-            if head_complete and not head_retires \
-                    and not pipe._unpipelined:
-                fp.perf.stall(StallReason.CHAIN_BACKPRESSURE)
-            else:
-                fp.perf.stall(StallReason.FPU_BUSY)
-            return
-
-        # -- commit the issue: pop/read operands and execute ---------------
-        pvals = fp._pvals
-        if nsrc == 0:
-            operands = ()
-        elif not has_dup:
-            operands = []
-            for reg in srcs:
-                if reg < nstream:
-                    s = streamers[reg]
-                    fifo = s._fifo
-                    value = fifo[0]
-                    s._rep_count += 1
-                    s._to_consume -= 1
-                    if s._rep_count > s.cfg.repeat:
-                        fifo.popleft()
-                        s._rep_count = 0
-                    operands.append(value)
-                    pvals[_S_SSR_READS] += 1
-                elif mask >> reg & 1:
-                    operands.append(regs.values[reg])
-                    valid[reg] = False
-                    chain._popped_this_cycle.add(reg)
-                    chain.pops += 1
-                    pvals[_S_CHAIN_POPS] += 1
-                else:
-                    operands.append(regs.values[reg])
-                    pvals[_S_RF_READS] += 1
-        else:
-            operands = []
-            chain_seen = {}
-            for reg in srcs:
-                if reg < nstream:
-                    s = streamers[reg]
-                    fifo = s._fifo
-                    value = fifo[0]
-                    s._rep_count += 1
-                    s._to_consume -= 1
-                    if s._rep_count > s.cfg.repeat:
-                        fifo.popleft()
-                        s._rep_count = 0
-                    operands.append(value)
-                    pvals[_S_SSR_READS] += 1
-                elif mask >> reg & 1:
-                    if reg not in chain_seen:
-                        value = regs.values[reg]
-                        valid[reg] = False
-                        chain._popped_this_cycle.add(reg)
-                        chain.pops += 1
-                        pvals[_S_CHAIN_POPS] += 1
-                        chain_seen[reg] = value
-                        operands.append(value)
-                    else:
-                        operands.append(chain_seen[reg])
-                else:
-                    operands.append(regs.values[reg])
-                    pvals[_S_RF_READS] += 1
-
-        if rs1_is_x:
-            result = fn(float(entry.vals.get("rs1", 0)), *operands)
-        else:
-            result = fn(*operands)
-
-        if dest is not None and not dest_is_ssr and not dest_chain:
-            busy[dest] = True
+                retires = True
+            if n - retires >= depth:
+                stall(StallReason.FPU_BUSY if retires
+                      else StallReason.CHAIN_BACKPRESSURE)
+                return
+{reads}
+        result = fn({args})
+{allocate}
         completes = cycle + latency
         if completes <= pipe._last_completion:
             completes = pipe._last_completion + 1
         pipe._last_completion = completes
         if unpipelined:
             pipe._unpipelined += 1
-        in_flight.append(
-            InFlightOp(instr, dest, dest_is_ssr, result, completes, sync,
-                       unpipelined))
-
-        seq = fp.sequencer
+        in_flight.append(InFlightOp(instr, dest, {dest_is_ssr}, result,
+                                    completes, sync, unpipelined))
         if seq._active:
             pos = seq._pos
             if seq._inner:
@@ -795,11 +805,89 @@ def _lower_fp_compute(instr: Instr, cfg):
             if pos >= seq._body_len * seq._iters:
                 seq._active = False
                 seq._buffer = []
-                seq._stagger_cache = {}
+                seq._stagger_cache = {{}}
         else:
             seq.queue.popleft()
         pvals[_S_COMPUTE] += 1
         pvals[s_class] += 1
         if fp.trace is not None:
             fp.trace.fp_issue(cycle, instr, "compute")
-    return issue
+    return body
+"""
+
+
+def _body_source(kinds, dest_kind, rs1_is_x) -> str:
+    """Python source of the body factory for one operand shape.
+
+    ``kinds`` holds one ``(kind, first)`` pair per FP source position:
+    the register's mode (``"ssr"``, ``"chain"`` or ``"reg"``) and the
+    first position naming the same register.
+    """
+    bind = []
+    ready = []
+    stream_ready = []
+    reads = []
+    counts = {"ssr": 0, "chain": 0, "reg": 0}
+    for i, (kind, first) in enumerate(kinds):
+        if first == i:
+            bind.append(f"r{i} = srcs[{i}]")
+        if kind == "ssr":
+            s = f"s{first}"
+            if first == i:
+                bind.append(f"{s} = streamers[r{i}]")
+                uses = sum(1 for _, f in kinds if f == i)
+                test = f"not {s}._fifo" if uses == 1 \
+                    else f"{s}.available_pops() < {uses}"
+                stream_ready += [f"if {test}:",
+                                 "    stall(StallReason.SSR_EMPTY)",
+                                 "    return"]
+            # Each position pops its own element (honouring repeat).
+            reads += [f"fifo = {s}._fifo",
+                      f"a{i} = fifo[0]",
+                      f"{s}._rep_count += 1",
+                      f"{s}._to_consume -= 1",
+                      f"if {s}._rep_count > {s}.cfg.repeat:",
+                      "    fifo.popleft()",
+                      f"    {s}._rep_count = 0"]
+            counts["ssr"] += 1
+        elif first != i:
+            # A plain register is read once per position; a chaining
+            # register pops once and serves every position.
+            reads.append(f"a{i} = values[r{first}]" if kind == "reg"
+                         else f"a{i} = a{first}")
+            counts["reg"] += kind == "reg"
+        else:
+            reads.append(f"a{i} = values[r{i}]")
+            counts[kind] += 1
+            if kind == "chain":
+                ready += [f"if not valid[r{i}]:",
+                          "    stall(StallReason.CHAIN_EMPTY)", "    return"]
+                reads += [f"valid[r{i}] = False", f"popped.add(r{i})"]
+            else:
+                ready += [f"if busy[r{i}]:",
+                          "    stall(StallReason.RAW)", "    return"]
+    # Chaining and RAW stalls win over stream-empty ones whatever the
+    # operand order.
+    ready += stream_ready
+    if dest_kind == "reg":
+        ready += ["if busy[dest]:", "    stall(StallReason.WAW)", "    return"]
+    if counts["ssr"]:
+        reads.append(f"pvals[_S_SSR_READS] += {counts['ssr']}")
+    if counts["chain"]:
+        reads += [f"chain.pops += {counts['chain']}",
+                  f"pvals[_S_CHAIN_POPS] += {counts['chain']}"]
+    if counts["reg"]:
+        reads.append(f"pvals[_S_RF_READS] += {counts['reg']}")
+    args = [f"a{i}" for i in range(len(kinds))]
+    if rs1_is_x:
+        args.insert(0, 'float(entry.vals.get("rs1", 0))')
+
+    def block(lines, depth):
+        return "\n".join(" " * depth + line for line in lines)
+
+    return _BODY_TEMPLATE.format(
+        bind=block(bind, 4), ready=block(ready, 8), reads=block(reads, 8),
+        args=", ".join(args),
+        allocate=block(["busy[dest] = True"] if dest_kind == "reg" else [],
+                       8),
+        dest_is_ssr=dest_kind == "ssr")

@@ -25,12 +25,16 @@ streamers).
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 from repro.mem.memory import Memory
 
+_UNPACK_F64 = struct.Struct("<d").unpack_from
+_UNPACK_U32 = struct.Struct("<I").unpack_from
 
-@dataclass
+
+@dataclass(slots=True)
 class _Request:
     addr: int
     is_write: bool
@@ -51,6 +55,11 @@ class TcdmPort:
         #: rotation table of the original arbitration loop).
         self._rot_index: int | None = None
         self._pending: _Request | None = None
+        #: The port's reusable request record: the scalar-v2 requesters
+        #: fill it in and point ``_pending`` at it instead of allocating
+        #: a record per request.  A grant releases it for the next
+        #: request, so no code may keep ``_pending`` across a grant.
+        self._req = _Request(0, False, None, 8)
         self._response: float | int | None = None
         self._response_ready = False
         # Statistics.
@@ -215,85 +224,94 @@ class Tcdm:
 
     def arbitrate_v2(self) -> None:
         """Grant-for-grant identical arbitration with the common request
-        counts (0, 1, 2) special-cased and the name-keyed rotation table
-        replaced by per-port rotation indices."""
-        pending = [p for p in self._ports if p._pending is not None]
+        counts (1, 2) special-cased, the name-keyed rotation table
+        replaced by per-port rotation indices, and 4-/8-byte reads served
+        straight from the backing store (same bounds and alignment
+        errors as :class:`~repro.mem.memory.Memory`)."""
+        pending = []
+        for p in self._ports:  # a plain loop: no comprehension frame
+            if p._pending is not None:
+                pending.append(p)
         if not pending:
             return
+        conflicts = 0
         if len(pending) == 1:
             # A lone request always wins its bank, and the round-robin
             # pointer only advances on contended streamer rounds, so the
             # full arbitration dance is skipped.
-            p = pending[0]
-            p._grant(self.mem)
-            self.total_accesses += 1
-            self.busy_bank_cycles += 1
-            return
-        off = self._rr_offset
-        n = len(self._streamer_ports)
-        contended = 0
-        for p in pending:
-            if p.is_streamer:
-                contended += 1
-        if contended >= 2:
-            self._rr_offset = (off + 1) % n
-        bw = self.bank_width
-        nb = self.num_banks
-        if len(pending) == 2:
-            a, b = pending
-            ra, rb = a._rot_index, b._rot_index
-            if (b.priority, 0 if rb is None else (rb - off) % n) \
-                    < (a.priority, 0 if ra is None else (ra - off) % n):
-                a, b = b, a
-            mem = self.mem
-            req = a._pending
-            bank_a = (req.addr // bw) % nb
-            if req.is_write:
-                a._grant(mem)
-            else:
-                a._response = mem.read_f64(req.addr) if req.width == 8 \
-                    else mem.read_u32(req.addr) if req.width == 4 \
-                    else mem.read_u16(req.addr) if req.width == 2 \
-                    else mem.read_u8(req.addr)
-                a.reads += 1
-                a._pending = None
-                a._response_ready = True
-            req = b._pending
-            if (req.addr // bw) % nb == bank_a:
-                b.conflicts += 1
-                self.total_conflicts += 1
-                self.total_accesses += 1
-                self.busy_bank_cycles += 1
-            else:
-                if req.is_write:
-                    b._grant(mem)
+            granted = pending
+        else:
+            off = self._rr_offset
+            n = len(self._streamer_ports)
+            contended = 0
+            for p in pending:
+                if p.is_streamer:
+                    contended += 1
+            if contended >= 2:
+                self._rr_offset = (off + 1) % n
+            bw = self.bank_width
+            nb = self.num_banks
+            if len(pending) == 2:
+                a, b = pending
+                pa, pb = a.priority, b.priority
+                if pb < pa or pb == pa and (
+                        0 if b._rot_index is None
+                        else (b._rot_index - off) % n) < (
+                        0 if a._rot_index is None
+                        else (a._rot_index - off) % n):
+                    a, b = b, a
+                if (a._pending.addr // bw) % nb \
+                        == (b._pending.addr // bw) % nb:
+                    b.conflicts += 1
+                    conflicts = 1
+                    granted = (a,)
                 else:
-                    b._response = mem.read_f64(req.addr) if req.width == 8 \
-                        else mem.read_u32(req.addr) if req.width == 4 \
-                        else mem.read_u16(req.addr) if req.width == 2 \
-                        else mem.read_u8(req.addr)
-                    b.reads += 1
-                    b._pending = None
-                    b._response_ready = True
-                self.total_accesses += 2
-                self.busy_bank_cycles += 2
-            return
+                    granted = (a, b)
+            else:
+                def key(p: TcdmPort) -> tuple[int, int]:
+                    r = p._rot_index
+                    return (p.priority, 0 if r is None else (r - off) % n)
 
-        def key(p: TcdmPort) -> tuple[int, int]:
-            r = p._rot_index
-            return (p.priority, 0 if r is None else (r - off) % n)
-
-        granted_banks: set[int] = set()
-        for p in sorted(pending, key=key):
-            bank = (p._pending.addr // bw) % nb
-            if bank in granted_banks:
-                p.conflicts += 1
-                self.total_conflicts += 1
+                granted = []
+                granted_banks: set[int] = set()
+                for p in sorted(pending, key=key):
+                    bank = (p._pending.addr // bw) % nb
+                    if bank in granted_banks:
+                        p.conflicts += 1
+                        conflicts += 1
+                        continue
+                    granted_banks.add(bank)
+                    granted.append(p)
+        mem = self.mem
+        data = mem._data
+        size = mem.size
+        for p in granted:
+            req = p._pending
+            if req.is_write:
+                p._grant(mem)
                 continue
-            granted_banks.add(bank)
-            p._grant(self.mem)
-            self.total_accesses += 1
-        self.busy_bank_cycles += len(granted_banks)
+            addr = req.addr
+            width = req.width
+            if width == 8:
+                if addr < 0 or addr + 8 > size or addr & 7:
+                    mem._check(addr, 8)
+                p._response = _UNPACK_F64(data, addr)[0]
+            elif width == 4:
+                if addr < 0 or addr + 4 > size or addr & 3:
+                    mem._check(addr, 4)
+                p._response = _UNPACK_U32(data, addr)[0]
+            elif width == 2:
+                p._response = mem.read_u16(addr)
+            elif width == 1:
+                p._response = mem.read_u8(addr)
+            else:
+                raise ValueError(f"unsupported read width {width}")
+            p.reads += 1
+            p._pending = None
+            p._response_ready = True
+        self.total_conflicts += conflicts
+        self.total_accesses += len(granted)
+        self.busy_bank_cycles += len(granted)
 
     # -- statistics ---------------------------------------------------------
 

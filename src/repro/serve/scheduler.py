@@ -291,9 +291,11 @@ class Scheduler:
                 break
         else:
             final = "done"
+        # The event goes first: an events stream closes as soon as it
+        # sees a terminal job with no unsent events.
+        job.add_event("finished", status=final)
         self.store.set_status(job, final)
         self._count(f"jobs_{final}")
-        job.add_event("finished", status=final)
         if _obs.ENABLED:
             seconds = (job.finished or time.time()) - job.created
             _obs.tracer().complete(

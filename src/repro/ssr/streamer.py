@@ -15,8 +15,9 @@ full, for writes) is exactly the stall condition the core observes.
 from __future__ import annotations
 
 from collections import deque
+from typing import Callable
 
-from repro.mem.tcdm import Tcdm, TcdmPort, _Request
+from repro.mem.tcdm import Tcdm, TcdmPort
 from repro.ssr.address_gen import AffineGenerator, IndirectGenerator
 from repro.ssr.config import SsrConfig, SsrConfigSpace, SsrMode
 
@@ -44,6 +45,10 @@ class SsrStreamer:
         self._to_produce = 0     # writes the FPU still owes us
         self._data_requested = False
         self._pending_write_addr: int | None = None
+        #: Micro-op engine per-cycle step, bound by :meth:`_arm` to the
+        #: armed mode's specialised body (None while unarmed).  A re-arm
+        #: re-binds it, so callers look it up every cycle.
+        self.step_v2: Callable[[], None] | None = None
         # Statistics (energy model inputs).
         self.active_cycles = 0
         self.elements_moved = 0
@@ -96,9 +101,12 @@ class SsrStreamer:
         if cfg.mode == SsrMode.READ:
             self._to_consume = total * (cfg.repeat + 1)
             self._to_produce = 0
+            self.step_v2 = self._step_v2_indirect_read if cfg.indirect \
+                else self._step_v2_affine_read
         else:
             self._to_produce = total
             self._to_consume = 0
+            self.step_v2 = self._step_v2_write
 
     # -- register-port interface (used at FP instruction issue) -----------
 
@@ -155,87 +163,129 @@ class SsrStreamer:
         if worked:
             self.active_cycles += 1
 
-    def step_v2(self) -> None:
-        """Micro-op engine per-cycle path: one flattened pass over the
-        same actions as :meth:`step` (the caller guarantees an armed
-        stream), posting requests directly instead of through the
-        checked :meth:`~repro.mem.tcdm.TcdmPort.request` interface --
-        every guard the checked path enforces is established inline."""
-        cfg = self.cfg
+    # Micro-op engine per-cycle bodies, one per armed mode (bound to
+    # ``step_v2`` at arm time).  Each performs exactly the actions of
+    # :meth:`step` for its mode, posting requests by filling in the
+    # port's reusable record instead of through the checked
+    # :meth:`~repro.mem.tcdm.TcdmPort.request` interface -- every guard
+    # the checked path enforces is established inline.  A port never
+    # holds a pending request and an unconsumed response at once, so
+    # once a response is retired the port is free exactly when nothing
+    # is pending.
+
+    def _step_v2_indirect_read(self) -> None:
         port = self.data_port
+        iport = self.idx_port
+        fifo = self._fifo
+        idx_fifo = self._idx_fifo
         worked = False
-        if cfg.mode == SsrMode.READ:
-            fifo = self._fifo
-            if port._response_ready:
-                port._response_ready = False
-                data = port._response
-                port._response = None
-                fifo.append(float(data))
-                self._data_requested = False
-                self.elements_moved += 1
-                worked = True
-            iport = self.idx_port
-            if iport._response_ready:
-                iport._response_ready = False
-                data = iport._response
-                iport._response = None
-                self._idx_fifo.append(int(data))
-                worked = True
-            if port._pending is None and not port._response_ready \
-                    and self.fifo_depth - len(fifo) \
-                    - (1 if self._data_requested else 0) > 0:
-                igen = self._igen
-                if igen is not None:
-                    addr = igen.data_addr(self._idx_fifo.popleft()) \
-                        if self._idx_fifo else None
-                else:
-                    gen = self._gen
-                    addr = None if gen._remaining == 0 else gen.next()
-                if addr is not None:
-                    port._pending = _Request(addr, False, None, 8)
-                    self._data_requested = True
-                    worked = True
-            igen = self._igen
-            if igen is not None and igen._pos < igen._count \
-                    and iport._pending is None \
-                    and not iport._response_ready \
-                    and len(self._idx_fifo) < self.fifo_depth:
-                idx_size = cfg.idx_size
-                iport._pending = _Request(
-                    cfg.idx_base + igen._pos * idx_size, False, None,
-                    idx_size)
-                igen._pos += 1
-                worked = True
-        else:
-            fifo = self._fifo
-            if port._response_ready:
-                port._response_ready = False
-                port._response = None
-                fifo.popleft()
-                self._pending_write_addr = None
-                self.elements_moved += 1
-                worked = True
-            if fifo and port._pending is None and not port._response_ready:
-                addr = self._pending_write_addr
+        if port._response_ready:
+            port._response_ready = False
+            fifo.append(float(port._response))
+            port._response = None
+            self._data_requested = False
+            self.elements_moved += 1
+            worked = True
+        if iport._response_ready:
+            iport._response_ready = False
+            idx_fifo.append(int(iport._response))
+            iport._response = None
+            worked = True
+        cfg = self.cfg
+        depth = self.fifo_depth
+        if idx_fifo and port._pending is None \
+                and depth - len(fifo) - self._data_requested > 0:
+            req = port._req
+            req.addr = cfg.base + (idx_fifo.popleft() << cfg.idx_shift)
+            req.is_write = False
+            req.data = None
+            req.width = 8
+            port._pending = req
+            self._data_requested = True
+            worked = True
+        igen = self._igen
+        if igen._pos < igen._count and iport._pending is None \
+                and len(idx_fifo) < depth:
+            req = iport._req
+            req.addr = cfg.idx_base + igen._pos * cfg.idx_size
+            req.is_write = False
+            req.data = None
+            req.width = cfg.idx_size
+            iport._pending = req
+            igen._pos += 1
+            worked = True
+        if worked:
+            self.active_cycles += 1
+
+    def _step_v2_affine_read(self) -> None:
+        port = self.data_port
+        fifo = self._fifo
+        worked = False
+        if port._response_ready:
+            port._response_ready = False
+            fifo.append(float(port._response))
+            port._response = None
+            self._data_requested = False
+            self.elements_moved += 1
+            worked = True
+        iport = self.idx_port
+        if iport._response_ready:
+            # Only an index fetch left over from an earlier arming.
+            iport._response_ready = False
+            self._idx_fifo.append(int(iport._response))
+            iport._response = None
+            worked = True
+        gen = self._gen
+        if gen._remaining and port._pending is None \
+                and self.fifo_depth - len(fifo) - self._data_requested > 0:
+            req = port._req
+            req.addr = gen.next()
+            req.is_write = False
+            req.data = None
+            req.width = 8
+            port._pending = req
+            self._data_requested = True
+            worked = True
+        if worked:
+            self.active_cycles += 1
+
+    def _step_v2_write(self) -> None:
+        port = self.data_port
+        fifo = self._fifo
+        worked = False
+        if port._response_ready:
+            port._response_ready = False
+            port._response = None
+            fifo.popleft()
+            self._pending_write_addr = None
+            self.elements_moved += 1
+            worked = True
+        if fifo and port._pending is None:
+            addr = self._pending_write_addr
+            if addr is None:
+                addr = self._next_data_addr()
                 if addr is None:
-                    addr = self._next_data_addr()
-                    if addr is None:
-                        # No resolvable address (index FIFO dry): the
-                        # cycle ends here -- including the index-fetch
-                        # launch below, exactly like the seed path.
-                        if worked:
-                            self.active_cycles += 1
-                        return
-                    self._pending_write_addr = addr
-                port._pending = _Request(addr, True, fifo[0], 8)
-                worked = True
-            igen = self._igen
-            if igen is not None and not igen.exhausted \
-                    and not self.idx_port.busy \
-                    and len(self._idx_fifo) < self.fifo_depth:
-                self.idx_port.request(igen.next_index_addr(),
-                                      width=cfg.idx_size)
-                worked = True
+                    # No resolvable address (index FIFO dry): the cycle
+                    # ends here -- including the index-fetch launch
+                    # below, exactly like the seed path.
+                    if worked:
+                        self.active_cycles += 1
+                    return
+                self._pending_write_addr = addr
+            req = port._req
+            req.addr = addr
+            req.is_write = True
+            req.data = fifo[0]
+            req.width = 8
+            port._pending = req
+            worked = True
+        igen = self._igen
+        if igen is not None and not igen.exhausted \
+                and not self.idx_port.busy \
+                and len(self._idx_fifo) < self.fifo_depth:
+            self.idx_port.request(igen.next_index_addr(),
+                                  width=self.cfg.idx_size)
+            worked = True
         if worked:
             self.active_cycles += 1
 

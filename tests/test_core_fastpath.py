@@ -495,3 +495,88 @@ def test_fast_engine_deterministic():
     a = digest(run_engine(asm, "fast", arrays))
     b = digest(run_engine(asm, "fast", arrays))
     assert a == b
+
+
+# -- the scalar-v2 observe gate ---------------------------------------------
+
+_GATE_STATS = ("regions_seen", "regions_eligible", "applications",
+               "fast_forwarded_cycles", "reject_reasons")
+
+
+def _gate_workload(kind):
+    """(cluster factory) for an accepted, a rejected and a Fig. 3 run."""
+    if kind == "stencil":
+        from repro.kernels.layout import Grid3d
+        from repro.kernels.registry import get_stencil
+        from repro.kernels.stencil_codegen import build_stencil
+        from repro.kernels.variants import Variant
+
+        spec, _ = get_stencil("box3d1r")
+        build = build_stencil(spec, Grid3d(nz=2, ny=3, nx=8),
+                              Variant.CHAINING_PLUS)
+
+        def make():
+            cluster = Cluster(build.asm, cfg=CoreConfig(engine="auto"),
+                              symbols=build.symbols)
+            build.load_into(cluster)
+            return cluster
+        return make
+    if kind == "accepted":
+        asm = frep_program(
+            ["fadd.d ft3, ft0, ft1"] * 4 + ["fmul.d ft2, ft3, fa0"] * 4,
+            iters=64, streams=streams_asm(256), chain_mask=8)
+        arrays = vec_arrays(np.random.default_rng(5), 256)
+    else:  # rejected: two register-staggered regions in sequence
+        asm = f"""
+    li a0, {B}
+    fld fa0, 0(a0)
+    fld fa1, 8(a0)
+    li t0, 63
+    frep.o t0, 0, 1, 3
+    fadd.d fa0, fa0, fa2
+    frep.o t0, 0, 1, 3
+    fadd.d fa0, fa0, fa2
+    ebreak
+"""
+        arrays = [(B, [1.0, 2.0])]
+
+    def make():
+        cluster = Cluster(asm, cfg=CoreConfig(engine="auto"))
+        for addr, data in arrays:
+            cluster.load_f64(addr, np.asarray(data, dtype=np.float64))
+        return cluster
+    return make
+
+
+@pytest.mark.parametrize("kind", ["accepted", "rejected", "stencil"])
+def test_observe_gate_keeps_fastpath_stats(kind, monkeypatch):
+    """scalar-v2 calls ``FastPathEngine.observe`` only inside an FREP
+    region or with a non-idle engine; calling it every cycle instead
+    must leave every fast-path statistic and the run unchanged."""
+    make = _gate_workload(kind)
+    gated = make()
+    gated.run()
+
+    step_v2 = Cluster._step_v2
+
+    def ungated_step_v2(self):
+        fastpath, self.fastpath = self.fastpath, None
+        try:
+            step_v2(self)
+        finally:
+            self.fastpath = fastpath
+        fastpath.observe()
+
+    monkeypatch.setattr(Cluster, "_step_v2", ungated_step_v2)
+    ungated = make()
+    ungated.run()
+
+    got = {k: gated.fastpath.stats[k] for k in _GATE_STATS}
+    assert got == {k: ungated.fastpath.stats[k] for k in _GATE_STATS}
+    assert digest(gated) == digest(ungated)
+    if kind == "accepted":
+        assert got["applications"] >= 1
+    elif kind == "rejected":
+        assert got["regions_seen"] == 2 and got["regions_eligible"] == 0
+    else:
+        assert got["regions_seen"] == 0

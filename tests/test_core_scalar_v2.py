@@ -24,12 +24,14 @@ import pytest
 from repro.core.cluster import Cluster
 from repro.core.config import CoreConfig
 from repro.kernels.registry import get_stencil
+from repro.kernels.ssrgen import SsrPatternAsm
 from repro.kernels.stencil_codegen import build_stencil
 from repro.kernels.variants import VARIANT_ORDER, Variant
 from repro.kernels.vecop import VecopVariant, build_vecop
 from repro.trace import TraceRecorder
 
 DATA = 0x2000
+IDX = 0x3000
 OUT = 0x6000
 
 
@@ -344,6 +346,105 @@ def _random_program(rng: random.Random) -> str:
     return "\n".join(lines)
 
 
+def _random_ssr_program(rng: random.Random) -> tuple[str, np.ndarray]:
+    """A random stream program and the index array it gathers through.
+
+    SSR0 gathers ``DATA`` through the index array at ``IDX``, SSR1 reads
+    ``DATA`` affinely (2-D, optionally repeating) and SSR2 writes to
+    ``OUT``; a random body of plain and chained FMAs, some inside an
+    ``frep.o``, pops and pushes exactly as many elements as the streams
+    hold, with ``fsd`` of plain and stream registers between steps.
+    """
+    frep = rng.random() < 0.5
+    iters = rng.randrange(1, 4)
+    plain = lambda: rng.randrange(3, 7)                   # noqa: E731
+    body = []
+
+    def source():
+        reg = rng.choice((0, 1, 0, 1, None))
+        if reg is None:
+            return plain()
+        pops[reg] += 1
+        return reg
+
+    def dest():
+        nonlocal pushes
+        if rng.random() < 0.5:
+            pushes += 1
+            return 2
+        return plain()
+
+    # Every program reads SSR0 and SSR1 and writes SSR2 at least once.
+    body.append(f"fmadd.d f2, f0, f1, f{plain()}")
+    pops = [1, 1]
+    pushes = 1
+    for _ in range(rng.randrange(1, 5)):
+        if rng.random() < 0.5:
+            # A chained pair: the producer pushes f20/f21, the consumer
+            # pops it (possibly naming it in two positions).
+            c = rng.choice((20, 21))
+            body.append(f"fmadd.d f{c}, f{source()}, f{source()}, "
+                        f"f{plain()}")
+            second = c if rng.random() < 0.3 else source()
+            body.append(f"{rng.choice(_FP_OPS2)} f{dest()}, f{c}, "
+                        f"f{second}")
+        elif rng.random() < 0.5:
+            body.append(f"{rng.choice(_FP_OPS3)} f{dest()}, f{source()}, "
+                        f"f{source()}, f{source()}")
+        else:
+            body.append(f"{rng.choice(_FP_OPS2)} f{dest()}, f{source()}, "
+                        f"f{source()}")
+    n0, n1 = pops[0] * iters, pops[1] * iters
+    stores = []
+    if not frep:
+        # fsd of a plain register or a stream pop, once, between the
+        # body steps of the first repetition.
+        for _ in range(rng.randrange(0, 3)):
+            reg = rng.choice((0, 1, None))
+            if reg is None:
+                reg = plain()
+            elif reg == 0:
+                n0 += 1
+            else:
+                n1 += 1
+            stores.append((rng.randrange(len(body) + 1),
+                           f"fsd f{reg}, {8 * rng.randrange(16)}(x9)"))
+    repeat0 = 1 if n0 % 2 == 0 and rng.random() < 0.4 else 0
+    repeat1 = 1 if n1 % 2 == 0 and rng.random() < 0.4 else 0
+    e0, e1 = n0 // (repeat0 + 1), n1 // (repeat1 + 1)
+    inner = rng.choice([d for d in range(1, e1 + 1) if e1 % d == 0])
+    idx_size = rng.choice((2, 4))
+    streams = [
+        SsrPatternAsm(ssr=0, base=DATA, bounds=[e0], strides=[8],
+                      repeat=repeat0, indirect=True, idx_base=IDX,
+                      idx_size=idx_size, idx_shift=3),
+        SsrPatternAsm(ssr=1, base=DATA + 8 * rng.randrange(8),
+                      bounds=[inner, e1 // inner],
+                      strides=[8 * rng.choice((1, 2)),
+                               -8 * rng.randrange(0, 3)],
+                      repeat=repeat1),
+        SsrPatternAsm(ssr=2, base=OUT, bounds=[pushes * iters],
+                      strides=[8], write=True),
+    ]
+    lines = [f"li x8, {DATA}", f"li x9, {OUT + 0x200}"]
+    lines += [p.emit() for p in streams]
+    lines += [f"li x7, {(1 << 20) | (1 << 21)}", "csrrw x0, 0x7C3, x7",
+              "csrrsi x0, 0x7C0, 1"]
+    if frep:
+        lines += [f"li x6, {iters - 1}", f"frep.o x6, {len(body) - 1}"]
+        lines += body
+    else:
+        first = list(body)
+        for at, store in sorted(stores, reverse=True):
+            first.insert(at, store)
+        lines += first + body * (iters - 1)
+    lines += ["csrrci x0, 0x7C0, 1", "csrrwi x0, 0x7C3, 0",
+              "fsd f3, 0(x9)", "ebreak"]
+    dtype = np.uint16 if idx_size == 2 else np.uint32
+    idx = np.array([rng.randrange(128) for _ in range(e0)], dtype=dtype)
+    return "\n".join(lines), idx
+
+
 def _lockstep_state(cluster: Cluster) -> tuple:
     core, fp = cluster.core, cluster.fp
     return (
@@ -363,6 +464,15 @@ def _lockstep_state(cluster: Cluster) -> tuple:
         cluster.perf.counter_state(),
         cluster.tcdm.total_accesses, cluster.tcdm.total_conflicts,
         bytes(cluster.mem._data[DATA:OUT + 0x400]),
+        tuple((tuple(s._fifo), tuple(s._idx_fifo), s._rep_count,
+               s._to_consume, s._to_produce, s._data_requested,
+               s._pending_write_addr, s.elements_moved, s.active_cycles)
+              for s in fp.streamers),
+        tuple((None if p._pending is None else
+               (p._pending.addr, p._pending.is_write, p._pending.width,
+                p._pending.data),
+               p._response_ready, p._response)
+              for p in cluster.tcdm.ports),
     )
 
 
@@ -383,6 +493,31 @@ def test_fuzz_lockstep_per_cycle(seed):
         v2.step()
         assert _lockstep_state(ref) == _lockstep_state(v2), \
             f"seed {seed} diverged at cycle {cycle}\n{source}"
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_fuzz_lockstep_streams_per_cycle(seed):
+    """Stream-heavy programs: every streamer's FIFOs and counters and
+    every TCDM port's pending request and response, cycle by cycle."""
+    rng = random.Random(4321 + seed)
+    source, idx = _random_ssr_program(rng)
+    data = np.array([rng.uniform(-4, 4) for _ in range(128)])
+
+    clusters = []
+    for engine in ("scalar", "scalar-v2"):
+        cluster = Cluster(source, cfg=CoreConfig(engine=engine))
+        cluster.load_f64(DATA, data)
+        cluster.mem.write_array(IDX, idx)
+        clusters.append(cluster)
+    ref, v2 = clusters
+    while not ref.done:
+        ref.step()
+        v2.step()
+        assert _lockstep_state(ref) == _lockstep_state(v2), \
+            f"seed {seed} diverged at cycle {ref.cycle}\n{source}"
+        assert ref.cycle < 2_000, f"seed {seed} did not finish\n{source}"
+    assert v2.done
+    assert all(s.elements_moved for s in ref.fp.streamers)
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.api import Session, workload
-from repro.serve import Job, JobStore, ServeError
+from repro.serve import TERMINAL_STATUSES, Job, JobStore, ServeError
 from repro.serve.scheduler import QueueFull, Scheduler
 from repro.serve.testing import ServerThread
 from repro.sweep import ResultCache
@@ -151,6 +151,32 @@ def test_http_endpoints_roundtrip(tmp_path):
         metrics = client.metrics()
         assert metrics["serve"]["serve.executions"] == 2
         assert "counters" in metrics["metrics"]
+
+
+def test_event_streams_of_completed_jobs_end_with_finished(tmp_path,
+                                                          monkeypatch):
+    """The events stream closes once it sees a terminal job with no
+    unsent events, so "finished" must be appended before the terminal
+    transition.  A slow journal write of that transition used to close
+    the stream without it."""
+    append = JobStore._append
+
+    def slow_terminal_append(self, record):
+        if record.get("status") in TERMINAL_STATUSES:
+            time.sleep(0.3)
+        append(self, record)
+
+    monkeypatch.setattr(JobStore, "_append", slow_terminal_append)
+    with ServerThread(tmp_path / "store", workers=1) as server:
+        client = server.client()
+        streams = []
+        for batch in ([FAST], [FAST2, FAST], [FAST]):  # last: a cache hit
+            job = client.submit(batch)
+            streams.append([e["event"] for e in client.events(job["id"])])
+            assert client.job(job["id"])["status"] == "done"
+    for events in streams:
+        assert events[0] == "submitted" and events[-1] == "finished"
+        assert events.count("finished") == 1
 
 
 def test_http_rejects_garbage(tmp_path):
