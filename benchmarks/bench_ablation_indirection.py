@@ -14,15 +14,16 @@ Two supporting experiments around the substrate choices:
 
 import numpy as np
 
+from repro.api import workload
 from repro.core import Cluster
 from repro.eval.report import format_table
-from repro.sweep import SweepRunner, make_point
+from repro.sweep import SweepRunner
 
 DATA = 0x2000
 
 
 def test_irregular_taps_through_indirection(benchmark):
-    point = make_point("star3d1r", "Chaining+", grid=(2, 4, 24))
+    point = workload("star3d1r", "Chaining+", grid=(2, 4, 24))
 
     def run():
         campaign = SweepRunner(workers=0).run([point])

@@ -1,9 +1,10 @@
 """Fast-path engine benchmarks: wall-clock speedup at zero fidelity cost.
 
-The vectorized FREP/SSR engine must be (a) bit-identical to the scalar
-reference in every reported number and (b) at least 3x faster on the
-Fig. 1 vecop workload at a sweep-sized n.  Both claims are asserted
-here, and the timed runs feed the CI benchmark-regression gate.
+The ``auto`` engine (the vectorized FREP/SSR fast path over scalar-v2)
+must be (a) bit-identical to the scalar reference in every reported
+number and (b) at least 3x faster on the Fig. 1 vecop workload at a
+sweep-sized n.  Both claims are asserted here, and the timed runs feed
+the CI benchmark-regression gate.
 """
 
 import time
@@ -32,8 +33,8 @@ def _run(engine: str, n: int = N,
 
 
 def test_fastpath_vecop_wallclock(benchmark):
-    """The regression-gated number: fig1 vecop under the fast engine."""
-    cluster = benchmark.pedantic(lambda: _run("fast"), rounds=3,
+    """The regression-gated number: fig1 vecop under the auto engine."""
+    cluster = benchmark.pedantic(lambda: _run("auto"), rounds=3,
                                  iterations=1)
     assert cluster.fastpath.stats["applications"] >= 1
 
@@ -51,7 +52,7 @@ def test_fastpath_speedup_and_equivalence(benchmark):
         scalar = _run("scalar")
         scalar_seconds.append(time.perf_counter() - start)
 
-    fast = benchmark.pedantic(lambda: _run("fast"), rounds=3,
+    fast = benchmark.pedantic(lambda: _run("auto"), rounds=3,
                               iterations=1)
 
     assert scalar.cycle == fast.cycle
@@ -74,7 +75,7 @@ def test_fastpath_speedup_and_equivalence(benchmark):
 def test_fastpath_variant_equivalence(variant):
     """All three Fig. 1 code forms stay bit-identical at batch sizes."""
     scalar = _run("scalar", n=1024, variant=variant)
-    fast = _run("fast", n=1024, variant=variant)
+    fast = _run("auto", n=1024, variant=variant)
     assert scalar.cycle == fast.cycle
     assert scalar.perf.summary() == fast.perf.summary()
     assert fast.fastpath.stats["applications"] >= 1

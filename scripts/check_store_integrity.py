@@ -49,7 +49,7 @@ def check_store(root: str, strict: bool = False) -> list[str]:
         for entry in report["duplicates"]:
             problems.append(f"{root}: duplicate key (strict): {entry}")
     print(f"{root}: {report['records']} record(s) in "
-          f"{report['files']} file(s) [{cache.layout}], "
+          f"{report['files']} shard file(s), "
           f"{report['failure_records']} failure record(s), "
           f"{len(report['duplicates'])} identical duplicate(s)")
     return problems

@@ -50,12 +50,9 @@ from repro.api import (
     make_workload,
     workload,
 )
-from repro.api.workloads import deprecated_point_alias as \
-    _deprecated_point_alias
 from repro.core import ChainController, Cluster, CoreConfig, SystemConfig
 from repro.energy import AreaModel, EnergyModel, EnergyParams
-from repro.eval import RunResult, geomean, run_build, run_stencil_variant
-from repro.eval.system_runner import run_system_stencil
+from repro.eval import geomean
 from repro.isa import assemble, decode, disassemble, encode
 from repro.kernels import (
     Grid3d,
@@ -76,11 +73,10 @@ from repro.sweep import (
     ResultCache,
     SweepRunner,
     SweepSpec,
-    make_point,
 )
 from repro.trace import TraceRecorder, render_dataflow, render_issue_trace
 
-__version__ = "1.9.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "AreaModel",
@@ -95,7 +91,6 @@ __all__ = [
     "KernelBuild",
     "Result",
     "ResultCache",
-    "RunResult",
     "Session",
     "StencilSpec",
     "SweepRunner",
@@ -118,23 +113,10 @@ __all__ = [
     "encode",
     "geomean",
     "j3d27pt",
-    "make_point",
     "make_workload",
     "obs",
     "render_dataflow",
     "render_issue_trace",
-    "run_build",
-    "run_stencil_variant",
-    "run_system_stencil",
     "star3d1r",
     "workload",
 ]
-
-
-def __getattr__(name: str):
-    # "Point" is deliberately NOT in __all__: a star import must not
-    # fire the deprecation warning for users who never touch it.
-    if name == "Point":
-        return _deprecated_point_alias("repro.Point")
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")

@@ -23,8 +23,8 @@ Quick start::
     for outcome in campaign.ok:
         print(outcome.point.label, outcome.result.to_dict()["gflops"])
 
-See ``docs/api.md`` for the full reference and the migration table
-from the pre-1.5 entry points.
+See ``docs/api.md`` for the full reference and the names removed in
+2.0.
 """
 
 from repro.api.cancel import CancelToken

@@ -23,8 +23,8 @@ from repro.obs import spans as _obs
 
 DEFAULT_MAX_CYCLES = 5_000_000
 
-#: Default budget for multi-cluster workloads (matches the pre-1.5
-#: ``run_system_stencil`` default).  Every front door -- ``Session.run``,
+#: Default budget for multi-cluster workloads (the default of
+#: ``execute_system_stencil``).  Every front door -- ``Session.run``,
 #: ``Session.map`` and the sweep runner -- resolves the same
 #: per-workload budgets, so cached results are front-door-independent.
 DEFAULT_SYSTEM_MAX_CYCLES = 20_000_000

@@ -17,9 +17,10 @@ Design rules:
   the typed fields; :meth:`to_dict` emits them for consumers but
   :meth:`from_dict` ignores them, so a record can never carry a stale
   derived value.
-* Multi-cluster runs attach a typed :class:`SystemReport` sub-report
-  (the same aggregates are mirrored into ``meta`` for pre-1.5
-  consumers, one release).
+* Multi-cluster runs attach a typed :class:`SystemReport` sub-report;
+  it is the only copy of the system aggregates.
+* :meth:`from_dict` reads only this shape: a record missing a typed
+  field is rejected, never filled in with a default.
 """
 
 from __future__ import annotations
@@ -86,22 +87,13 @@ class SystemReport:
 
     def to_dict(self) -> dict:
         # Derived from the dataclass fields: adding a field serializes
-        # it automatically (from_dict/from_meta derive the same way).
+        # it automatically (from_dict derives the same way).
         return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SystemReport":
         return cls(**{f.name: data[f.name]
                       for f in dataclasses.fields(cls)})
-
-    @classmethod
-    def from_meta(cls, meta: dict) -> "SystemReport":
-        """Lift the sub-report out of a pre-1.5 ``meta`` dict."""
-        lifted = {"num_clusters": 1, "iters": 1,
-                  "per_cluster_cycles": []}
-        for f in dataclasses.fields(cls):
-            lifted[f.name] = meta.get(f.name, lifted.get(f.name, 0))
-        return cls(**lifted)
 
 
 @dataclass
@@ -207,31 +199,14 @@ class Result:
     def from_dict(cls, data: dict) -> "Result":
         """Inverse of :meth:`to_dict`.
 
-        Also lifts pre-1.5 records (``RunResult`` dicts whose ``meta``
-        carried ``clock_hz``/``flops``/``points``) into the typed form,
-        so caches written before the API unification still load.
+        The typed fields are required at the top level (``KeyError`` on
+        a truncated or pre-1.5 record, never a default), and a
+        ``schema`` stamp, when present, must be :data:`RESULT_SCHEMA`.
         """
-        meta = dict(data.get("meta", {}))
         if "schema" in data and data["schema"] != RESULT_SCHEMA:
             raise ValueError(
                 f"unsupported result schema {data['schema']!r}; "
                 f"this build reads {RESULT_SCHEMA!r}")
-        if "schema" in data or any(k in data for k in _TYPED_FIELDS):
-            # A stamped -- or stampless-but-new-shaped -- record: the
-            # typed fields are REQUIRED at the top level, all of them
-            # (KeyError on a malformed/truncated record, never a
-            # silently-lifted default).
-            clock_hz = data["clock_hz"]
-            flops = data["flops"]
-            points = data["points"]
-            system = SystemReport.from_dict(data["system"]) \
-                if data.get("system") else None
-        else:  # genuine pre-1.5 record: the fields lived in meta
-            clock_hz = meta.pop("clock_hz", 1.0e9)
-            flops = meta.pop("flops", 0)
-            points = meta.pop("points", 0)
-            system = SystemReport.from_meta(meta) \
-                if "per_cluster_cycles" in meta else None
         energy = data["energy"]
         return cls(
             name=data["name"],
@@ -245,10 +220,11 @@ class Result:
                 clock_hz=energy["clock_hz"],
                 breakdown=dict(energy["breakdown"]),
             ),
-            clock_hz=clock_hz,
-            flops=flops,
-            points=points,
-            meta=meta,
+            clock_hz=data["clock_hz"],
+            flops=data["flops"],
+            points=data["points"],
+            meta=dict(data.get("meta", {})),
             stalls=dict(data.get("stalls", {})),
-            system=system,
+            system=SystemReport.from_dict(data["system"])
+            if data.get("system") else None,
         )

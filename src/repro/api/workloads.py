@@ -10,9 +10,9 @@ global-memory knobs of :class:`~repro.core.config.SystemConfig`).
 It is hashable, orderable and content-addressable: :meth:`canonical`
 is the payload of the sweep cache key.  **Compatibility contract:**
 ``Workload`` has exactly the fields, canonical form and key function of
-the pre-1.5 sweep ``Point`` (now a deprecated alias) -- at any given
-version string a ``Workload`` hashes to the very key the old ``Point``
-produced, bit-for-bit.  (Cache keys still include ``__version__``, so
+the pre-1.5 sweep ``Point`` -- at any given version string a
+``Workload`` hashes to the very key the old ``Point`` produced,
+bit-for-bit.  (Cache keys still include ``__version__``, so
 a release bump invalidates entries by design, exactly as before the
 unification.)
 
@@ -263,19 +263,5 @@ def workload(kernel: str, variant, grid=None, n=None, loop_mode=None,
     )
 
 
-#: Explicit-name alias of :func:`workload` (mirrors the retired
-#: ``make_point``).
+#: Explicit-name alias of :func:`workload`.
 make_workload = workload
-
-
-def deprecated_point_alias(qualname: str) -> type:
-    """The one shim behind every deprecated ``Point`` import path
-    (``repro.Point``, ``repro.sweep.Point``, ``repro.sweep.spec.Point``
-    expose it via module ``__getattr__``); drop all three call sites
-    together when the deprecation window closes."""
-    import warnings
-    warnings.warn(
-        f"{qualname} is deprecated; use repro.api.Workload "
-        f"(identical fields, canonical form and cache keys)",
-        DeprecationWarning, stacklevel=3)
-    return Workload

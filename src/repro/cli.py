@@ -13,7 +13,7 @@ Commands map one-to-one onto the paper's artifacts:
 * ``audit``  -- diff a campaign against the result store: coverage
   tables, gap classification (missing/error/timeout/stale), an
   executable backfill plan (``--backfill``/``--dry-run``), and store
-  maintenance (``--verify-store``, ``--migrate-store``);
+  verification (``--verify-store``);
 * ``calibrate`` -- cross-validate the closed-form analytical model
   against a cycle-accurate engine and emit the per-kernel-family
   error-bound report (``repro-calibration/v1``);
@@ -660,19 +660,9 @@ def _print_verify(cache_dir: str, report: dict) -> None:
 
 
 def cmd_audit(args) -> int:
-    store_only = (args.verify_store or args.migrate_store) and \
-        not (args.preset or args.spec)
+    store_only = args.verify_store and not (args.preset or args.spec)
     cache = ResultCache(args.cache_dir)
     store_ok = True
-
-    if args.migrate_store:
-        stats = cache.migrate()
-        print(f"migrated {stats['migrated']} record(s) into "
-              f"{stats['shards']} shard file(s) under "
-              f"{cache.shards_dir} (one-way)")
-        if stats["corrupt_lines"]:
-            print(f"warning: {stats['corrupt_lines']} malformed "
-                  f"line(s) skipped, not migrated")
 
     verify_report = None
     if args.verify_store:
@@ -839,12 +829,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-point wall-clock budget in seconds")
     p.add_argument("--engine", choices=ENGINES, default=None,
                    help="execution engine for every point (bit-identical "
-                        "results; 'fast' vectorizes eligible FREP/SSR "
-                        "regions, 'scalar-v2' is the pre-decoded "
+                        "results; 'scalar-v2' is the pre-decoded "
                         "micro-op engine, 'scalar' is the cycle-by-cycle "
-                        "reference, 'auto' composes fast + scalar-v2, "
-                        "default: config's own choice); "
-                        "part of the result-cache key")
+                        "reference, 'auto' adds the vectorized FREP/SSR "
+                        "fast path to scalar-v2, 'analytical' estimates "
+                        "without simulating; default: config's own "
+                        "choice); part of the result-cache key")
     p.add_argument("--num-clusters", type=int, default=None,
                    help="run every stencil point on this many clusters "
                         "(adds the system axes to labels + cache keys)")
@@ -995,9 +985,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify-store", action="store_true",
                    help="re-parse every store record against the result "
                         "schema; report corrupt/duplicate/orphan lines")
-    p.add_argument("--migrate-store", action="store_true",
-                   help="move flat results.jsonl records into the "
-                        "sharded layout (one-way)")
     p.add_argument("--quiet", action="store_true",
                    help="suppress per-gap and per-point lines")
     p.add_argument("--json")

@@ -103,21 +103,14 @@ class Cluster:
         #: a surrounding System renames it per cluster index.
         self.obs_lane = "cluster"
         # Vectorized FREP/SSR fast path (repro.core.fastpath): attached
-        # to core 0, engaged only when the detector proves a hardware
-        # loop safe.  Tracing needs every per-issue event, so "auto"
-        # silently runs without it under a trace; "fast" makes that an
-        # error instead.
+        # to core 0 under "auto", engaged only when the detector proves
+        # a hardware loop safe.  Tracing needs every per-issue event, so
+        # "auto" silently runs without it under a trace.
         self.fastpath = None
-        if self.cfg.engine in ("auto", "fast"):
-            if trace is not None:
-                if self.cfg.engine == "fast":
-                    raise ValueError(
-                        "engine='fast' cannot be combined with tracing; "
-                        "use engine='auto' or engine='scalar'")
-            else:
-                from repro.core.fastpath import FastPathEngine
+        if self.cfg.engine == "auto" and trace is None:
+            from repro.core.fastpath import FastPathEngine
 
-                self.fastpath = FastPathEngine(self)
+            self.fastpath = FastPathEngine(self)
 
     def load_program(self, program: Program | str,
                      symbols: dict[str, int] | None = None) -> None:
@@ -219,7 +212,7 @@ class Cluster:
             self._step_seed()
 
     def _step_seed(self) -> None:
-        """The seed per-cycle loop (engines ``scalar`` and ``fast``)."""
+        """The seed per-cycle loop (engine ``scalar``)."""
         for fp, core in zip(self.fps, self.cores):
             fp.step(self.cycle)
             core.step(self.cycle)
@@ -230,8 +223,6 @@ class Cluster:
         self.tcdm.arbitrate()
         self.cycle += 1
         self.perf.cycles = self.cycle
-        if self.fastpath is not None:
-            self.fastpath.observe()
 
     def _step_v2(self) -> None:
         """Micro-op per-cycle loop: same component order and semantics as

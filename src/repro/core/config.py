@@ -14,7 +14,7 @@ from repro.isa.instructions import InstrClass
 #: Valid execution-engine selections (see :attr:`CoreConfig.engine`).
 #: The single source of truth -- the CLI, the sweep layer and
 #: :mod:`repro.api.parse` all validate against this tuple.
-ENGINES = ("auto", "fast", "scalar", "scalar-v2", "analytical")
+ENGINES = ("auto", "scalar", "scalar-v2", "analytical")
 
 
 def _default_fpu_latency() -> dict[InstrClass, int]:
@@ -99,9 +99,6 @@ class CoreConfig:
     #:   every trace event exactly like the seed interpreter;
     #: * ``"scalar-v2"`` -- the micro-op engine alone, never the
     #:   vectorized fast path;
-    #: * ``"fast"`` -- the vectorized fast path over the seed scalar
-    #:   interpreter; attaching a trace recorder is an error instead of
-    #:   a silent fallback;
     #: * ``"scalar"`` -- the seed cycle-by-cycle interpreter (the
     #:   reference model);
     #: * ``"analytical"`` -- no simulation at all: the closed-form

@@ -44,9 +44,9 @@ fidelity:
    TCDM traffic all land exactly where the scalar model would have put
    them -- the loop tail then drains through the scalar path.
 
-The engine is selected by ``CoreConfig.engine`` (``"auto"``/``"fast"``/
-``"scalar"``) and is attached per cluster to compute core 0; it only
-engages while every other core is halted and drained.
+The engine is attached per cluster to compute core 0 under
+``CoreConfig.engine == "auto"`` (over the scalar-v2 micro-op engine); it
+only engages while every other core is halted and drained.
 """
 
 from __future__ import annotations

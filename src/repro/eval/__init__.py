@@ -3,28 +3,17 @@
 The public front door is :mod:`repro.api` (``Session``/``Workload``);
 this package holds the execution backends behind it
 (:func:`execute_build`, :func:`execute_stencil`,
-:func:`~repro.eval.system_runner.execute_system_stencil`), the
-reporting helpers, and the pre-1.5 deprecation shims
-(:func:`run_build`, :func:`run_stencil_variant`).
+:func:`~repro.eval.system_runner.execute_system_stencil`) and the
+reporting helpers.
 """
 
 from repro.eval.report import format_table, geomean
-from repro.eval.runner import (
-    Result,
-    RunResult,
-    execute_build,
-    execute_stencil,
-    run_build,
-    run_stencil_variant,
-)
+from repro.eval.runner import Result, execute_build, execute_stencil
 
 __all__ = [
     "Result",
-    "RunResult",
     "execute_build",
     "execute_stencil",
     "format_table",
     "geomean",
-    "run_build",
-    "run_stencil_variant",
 ]

@@ -82,7 +82,7 @@ def system_summary_rows(system) -> list[list]:
 
 def scaling_rows(results: dict[int, "object"], metric: str = "cycles",
                  weak: bool = False) -> list[list]:
-    """Strong/weak-scaling rows from ``{num_clusters: RunResult}``.
+    """Strong/weak-scaling rows from ``{num_clusters: Result}``.
 
     Columns: clusters, <metric>, speedup vs. the smallest cluster
     count, parallel efficiency.  ``metric`` is lower-is-better (cycles).

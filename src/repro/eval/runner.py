@@ -6,17 +6,9 @@ and returns the unified :class:`~repro.api.result.Result` (cycle
 counts, FPU utilization over the measured region, energy/power, and the
 typed ``clock_hz``/``flops``/``points`` throughput inputs).
 :func:`execute_stencil` is the one-call stencil data point.
-
-The pre-1.5 entry points :func:`run_build` and
-:func:`run_stencil_variant` remain as deprecation shims (one release);
-new code goes through :class:`repro.api.Session` or calls the backends
-directly.
 """
 
 from __future__ import annotations
-
-import dataclasses
-import warnings
 
 from repro.api.result import Result
 from repro.core.cluster import Cluster
@@ -28,11 +20,6 @@ from repro.kernels.registry import get_stencil
 from repro.kernels.stencil_codegen import build_stencil
 from repro.kernels.variants import Variant
 from repro.obs import spans as _obs
-
-#: Pre-1.5 name of the unified result type (same class, kept one
-#: release for imports; the ``meta``-carried metric fields it used to
-#: have are now the typed ``clock_hz``/``flops``/``points``).
-RunResult = Result
 
 
 def _pop_throughput_inputs(name: str, meta: dict) -> tuple[int, int]:
@@ -118,51 +105,3 @@ def execute_stencil(kernel: str, variant: Variant,
                           unroll=unroll, cfg=cfg)
     return execute_build(build, cfg=cfg, max_cycles=max_cycles,
                          require_correct=require_correct)
-
-
-# -- deprecated pre-1.5 entry points ---------------------------------------
-
-
-def run_build(build: KernelBuild, cfg: CoreConfig | None = None,
-              max_cycles: int = 5_000_000,
-              require_correct: bool = True) -> Result:
-    """Deprecated alias of :func:`execute_build`.
-
-    .. deprecated:: 1.5
-       Use ``repro.api.Session.run(build)`` (or :func:`execute_build`).
-    """
-    warnings.warn(
-        "run_build() is deprecated; use repro.api.Session.run(build) "
-        "(or repro.eval.runner.execute_build). Note: clock_hz/flops/"
-        "points moved from result.meta to typed Result fields",
-        DeprecationWarning, stacklevel=2)
-    # Pre-1.5 leniency, shim only: builds could omit flops/points (the
-    # metrics silently read as 0).  The unified front door requires
-    # them declared; keep old builds running through the deprecation
-    # window -- on a copy, so the caller's build still gets the strict
-    # error from the new entry points.
-    if not {"flops", "points"} <= build.meta.keys():
-        build = dataclasses.replace(
-            build, meta={"flops": 0, "points": 0, **build.meta})
-    return execute_build(build, cfg=cfg, max_cycles=max_cycles,
-                         require_correct=require_correct)
-
-
-def run_stencil_variant(kernel: str, variant: Variant,
-                        grid: Grid3d | None = None,
-                        cfg: CoreConfig | None = None,
-                        unroll: int = 4,
-                        max_cycles: int = 5_000_000) -> Result:
-    """Deprecated alias of :func:`execute_stencil`.
-
-    .. deprecated:: 1.5
-       Use ``repro.api.Session.run(workload(kernel, variant, ...))``.
-    """
-    warnings.warn(
-        "run_stencil_variant() is deprecated; use "
-        "repro.api.Session.run(workload(kernel, variant, ...)) "
-        "(or repro.eval.runner.execute_stencil). Note: clock_hz/flops/"
-        "points moved from result.meta to typed Result fields",
-        DeprecationWarning, stacklevel=2)
-    return execute_stencil(kernel, variant, grid=grid, cfg=cfg,
-                           unroll=unroll, max_cycles=max_cycles)

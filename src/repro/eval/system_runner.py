@@ -8,16 +8,10 @@ bit-exactly against the iterated numpy golden model, and returns the
 same unified :class:`~repro.api.result.Result` every other backend
 produces -- with the system-level aggregation (per-cluster cycles,
 global-memory traffic, interconnect contention) as a typed
-:class:`~repro.api.result.SystemReport` (mirrored into ``meta`` for
-pre-1.5 consumers, one release).
-
-The pre-1.5 entry point :func:`run_system_stencil` remains as a
-deprecation shim.
+:class:`~repro.api.result.SystemReport`.
 """
 
 from __future__ import annotations
-
-import warnings
 
 from repro.api.result import Result, SystemReport
 from repro.core.config import CoreConfig, SystemConfig
@@ -102,10 +96,6 @@ def execute_system_stencil(kernel: str, variant: Variant,
         interconnect_contended_cycles=system.interconnect.contended_cycles,
     )
     flops, points = _pop_throughput_inputs(build.name, meta)
-    # Mirror of the typed sub-report for pre-1.5 meta consumers (one
-    # release; ``Result.system`` is authoritative).
-    meta.update({k: v for k, v in report.to_dict().items()
-                 if k not in ("num_clusters", "iters")})
     if _obs.ENABLED:
         from repro.obs.metrics import METRICS, system_run_obs
 
@@ -128,33 +118,3 @@ def execute_system_stencil(kernel: str, variant: Variant,
         stalls=system.stall_breakdown(),
         system=report,
     )
-
-
-def run_system_stencil(kernel: str, variant: Variant,
-                       grid: Grid3d | None = None,
-                       num_clusters: int = 1,
-                       cfg: CoreConfig | None = None,
-                       sys_cfg: SystemConfig | None = None,
-                       unroll: int = 4, iters: int = 1,
-                       max_cycles: int = 20_000_000,
-                       require_correct: bool = True,
-                       tile_order: list[int] | None = None) -> Result:
-    """Deprecated alias of :func:`execute_system_stencil`.
-
-    .. deprecated:: 1.5
-       Use ``repro.api.Session.run(workload(..., num_clusters=N))``.
-    """
-    warnings.warn(
-        "run_system_stencil() is deprecated; use "
-        "repro.api.Session.run(workload(kernel, variant, "
-        "num_clusters=N, ...)) (or "
-        "repro.eval.system_runner.execute_system_stencil). Note: "
-        "clock_hz/flops/points moved from result.meta to typed Result "
-        "fields (the system aggregates stay mirrored in meta for one "
-        "release)",
-        DeprecationWarning, stacklevel=2)
-    return execute_system_stencil(
-        kernel, variant, grid=grid, num_clusters=num_clusters, cfg=cfg,
-        sys_cfg=sys_cfg, unroll=unroll, iters=iters,
-        max_cycles=max_cycles, require_correct=require_correct,
-        tile_order=tile_order)

@@ -15,16 +15,10 @@ Quick start::
 
 (The lower-level :class:`SweepRunner` remains the engine underneath
 ``Session.map``.)  See ``docs/sweeps.md`` for the spec format and cache
-layout.  The expansion unit ``Point`` is deprecated: it is the same
-class as :class:`repro.api.Workload` (identical fields, canonical form
-and cache keys).
+layout.
 """
 
-from repro.api.workloads import (
-    Workload,
-    deprecated_point_alias,
-    make_workload,
-)
+from repro.api.workloads import Workload, make_workload
 from repro.sweep.aggregate import (
     RESULT_METRICS,
     best_points,
@@ -42,8 +36,7 @@ from repro.sweep.audit import (
     PointAudit,
     audit_campaign,
 )
-from repro.sweep.cache import ResultCache, point_key, result_from_record, \
-    result_to_record
+from repro.sweep.cache import ResultCache, point_key
 from repro.sweep.presets import PRESETS, preset_points
 from repro.sweep.runner import (
     Campaign,
@@ -57,10 +50,6 @@ from repro.sweep.spec import (
     VECOP_KERNEL,
     normalize_variant,
 )
-
-#: Deprecated alias of :func:`repro.api.workloads.make_workload` (kept
-#: callable without a warning; ``Point`` warns via ``__getattr__``).
-make_point = make_workload
 
 __all__ = [
     "AUDIT_AXES",
@@ -84,21 +73,10 @@ __all__ = [
     "by_kernel_variant",
     "execute_point",
     "group_by",
-    "make_point",
     "make_workload",
     "normalize_variant",
     "point_key",
     "preset_points",
-    "result_from_record",
-    "result_to_record",
     "speedup_vs_baseline",
     "summary_rows",
 ]
-
-
-def __getattr__(name: str):
-    # Not in __all__ on purpose: star imports stay warning-free.
-    if name == "Point":
-        return deprecated_point_alias(f"{__name__}.Point")
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")

@@ -43,14 +43,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from repro.api.result import RESULT_SCHEMA
 from repro.api.workloads import Workload
 from repro.core.config import CoreConfig
 from repro.sweep.cache import (
     ResultCache,
+    SchemaError,
     package_version,
     point_key,
-    result_from_record,
+    record_result,
 )
 
 #: Schema identifier stamped into every serialized audit report.
@@ -75,17 +75,12 @@ DEFAULT_RETRY_BUDGET = 3
 
 
 def _schema_issue(record: dict) -> str | None:
-    """Why a store record's ``result`` payload is not the current
-    canonical schema (``None`` when it is)."""
-    payload = record.get("result")
-    if not isinstance(payload, dict):
-        return f"result payload is {type(payload).__name__}, not a dict"
-    if payload.get("schema") != RESULT_SCHEMA:
-        return f"pre-1.5 record (schema={payload.get('schema')!r})"
+    """Why a store record fails :func:`~repro.sweep.cache.record_result`
+    (``None`` when it passes)."""
     try:
-        result_from_record(payload)
-    except Exception as exc:
-        return f"unparseable result: {type(exc).__name__}: {exc}"
+        record_result(record)
+    except SchemaError as exc:
+        return str(exc)
     return None
 
 

@@ -13,10 +13,6 @@ Layout (one directory per store):
   granularity without any lock file; the key is content-derived, so
   a record duplicated by two racing hosts is benign (same payload,
   last one wins on load) and :meth:`verify` can prove it.
-* ``results.jsonl`` -- the pre-1.7 **flat** store.  Still read (and,
-  for stores that already have one and no ``shards/``, still written)
-  so existing caches keep working untouched; :meth:`migrate` moves the
-  records into shards one way.
 * ``failures.jsonl`` -- the most recent *failed* outcome per key
   (``status`` ``"error"``/``"timeout"``, the message, and a cumulative
   ``attempts`` counter).  Failures are never served as results --
@@ -33,7 +29,10 @@ invalidates every entry without any explicit flush.
 Malformed lines (torn tail from a killed run, or bit rot) are *counted*
 on load -- :attr:`ResultCache.corrupt_lines`, warned about once -- so
 an audit can surface them instead of the store silently pretending the
-record never existed.
+record never existed.  A well-formed line whose ``result`` payload is
+not the current schema (:func:`record_result`) is kept for the audit,
+which classifies it ``stale-schema``, but a lookup treats it as a miss,
+so the point re-runs and its new record supersedes the bad one.
 """
 
 from __future__ import annotations
@@ -47,11 +46,10 @@ from dataclasses import fields as dataclass_fields
 from pathlib import Path
 from typing import Iterator
 
-from repro.api.result import Result
+from repro.api.result import RESULT_SCHEMA, Result
 from repro.api.workloads import Workload
 from repro.core.config import CoreConfig
 
-RESULTS_FILE = "results.jsonl"
 FAILURES_FILE = "failures.jsonl"
 SHARDS_DIR = "shards"
 
@@ -59,11 +57,6 @@ SHARDS_DIR = "shards"
 #: to 256 shards, plenty of append parallelism for cooperating hosts
 #: while keeping directory listings small).
 SHARD_PREFIX_LEN = 2
-
-#: Store layouts accepted by :class:`ResultCache`.  ``auto`` keeps an
-#: existing flat store flat (until :meth:`ResultCache.migrate`) and
-#: shards everything else, including brand-new stores.
-LAYOUTS = ("auto", "flat", "sharded")
 
 
 def package_version() -> str:
@@ -93,10 +86,10 @@ def point_key(point: Workload, version: str,
     """SHA-256 content address of one (point, version, base config,
     execution engine).
 
-    The engine never changes the simulated numbers (fast and scalar are
-    bit-identical by contract), but it *is* part of the key: a cache
-    entry must always say which engine produced it, so an engine-choice
-    bug can be bisected from cached campaigns alone.
+    The engine never changes the simulated numbers (the cycle-accurate
+    engines are bit-identical by contract), but it *is* part of the
+    key: a cache entry must always say which engine produced it, so an
+    engine-choice bug can be bisected from cached campaigns alone.
     """
     payload = {
         "point": point.canonical(),
@@ -108,25 +101,36 @@ def point_key(point: Workload, version: str,
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def result_to_record(result: Result) -> dict:
-    """Full-fidelity JSON form: the one canonical result schema
-    (:meth:`repro.api.result.Result.to_dict`)."""
-    return result.to_dict()
+class SchemaError(ValueError):
+    """A store record whose ``result`` payload is not the current
+    canonical schema."""
 
 
-def result_from_record(record: dict) -> Result:
-    """Inverse of :func:`result_to_record`; also lifts pre-1.5 records
-    (see :meth:`repro.api.result.Result.from_dict`)."""
-    return Result.from_dict(record)
+def record_result(record: dict) -> Result:
+    """The store's one schema check: parse a record's ``result``.
+
+    Raises :class:`SchemaError` naming why the payload is not the
+    current canonical schema: not a dict, a missing or other ``schema``
+    stamp (a pre-1.5 record), or a payload that does not parse (a
+    truncated record).  Lookups treat such a record as a miss; the
+    audit classifies it ``stale-schema``.
+    """
+    payload = record.get("result")
+    if not isinstance(payload, dict):
+        raise SchemaError(
+            f"result payload is {type(payload).__name__}, not a dict")
+    if payload.get("schema") != RESULT_SCHEMA:
+        raise SchemaError(
+            f"pre-1.5 record (schema={payload.get('schema')!r})")
+    try:
+        return Result.from_dict(payload)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(
+            f"unparseable result: {type(exc).__name__}: {exc}") from exc
 
 
 class ResultCache:
-    """Keyed JSONL store; loads its index once, appends as results land.
-
-    ``layout`` picks where appends go (see :data:`LAYOUTS`); *loads*
-    always read both the flat file and the shards, so a half-migrated
-    or mixed-era store never loses records.
-    """
+    """Keyed JSONL store; loads its index once, appends as results land."""
 
     @classmethod
     def coerce(cls, cache: "ResultCache | str | Path | None"):
@@ -141,23 +145,10 @@ class ResultCache:
             f"cache must be a ResultCache, a path, or None, got "
             f"{type(cache).__name__}")
 
-    def __init__(self, root: str | Path, layout: str = "auto"):
-        if layout not in LAYOUTS:
-            raise ValueError(
-                f"unknown cache layout {layout!r}; choose from: "
-                f"{', '.join(LAYOUTS)}")
+    def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.path = self.root / RESULTS_FILE
         self.shards_dir = self.root / SHARDS_DIR
         self.failures_path = self.root / FAILURES_FILE
-        if layout == "auto":
-            # An existing flat store (and no shards yet) stays flat
-            # until migrated; everything else -- including a brand-new
-            # store -- shards.
-            layout = "flat" if (self.path.exists()
-                                and not self.shards_dir.is_dir()) \
-                else "sharded"
-        self.layout = layout
         #: Malformed JSONL lines skipped while loading (torn tail from
         #: a killed run, bit rot); surfaced by audits.
         self.corrupt_lines = 0
@@ -168,14 +159,10 @@ class ResultCache:
     # -- loading ----------------------------------------------------------
 
     def _record_files(self) -> list[Path]:
-        """Every result file of the store, flat first (shards are the
-        newer layout, so on a duplicated key the sharded record wins)."""
-        files = []
-        if self.path.exists():
-            files.append(self.path)
-        if self.shards_dir.is_dir():
-            files.extend(sorted(self.shards_dir.glob("*.jsonl")))
-        return files
+        """Every shard file of the store, in name order."""
+        if not self.shards_dir.is_dir():
+            return []
+        return sorted(self.shards_dir.glob("*.jsonl"))
 
     def _load(self) -> None:
         for path in self._record_files():
@@ -216,8 +203,15 @@ class ResultCache:
         return key in self._index
 
     def get(self, key: str) -> Result | None:
+        """The cached result under ``key``; ``None`` on a miss, which
+        includes a record that fails :func:`record_result`."""
         record = self._index.get(key)
-        return result_from_record(record["result"]) if record else None
+        if record is None:
+            return None
+        try:
+            return record_result(record)
+        except SchemaError:
+            return None
 
     def get_record(self, key: str) -> dict | None:
         return self._index.get(key)
@@ -254,7 +248,7 @@ class ResultCache:
             "version": version,
             "point": point.canonical(),
             "seconds": seconds,
-            "result": result_to_record(result),
+            "result": result.to_dict(),
         }
         # Observability payloads (``meta["obs"]``) are opt-in run
         # annotations; stripping them keeps cached records bit-identical
@@ -262,9 +256,7 @@ class ResultCache:
         meta = record["result"].get("meta")
         if isinstance(meta, dict):
             meta.pop("obs", None)
-        target = self.path if self.layout == "flat" \
-            else self._shard_path(key)
-        self._append(target, record)
+        self._append(self._shard_path(key), record)
         self._index[key] = record
         self._failures.pop(key, None)
 
@@ -289,32 +281,6 @@ class ResultCache:
         self._failures[key] = record
 
     # -- maintenance ------------------------------------------------------
-
-    def migrate(self) -> dict:
-        """Move every flat-file record into the sharded layout (one
-        way).  Idempotent: a store without a flat file is a no-op.
-
-        Returns ``{"migrated", "shards", "corrupt_lines"}``.  The flat
-        file is deleted only after every record has been re-appended to
-        its shard, so a crash mid-migration at worst duplicates records
-        (benign: identical payloads under identical keys).
-        """
-        if not self.path.exists():
-            return {"migrated": 0,
-                    "shards": len(list(self.shards_dir.glob("*.jsonl")))
-                    if self.shards_dir.is_dir() else 0,
-                    "corrupt_lines": 0}
-        migrated = 0
-        corrupt_before = self.corrupt_lines
-        for record in self._parse_lines(self.path):
-            self._append(self._shard_path(record["key"]), record)
-            self._index[record["key"]] = record
-            migrated += 1
-        self.path.unlink()
-        self.layout = "sharded"
-        return {"migrated": migrated,
-                "shards": len(list(self.shards_dir.glob("*.jsonl"))),
-                "corrupt_lines": self.corrupt_lines - corrupt_before}
 
     def prune(self, max_bytes: int | None = None,
               max_age_days: float | None = None, *,
@@ -349,15 +315,10 @@ class ResultCache:
         if max_bytes is None and max_age_days is None:
             raise ValueError(
                 "prune needs max_bytes= and/or max_age_days=")
-        if self.path.exists():
-            raise ValueError(
-                "prune requires the sharded layout; run migrate() "
-                "(`repro audit --migrate-store`) first")
         shards = []
-        if self.shards_dir.is_dir():
-            for path in sorted(self.shards_dir.glob("*.jsonl")):
-                stat = path.stat()
-                shards.append((stat.st_mtime, stat.st_size, path))
+        for path in self._record_files():
+            stat = path.stat()
+            shards.append((stat.st_mtime, stat.st_size, path))
         shards.sort()  # oldest first
         now = time.time()
         evict: list[tuple[float, int, Path]] = []
@@ -425,8 +386,7 @@ class ResultCache:
              "failure_records", "ok": bool}
 
         * **corrupt** -- lines that are not JSON (file, line number);
-        * **invalid** -- records whose ``result`` payload does not parse
-          as the canonical :class:`~repro.api.result.Result` schema;
+        * **invalid** -- records that fail :func:`record_result`;
         * **duplicates** -- keys appearing more than once with
           *identical* payloads (benign: racing cooperating writers);
         * **conflicts** -- keys appearing more than once with
@@ -442,7 +402,6 @@ class ResultCache:
                         "orphans": [], "failure_records": 0}
         for path in self._record_files():
             report["files"] += 1
-            in_shard = path.parent == self.shards_dir
             with open(path) as handle:
                 for lineno, line in enumerate(handle, 1):
                     line = line.strip()
@@ -459,13 +418,11 @@ class ResultCache:
                     report["records"] += 1
                     where["key"] = key
                     try:
-                        result_from_record(record["result"])
-                    except Exception as exc:
-                        report["invalid"].append(
-                            dict(where, error=f"{type(exc).__name__}: "
-                                              f"{exc}"))
-                    if in_shard and \
-                            not key.startswith(path.stem):
+                        record_result(record)
+                    except SchemaError as exc:
+                        report["invalid"].append(dict(where,
+                                                      error=str(exc)))
+                    if not key.startswith(path.stem):
                         report["orphans"].append(where)
                     if key in seen:
                         bucket = "duplicates" if seen[key] == line \

@@ -44,8 +44,7 @@ from repro.api.workloads import Workload
 from repro.core.config import CoreConfig
 from repro.obs import spans as _obs
 from repro.obs.metrics import METRICS, campaign_obs
-from repro.sweep.cache import ResultCache, package_version, point_key, \
-    result_to_record
+from repro.sweep.cache import ResultCache, package_version, point_key
 from repro.sweep.spec import SweepSpec
 
 __all__ = [
@@ -162,7 +161,7 @@ class Outcome:
             "cached": self.cached,
             "seconds": round(self.seconds, 4),
             "error": self.error,
-            "result": result_to_record(self.result) if self.result else None,
+            "result": self.result.to_dict() if self.result else None,
         }
 
 

@@ -21,10 +21,8 @@ Config overrides are flat ``{field: value}`` dicts over the scalar
 ``fpu_depth`` which sets ``fpu_pipe_depth`` *and* the ADD/MUL/FMA
 latencies together (the knob of the depth ablation).
 
-The expansion unit used to be defined here as ``Point``; it now lives
-in :mod:`repro.api.workloads` as :class:`Workload` (identical fields,
-canonical form and cache keys).  ``Point`` and ``make_point`` remain as
-deprecated aliases for one release.
+The expansion unit, :class:`~repro.api.workloads.Workload`, lives in
+:mod:`repro.api.workloads`.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from repro.api.workloads import (
     OVERRIDABLE_FIELDS,
     SYSTEM_FIELDS,
     Workload,
-    deprecated_point_alias,
     make_workload,
 )
 from repro.kernels.registry import PAPER_KERNELS
@@ -56,22 +53,9 @@ __all__ = [
     "SweepSpec",
     "VECOP_KERNEL",
     "Workload",
-    "make_point",
     "normalize_variant",
     "resolve_variant",
 ]
-
-#: Deprecated alias of :func:`repro.api.workloads.make_workload`, kept
-#: callable without a warning because the sweep spec format is
-#: unchanged; ``Point`` (the class) warns via module ``__getattr__``.
-make_point = make_workload
-
-
-def __getattr__(name: str):
-    if name == "Point":
-        return deprecated_point_alias(f"{__name__}.Point")
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass

@@ -38,7 +38,7 @@ from repro.analytical import (
 from repro.api import Session, make_workload
 from repro.api.execute import execute_workload
 from repro.core.config import ENGINES
-from repro.eval.runner import execute_build, run_build
+from repro.eval.runner import execute_build
 from repro.kernels.layout import Grid3d
 from repro.kernels.stencil import box3d1r
 from repro.kernels.stencil_codegen import build_stencil
@@ -56,14 +56,14 @@ def test_vecop_baseline_period_is_2_plus_latency():
     # Steady state of Fig. 1a: fadd, 3 RAW stalls, fmul -> 5 cycles per
     # element (with frep, the integer core adds nothing).
     n = 256
-    result = run_build(build_vecop(n=n, variant=VecopVariant.BASELINE))
+    result = execute_build(build_vecop(n=n, variant=VecopVariant.BASELINE))
     period = result.region_cycles / n
     assert period == pytest.approx(5.0, abs=0.2)
 
 
 def test_vecop_chaining_period_is_2():
     n = 256
-    result = run_build(build_vecop(n=n, variant=VecopVariant.CHAINING))
+    result = execute_build(build_vecop(n=n, variant=VecopVariant.CHAINING))
     period = result.region_cycles / n
     assert period == pytest.approx(2.0, abs=0.1)
 
@@ -73,10 +73,10 @@ def test_vecop_bne_loop_adds_int_overhead():
     # taken-branch penalty) per iteration; the FP queue drains meanwhile,
     # so every iteration costs ~4 extra queue-empty cycles over frep.
     n = 128
-    frep = run_build(build_vecop(n=n, variant=VecopVariant.CHAINING,
-                                 loop_mode="frep"))
-    bne = run_build(build_vecop(n=n, variant=VecopVariant.CHAINING,
-                                loop_mode="bne"))
+    frep = execute_build(build_vecop(n=n, variant=VecopVariant.CHAINING,
+                                     loop_mode="frep"))
+    bne = execute_build(build_vecop(n=n, variant=VecopVariant.CHAINING,
+                                    loop_mode="bne"))
     iters = n // 4
     extra_per_iter = (bne.region_cycles - frep.region_cycles) / iters
     assert 2.0 <= extra_per_iter <= 6.0
@@ -103,7 +103,7 @@ def test_stencil_block_slot_accounting(variant, spills):
     # slot count must explain the measurement to within ~10%.
     grid = Grid3d(nz=2, ny=4, nx=32)
     build = build_stencil(box3d1r(), grid, variant)
-    result = run_build(build)
+    result = execute_build(build)
     blocks = build.meta["blocks"]
     slots = _issue_slots_per_block(variant, 27, 4, spills)
     int_overhead = 4 if variant.writeback_via_ssr else 5
@@ -119,7 +119,7 @@ def test_stencil_compute_op_count_is_exact():
     grid = Grid3d(nz=2, ny=3, nx=16)
     for variant in (Variant.BASE, Variant.CHAINING):
         build = build_stencil(box3d1r(), grid, variant)
-        result = run_build(build)
+        result = execute_build(build)
         # taps * points, exactly -- no op is ever lost or duplicated.
         assert result.meta["expected_compute_ops"] == 27 * grid.points
 
@@ -128,9 +128,9 @@ def test_speedup_follows_slot_ratio():
     # The Chaining+ vs Base speedup must track the issue-slot ratio
     # (112+int)/(108+int) within a couple of points.
     grid = Grid3d(nz=2, ny=4, nx=32)
-    base = run_build(build_stencil(box3d1r(), grid, Variant.BASE))
-    plus = run_build(build_stencil(box3d1r(), grid,
-                                   Variant.CHAINING_PLUS))
+    base = execute_build(build_stencil(box3d1r(), grid, Variant.BASE))
+    plus = execute_build(build_stencil(box3d1r(), grid,
+                                       Variant.CHAINING_PLUS))
     measured = base.region_cycles / plus.region_cycles
     analytical = (112 + 5) / (108 + 4)
     assert measured == pytest.approx(analytical, rel=0.04)

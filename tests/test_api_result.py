@@ -1,4 +1,5 @@
-"""The unified Result schema: typed fields, round-trips, legacy lift."""
+"""The unified Result schema: typed fields, round-trips, and rejection
+of incomplete records."""
 
 import json
 
@@ -122,7 +123,9 @@ def test_unsupported_schema_value_is_rejected():
         Result.from_dict(data)
 
 
-def test_from_dict_lifts_pre_1_5_records():
+def test_from_dict_rejects_pre_1_5_records():
+    """A 1.4-era record kept clock_hz/flops/points in meta; 2.0 no
+    longer lifts them, so the missing typed fields are an error."""
     legacy = {
         "name": "old", "correct": True, "cycles": 500,
         "region_cycles": 400, "fpu_utilization": 0.8,
@@ -132,13 +135,14 @@ def test_from_dict_lifts_pre_1_5_records():
                  "kernel": "old"},
         "stalls": {"raw": 3},
     }
-    res = Result.from_dict(legacy)
-    assert res.clock_hz == 2e9 and res.flops == 800 and res.points == 50
-    assert res.meta == {"kernel": "old"}  # typed fields lifted out
-    assert res.gflops == 800 / (400 / 2e9) / 1e9
+    with pytest.raises(KeyError, match="clock_hz"):
+        Result.from_dict(legacy)
 
 
-def test_from_dict_lifts_pre_1_5_system_records():
+def test_from_dict_rejects_pre_1_5_system_records():
+    """A 1.4-era system record kept the system aggregates in meta; 2.0
+    reads them only from the typed ``system`` field, so the record is
+    rejected rather than lifted (and never given a default clock)."""
     legacy = {
         "name": "old-sys", "correct": True, "cycles": 900,
         "region_cycles": 900, "fpu_utilization": 0.7,
@@ -152,19 +156,21 @@ def test_from_dict_lifts_pre_1_5_system_records():
                  "interconnect_busy_cycles": 16,
                  "interconnect_contended_cycles": 4},
     }
-    res = Result.from_dict(legacy)
-    assert res.system is not None
-    assert res.system.num_clusters == 2
-    assert res.system.per_cluster_cycles == [450, 450]
+    with pytest.raises(KeyError, match="clock_hz"):
+        Result.from_dict(legacy)
+    assert not hasattr(SystemReport, "from_meta")
 
 
-def test_live_system_result_has_typed_report_and_meta_mirror():
+def test_live_system_result_has_typed_report():
     res = Session().run(workload("box3d1r", "Chaining+", grid=(2, 4, 8),
                                  num_clusters=2))
     assert isinstance(res.system, SystemReport)
     assert res.system.num_clusters == 2
-    assert res.system.per_cluster_cycles == \
-        res.meta["per_cluster_cycles"]  # pre-1.5 meta mirror, one release
+    assert len(res.system.per_cluster_cycles) == 2
+    assert max(res.system.per_cluster_cycles) == res.cycles
+    # Result.system is the only copy of the aggregates.
+    mirrored = set(res.system.to_dict()) - {"num_clusters", "iters"}
+    assert not mirrored & set(res.meta)
     assert "flops" not in res.meta and "clock_hz" not in res.meta
     again = Result.from_dict(json.loads(json.dumps(res.to_dict())))
     assert again.to_dict() == res.to_dict()

@@ -14,6 +14,8 @@ import pytest
 
 from repro.api import Result, Session, Workload, workload
 from repro.core.config import CoreConfig, SystemConfig
+from repro.eval.runner import execute_build, execute_stencil
+from repro.eval.system_runner import execute_system_stencil
 from repro.kernels.variants import Variant
 from repro.kernels.vecop import VecopVariant, build_vecop
 from repro.sweep.cache import point_key
@@ -57,11 +59,9 @@ def test_session_key_equals_sweep_runner_key():
 def test_session_run_matches_legacy_entry_points():
     w = workload("box3d1r", "Chaining+", grid=(2, 3, 8))
     new = Session().run(w)
-    with pytest.deprecated_call():
-        from repro.eval.runner import run_stencil_variant
-        old = run_stencil_variant("box3d1r", Variant.CHAINING_PLUS,
-                                  grid=w.grid3d())
-    assert isinstance(old, Result)  # the shim returns the unified type
+    old = execute_stencil("box3d1r", Variant.CHAINING_PLUS,
+                          grid=w.grid3d())
+    assert isinstance(old, Result)  # the backend returns the unified type
     assert (old.cycles, old.region_cycles, old.fpu_utilization,
             old.energy.total_pj, old.stalls) == \
         (new.cycles, new.region_cycles, new.fpu_utilization,
@@ -72,9 +72,7 @@ def test_session_run_system_matches_legacy_entry_point():
     w = workload("j3d27pt", "Chaining+", grid=(2, 4, 8),
                  num_clusters=2, iters=2)
     new = Session().run(w)
-    with pytest.deprecated_call():
-        from repro.eval.system_runner import run_system_stencil
-        old = run_system_stencil("j3d27pt", Variant.CHAINING_PLUS,
+    old = execute_system_stencil("j3d27pt", Variant.CHAINING_PLUS,
                                  grid=w.grid3d(), num_clusters=2,
                                  iters=2)
     assert old.cycles == new.cycles
@@ -85,9 +83,7 @@ def test_session_run_system_matches_legacy_entry_point():
 def test_session_run_accepts_prebuilt_kernels():
     build = build_vecop(n=32, variant=VecopVariant.CHAINING)
     new = Session().run(build)
-    with pytest.deprecated_call():
-        from repro.eval.runner import run_build
-        old = run_build(build_vecop(n=32, variant=VecopVariant.CHAINING))
+    old = execute_build(build_vecop(n=32, variant=VecopVariant.CHAINING))
     assert (old.cycles, old.fpu_utilization) == \
         (new.cycles, new.fpu_utilization)
     with pytest.raises(TypeError, match="Workload or a KernelBuild"):
@@ -106,8 +102,8 @@ def test_session_resolve_picks_the_backend_config():
     assert sys_cfg.gmem_latency == 99
     assert sys_cfg.core.engine == "scalar"
     # the workload's own engine override wins over the session's
-    own = session.resolve(workload("box3d1r", "Base", engine="fast"))
-    assert own.engine == "fast"
+    own = session.resolve(workload("box3d1r", "Base", engine="auto"))
+    assert own.engine == "auto"
 
 
 def test_session_run_uses_the_cache(tmp_path):
@@ -152,17 +148,8 @@ def test_builds_must_declare_flops_and_points():
     del build.meta["flops"]
     with pytest.raises(ValueError, match="must declare flops"):
         Session().run(build)
-    # The deprecated shim alone keeps the pre-1.5 leniency (explicit 0)
-    # so 1.4-era custom builds survive the deprecation window.
-    with pytest.deprecated_call():
-        from repro.eval.runner import run_build
-        legacy = run_build(build)
-    assert legacy.flops == 0 and legacy.gflops == 0.0
-    # ... without mutating the caller's build: the new front door still
-    # enforces the declaration afterwards.
-    assert "flops" not in build.meta
     with pytest.raises(ValueError, match="must declare flops"):
-        Session().run(build)
+        execute_build(build)
 
 
 def test_incorrect_results_are_never_cached(tmp_path, monkeypatch):

@@ -24,7 +24,6 @@ REPRO_ALL = [
     "KernelBuild",
     "Result",
     "ResultCache",
-    "RunResult",
     "Session",
     "StencilSpec",
     "SweepRunner",
@@ -47,14 +46,10 @@ REPRO_ALL = [
     "encode",
     "geomean",
     "j3d27pt",
-    "make_point",
     "make_workload",
     "obs",
     "render_dataflow",
     "render_issue_trace",
-    "run_build",
-    "run_stencil_variant",
-    "run_system_stencil",
     "star3d1r",
     "workload",
 ]
@@ -99,28 +94,32 @@ def test_repro_api_all_matches_snapshot():
 
 
 def test_every_exported_name_resolves():
-    with warnings.catch_warnings():
-        # Point is a deprecated alias; resolving it is still required.
-        warnings.simplefilter("ignore", DeprecationWarning)
-        for name in repro.__all__:
-            assert getattr(repro, name) is not None, name
-        for name in repro.api.__all__:
-            assert getattr(repro.api, name) is not None, name
+    for name in repro.__all__:
+        assert getattr(repro, name) is not None, name
+    for name in repro.api.__all__:
+        assert getattr(repro.api, name) is not None, name
 
 
 def test_star_import_is_warning_free():
-    """Point is shimmed via __getattr__ but kept OUT of __all__: users
-    who never touch it must not see deprecation noise on `import *`."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         exec("from repro import *", {})
         exec("from repro.sweep import *", {})
 
 
-def test_deprecated_names_warn_with_pointers():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        getattr(repro, "Point")
-    assert len(caught) == 1
-    assert issubclass(caught[0].category, DeprecationWarning)
-    assert "Workload" in str(caught[0].message)
+def test_removed_pre_2_0_names_are_gone():
+    """The 1.x compatibility surface was removed in 2.0, not hidden."""
+    import repro.eval
+    import repro.sweep
+    import repro.sweep.spec
+
+    for module, names in (
+            (repro, ("RunResult", "make_point", "run_build",
+                     "run_stencil_variant", "run_system_stencil")),
+            (repro.eval, ("RunResult", "run_build",
+                          "run_stencil_variant")),
+            (repro.sweep, ("make_point", "result_from_record",
+                           "result_to_record")),
+            (repro.sweep.spec, ("make_point",))):
+        for name in names:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"

@@ -55,6 +55,8 @@ def test_constructed_workloads_reproduce_pre_redesign_keys():
         w = make_workload(**args)
         assert w.canonical() == golden["canonical"]
         assert point_key(w, version) == golden["key"]
+        # point_key is a pure hash: the engine name retired in 2.0
+        # still hashes to its golden.
         assert point_key(w, version, engine="fast") == \
             golden["key_engine_fast"]
         assert point_key(w, version, base_cfg=base_cfg) == \
@@ -75,10 +77,11 @@ def test_engine_keyword_folds_into_overrides():
                     overrides={"engine": "scalar-v2"})
     assert w == same and w.canonical() == same.canonical()
     with pytest.raises(ValueError, match="conflicting engines"):
-        workload("box3d1r", "Chaining+", engine="fast",
+        workload("box3d1r", "Chaining+", engine="auto",
                  overrides={"engine": "scalar"})
-    with pytest.raises(ValueError, match="engine must be"):
-        workload("box3d1r", "Chaining+", engine="warp")
+    for retired in ("warp", "fast"):
+        with pytest.raises(ValueError, match="engine must be"):
+            workload("box3d1r", "Chaining+", engine=retired)
 
 
 def test_system_keywords_fold_into_system_axes():
@@ -115,13 +118,14 @@ def test_grid3d_and_label_survive_the_move():
     assert w.label.startswith("box3d1r/Chaining+ 2x3x8")
 
 
-def test_point_alias_is_deprecated_but_identical():
-    with pytest.deprecated_call():
-        from repro.sweep.spec import Point
-    assert Point is Workload
-    with pytest.deprecated_call():
-        from repro.sweep import Point as SweepPoint
-    assert SweepPoint is Workload
+def test_point_alias_is_removed():
+    """The 1.5 ``Point`` alias of :class:`Workload` is gone in 2.0."""
     import repro
-    with pytest.deprecated_call():
-        assert repro.Point is Workload
+    import repro.sweep
+    import repro.sweep.spec
+    for module in (repro, repro.sweep, repro.sweep.spec):
+        assert not hasattr(module, "Point"), module.__name__
+    with pytest.raises(ImportError):
+        from repro.sweep.spec import Point  # noqa: F401
+    with pytest.raises(ImportError):
+        from repro.sweep import Point as SweepPoint  # noqa: F401

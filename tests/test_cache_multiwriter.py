@@ -15,14 +15,15 @@ import sys
 from pathlib import Path
 
 from repro import __version__
-from repro.sweep.cache import ResultCache, point_key, result_to_record
+from repro.api import workload
+from repro.sweep.cache import ResultCache, point_key
 from repro.sweep.runner import execute_point
-from repro.sweep.spec import make_point
 
 _WRITER = r"""
 import json, sys
+from repro.api.result import Result
 from repro.api.workloads import Workload
-from repro.sweep.cache import ResultCache, result_from_record
+from repro.sweep.cache import ResultCache
 
 manifest = json.load(open(sys.argv[1]))
 cache = ResultCache(manifest["store"])
@@ -30,7 +31,7 @@ for _ in range(manifest["rounds"]):
     for entry in manifest["records"]:
         cache.put(entry["key"],
                   Workload.from_canonical(entry["point"]),
-                  result_from_record(entry["result"]),
+                  Result.from_dict(entry["result"]),
                   entry["seconds"], entry["version"])
 print(len(cache))
 """
@@ -39,11 +40,11 @@ print(len(cache))
 def _manifest(store: Path, ns, rounds: int) -> dict:
     records = []
     for n in ns:
-        point = make_point("vecop", "baseline", n=n)
+        point = workload("vecop", "baseline", n=n)
         records.append({
             "key": point_key(point, __version__),
             "point": point.canonical(),
-            "result": result_to_record(execute_point(point)),
+            "result": execute_point(point).to_dict(),
             # Same-key appends from racing writers are benign only
             # when byte-identical, so the wall-clock field is pinned.
             "seconds": 0.25,

@@ -13,17 +13,17 @@ import time
 import pytest
 
 from repro import __version__
+from repro.api import workload
 from repro.cli import main as cli_main
 from repro.sweep.cache import ResultCache, point_key
 from repro.sweep.runner import execute_point
-from repro.sweep.spec import make_point
 
 
 def _fill(cache, ns):
     """One cached vecop result per n; returns {n: (key, shard_path)}."""
     laid = {}
     for n in ns:
-        point = make_point("vecop", "baseline", n=n)
+        point = workload("vecop", "baseline", n=n)
         key = point_key(point, __version__)
         cache.put(key, point, execute_point(point), 0.1, __version__)
         laid[n] = (key, cache._shard_path(key))
@@ -38,13 +38,6 @@ def _age(path, days):
 def test_prune_needs_a_budget(tmp_path):
     with pytest.raises(ValueError, match="max_bytes"):
         ResultCache(tmp_path / "c").prune()
-
-
-def test_prune_refuses_flat_stores(tmp_path):
-    cache = ResultCache(tmp_path / "c", layout="flat")
-    _fill(cache, [16])
-    with pytest.raises(ValueError, match="sharded"):
-        ResultCache(tmp_path / "c").prune(max_age_days=1)
 
 
 def test_prune_by_age_evicts_cold_shards(tmp_path):
@@ -101,13 +94,13 @@ def test_prune_dry_run_touches_nothing(tmp_path):
 
 def test_prune_drops_superseded_failures_with_their_success(tmp_path):
     cache = ResultCache(tmp_path / "c")
-    point = make_point("vecop", "baseline", n=16)
+    point = workload("vecop", "baseline", n=16)
     key = point_key(point, __version__)
     cache.put_failure(key, point, "timeout", "slow", 1.0, __version__)
     cache.put(key, point, execute_point(point), 0.1, __version__)
     assert cache.get_failure(key) is None  # masked by the success
 
-    other = make_point("vecop", "baseline", n=32)
+    other = workload("vecop", "baseline", n=32)
     other_key = point_key(other, __version__)
     cache.put_failure(other_key, other, "error", "boom", 0.5,
                       __version__)

@@ -19,13 +19,13 @@ from pathlib import Path
 import pytest
 
 from repro.api import CancelToken, Session, workload
-from repro.sweep import ResultCache, SweepRunner, make_point
+from repro.sweep import ResultCache, SweepRunner
 
 FAST_POINTS = [
-    make_point("vecop", "baseline", n=16),
-    make_point("vecop", "chaining", n=16),
-    make_point("box3d1r", "Base", grid=(2, 3, 8)),
-    make_point("box3d1r", "Chaining+", grid=(2, 3, 8)),
+    workload("vecop", "baseline", n=16),
+    workload("vecop", "chaining", n=16),
+    workload("box3d1r", "Base", grid=(2, 3, 8)),
+    workload("box3d1r", "Chaining+", grid=(2, 3, 8)),
 ]
 
 

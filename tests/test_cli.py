@@ -353,28 +353,6 @@ def test_audit_verify_store_only_mode(tmp_path, capsys):
     assert report["ok"] and report["records"] == 4
 
 
-def test_audit_migrate_store_then_audit_is_complete(tmp_path, capsys):
-    from repro.api import Session
-    from repro.sweep.cache import ResultCache
-    from repro.sweep.spec import SweepSpec
-
-    spec = _write_audit_spec(tmp_path)
-    cache = tmp_path / "cache"
-    flat = ResultCache(cache, layout="flat")
-    Session(cache=flat, workers=0).map(
-        SweepSpec.from_file(str(spec)).points())
-    assert (cache / "results.jsonl").exists()
-
-    rc = main(["audit", "--spec", str(spec), "--cache-dir", str(cache),
-               "--migrate-store"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "migrated 4 record(s)" in out
-    assert "coverage 100.0%" in out
-    assert not (cache / "results.jsonl").exists()
-    assert list((cache / "shards").glob("*.jsonl"))
-
-
 def test_audit_argument_validation(tmp_path):
     with pytest.raises(SystemExit, match="exactly one"):
         main(["audit"])

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import Cluster, CoreConfig
-from repro.eval.runner import run_build
+from repro.eval.runner import execute_build
 from repro.isa.assembler import assemble
 from repro.kernels.stencil import box3d1r
 from repro.kernels.stencil_codegen import build_stencil
@@ -34,7 +34,7 @@ def test_vecop_identical_in_both_modes():
     for fetch in (False, True):
         cfg = CoreConfig(fetch_from_memory=fetch)
         build = build_vecop(n=64, variant=VecopVariant.CHAINING, cfg=cfg)
-        results[fetch] = run_build(build, cfg=cfg)
+        results[fetch] = execute_build(build, cfg=cfg)
     assert results[True].correct
     # Timing and outputs are identical: the decode cache models the L0
     # loop buffer, so fetching from memory costs nothing extra.
@@ -49,7 +49,7 @@ def test_stencil_identical_in_both_modes(tiny_grid):
         cfg = CoreConfig(fetch_from_memory=fetch)
         build = build_stencil(box3d1r(), tiny_grid, Variant.CHAINING_PLUS,
                               cfg=cfg)
-        result = run_build(build, cfg=cfg)
+        result = execute_build(build, cfg=cfg)
         assert result.correct
         cycles[fetch] = result.cycles
     assert cycles[True] == cycles[False]

@@ -2,9 +2,10 @@
 reference model.
 
 Every test runs the same program under ``engine="scalar"`` and
-``engine="fast"`` and requires *bit-identical* end state: output memory,
-FP register file, cycle counts, every perf counter and stall bucket,
-chaining statistics, TCDM traffic, SSR activity and region marks.  Where
+``engine="auto"`` (the fast path over scalar-v2) and requires
+*bit-identical* end state: output memory, FP register file, cycle
+counts, every perf counter and stall bucket, chaining statistics, TCDM
+traffic, SSR activity and region marks.  Where
 the fast path must refuse (non-SSR loads in the body, ``frep.i``,
 register staggering, cross-iteration carries, software ``bne`` loops) the
 tests additionally assert that it did refuse -- falling back is part of
@@ -52,9 +53,9 @@ def run_engine(asm, engine, arrays=(), num_cores=1, max_cycles=200_000):
 
 def run_both(asm, arrays=(), num_cores=1):
     """Run under both engines, assert identical digests, return the
-    fast-engine cluster (for fast-path statistics assertions)."""
+    auto-engine cluster (for fast-path statistics assertions)."""
     scalar = run_engine(asm, "scalar", arrays, num_cores)
-    fast = run_engine(asm, "fast", arrays, num_cores)
+    fast = run_engine(asm, "auto", arrays, num_cores)
     ds, df = digest(scalar), digest(fast)
     assert ds == df
     return fast
@@ -107,7 +108,7 @@ def vec_arrays(rng, n, n_d=None):
 @pytest.mark.parametrize("loop_mode", ["frep", "bne"])
 def test_vecop_bit_identical(variant, loop_mode):
     builds = {}
-    for engine in ("scalar", "fast"):
+    for engine in ("scalar", "auto"):
         cfg = CoreConfig(engine=engine)
         build = build_vecop(n=256, variant=variant, loop_mode=loop_mode,
                             cfg=cfg)
@@ -117,8 +118,8 @@ def test_vecop_bit_identical(variant, loop_mode):
         out = cluster.read_f64(build.output_addr, build.output_shape)
         assert np.array_equal(out, build.golden)
         builds[engine] = (cluster, digest(cluster))
-    assert builds["scalar"][1] == builds["fast"][1]
-    stats = builds["fast"][0].fastpath.stats
+    assert builds["scalar"][1] == builds["auto"][1]
+    stats = builds["auto"][0].fastpath.stats
     if loop_mode == "frep":
         assert stats["applications"] >= 1
         assert stats["fast_forwarded_cycles"] > 0
@@ -130,18 +131,18 @@ def test_vecop_bit_identical(variant, loop_mode):
 def test_fig3_stencil_bit_identical():
     """Fig. 3 stencils use software loops + an indirect input stream;
     the fast path must stay out of the way entirely."""
-    from repro.eval.runner import run_stencil_variant
+    from repro.eval.runner import execute_stencil
     from repro.kernels.layout import Grid3d
     from repro.kernels.variants import Variant
 
     grid = Grid3d(nz=2, ny=3, nx=8)
     results = {}
-    for engine in ("scalar", "fast"):
+    for engine in ("scalar", "auto"):
         cfg = CoreConfig(engine=engine)
-        res = run_stencil_variant("box3d1r", Variant.CHAINING_PLUS,
-                                  grid=grid, cfg=cfg)
+        res = execute_stencil("box3d1r", Variant.CHAINING_PLUS,
+                              grid=grid, cfg=cfg)
         results[engine] = res
-    a, b = results["scalar"], results["fast"]
+    a, b = results["scalar"], results["auto"]
     assert a.correct and b.correct
     assert a.cycles == b.cycles
     assert a.region_cycles == b.region_cycles
@@ -160,7 +161,7 @@ def test_energy_report_identical():
         iters=256, streams=streams_asm(1024), chain_mask=8)
     arrays = vec_arrays(rng, 1024)
     scalar = run_engine(asm, "scalar", arrays)
-    fast = run_engine(asm, "fast", arrays)
+    fast = run_engine(asm, "auto", arrays)
     assert fast.fastpath.stats["applications"] >= 1
     es = EnergyModel(scalar.cfg).report(scalar)
     ef = EnergyModel(fast.cfg).report(fast)
@@ -227,7 +228,7 @@ def test_random_family_exercises_fast_path():
     applied = 0
     for seed in range(16):
         asm, arrays = random_frep_case(seed)
-        fast = run_engine(asm, "fast", arrays)
+        fast = run_engine(asm, "auto", arrays)
         applied += fast.fastpath.stats["applications"]
     assert applied >= 8  # most shapes must actually fast-forward
 
@@ -268,7 +269,7 @@ def test_divide_by_zero_guard():
     d[150] = 0.0
     asm = frep_program(["fdiv.d ft2, ft0, ft1"], n, streams_asm(n))
     arrays = [(B, [1.0]), (C, np.ones(n)), (D, d), (A, np.zeros(n))]
-    for engine in ("scalar", "fast"):
+    for engine in ("scalar", "auto"):
         with pytest.raises(ZeroDivisionError):
             run_engine(asm, engine, arrays)
 
@@ -429,15 +430,15 @@ def test_reject_indirect_stream():
     perm = rng.permutation(n).astype(np.uint32)
     data = rng.uniform(-1, 1, n)
     results = {}
-    for engine in ("scalar", "fast"):
+    for engine in ("scalar", "auto"):
         cluster = Cluster(asm, cfg=CoreConfig(engine=engine))
         cluster.load_u32(idx_base, perm)
         cluster.load_f64(B, np.array([3.25]))
         cluster.load_f64(C, data)
         cluster.run()
         results[engine] = (cluster, digest(cluster))
-    assert results["scalar"][1] == results["fast"][1]
-    assert results["fast"][0].fastpath.stats["regions_eligible"] == 0
+    assert results["scalar"][1] == results["auto"][1]
+    assert results["auto"][0].fastpath.stats["regions_eligible"] == 0
 
 
 # -- configuration & environment -----------------------------------------
@@ -459,14 +460,6 @@ other:
     assert fast.fastpath.stats["applications"] >= 1
 
 
-def test_engine_fast_rejects_trace():
-    from repro.trace import TraceRecorder
-
-    with pytest.raises(ValueError, match="tracing"):
-        Cluster("    ebreak\n", cfg=CoreConfig(engine="fast"),
-                trace=TraceRecorder())
-
-
 def test_engine_auto_with_trace_falls_back_scalar():
     from repro.trace import TraceRecorder
 
@@ -482,8 +475,9 @@ def test_engine_auto_with_trace_falls_back_scalar():
 
 
 def test_engine_validation():
-    with pytest.raises(ValueError, match="engine"):
-        CoreConfig(engine="warp").validate()
+    for retired in ("warp", "fast"):
+        with pytest.raises(ValueError, match="engine"):
+            CoreConfig(engine=retired).validate()
 
 
 def test_fast_engine_deterministic():
@@ -492,8 +486,8 @@ def test_fast_engine_deterministic():
         ["fadd.d ft3, ft0, ft1"] * 4 + ["fmul.d ft2, ft3, fa0"] * 4,
         iters=128, streams=streams_asm(512), chain_mask=8)
     arrays = vec_arrays(rng, 512)
-    a = digest(run_engine(asm, "fast", arrays))
-    b = digest(run_engine(asm, "fast", arrays))
+    a = digest(run_engine(asm, "auto", arrays))
+    b = digest(run_engine(asm, "auto", arrays))
     assert a == b
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import Cluster, CoreConfig
 from repro.energy.model import EnergyModel, EnergyParams
-from repro.eval.runner import run_build
+from repro.eval.runner import execute_build
 from repro.kernels.stencil import box3d1r
 from repro.kernels.stencil_codegen import build_stencil
 from repro.kernels.variants import Variant
@@ -12,7 +12,7 @@ from repro.kernels.variants import Variant
 
 def run_variant(variant, grid):
     build = build_stencil(box3d1r(), grid, variant)
-    return run_build(build)
+    return execute_build(build)
 
 
 def test_breakdown_sums_to_total(tiny_grid):

@@ -8,7 +8,7 @@ from repro.eval.figures import (
     fig1_data,
     fig3_data,
 )
-from repro.eval.runner import run_build, run_stencil_variant
+from repro.eval.runner import execute_build, execute_stencil
 from repro.kernels.layout import Grid3d
 from repro.kernels.registry import get_stencil, kernel_names
 from repro.kernels.variants import VARIANT_ORDER, Variant
@@ -16,7 +16,7 @@ from repro.kernels.vecop import build_vecop
 
 
 def test_run_build_metrics_consistent():
-    result = run_build(build_vecop(n=64))
+    result = execute_build(build_vecop(n=64))
     assert result.correct
     assert result.cycles >= result.region_cycles > 0
     assert 0 < result.fpu_utilization <= 1
@@ -29,13 +29,13 @@ def test_run_build_detects_wrong_golden():
     build = build_vecop(n=16)
     build.golden = build.golden + 1.0
     with pytest.raises(AssertionError, match="golden"):
-        run_build(build)
-    result = run_build(build, require_correct=False)
+        execute_build(build)
+    result = execute_build(build, require_correct=False)
     assert not result.correct
 
 
 def test_run_stencil_variant_wrapper(tiny_grid):
-    result = run_stencil_variant("box3d1r", Variant.BASE, grid=tiny_grid)
+    result = execute_stencil("box3d1r", Variant.BASE, grid=tiny_grid)
     assert result.correct
     assert result.meta["kernel"] == "box3d1r"
     assert result.cycles_per_point > 0

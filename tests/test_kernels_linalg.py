@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import CoreConfig
-from repro.eval.runner import run_build
+from repro.eval.runner import execute_build
 from repro.kernels.linalg import (
     LinalgVariant,
     build_axpy,
@@ -15,7 +15,7 @@ from repro.kernels.linalg import (
 
 
 def test_axpy_correct_and_fast():
-    result = run_build(build_axpy(n=128))
+    result = execute_build(build_axpy(n=128))
     assert result.correct
     # No dependencies: the FPU should be near-fully utilized.
     assert result.fpu_utilization > 0.9
@@ -23,13 +23,13 @@ def test_axpy_correct_and_fast():
 
 @pytest.mark.parametrize("variant", list(LinalgVariant))
 def test_dot_correct(variant):
-    result = run_build(build_dot(n=128, variant=variant))
+    result = execute_build(build_dot(n=128, variant=variant))
     assert result.correct
 
 
 def test_dot_chaining_matches_baseline_cycles():
-    base = run_build(build_dot(n=256, variant=LinalgVariant.BASELINE))
-    chain = run_build(build_dot(n=256, variant=LinalgVariant.CHAINING))
+    base = execute_build(build_dot(n=256, variant=LinalgVariant.BASELINE))
+    chain = execute_build(build_dot(n=256, variant=LinalgVariant.CHAINING))
     # Same throughput...
     assert abs(base.region_cycles - chain.region_cycles) <= 8
     # ...but one architectural accumulator instead of four.
@@ -39,7 +39,7 @@ def test_dot_chaining_matches_baseline_cycles():
 
 def test_dot_value_matches_numpy_closely():
     build = build_dot(n=256)
-    result = run_build(build)
+    result = execute_build(build)
     assert result.correct
     # Bit-exact against the lane-partial golden; close to numpy's sum.
     assert build.golden[0] == pytest.approx(
@@ -48,7 +48,7 @@ def test_dot_value_matches_numpy_closely():
 
 def test_dot_minimum_size():
     # n == lanes: a single seed group, no frep.
-    result = run_build(build_dot(n=4))
+    result = execute_build(build_dot(n=4))
     assert result.correct
     assert "frep" not in build_dot(n=4).asm
 
@@ -60,12 +60,12 @@ def test_dot_bad_n():
 
 @pytest.mark.parametrize("variant", list(LinalgVariant))
 def test_gemv_correct(variant):
-    result = run_build(build_gemv(rows=8, n=32, variant=variant))
+    result = execute_build(build_gemv(rows=8, n=32, variant=variant))
     assert result.correct
 
 
 def test_gemv_reuses_chain_across_rows():
-    result = run_build(build_gemv(rows=12, n=48))
+    result = execute_build(build_gemv(rows=12, n=48))
     assert result.correct
     assert result.fpu_utilization > 0.75
 
@@ -85,13 +85,13 @@ def test_gemv_x_stream_replayed_per_row():
 
 def test_cdot_correct():
     build = build_cdot(n=32)
-    result = run_build(build)
+    result = execute_build(build)
     assert result.correct
 
 
 def test_cdot_matches_numpy_complex():
     build = build_cdot(n=64)
-    run_build(build)
+    execute_build(build)
     x = build.arrays[0][1].view(np.complex128)
     y = build.arrays[1][1].view(np.complex128)
     expected = np.sum(x * y)
@@ -114,7 +114,7 @@ def test_cdot_two_chains_active():
 
 
 def test_cdot_sustains_throughput():
-    result = run_build(build_cdot(n=128))
+    result = execute_build(build_cdot(n=128))
     # 8 ops per 2 elements with both chains interleaved.  The indirect
     # y stream costs ~1 bank-conflict cycle per block, so the ceiling
     # sits slightly below the stencils'.
@@ -134,6 +134,6 @@ def test_cdot_requires_depth_3():
 
 def test_gemv_with_alternate_depth():
     cfg = CoreConfig(fpu_pipe_depth=2)
-    result = run_build(build_gemv(rows=4, n=18, cfg=cfg), cfg=cfg)
+    result = execute_build(build_gemv(rows=4, n=18, cfg=cfg), cfg=cfg)
     assert result.correct
     assert result.meta["arch_accumulators"] == 1

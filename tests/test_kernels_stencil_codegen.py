@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core import Cluster, CoreConfig
-from repro.eval.runner import run_build
+from repro.eval.runner import execute_build
 from repro.kernels.layout import Grid3d
 from repro.kernels.stencil import box3d1r, j2d5pt, j3d27pt, star3d1r
 from repro.kernels.stencil_codegen import _index_pattern, build_stencil
@@ -15,27 +15,27 @@ from repro.kernels.variants import VARIANT_ORDER, Variant
 @pytest.mark.parametrize("variant", VARIANT_ORDER)
 def test_box3d1r_all_variants_bit_exact(variant, tiny_grid):
     build = build_stencil(box3d1r(), tiny_grid, variant)
-    result = run_build(build)
+    result = execute_build(build)
     assert result.correct
 
 
 @pytest.mark.parametrize("variant", [Variant.BASE, Variant.CHAINING_PLUS])
 def test_j3d27pt_variants_bit_exact(variant, tiny_grid):
     build = build_stencil(j3d27pt(), tiny_grid, variant)
-    assert run_build(build).correct
+    assert execute_build(build).correct
 
 
 @pytest.mark.parametrize("variant", [Variant.BASE_MM, Variant.CHAINING])
 def test_star3d1r_irregular_taps(variant, tiny_grid):
     # Non-cube taps exercise truly irregular indirection.
     build = build_stencil(star3d1r(), tiny_grid, variant)
-    assert run_build(build).correct
+    assert execute_build(build).correct
 
 
 def test_2d_stencil(tiny_grid):
     grid = Grid3d(nz=1, ny=4, nx=16)
     build = build_stencil(j2d5pt(), grid, Variant.CHAINING_PLUS)
-    assert run_build(build).correct
+    assert execute_build(build).correct
 
 
 def test_index_pattern_matches_affine_walk():
@@ -91,7 +91,7 @@ def test_variant_structure_in_asm(tiny_grid):
 
 def test_expected_op_counts(tiny_grid):
     build = build_stencil(box3d1r(), tiny_grid, Variant.CHAINING_PLUS)
-    result = run_build(build)
+    result = execute_build(build)
     compute = result.meta["expected_compute_ops"]
     assert result.energy.breakdown["fpu"] > 0
     # The run's compute-op counter equals taps * points exactly.
@@ -148,7 +148,7 @@ def test_different_unroll_with_matching_pipe(tiny_grid):
     grid = Grid3d(nz=2, ny=3, nx=8)
     build = build_stencil(box3d1r(), grid, Variant.CHAINING, unroll=2,
                           cfg=cfg)
-    assert run_build(build, cfg=cfg).correct
+    assert execute_build(build, cfg=cfg).correct
 
 
 def test_register_plan_recorded(tiny_grid):

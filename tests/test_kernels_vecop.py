@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import CoreConfig
-from repro.eval.runner import run_build
+from repro.eval.runner import execute_build
 from repro.kernels.vecop import VecopVariant, build_vecop
 
 
@@ -12,13 +12,13 @@ from repro.kernels.vecop import VecopVariant, build_vecop
 @pytest.mark.parametrize("loop_mode", ["frep", "bne"])
 def test_all_variants_correct(variant, loop_mode):
     build = build_vecop(n=32, variant=variant, loop_mode=loop_mode)
-    result = run_build(build)
+    result = execute_build(build)
     assert result.correct
 
 
 def test_fig1_utilization_ordering():
     results = {
-        v: run_build(build_vecop(n=128, variant=v))
+        v: execute_build(build_vecop(n=128, variant=v))
         for v in VecopVariant
     }
     base = results[VecopVariant.BASELINE].fpu_utilization
@@ -34,7 +34,7 @@ def test_fig1_utilization_ordering():
 
 def test_baseline_utilization_matches_latency_math():
     # 2 useful ops per (2 + latency) issue slots.
-    result = run_build(build_vecop(n=256, variant=VecopVariant.BASELINE))
+    result = execute_build(build_vecop(n=256, variant=VecopVariant.BASELINE))
     assert abs(result.fpu_utilization - 0.4) < 0.05
 
 

@@ -178,7 +178,7 @@ def test_observed_sweep_exports_full_timeline(tmp_path):
         for i, base in enumerate((C, D)))
     asm = REJECTING_ASM_TEMPLATE.format(reads=reads, iters=n - 1)
     with obs.sim_context("reduction"):
-        cluster = Cluster(asm, cfg=CoreConfig(engine="fast"))
+        cluster = Cluster(asm, cfg=CoreConfig(engine="auto"))
         rng = np.random.default_rng(3)
         cluster.load_f64(C, rng.uniform(-1, 1, n))
         cluster.load_f64(D, rng.uniform(-1, 1, n))

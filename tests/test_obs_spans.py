@@ -161,7 +161,7 @@ def test_fastpath_reject_event_carries_reason(enabled):
     csrrci x0, ssr_enable, 1
     ebreak
 """
-    cluster = Cluster(asm, cfg=CoreConfig(engine="fast"))
+    cluster = Cluster(asm, cfg=CoreConfig(engine="auto"))
     cluster.load_f64(C, rng.uniform(-1, 1, n))
     cluster.load_f64(D, rng.uniform(-1, 1, n))
     cluster.run(max_cycles=100_000)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import __version__
-from repro.api import Session
+from repro.api import Session, workload
 from repro.sweep import SweepSpec
 from repro.sweep.audit import (
     AUDIT_AXES,
@@ -23,7 +23,6 @@ from repro.sweep.audit import (
 )
 from repro.sweep.cache import ResultCache, point_key
 from repro.sweep.runner import execute_point
-from repro.sweep.spec import make_point
 
 DATA = Path(__file__).parent / "data"
 
@@ -44,6 +43,18 @@ def seed_pre15(cache, point, version=__version__):
               "result": {"name": point.label, "correct": True,
                          "cycles": 100}}
     cache._append(cache._shard_path(key), record)
+    return key
+
+
+def seed_truncated(cache, point, version=__version__):
+    """Store a current-version record whose ``result`` lost its
+    ``clock_hz`` (a hand-edited or bit-rotted line); it supersedes the
+    intact record under the same key."""
+    key = seed_ok(cache, point, version)
+    record = cache.get_record(key)
+    payload = {k: v for k, v in record["result"].items()
+               if k != "clock_hz"}
+    cache._append(cache._shard_path(key), dict(record, result=payload))
     return key
 
 
@@ -69,8 +80,8 @@ def test_empty_campaign_is_complete(tmp_path):
 
 def test_ok_and_missing(tmp_path):
     cache = ResultCache(tmp_path / "c")
-    done = make_point("vecop", "chaining", n=16)
-    todo = make_point("vecop", "baseline", n=16)
+    done = workload("vecop", "chaining", n=16)
+    todo = workload("vecop", "baseline", n=16)
     seed_ok(cache, done)
     audit = audit_campaign([done, todo], cache)
     by_label = {a.point.label: a for a in audit}
@@ -82,8 +93,8 @@ def test_ok_and_missing(tmp_path):
 
 def test_error_and_timeout_come_from_the_failure_log(tmp_path):
     cache = ResultCache(tmp_path / "c")
-    err = make_point("vecop", "chaining", n=16)
-    slow = make_point("vecop", "baseline", n=16)
+    err = workload("vecop", "chaining", n=16)
+    slow = workload("vecop", "baseline", n=16)
     key_err = point_key(err, __version__)
     key_slow = point_key(slow, __version__)
     cache.put_failure(key_err, err, "error",
@@ -103,7 +114,7 @@ def test_error_and_timeout_come_from_the_failure_log(tmp_path):
 
 def test_success_supersedes_a_recorded_failure(tmp_path):
     cache = ResultCache(tmp_path / "c")
-    point = make_point("vecop", "chaining", n=16)
+    point = workload("vecop", "chaining", n=16)
     key = point_key(point, __version__)
     cache.put_failure(key, point, "error", "flaky", 0.1, __version__)
     seed_ok(cache, point)
@@ -113,7 +124,7 @@ def test_success_supersedes_a_recorded_failure(tmp_path):
 
 def test_stale_version_record_is_found_by_canonical_match(tmp_path):
     cache = ResultCache(tmp_path / "c")
-    point = make_point("vecop", "chaining", n=16)
+    point = workload("vecop", "chaining", n=16)
     seed_ok(cache, point, version="0.0.1")   # keyed under the old era
     audit = audit_campaign([point], cache)
     assert audit.points[0].status == "stale-version"
@@ -124,8 +135,8 @@ def test_stale_version_record_is_found_by_canonical_match(tmp_path):
 
 def test_stale_schema_beats_stale_version(tmp_path):
     cache = ResultCache(tmp_path / "c")
-    direct = make_point("vecop", "chaining", n=16)
-    via_canonical = make_point("vecop", "baseline", n=16)
+    direct = workload("vecop", "chaining", n=16)
+    via_canonical = workload("vecop", "baseline", n=16)
     seed_pre15(cache, direct)                       # current key
     seed_pre15(cache, via_canonical, version="0.0.1")  # old key
     audit = audit_campaign([direct, via_canonical],
@@ -139,7 +150,7 @@ def test_same_version_other_context_is_missing_not_stale(tmp_path):
     context has a different key: for THIS campaign the point was never
     run, so it is missing, not stale."""
     cache = ResultCache(tmp_path / "c")
-    point = make_point("vecop", "chaining", n=16)
+    point = workload("vecop", "chaining", n=16)
     key_scalar = point_key(point, __version__, engine="scalar")
     cache.put(key_scalar, point, execute_point(point), 0.0, __version__)
     audit = audit_campaign([point], cache)   # engine context: auto
@@ -150,7 +161,7 @@ def test_analytical_record_is_stale_fidelity_at_cycle_context(tmp_path):
     """A campaign audited at cycle fidelity never counts an analytical
     record as ok -- it lands in the stale-fidelity class."""
     cache = ResultCache(tmp_path / "c")
-    point = make_point("vecop", "chaining", n=16)
+    point = workload("vecop", "chaining", n=16)
     seed_analytical(cache, point)
     audit = audit_campaign([point], cache)   # engine context: auto
     assert audit.points[0].status == "stale-fidelity"
@@ -166,7 +177,7 @@ def test_cycle_record_is_stale_fidelity_at_analytical_context(tmp_path):
     """The reverse direction: a cycle-accurate record where the
     campaign expects estimates is flagged, not silently served."""
     cache = ResultCache(tmp_path / "c")
-    point = make_point("vecop", "chaining", n=16)
+    point = workload("vecop", "chaining", n=16)
     key = point_key(point, __version__, engine="analytical")
     cache.put(key, point, execute_point(point), 0.0, __version__)
     audit = audit_campaign([point], cache, engine="analytical")
@@ -179,7 +190,7 @@ def test_analytical_campaign_audits_its_own_records_ok(tmp_path):
     session's own context* -- the gate flags mismatches only."""
     session = Session(cache=str(tmp_path / "c"), engine="analytical",
                       workers=0)
-    point = make_point("vecop", "chaining", n=16)
+    point = workload("vecop", "chaining", n=16)
     session.map([point])
     audit = session.audit([point])
     assert audit.points[0].status == "ok" and audit.complete
@@ -191,7 +202,7 @@ def test_analytical_campaign_audits_its_own_records_ok(tmp_path):
 
 def test_corrupt_store_lines_surface_in_the_audit(tmp_path):
     cache = ResultCache(tmp_path / "c")
-    point = make_point("vecop", "chaining", n=16)
+    point = workload("vecop", "chaining", n=16)
     seed_ok(cache, point)
     [shard] = (tmp_path / "c" / "shards").glob("*.jsonl")
     with open(shard, "a") as handle:
@@ -208,7 +219,7 @@ def test_corrupt_store_lines_surface_in_the_audit(tmp_path):
 
 
 def test_counts_always_list_every_class(tmp_path):
-    audit = audit_campaign([make_point("vecop", "chaining", n=16)],
+    audit = audit_campaign([workload("vecop", "chaining", n=16)],
                            ResultCache(tmp_path / "c"))
     counts = audit.counts()
     assert tuple(counts) == GAP_CLASSES
@@ -218,11 +229,11 @@ def test_counts_always_list_every_class(tmp_path):
 
 def test_by_axis_coverage_table(tmp_path):
     cache = ResultCache(tmp_path / "c")
-    done = make_point("vecop", "chaining", n=16)
+    done = workload("vecop", "chaining", n=16)
     seed_ok(cache, done)
     points = [done,
-              make_point("vecop", "chaining", n=32),
-              make_point("vecop", "baseline", n=16)]
+              workload("vecop", "chaining", n=32),
+              workload("vecop", "baseline", n=16)]
     audit = audit_campaign(points, cache)
     variants = audit.by_axis("variant")
     assert variants["chaining"] == {"ok": 1, "total": 2, "coverage": 0.5}
@@ -250,13 +261,13 @@ def test_golden_audit_report(tmp_path):
     (version fixed, so keys and the whole report are deterministic)."""
     version = "9.9.9"
     cache = ResultCache(tmp_path / "c")
-    p_ok = make_point("vecop", "chaining", n=16)
-    p_missing = make_point("vecop", "baseline", n=16)
-    p_stale = make_point("vecop", "chaining", n=32)
-    p_schema = make_point("vecop", "unrolled", n=16)
-    p_error = make_point("vecop", "baseline", n=32)
-    p_timeout = make_point("vecop", "unrolled", n=32)
-    p_fidelity = make_point("vecop", "baseline", n=48)
+    p_ok = workload("vecop", "chaining", n=16)
+    p_missing = workload("vecop", "baseline", n=16)
+    p_stale = workload("vecop", "chaining", n=32)
+    p_schema = workload("vecop", "unrolled", n=16)
+    p_error = workload("vecop", "baseline", n=32)
+    p_timeout = workload("vecop", "unrolled", n=32)
+    p_fidelity = workload("vecop", "baseline", n=48)
     seed_ok(cache, p_ok, version=version)
     seed_ok(cache, p_stale, version="1.0.0")
     seed_pre15(cache, p_schema, version=version)
@@ -286,13 +297,13 @@ def _gapped_store(root):
     """A store where one spec point is in every non-ok class."""
     cache = ResultCache(root)
     points = {
-        "ok": make_point("vecop", "chaining", n=16),
-        "missing": make_point("vecop", "baseline", n=16),
-        "stale-version": make_point("vecop", "chaining", n=32),
-        "stale-schema": make_point("vecop", "unrolled", n=16),
-        "error": make_point("vecop", "baseline", n=32),
-        "timeout": make_point("vecop", "unrolled", n=32),
-        "stale-fidelity": make_point("vecop", "baseline", n=48),
+        "ok": workload("vecop", "chaining", n=16),
+        "missing": workload("vecop", "baseline", n=16),
+        "stale-version": workload("vecop", "chaining", n=32),
+        "stale-schema": workload("vecop", "unrolled", n=16),
+        "error": workload("vecop", "baseline", n=32),
+        "timeout": workload("vecop", "unrolled", n=32),
+        "stale-fidelity": workload("vecop", "baseline", n=48),
     }
     seed_ok(cache, points["ok"])
     seed_ok(cache, points["stale-version"], version="0.0.1")
@@ -325,7 +336,7 @@ def test_backfill_order_groups_by_class(tmp_path):
 
 def test_retry_budget_abandons_persistent_failures(tmp_path):
     cache = ResultCache(tmp_path / "c")
-    flaky = make_point("vecop", "chaining", n=16)
+    flaky = workload("vecop", "chaining", n=16)
     key = point_key(flaky, __version__)
     for _ in range(3):
         cache.put_failure(key, flaky, "error", "boom", 0.1, __version__)
@@ -346,7 +357,7 @@ def test_retry_budget_abandons_persistent_failures(tmp_path):
 
 def test_dry_plan_on_complete_campaign_says_nothing_to_do(tmp_path):
     cache = ResultCache(tmp_path / "c")
-    point = make_point("vecop", "chaining", n=16)
+    point = workload("vecop", "chaining", n=16)
     seed_ok(cache, point)
     plan = BackfillPlan(audit_campaign([point], cache))
     assert len(plan) == 0
@@ -389,9 +400,33 @@ def test_session_backfill_accepts_a_spec_directly(tmp_path):
     assert plan2.points == [] and len(campaign2.outcomes) == 0
 
 
+@pytest.mark.parametrize("via", ["run", "backfill"])
+@pytest.mark.parametrize("seed", [seed_truncated, seed_pre15],
+                         ids=["truncated", "pre-1.5"])
+def test_stale_schema_record_is_a_miss_that_reruns(tmp_path, seed, via):
+    """A record that fails the schema check is a cache miss, not a
+    crash: the point re-runs and its new record supersedes the bad one."""
+    point = workload("vecop", "chaining", n=16)
+    key = seed(ResultCache(tmp_path / "c"), point)
+    session = Session(cache=str(tmp_path / "c"), workers=0)
+    assert session.audit([point]).points[0].status == "stale-schema"
+    assert session.cache.get(key) is None
+
+    if via == "run":
+        assert session.run(point).correct
+    else:
+        plan, campaign = session.backfill([point])
+        assert [e.status for e in plan.entries] == ["stale-schema"]
+        assert campaign.ok_count == 1 and campaign.cached_count == 0
+
+    reopened = ResultCache(tmp_path / "c")
+    assert reopened.get(key).cycles == execute_point(point).cycles
+    assert audit_campaign([point], reopened).complete
+
+
 def test_backfill_rekeys_stale_points(tmp_path):
     cache = ResultCache(tmp_path / "c")
-    point = make_point("vecop", "chaining", n=16)
+    point = workload("vecop", "chaining", n=16)
     seed_ok(cache, point, version="0.0.1")
     session = Session(cache=str(tmp_path / "c"), workers=0)
     audit = session.audit([point])

@@ -1,23 +1,21 @@
 """Content-addressed cache: keys, JSONL round-trip, hit/miss behavior,
-sharded layout, migration, store verification, and the failure log."""
+sharded layout, store verification, and the failure log."""
 
 import json
 
 import pytest
 
 from repro import __version__
+from repro.api import Result, Workload, workload
 from repro.core.config import CoreConfig
 from repro.sweep.cache import (
     SHARD_PREFIX_LEN,
     ResultCache,
     point_key,
-    result_from_record,
-    result_to_record,
 )
 from repro.sweep.runner import SweepRunner, execute_point
-from repro.sweep.spec import make_point
 
-POINT = make_point("vecop", "chaining", n=16)
+POINT = workload("vecop", "chaining", n=16)
 
 
 def test_point_key_stability_and_sensitivity():
@@ -25,7 +23,7 @@ def test_point_key_stability_and_sensitivity():
     assert key == point_key(POINT, __version__)
     assert len(key) == 64
     # Any ingredient change moves the address.
-    assert key != point_key(make_point("vecop", "chaining", n=32),
+    assert key != point_key(workload("vecop", "chaining", n=32),
                             __version__)
     assert key != point_key(POINT, "0.0.0")
     assert key != point_key(POINT, __version__, base_cfg=CoreConfig())
@@ -33,9 +31,9 @@ def test_point_key_stability_and_sensitivity():
 
 def test_result_record_roundtrip_is_exact():
     result = execute_point(POINT)
-    record = result_to_record(result)
+    record = result.to_dict()
     json.dumps(record)  # must be JSON-clean
-    again = result_from_record(record)
+    again = Result.from_dict(record)
     assert again.cycles == result.cycles
     assert again.region_cycles == result.region_cycles
     assert again.fpu_utilization == result.fpu_utilization
@@ -66,14 +64,14 @@ def test_cache_ignores_torn_tail_line(tmp_path):
     cache = ResultCache(tmp_path / "c")
     key = point_key(POINT, __version__)
     cache.put(key, POINT, execute_point(POINT), 0.1, __version__)
-    with open(cache.path, "a") as handle:
+    with open(cache._shard_path(key), "a") as handle:
         handle.write('{"key": "partial...')  # killed mid-append
     reopened = ResultCache(tmp_path / "c")
     assert len(reopened) == 1
 
 
 def test_progress_counter_increments_over_cache_hits(tmp_path):
-    points = [make_point("vecop", "baseline", n=n) for n in (16, 32, 48)]
+    points = [workload("vecop", "baseline", n=n) for n in (16, 32, 48)]
     SweepRunner(cache=tmp_path / "c", workers=0).run(points)
     calls = []
     SweepRunner(cache=tmp_path / "c", workers=0).run(
@@ -82,7 +80,7 @@ def test_progress_counter_increments_over_cache_hits(tmp_path):
 
 
 def test_runner_hits_cache_across_invocations(tmp_path):
-    points = [make_point("vecop", variant, n=n)
+    points = [workload("vecop", variant, n=n)
               for variant in ("baseline", "chaining")
               for n in (16, 32)]
     cold = SweepRunner(cache=tmp_path / "c", workers=0).run(points)
@@ -99,7 +97,7 @@ def test_runner_hits_cache_across_invocations(tmp_path):
         assert a.result.fpu_utilization == b.result.fpu_utilization
 
     # Extending the sweep only simulates the new points.
-    extended = points + [make_point("vecop", "unrolled", n=16)]
+    extended = points + [workload("vecop", "unrolled", n=16)]
     third = SweepRunner(cache=tmp_path / "c", workers=0).run(extended)
     assert third.cached_count == len(points)
     assert len(third) == len(points) + 1
@@ -117,8 +115,8 @@ def test_base_cfg_partitions_the_cache(tmp_path):
 
 
 def test_failures_are_not_cached(tmp_path):
-    bad = make_point("box3d1r", "Base", grid=(2, 3, 8),
-                     overrides={"fpu_pipe_depth": -1})  # fails validate()
+    bad = workload("box3d1r", "Base", grid=(2, 3, 8),
+                   overrides={"fpu_pipe_depth": -1})  # fails validate()
     first = SweepRunner(cache=tmp_path / "c", workers=0).run([bad])
     assert first.outcomes[0].status == "error"
     second = SweepRunner(cache=tmp_path / "c", workers=0).run([bad])
@@ -130,14 +128,14 @@ def test_point_key_includes_system_axes():
     canonical payload, a 1-cluster and a 4-cluster run of the same
     kernel/grid would collide on one key and the cache would serve
     single-cluster results for multi-cluster points."""
-    base = make_point("box3d1r", "Chaining+", grid=(4, 4, 8))
-    multi = make_point("box3d1r", "Chaining+", grid=(4, 4, 8),
-                       system={"num_clusters": 4, "iters": 2})
+    base = workload("box3d1r", "Chaining+", grid=(4, 4, 8))
+    multi = workload("box3d1r", "Chaining+", grid=(4, 4, 8),
+                     system={"num_clusters": 4, "iters": 2})
     assert base != multi
     assert point_key(base, __version__) != point_key(multi, __version__)
     # Interconnect knobs are axes of their own.
-    tuned = make_point("box3d1r", "Chaining+", grid=(4, 4, 8),
-                       system={"num_clusters": 4, "iters": 2,
+    tuned = workload("box3d1r", "Chaining+", grid=(4, 4, 8),
+                     system={"num_clusters": 4, "iters": 2,
                                "gmem_latency": 100})
     assert point_key(tuned, __version__) != point_key(multi, __version__)
     # Demonstrate the collision the fix prevents: strip the system axes
@@ -152,12 +150,10 @@ def test_point_key_includes_system_axes():
 def test_system_axes_round_trip_and_cache_partition(tmp_path):
     """End to end: a multi-cluster point simulates, caches under its own
     key, replays from cache, and never hits the single-cluster entry."""
-    from repro.sweep.spec import Point
-
-    single = make_point("box3d1r", "Chaining+", grid=(2, 4, 8))
-    multi = make_point("box3d1r", "Chaining+", grid=(2, 4, 8),
-                       system={"num_clusters": 2})
-    assert Point.from_canonical(multi.canonical()) == multi
+    single = workload("box3d1r", "Chaining+", grid=(2, 4, 8))
+    multi = workload("box3d1r", "Chaining+", grid=(2, 4, 8),
+                     system={"num_clusters": 2})
+    assert Workload.from_canonical(multi.canonical()) == multi
     assert "num_clusters=2" in multi.label
 
     runner = SweepRunner(cache=tmp_path / "c", workers=0)
@@ -165,7 +161,8 @@ def test_system_axes_round_trip_and_cache_partition(tmp_path):
     assert all(o.ok for o in cold) and cold.cached_count == 0
     results = {o.point: o.result for o in cold}
     assert results[multi].meta["num_clusters"] == 2
-    assert "per_cluster_cycles" in results[multi].meta
+    assert len(results[multi].system.per_cluster_cycles) == 2
+    assert "per_cluster_cycles" not in results[multi].meta
     assert "num_clusters" not in results[single].meta
 
     warm = SweepRunner(cache=tmp_path / "c", workers=0) \
@@ -181,11 +178,11 @@ def test_point_key_engine_sensitivity():
     base config's own engine selection)."""
     key_auto = point_key(POINT, __version__)
     assert key_auto == point_key(POINT, __version__, engine="auto")
-    assert key_auto != point_key(POINT, __version__, engine="fast")
+    assert key_auto != point_key(POINT, __version__, engine="scalar-v2")
     assert key_auto != point_key(POINT, __version__, engine="scalar")
     cfg = CoreConfig(engine="scalar")
     assert point_key(POINT, __version__, base_cfg=cfg) != \
-        point_key(POINT, __version__, base_cfg=cfg, engine="fast")
+        point_key(POINT, __version__, base_cfg=cfg, engine="scalar-v2")
 
 
 def test_analytical_keys_collide_with_no_cycle_engine():
@@ -210,8 +207,7 @@ def test_analytical_keys_collide_with_no_cycle_engine():
 
 def test_new_store_is_sharded_and_files_match_key_prefixes(tmp_path):
     cache = ResultCache(tmp_path / "c")
-    assert cache.layout == "sharded"
-    points = [make_point("vecop", "baseline", n=n) for n in (16, 32, 48)]
+    points = [workload("vecop", "baseline", n=n) for n in (16, 32, 48)]
     result = execute_point(points[0])
     for point in points:
         key = point_key(point, __version__)
@@ -220,65 +216,7 @@ def test_new_store_is_sharded_and_files_match_key_prefixes(tmp_path):
             f"{key[:SHARD_PREFIX_LEN]}.jsonl"
         assert shard.exists()
         assert json.loads(shard.read_text().splitlines()[-1])["key"] == key
-    assert not (tmp_path / "c" / "results.jsonl").exists()
     assert len(ResultCache(tmp_path / "c")) == 3
-
-
-def test_existing_flat_store_stays_flat_until_migrated(tmp_path):
-    flat = ResultCache(tmp_path / "c", layout="flat")
-    assert flat.layout == "flat"
-    key = point_key(POINT, __version__)
-    flat.put(key, POINT, execute_point(POINT), 0.0, __version__)
-    assert (tmp_path / "c" / "results.jsonl").exists()
-
-    # auto-detection keeps appending to the flat file.
-    auto = ResultCache(tmp_path / "c")
-    assert auto.layout == "flat"
-    other = make_point("vecop", "baseline", n=16)
-    auto.put(point_key(other, __version__), other,
-             execute_point(other), 0.0, __version__)
-    assert not (tmp_path / "c" / "shards").exists()
-    assert len(ResultCache(tmp_path / "c")) == 2
-
-
-def test_unknown_layout_rejected(tmp_path):
-    with pytest.raises(ValueError, match="unknown cache layout"):
-        ResultCache(tmp_path / "c", layout="banked")
-
-
-def test_migrate_moves_every_record_and_is_one_way(tmp_path):
-    flat = ResultCache(tmp_path / "c", layout="flat")
-    points = [make_point("vecop", "baseline", n=n) for n in (16, 32, 48)]
-    result = execute_point(points[0])
-    records = {}
-    for point in points:
-        key = point_key(point, __version__)
-        flat.put(key, point, result, 0.0, __version__)
-        records[key] = flat.get_record(key)
-
-    stats = flat.migrate()
-    assert stats["migrated"] == 3 and stats["corrupt_lines"] == 0
-    assert flat.layout == "sharded"
-    assert not (tmp_path / "c" / "results.jsonl").exists()
-
-    migrated = ResultCache(tmp_path / "c")
-    assert migrated.layout == "sharded"
-    assert {r["key"]: r for r in migrated.records()} == records
-    # Idempotent: nothing left to migrate.
-    assert migrated.migrate()["migrated"] == 0
-
-
-def test_half_migrated_store_loses_nothing(tmp_path):
-    """Loads always read flat + shards, so a store caught mid-migration
-    (or written by mixed-era processes) still serves every record."""
-    flat = ResultCache(tmp_path / "c", layout="flat")
-    key_old = point_key(POINT, __version__)
-    flat.put(key_old, POINT, execute_point(POINT), 0.0, __version__)
-    sharded = ResultCache(tmp_path / "c", layout="sharded")
-    other = make_point("vecop", "baseline", n=16)
-    sharded.put(point_key(other, __version__), other,
-                execute_point(other), 0.0, __version__)
-    assert len(ResultCache(tmp_path / "c")) == 2
 
 
 # -- verification ---------------------------------------------------------
@@ -385,8 +323,8 @@ def test_failure_messages_are_truncated(tmp_path):
 
 
 def test_runner_records_failures_for_audits(tmp_path):
-    bad = make_point("box3d1r", "Base", grid=(2, 3, 8),
-                     overrides={"fpu_pipe_depth": -1})  # fails validate()
+    bad = workload("box3d1r", "Base", grid=(2, 3, 8),
+                   overrides={"fpu_pipe_depth": -1})  # fails validate()
     SweepRunner(cache=tmp_path / "c", workers=0).run([bad])
     SweepRunner(cache=tmp_path / "c", workers=0).run([bad])
     cache = ResultCache(tmp_path / "c")

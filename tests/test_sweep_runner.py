@@ -4,7 +4,8 @@ and the aggregation helpers over campaign outcomes."""
 import pytest
 
 from repro.core.config import CoreConfig
-from repro.eval.runner import run_stencil_variant
+from repro.api import workload
+from repro.eval.runner import execute_stencil
 from repro.isa.instructions import InstrClass
 from repro.kernels.variants import Variant
 from repro.sweep import (
@@ -13,17 +14,16 @@ from repro.sweep import (
     apply_overrides,
     best_points,
     by_kernel_variant,
-    make_point,
     preset_points,
     speedup_vs_baseline,
     summary_rows,
 )
 
 FAST_POINTS = [
-    make_point("vecop", "baseline", n=16),
-    make_point("vecop", "chaining", n=16),
-    make_point("box3d1r", "Base", grid=(2, 3, 8)),
-    make_point("box3d1r", "Chaining+", grid=(2, 3, 8)),
+    workload("vecop", "baseline", n=16),
+    workload("vecop", "chaining", n=16),
+    workload("box3d1r", "Base", grid=(2, 3, 8)),
+    workload("box3d1r", "Chaining+", grid=(2, 3, 8)),
 ]
 
 
@@ -35,8 +35,8 @@ def _fingerprint(campaign):
 
 def test_serial_matches_direct_eval_runner():
     campaign = SweepRunner(workers=0).run(
-        [make_point("box3d1r", "Chaining+", grid=(2, 3, 8))])
-    direct = run_stencil_variant(
+        [workload("box3d1r", "Chaining+", grid=(2, 3, 8))])
+    direct = execute_stencil(
         "box3d1r", Variant.CHAINING_PLUS,
         grid=campaign.outcomes[0].point.grid3d())
     res = campaign.outcomes[0].result
@@ -59,9 +59,9 @@ def test_outcomes_preserve_point_order():
 
 def test_error_isolation_keeps_campaign_alive():
     points = [
-        make_point("vecop", "chaining", n=16),
-        make_point("vecop", "chaining", n=17),  # not a depth+1 multiple
-        make_point("vecop", "baseline", n=16),
+        workload("vecop", "chaining", n=16),
+        workload("vecop", "chaining", n=17),  # not a depth+1 multiple
+        workload("vecop", "baseline", n=16),
     ]
     campaign = SweepRunner(workers=0).run(points)
     statuses = [o.status for o in campaign]
@@ -74,9 +74,9 @@ def test_error_isolation_keeps_campaign_alive():
 
 def test_error_isolation_parallel():
     points = [
-        make_point("vecop", "chaining", n=16),
-        make_point("box3d1r", "Base", grid=(2, 3, 8),
-                   overrides={"fpu_pipe_depth": -1}),
+        workload("vecop", "chaining", n=16),
+        workload("box3d1r", "Base", grid=(2, 3, 8),
+                 overrides={"fpu_pipe_depth": -1}),
     ]
     campaign = SweepRunner(workers=2).run(points)
     assert [o.status for o in campaign] == ["ok", "error"]
@@ -86,7 +86,7 @@ def test_error_isolation_parallel():
 def test_timeout_is_captured():
     # A microscopic budget trips before any simulation can finish.
     campaign = SweepRunner(workers=2, timeout=1e-6).run(
-        [make_point("vecop", "baseline", n=16)])
+        [workload("vecop", "baseline", n=16)])
     assert campaign.outcomes[0].status == "timeout"
     assert "budget" in campaign.outcomes[0].error
 
@@ -97,9 +97,9 @@ def test_timeout_budget_excludes_queue_wait():
     # queued point's clock must not start until it actually runs, so it
     # still completes instead of being falsely charged for the wait.
     points = [
-        make_point("box3d1r", "Chaining+"),  # default grid, ~2s
-        make_point("j3d27pt", "Chaining+"),  # default grid, ~2s
-        make_point("vecop", "baseline", n=16),
+        workload("box3d1r", "Chaining+"),  # default grid, ~2s
+        workload("j3d27pt", "Chaining+"),  # default grid, ~2s
+        workload("vecop", "baseline", n=16),
     ]
     campaign = SweepRunner(workers=2, timeout=0.3).run(points)
     assert [o.status for o in campaign] == ["timeout", "timeout", "ok"]
@@ -120,10 +120,10 @@ def test_apply_overrides():
 
 
 def test_depth_override_changes_behaviour():
-    deep = make_point("vecop", "baseline", n=28,
-                      overrides={"fpu_depth": 6})
-    shallow = make_point("vecop", "baseline", n=28,
-                         overrides={"fpu_depth": 1})
+    deep = workload("vecop", "baseline", n=28,
+                    overrides={"fpu_depth": 6})
+    shallow = workload("vecop", "baseline", n=28,
+                       overrides={"fpu_depth": 1})
     campaign = SweepRunner(workers=0).run([deep, shallow])
     campaign.raise_on_failure()
     by_point = campaign.results()
@@ -151,7 +151,7 @@ def test_spec_input_accepted_directly():
 
 
 def test_aggregation_helpers():
-    points = [make_point(kernel, variant, grid=(2, 3, 8))
+    points = [workload(kernel, variant, grid=(2, 3, 8))
               for kernel in ("box3d1r", "j2d5pt")
               for variant in ("Base", "Chaining+")]
     campaign = SweepRunner(workers=0).run(points)
@@ -177,15 +177,15 @@ def test_aggregation_helpers():
 
 
 def test_engine_selection_is_bit_identical():
-    """`repro sweep --engine {fast,scalar}` must not change a single
+    """`repro sweep --engine {auto,scalar}` must not change a single
     reported number -- only the wall clock."""
-    point = make_point("vecop", "chaining", n=256, loop_mode="frep")
+    point = workload("vecop", "chaining", n=256, loop_mode="frep")
     results = {
         engine: SweepRunner(workers=0, engine=engine).run([point])
         .outcomes[0].result
-        for engine in ("scalar", "fast")
+        for engine in ("scalar", "auto")
     }
-    a, b = results["scalar"], results["fast"]
+    a, b = results["scalar"], results["auto"]
     assert a.cycles == b.cycles
     assert a.region_cycles == b.region_cycles
     assert a.fpu_utilization == b.fpu_utilization
@@ -194,16 +194,16 @@ def test_engine_selection_is_bit_identical():
 
 
 def test_engine_override_axis():
-    point = make_point("vecop", "chaining", n=64,
-                       overrides={"engine": "scalar"})
+    point = workload("vecop", "chaining", n=64,
+                     overrides={"engine": "scalar"})
     campaign = SweepRunner(workers=0).run([point])
     campaign.raise_on_failure()
     assert campaign.outcomes[0].result.correct
 
     import pytest
     with pytest.raises(ValueError, match="engine"):
-        make_point("vecop", "chaining", n=64,
-                   overrides={"engine": "warp"})
+        workload("vecop", "chaining", n=64,
+                 overrides={"engine": "warp"})
 
 
 def test_runner_rejects_unknown_engine():

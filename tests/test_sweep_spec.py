@@ -7,7 +7,8 @@ import pytest
 from repro.kernels.layout import Grid3d
 from repro.kernels.variants import Variant
 from repro.kernels.vecop import VecopVariant
-from repro.sweep.spec import Point, SweepSpec, make_point
+from repro.api import Workload, workload
+from repro.sweep.spec import SweepSpec
 
 
 def test_default_spec_is_fig3():
@@ -43,11 +44,11 @@ def test_mixed_kinds_filter_variants():
 
 def test_unknown_names_rejected():
     with pytest.raises(ValueError, match="unknown kernel"):
-        make_point("nope", "Base")
+        workload("nope", "Base")
     with pytest.raises(ValueError, match="unknown variant"):
-        make_point("box3d1r", "Turbo")
+        workload("box3d1r", "Turbo")
     with pytest.raises(ValueError, match="unknown config override"):
-        make_point("box3d1r", "Base", overrides={"warp_drive": 9})
+        workload("box3d1r", "Base", overrides={"warp_drive": 9})
     with pytest.raises(ValueError, match="unknown spec keys"):
         SweepSpec.from_dict({"kernles": ["box3d1r"]})
 
@@ -55,24 +56,24 @@ def test_unknown_names_rejected():
 def test_inapplicable_axes_rejected():
     # They would mint distinct cache keys for identical simulations.
     with pytest.raises(ValueError, match="not grid/unroll"):
-        make_point("vecop", "baseline", grid=(2, 3, 8))
+        workload("vecop", "baseline", grid=(2, 3, 8))
     with pytest.raises(ValueError, match="not grid/unroll"):
-        make_point("vecop", "baseline", unroll=2)
+        workload("vecop", "baseline", unroll=2)
     with pytest.raises(ValueError, match="not n/loop_mode"):
-        make_point("box3d1r", "Base", n=64)
+        workload("box3d1r", "Base", n=64)
 
 
 def test_variant_spellings_normalize():
-    assert make_point("box3d1r", "chaining+").variant == "Chaining+"
-    assert make_point("box3d1r", Variant.BASE_MM).variant == "Base--"
-    assert make_point("vecop", VecopVariant.UNROLLED).variant == "unrolled"
-    assert make_point("vecop", "Baseline").variant == "baseline"
+    assert workload("box3d1r", "chaining+").variant == "Chaining+"
+    assert workload("box3d1r", Variant.BASE_MM).variant == "Base--"
+    assert workload("vecop", VecopVariant.UNROLLED).variant == "unrolled"
+    assert workload("vecop", "Baseline").variant == "baseline"
 
 
 def test_ambiguous_chaining_resolves_per_kind():
     # "chaining" names a variant in BOTH kinds; each kernel gets its own.
-    assert make_point("box3d1r", "chaining").variant == "Chaining"
-    assert make_point("vecop", "chaining").variant == "chaining"
+    assert workload("box3d1r", "chaining").variant == "Chaining"
+    assert workload("vecop", "chaining").variant == "chaining"
     spec = SweepSpec(kernels=("box3d1r", "vecop"),
                      variants=("chaining", "base"),
                      ns=(16,), grids=((2, 3, 8),))
@@ -81,22 +82,22 @@ def test_ambiguous_chaining_resolves_per_kind():
                      ("vecop", "chaining")}
     # An enum stays pinned to its own kind even for vecop kernels.
     with pytest.raises(ValueError, match="unknown variant"):
-        make_point("vecop", Variant.CHAINING)
+        workload("vecop", Variant.CHAINING)
 
 
 def test_canonical_roundtrip_and_override_order():
-    a = make_point("box3d1r", "Base", grid=Grid3d(nz=2, ny=3, nx=8),
-                   overrides={"tcdm_banks": 16, "ssr_fifo_depth": 8})
-    b = make_point("box3d1r", "Base", grid=(2, 3, 8),
-                   overrides={"ssr_fifo_depth": 8, "tcdm_banks": 16})
+    a = workload("box3d1r", "Base", grid=Grid3d(nz=2, ny=3, nx=8),
+                 overrides={"tcdm_banks": 16, "ssr_fifo_depth": 8})
+    b = workload("box3d1r", "Base", grid=(2, 3, 8),
+                 overrides={"ssr_fifo_depth": 8, "tcdm_banks": 16})
     assert a == b  # overrides sorted, grids normalized
-    assert Point.from_canonical(a.canonical()) == a
+    assert Workload.from_canonical(a.canonical()) == a
     assert json.dumps(a.canonical(), sort_keys=True) == \
         json.dumps(b.canonical(), sort_keys=True)
 
 
 def test_grid3d_reconstruction_keeps_radius():
-    p = make_point("box3d1r", "Base", grid=Grid3d(nz=2, ny=3, nx=8,
+    p = workload("box3d1r", "Base", grid=Grid3d(nz=2, ny=3, nx=8,
                                                   radius=2))
     assert p.grid == (2, 3, 8, 2)
     assert p.grid3d() == Grid3d(nz=2, ny=3, nx=8, radius=2)
@@ -135,8 +136,8 @@ def test_spec_from_files(tmp_path):
 
 
 def test_labels_are_informative():
-    p = make_point("box3d1r", "Chaining+", grid=(2, 3, 8), unroll=4,
-                   overrides={"tcdm_banks": 16})
+    p = workload("box3d1r", "Chaining+", grid=(2, 3, 8), unroll=4,
+                 overrides={"tcdm_banks": 16})
     assert "box3d1r/Chaining+" in p.label
     assert "2x3x8" in p.label
     assert "tcdm_banks=16" in p.label

@@ -15,7 +15,10 @@ import numpy as np
 import pytest
 
 from repro.core.config import CoreConfig, SystemConfig
-from repro.eval.system_runner import make_system_config, run_system_stencil
+from repro.eval.system_runner import (
+    execute_system_stencil,
+    make_system_config,
+)
 from repro.kernels.layout import Grid3d
 from repro.kernels.partition import (
     build_partitioned_stencil,
@@ -92,12 +95,12 @@ def test_base_variant_and_single_sweep_also_differential():
 def test_single_sweep_interior_matches_classic_kernel():
     """iters=1 partitioned interior == the classic single-cluster
     kernel's interior (the pre-system reference path)."""
-    from repro.eval.runner import run_stencil_variant
+    from repro.eval.runner import execute_stencil
 
     spec, _ = get_stencil("j3d27pt")
     assert np.array_equal(iterated_golden(spec, GRID.make_input(1), 1),
                           _run("j3d27pt", 2, "auto", iters=1)[1])
-    classic = run_stencil_variant("j3d27pt", VARIANT, grid=GRID)
+    classic = execute_stencil("j3d27pt", VARIANT, grid=GRID)
     assert classic.correct  # classic harness checks its own golden
     out, _, _ = _run("j3d27pt", 2, "auto", iters=1)
     r = GRID.radius
@@ -125,17 +128,18 @@ def test_split_slabs_rejects_too_many_clusters():
 
 
 def test_run_system_stencil_metrics():
-    """The sweep-facing wrapper: correctness flag, aggregate metrics,
-    and the system meta the report layer consumes."""
-    result = run_system_stencil("j3d27pt", VARIANT, grid=GRID,
-                                num_clusters=2, iters=ITERS)
+    """The sweep-facing backend: correctness flag, aggregate metrics,
+    and the typed system sub-report the report layer consumes."""
+    result = execute_system_stencil("j3d27pt", VARIANT, grid=GRID,
+                                    num_clusters=2, iters=ITERS)
     assert result.correct
-    assert result.cycles == max(result.meta["per_cluster_cycles"])
-    assert len(result.meta["per_cluster_cycles"]) == 2
-    assert result.meta["num_clusters"] == 2
-    assert result.meta["sys_barriers"] == ITERS - 1
-    assert result.meta["gmem_bytes_read"] > 0
-    assert result.meta["gmem_bytes_written"] > 0
+    report = result.system
+    assert result.cycles == max(report.per_cluster_cycles)
+    assert len(report.per_cluster_cycles) == 2
+    assert report.num_clusters == 2
+    assert report.sys_barriers == ITERS - 1
+    assert report.gmem_bytes_read > 0
+    assert report.gmem_bytes_written > 0
     assert 0.0 < result.fpu_utilization <= 1.0
     assert result.energy.breakdown["gmem"] > 0
     assert result.energy.breakdown["uncore_static"] > 0
@@ -145,9 +149,9 @@ def test_strong_scaling_speeds_up():
     """More clusters must reduce wall cycles on the fixed grid."""
     cycles = {}
     for num_clusters in CLUSTER_COUNTS:
-        result = run_system_stencil("box3d1r", VARIANT, grid=GRID,
-                                    num_clusters=num_clusters,
-                                    iters=ITERS)
+        result = execute_system_stencil("box3d1r", VARIANT, grid=GRID,
+                                        num_clusters=num_clusters,
+                                        iters=ITERS)
         cycles[num_clusters] = result.cycles
     assert cycles[2] < cycles[1]
     assert cycles[4] < cycles[2]
@@ -156,16 +160,16 @@ def test_strong_scaling_speeds_up():
 def test_interconnect_contention_and_latency_are_modelled():
     """Squeezing global bandwidth and raising latency must cost cycles
     (the interconnect/bandwidth ablation axis is real, not cosmetic)."""
-    fast = run_system_stencil(
+    fast = execute_system_stencil(
         "box3d1r", VARIANT, grid=GRID, num_clusters=2, iters=ITERS,
         sys_cfg=make_system_config(2, gmem_banks=8, gmem_latency=0))
-    slow = run_system_stencil(
+    slow = execute_system_stencil(
         "box3d1r", VARIANT, grid=GRID, num_clusters=2, iters=ITERS,
         sys_cfg=make_system_config(2, gmem_banks=1, gmem_latency=200))
     assert slow.cycles > fast.cycles
     assert slow.correct and fast.correct
-    assert slow.meta["gmem_latency_cycles"] > \
-        fast.meta["gmem_latency_cycles"]
+    assert slow.system.gmem_latency_cycles > \
+        fast.system.gmem_latency_cycles
 
 
 @pytest.mark.parametrize("latency", [0, 5, 20])
