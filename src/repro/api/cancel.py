@@ -37,12 +37,6 @@ class CancelToken:
     def cancelled(self) -> bool:
         return self._event.is_set()
 
-    def wait(self, timeout: float | None = None) -> bool:
-        """Block until the token trips (or ``timeout``); returns the
-        tripped state.  Used by watcher threads that must react to
-        cancellation *promptly* rather than at the next poll point."""
-        return self._event.wait(timeout)
-
     def __bool__(self) -> bool:
         # A token is always truthy (present); use .cancelled for state.
         return True

@@ -18,7 +18,9 @@ unification.)
 
 Construct through :func:`workload` (alias :func:`make_workload`), which
 validates every axis eagerly with error messages listing the valid
-values.
+values; :meth:`Workload.from_canonical` decodes the wire and journal
+form through the same function.  Every rejection is a
+:class:`FieldError` naming the field it rejects.
 """
 
 from __future__ import annotations
@@ -52,6 +54,22 @@ SYSTEM_FIELDS = frozenset({
     "num_clusters", "iters", "gmem_banks", "gmem_bank_bytes_per_cycle",
     "gmem_latency", "link_bytes_per_cycle", "gmem_size",
 })
+
+
+class FieldError(ValueError):
+    """A rejected workload field: ``field`` names it, the message why."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
+def _checked(field: str, normalize, *args):
+    """``normalize(*args)``, any rejection re-raised naming ``field``."""
+    try:
+        return normalize(*args)
+    except (TypeError, ValueError) as exc:
+        raise FieldError(field, str(exc)) from None
 
 
 def _normalize_grid(grid) -> tuple[int, ...] | None:
@@ -88,7 +106,6 @@ def _normalize_system(system) -> tuple[tuple[str, int], ...]:
     if not system:
         return ()
     items = dict(system).items()
-    out = []
     for key, value in items:
         if key not in SYSTEM_FIELDS:
             raise ValueError(
@@ -97,8 +114,7 @@ def _normalize_system(system) -> tuple[tuple[str, int], ...]:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(
                 f"system axis {key}={value!r} must be an integer")
-        out.append((key, value))
-    return tuple(sorted(out))
+    return tuple(sorted(items))
 
 
 @dataclass(frozen=True)
@@ -178,16 +194,23 @@ class Workload:
 
     @classmethod
     def from_canonical(cls, data: dict) -> "Workload":
-        return cls(
-            kernel=data["kernel"],
-            variant=data["variant"],
-            grid=tuple(data["grid"]) if data.get("grid") else None,
-            n=data.get("n"),
-            loop_mode=data.get("loop_mode"),
-            unroll=data.get("unroll"),
-            overrides=tuple((k, v) for k, v in data.get("overrides", ())),
-            system=tuple((k, v) for k, v in data.get("system", ())),
-        )
+        """Decode the :meth:`canonical` form (the HTTP wire and job
+        journal payload) through :func:`workload`: unknown keys, a
+        missing ``kernel``/``variant`` and invalid axes raise
+        :class:`FieldError`, and permuted overrides decode alike."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a workload must be an object, got "
+                             f"{type(data).__name__}")
+        known = [f.name for f in dataclass_fields(cls)]
+        for name in data:
+            if name not in known:
+                raise FieldError(
+                    str(name), f"unknown workload field {name!r}; choose "
+                               f"from: {', '.join(known)}")
+        for name in ("kernel", "variant"):
+            if name not in data:
+                raise FieldError(name, f"missing required field {name!r}")
+        return workload(**data)
 
     @property
     def label(self) -> str:
@@ -218,48 +241,51 @@ def workload(kernel: str, variant, grid=None, n=None, loop_mode=None,
     ``system``, so the convenience keywords change nothing about the
     canonical form or the cache key.
     """
-    kernel = parse_kernel(kernel)
+    kernel = _checked("kernel", parse_kernel, kernel)
     is_vecop = kernel == VECOP_KERNEL
-    label = parse_variant(variant, kernel)
+    label = _checked("variant", parse_variant, variant, kernel)
     if engine is not None:
-        overrides = dict(overrides or {})
+        overrides = _checked("overrides", dict, overrides or {})
         if "engine" in overrides and overrides["engine"] != engine:
-            raise ValueError(
-                f"conflicting engines: overrides say "
+            raise FieldError(
+                "engine", f"conflicting engines: overrides say "
                 f"{overrides['engine']!r}, keyword says {engine!r}")
-        overrides["engine"] = parse_engine(engine)
+        overrides["engine"] = _checked("engine", parse_engine, engine)
     if num_clusters is not None or iters is not None:
-        system = dict(system or {})
+        system = _checked("system", dict, system or {})
         for key, value in (("num_clusters", num_clusters),
                            ("iters", iters)):
             if value is None:
                 continue
             if key in system and system[key] != value:
-                raise ValueError(
-                    f"conflicting {key}: system axes say "
+                raise FieldError(
+                    "system", f"conflicting {key}: system axes say "
                     f"{system[key]!r}, keyword says {value!r}")
             system[key] = value
     # Inapplicable axes would create distinct cache keys (and labels)
     # for identical simulations, so they are rejected outright.
     if is_vecop and (grid is not None or unroll is not None):
-        raise ValueError(
+        raise FieldError(
+            "grid" if grid is not None else "unroll",
             f"kernel {kernel!r} takes n/loop_mode, not grid/unroll")
     if not is_vecop and (n is not None or loop_mode is not None):
-        raise ValueError(
+        raise FieldError(
+            "n" if n is not None else "loop_mode",
             f"kernel {kernel!r} takes grid/unroll, not n/loop_mode")
     if is_vecop and system:
-        raise ValueError(
-            f"kernel {kernel!r} cannot take system axes; domain "
-            f"decomposition applies to stencil kernels only")
+        raise FieldError(
+            "system", f"kernel {kernel!r} cannot take system axes; "
+            f"domain decomposition applies to stencil kernels only")
     return Workload(
         kernel=kernel,
         variant=label,
-        grid=_normalize_grid(grid),
-        n=int(n) if n is not None else None,
+        grid=_checked("grid", _normalize_grid, grid),
+        n=_checked("n", int, n) if n is not None else None,
         loop_mode=str(loop_mode) if loop_mode is not None else None,
-        unroll=int(unroll) if unroll is not None else None,
-        overrides=_normalize_overrides(overrides),
-        system=_normalize_system(system),
+        unroll=_checked("unroll", int, unroll)
+        if unroll is not None else None,
+        overrides=_checked("overrides", _normalize_overrides, overrides),
+        system=_checked("system", _normalize_system, system),
     )
 
 

@@ -28,6 +28,7 @@ name                      type         meaning
 ``serve.cache_hits``      counter      serve points answered from cache
 ``serve.dedup_hits``      counter      points coalesced onto in-flight keys
 ``serve.executions``      counter      simulations dispatched to the pool
+``serve.worker_crashes``  counter      pool workers that died (replaced)
 ``serve.jobs_done``       counter      jobs finished clean (also
                                        ``_error``/``_timeout``/``_cancelled``)
 ``serve.queue_depth``     gauge        undispatched unique points

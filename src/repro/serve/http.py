@@ -11,7 +11,7 @@ audit.  Endpoints (all JSON, wire schema of results =
 ``GET  /v1/jobs/{id}``                 job status + per-point results
 ``GET  /v1/jobs/{id}/events``          NDJSON progress stream
 ``POST /v1/jobs/{id}/cancel``          cooperative cancellation
-``GET  /v1/healthz``                   liveness + version
+``GET  /v1/healthz``                   capacity; 503 once shut down
 ``GET  /v1/metrics``                   obs registry + ``serve.*`` gauges
 =====================================  ==================================
 
@@ -24,7 +24,7 @@ import asyncio
 import json
 from pathlib import Path
 
-from repro.api.workloads import Workload
+from repro.api.workloads import FieldError, Workload
 from repro.obs.metrics import METRICS
 from repro.serve.scheduler import QueueFull, Scheduler
 
@@ -37,16 +37,26 @@ _EVENT_POLL_SECONDS = 0.05
 
 
 def _parse_workloads(body: dict) -> list[Workload]:
-    """Accept ``{"workload": {...}}`` or ``{"workloads": [{...}]}``."""
+    """Accept ``{"workload": {...}}`` or ``{"workloads": [{...}]}``;
+    a rejected field is named as ``workloads[i].<field>``."""
     if "workload" in body:
-        raw = [body["workload"]]
+        named = [("workload", body["workload"])]
     elif "workloads" in body:
         raw = body["workloads"]
         if not isinstance(raw, list) or not raw:
             raise ValueError("'workloads' must be a non-empty list")
+        named = [(f"workloads[{i}]", item) for i, item in enumerate(raw)]
     else:
         raise ValueError("body needs 'workload' or 'workloads'")
-    return [Workload.from_canonical(item) for item in raw]
+    workloads = []
+    for where, item in named:
+        try:
+            workloads.append(Workload.from_canonical(item))
+        except FieldError as exc:
+            raise ValueError(f"{where}.{exc.field}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    return workloads
 
 
 class ReproServer:
@@ -158,8 +168,9 @@ class ReproServer:
         path = path.split("?", 1)[0].rstrip("/")
         if method == "GET" and path == "/v1/healthz":
             from repro import __version__
-            return await self._json(writer, 200, {
-                "ok": True, "version": __version__})
+            health = self.scheduler.health()
+            return await self._json(writer, 200 if health["ok"] else 503,
+                                    {**health, "version": __version__})
         if method == "GET" and path == "/v1/metrics":
             return await self._json(writer, 200, {
                 "serve": self.scheduler.metrics(),

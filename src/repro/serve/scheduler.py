@@ -10,11 +10,12 @@ zero simulations.  Every submitted point is resolved in this order:
    N concurrent submissions of one identical workload run exactly one
    simulation, and all N observe the same bit-identical record.
 3. **Dispatch** -- everything else enters a priority heap
-   (``(priority, submit-seq)`` order, bounded by ``max_queue``) and is
-   bridged onto a :class:`~concurrent.futures.ProcessPoolExecutor`
-   running the sweep engine's own
-   :func:`~repro.sweep.runner.point_worker` (same in-worker SIGALRM
-   timeout, same result/failure records as a local campaign).
+   (``(priority, submit-seq)`` order, bounded by ``max_queue``); at
+   most ``workers`` points run at once on the sweep engine's own
+   :class:`~repro.sweep.runner.WorkerPool` (same in-worker SIGALRM
+   timeout, same self-healing on a dead worker, same result/failure
+   records through :func:`~repro.sweep.runner.record_outcome` as a
+   local campaign), the next one dispatched from each completion.
 
 All state transitions are journaled through the
 :class:`~repro.serve.jobs.JobStore`; results never are -- the cache is
@@ -27,9 +28,8 @@ import heapq
 import itertools
 import threading
 import time
-import traceback
-from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.api.session import Session
 from repro.api.workloads import Workload
@@ -37,7 +37,7 @@ from repro.obs import spans as _obs
 from repro.obs.metrics import METRICS
 from repro.serve.jobs import Job, JobStore, new_job_id
 from repro.sweep.cache import package_version
-from repro.sweep.runner import _pool_worker_init, point_worker
+from repro.sweep.runner import Outcome, WorkerPool, record_outcome
 
 __all__ = ["QueueFull", "Scheduler", "SERVE_COUNTERS"]
 
@@ -46,6 +46,7 @@ __all__ = ["QueueFull", "Scheduler", "SERVE_COUNTERS"]
 SERVE_COUNTERS = (
     "requests", "cache_hits", "dedup_hits", "executions",
     "jobs_done", "jobs_error", "jobs_timeout", "jobs_cancelled",
+    "worker_crashes",
 )
 
 
@@ -62,16 +63,16 @@ class _Task:
     timeout: float | None
     #: ``(job_id, point_index)`` pairs to fan the record out to.
     subscribers: list[tuple[str, int]] = field(default_factory=list)
-    future: Future | None = None
-    cancelled: bool = False
+    running: bool = False
 
 
 class Scheduler:
     """Bridge between job submissions and the simulation pool.
 
     Thread-safe: submissions arrive from the asyncio event loop,
-    completions from executor callback threads, all serialized by one
-    lock (every hold is short -- key hashing, dict/heap bookkeeping).
+    completions from pool threads, all serialized by one lock (every
+    hold is short -- key hashing, dict/heap bookkeeping, one store
+    append).
     """
 
     def __init__(self, session: Session, store: JobStore, *,
@@ -85,8 +86,8 @@ class Scheduler:
         self.max_queue = max_queue
         import os
         self.workers = workers or session.workers or os.cpu_count() or 1
-        self._executor = ProcessPoolExecutor(
-            max_workers=self.workers, initializer=_pool_worker_init)
+        self._pool = WorkerPool(self.workers, session.cfg,
+                                session.max_cycles, session.engine)
         self._lock = threading.RLock()
         self._tasks: dict[str, _Task] = {}
         self._heap: list[tuple[int, int, str]] = []
@@ -104,9 +105,25 @@ class Scheduler:
         if _obs.ENABLED:
             METRICS.inc(f"serve.{name}", value)
 
+    def _sync_crashes(self) -> None:
+        # Callers hold self._lock.  The pool counts worker deaths.
+        self._count("worker_crashes",
+                    self._pool.crashes - self.counters["worker_crashes"])
+
+    def health(self) -> dict:
+        """Capacity snapshot for ``/v1/healthz``; ``ok`` turns false
+        once the scheduler has shut down and can run no more jobs."""
+        with self._lock:
+            self._sync_crashes()
+            return {"ok": not self._shutdown, "workers": self.workers,
+                    "inflight": self._inflight,
+                    "queue_depth": self._queued,
+                    "worker_crashes": self.counters["worker_crashes"]}
+
     def metrics(self) -> dict:
         """JSON-ready ``serve.*`` snapshot (counters + live gauges)."""
         with self._lock:
+            self._sync_crashes()
             snap = {f"serve.{k}": v for k, v in self.counters.items()}
             snap["serve.queue_depth"] = self._queued
             snap["serve.inflight"] = self._inflight
@@ -216,43 +233,41 @@ class Scheduler:
         # Callers hold self._lock.
         if self._shutdown:  # a late _on_done must not resubmit
             return
-        session = self.session
         while self._inflight < self.workers and self._heap:
             _, _, key = heapq.heappop(self._heap)
             task = self._tasks.get(key)
-            if task is None or task.cancelled or task.future is not None:
+            if task is None or task.running:
                 continue
             self._queued -= 1
             self._count("executions")
-            task.future = self._executor.submit(
-                point_worker, task.workload, session.cfg,
-                session.max_cycles, task.timeout, session.engine,
-                _obs.sink_dir())
+            task.running = True
             self._inflight += 1
             for job_id, _ in task.subscribers:
                 job = self.store.get(job_id)
                 if job is not None and job.status == "queued":
                     self.store.set_status(job, "running")
                     job.add_event("running")
-            task.future.add_done_callback(
-                lambda fut, key=key: self._on_done(key, fut))
+            self._pool.submit(task.workload, task.timeout,
+                              partial(self._on_done, key))
 
-    def _on_done(self, key: str, future: Future) -> None:
-        # Runs on an executor callback thread.
-        try:
-            status, payload, seconds = future.result()
-        except CancelledError:
-            status, payload, seconds = "cancelled", "cancelled", None
-        except Exception:
-            status, payload, seconds = ("error", traceback.format_exc(),
-                                        None)
+    def _on_done(self, key: str, status: str, payload,
+                 seconds: float) -> None:
+        # Runs on a pool thread.  After shutdown an outcome still
+        # reaches the store, but jobs keep their journaled
+        # "interrupted": the next boot resolves them from the store.
         with self._lock:
-            task = self._tasks.pop(key, None)
+            task = self._tasks.pop(key)
             self._inflight -= 1
-            if task is None:  # cancelled away entirely
-                self._dispatch()
+            self._sync_crashes()
+            outcome = Outcome.from_worker(task.workload, key, status,
+                                          payload, seconds)
+            record_outcome(self.session.cache, outcome, package_version())
+            if self._shutdown:
                 return
-            record = self._record(task, status, payload, seconds)
+            record = {"status": status, "key": key, "cached": False,
+                      "seconds": seconds, "error": outcome.error,
+                      "result": outcome.result.to_dict()
+                      if outcome.ok else None}
             for job_id, index in task.subscribers:
                 job = self.store.get(job_id)
                 if job is None or job.results[index] is not None:
@@ -263,24 +278,6 @@ class Scheduler:
                 if job.done_count == len(job.workloads):
                     self._finalize(job)
             self._dispatch()
-
-    def _record(self, task: _Task, status: str, payload,
-                seconds: float | None) -> dict:
-        # Callers hold self._lock.
-        cache = self.session.cache
-        version = package_version()
-        if status == "ok":
-            cache.put(task.key, task.workload, payload,
-                      seconds or 0.0, version)
-            return {"status": "ok", "key": task.key, "cached": False,
-                    "seconds": seconds, "result": payload.to_dict(),
-                    "error": None}
-        if status in ("error", "timeout"):
-            cache.put_failure(task.key, task.workload, status,
-                              str(payload), seconds or 0.0, version)
-        return {"status": status, "key": task.key, "cached": False,
-                "seconds": seconds, "result": None,
-                "error": str(payload)}
 
     def _finalize(self, job: Job) -> None:
         # Callers hold self._lock.  Worst point status wins.
@@ -310,29 +307,21 @@ class Scheduler:
     # -- cancellation and shutdown ------------------------------------------
 
     def cancel(self, job_id: str) -> Job | None:
-        """Cooperatively cancel a job.  Pending points are dropped,
-        running points shared with *other* jobs keep going (their
-        results still land in the cache); a running point this job
-        exclusively owns is cancelled if it has not started.  Returns
-        the job, or ``None`` if unknown; terminal jobs are a no-op."""
+        """Cooperatively cancel a job.  Pending points this job alone
+        waits on are dropped; running points keep going (their results
+        still land in the cache, and a later identical submission
+        coalesces onto them).  Returns the job, or ``None`` if unknown;
+        terminal jobs are a no-op."""
         with self._lock:
             job = self.store.get(job_id)
             if job is None or job.terminal:
                 return job
             for key, task in list(self._tasks.items()):
-                mine = [(jid, idx) for jid, idx in task.subscribers
-                        if jid == job_id]
-                if not mine:
-                    continue
                 task.subscribers = [s for s in task.subscribers
                                     if s[0] != job_id]
-                if not task.subscribers:
-                    task.cancelled = True
-                    if task.future is None:
-                        del self._tasks[key]  # heap entry skips lazily
-                        self._queued -= 1
-                    elif task.future.cancel():
-                        self._tasks.pop(key, None)
+                if not task.subscribers and not task.running:
+                    del self._tasks[key]  # heap entry skips lazily
+                    self._queued -= 1
             for index, record in enumerate(job.results):
                 if record is None:
                     job.results[index] = {
@@ -347,7 +336,8 @@ class Scheduler:
 
     def shutdown(self, wait: bool = False) -> None:
         """Stop dispatching and journal every live job as interrupted
-        (non-terminal: the next boot re-enqueues them)."""
+        (non-terminal: the next boot re-enqueues them).  Running points
+        finish into the store; ``wait`` blocks until they have."""
         with self._lock:
             if self._shutdown:
                 return
@@ -355,4 +345,4 @@ class Scheduler:
             for job in self.store.jobs.values():
                 if not job.terminal:
                     self.store.set_status(job, "interrupted")
-        self._executor.shutdown(wait=wait, cancel_futures=True)
+        self._pool.close(wait=wait)

@@ -43,7 +43,6 @@ from repro.sweep.runner import (
     Outcome,
     SweepRunner,
     apply_overrides,
-    execute_point,
 )
 from repro.sweep.spec import (
     SweepSpec,
@@ -71,7 +70,6 @@ __all__ = [
     "audit_campaign",
     "best_points",
     "by_kernel_variant",
-    "execute_point",
     "group_by",
     "make_workload",
     "normalize_variant",

@@ -1,36 +1,40 @@
 """Campaign execution: serial or process-parallel, with result caching.
 
 Each simulation is a single-threaded pure-Python :class:`Cluster` run, so
-fanning points out over a :class:`~concurrent.futures.ProcessPoolExecutor`
-is a near-linear wall-clock win on multi-core hosts.  The parent process
-owns the cache; workers only compute and return picklable results, so
-there is exactly one writer and no lock file.
+fanning points out over worker processes is a near-linear wall-clock win
+on multi-core hosts.  :class:`WorkerPool`, the one owner of those
+processes, runs both campaigns and the serve scheduler.  The parent
+process owns the cache; workers only compute and return picklable
+results, so there is exactly one writer and no lock file.
 
-Failure isolation: a point that raises is captured as an ``"error"``
-outcome with its traceback, and a broken pool marks the remaining
-points instead of raising.  One bad point cannot sink a campaign.
-
-The per-point ``timeout`` is enforced *inside* the executing process
-via ``SIGALRM`` (wall-clock, measured from the point's actual execution
-start -- queue wait behind slow siblings is never charged), so a
-timed-out worker survives and immediately picks up the next point.  A
-generous parent-side backstop still abandons workers that hang somewhere
+Failure isolation: a point that raises is an ``"error"`` outcome with
+its traceback, and a worker that dies is replaced and its point re-run
+(see :class:`WorkerPool`).  The per-point ``timeout`` is enforced
+*inside* the executing process via ``SIGALRM`` (wall-clock from the
+point's own start), so a timed-out worker survives and picks up the
+next point; a parent-side backstop kills a worker that hangs somewhere
 signals cannot reach.
 """
 
 from __future__ import annotations
 
+import os
+import queue
 import signal
+import stat
 import threading
 import time
 import traceback
+from collections import deque
+from collections.abc import Callable
 from concurrent.futures import (
     BrokenExecutor,
     CancelledError,
+    Future,
     ProcessPoolExecutor,
 )
-from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.api.cancel import CancelToken
 from repro.api.execute import (
@@ -50,25 +54,29 @@ from repro.sweep.spec import SweepSpec
 __all__ = [
     "Campaign",
     "DEFAULT_MAX_CYCLES",
+    "MAX_WORKER_CRASHES",
     "Outcome",
     "SweepRunner",
+    "WorkerPool",
     "apply_overrides",
-    "execute_point",
     "point_worker",
+    "record_outcome",
 ]
 
-#: Pre-1.5 name of :func:`repro.api.execute.execute_workload` (same
-#: function; the unit of work was renamed Point -> Workload).
-execute_point = execute_workload
+#: Worker deaths in a row one point may cause before it becomes an
+#: ``"error"`` outcome: enough to ride out a worker lost to a stray
+#: signal or the OOM killer, few enough that a point which kills every
+#: worker it lands on ("poison") cannot retry forever.
+MAX_WORKER_CRASHES = 3
+
+#: Seconds the parent-side hung-worker backstop waits beyond three times
+#: a point's timeout before it kills the worker (the real budget is the
+#: in-worker SIGALRM; the slack absorbs worker start-up).
+BACKSTOP_SLACK_S = 30.0
 
 
 class _PointTimeout(Exception):
     """Raised by the SIGALRM handler when a point's budget expires."""
-
-
-class _PoolWedged(Exception):
-    """A queued future can no longer start: its slot is held by an
-    abandoned (signal-immune) worker."""
 
 
 def _raise_point_timeout(signum, frame):
@@ -79,9 +87,24 @@ def _pool_worker_init() -> None:
     """Pool workers ignore SIGINT: a terminal Ctrl-C reaches the whole
     process group, and the *parent* owns the shutdown story (cooperative
     cancellation or a clean drain) -- a worker that dies mid-point to
-    the shared signal would break the pool instead.  Workers stay bound
-    by their per-point SIGALRM budgets and die with the parent."""
+    the shared signal would count as a crash instead.  Workers stay
+    bound by their per-point SIGALRM budgets and die with the parent.
+
+    A forked worker also closes every socket it inherited: a worker
+    forked while ``repro serve`` streams a job's events would otherwise
+    hold that connection open after the server closes it.  Workers talk
+    to the parent over pipes only."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        fds = [int(fd) for fd in os.listdir("/dev/fd")]
+    except OSError:  # no descriptor directory on this platform
+        fds = []
+    for fd in fds:
+        try:
+            if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.close(fd)
+        except OSError:  # the descriptor listdir itself used
+            pass
 
 
 def point_worker(point: Workload, base_cfg: CoreConfig | None,
@@ -112,13 +135,13 @@ def point_worker(point: Workload, base_cfg: CoreConfig | None,
         if _obs.ENABLED:
             with _obs.tracer().span("sweep.point", "sweep",
                                     args={"point": point.label}) as sargs:
-                result = execute_point(point, base_cfg=base_cfg,
-                                       max_cycles=max_cycles,
-                                       engine=engine)
+                result = execute_workload(point, base_cfg=base_cfg,
+                                          max_cycles=max_cycles,
+                                          engine=engine)
                 sargs["status"] = "ok"
         else:
-            result = execute_point(point, base_cfg=base_cfg,
-                                   max_cycles=max_cycles, engine=engine)
+            result = execute_workload(point, base_cfg=base_cfg,
+                                      max_cycles=max_cycles, engine=engine)
         return "ok", result, time.perf_counter() - start
     except _PointTimeout:
         return "timeout", f"exceeded {timeout}s budget", \
@@ -131,9 +154,188 @@ def point_worker(point: Workload, base_cfg: CoreConfig | None,
             signal.signal(signal.SIGALRM, old_handler)
 
 
-#: Pre-1.9 private name of :func:`point_worker` (same function; it went
-#: public as the serve layer's executor-bridge entry point).
-_worker = point_worker
+@dataclass(eq=False)
+class _Slot:
+    """One worker process; ``future`` is set while it runs a point."""
+
+    executor: ProcessPoolExecutor | None = None
+    future: Future | None = None
+    point: Workload | None = None
+    timeout: float | None = None
+    done: Callable[[str, object, float], None] | None = None
+    start: float = 0.0
+    crashes: int = 0
+    backstop: threading.Timer | None = None
+
+
+class WorkerPool:
+    """The one owner of simulation worker processes.
+
+    Each of the ``workers`` slots is a single-process executor running
+    :func:`point_worker` bound to one session's ``base_cfg``,
+    ``max_cycles`` and ``engine``.  :meth:`submit` starts a point on a
+    free slot; ``done(status, payload, seconds)`` is called once per
+    point, on a pool thread, after the slot is free again -- callers
+    keep at most ``workers`` points in flight and dispatch the next one
+    from ``done``.
+
+    A worker's death is charged to the one point it ran: the pool
+    replaces the worker and re-runs the point, which becomes an
+    ``"error"`` only after :data:`MAX_WORKER_CRASHES` deaths in a row.
+    A point still running at the backstop (three times its timeout plus
+    :data:`BACKSTOP_SLACK_S`) has its worker killed and becomes a
+    ``"timeout"``.  :attr:`crashes` counts every worker death.
+    """
+
+    def __init__(self, workers: int, base_cfg: CoreConfig | None = None,
+                 max_cycles: int | None = None,
+                 engine: str | None = None):
+        self.workers = workers
+        self._bound = (base_cfg, max_cycles)
+        self._engine = engine
+        # Reentrant: a future that resolves before its callback is
+        # registered runs the callback on the registering thread.
+        self._lock = threading.RLock()
+        self._slots = [_Slot() for _ in range(workers)]
+        self._closed = False
+        self.crashes = 0
+
+    @property
+    def inflight(self) -> int:
+        with self._lock:
+            return sum(slot.future is not None for slot in self._slots)
+
+    def submit(self, point: Workload, timeout: float | None,
+               done: Callable[[str, object, float], None]) -> None:
+        """Start ``point`` on a free worker; ``done`` reports it."""
+        with self._lock:
+            free = [slot for slot in self._slots if slot.future is None]
+            if self._closed or not free:
+                raise RuntimeError("worker pool is closed" if self._closed
+                                   else "all workers are busy")
+            slot = free[0]
+            slot.point, slot.timeout, slot.done = point, timeout, done
+            slot.start, slot.crashes = time.perf_counter(), 0
+            try:
+                self._start(slot)
+            except Exception:  # no worker can be spawned (EAGAIN, EMFILE)
+                self._discard(slot)
+                report = self._free(slot, "error", traceback.format_exc())
+                # Reported from its own thread, like every other point:
+                # the caller may dispatch again from ``done``.
+                threading.Thread(target=report, daemon=True).start()
+
+    def _start(self, slot: _Slot) -> None:
+        # Callers hold self._lock.
+        call = (point_worker, slot.point, *self._bound, slot.timeout,
+                self._engine, _obs.sink_dir())
+        try:
+            future = self._executor(slot).submit(*call)
+        except BrokenExecutor:  # its idle worker died since the last point
+            self.crashes += 1
+            self._discard(slot)
+            future = self._executor(slot).submit(*call)
+        slot.future = future
+        if slot.timeout is not None:
+            slot.backstop = threading.Timer(
+                3.0 * slot.timeout + BACKSTOP_SLACK_S, self._expire,
+                (slot, future))
+            slot.backstop.daemon = True
+            slot.backstop.start()
+        future.add_done_callback(partial(self._finished, slot))
+
+    def _executor(self, slot: _Slot) -> ProcessPoolExecutor:
+        if slot.executor is None:
+            slot.executor = ProcessPoolExecutor(
+                max_workers=1, initializer=_pool_worker_init)
+        return slot.executor
+
+    def _discard(self, slot: _Slot, kill: bool = False) -> None:
+        # Callers hold self._lock.
+        executor, slot.executor = slot.executor, None
+        if executor is None:
+            return
+        if kill:  # the executor has no public way to kill its worker
+            for proc in list((getattr(executor, "_processes", None)
+                              or {}).values()):
+                proc.kill()
+        executor.shutdown(wait=False, cancel_futures=True)
+
+    def _free(self, slot: _Slot, status: str, payload,
+              seconds: float | None = None) -> Callable[[], None]:
+        # Callers hold self._lock.  Frees the slot and returns the report
+        # of its point, for the caller to make outside the lock.
+        if slot.backstop is not None:
+            slot.backstop.cancel()
+        slot.future = slot.backstop = None
+        if seconds is None:
+            seconds = time.perf_counter() - slot.start
+        return partial(slot.done, status, payload, seconds)
+
+    def _finished(self, slot: _Slot, future: Future) -> None:
+        # Runs on the slot's executor thread.
+        with self._lock:
+            if slot.future is not future:
+                return  # already reported by the backstop or close()
+            try:
+                report = self._free(slot, *future.result())
+            except (BrokenExecutor, CancelledError):  # its worker died
+                if self._rerun(slot):
+                    return
+                report = self._free(
+                    slot, "cancelled" if self._closed else "error",
+                    f"worker died {slot.crashes} time(s) running this "
+                    f"point")
+            except Exception:  # e.g. a result that fails to unpickle
+                report = self._free(slot, "error", traceback.format_exc())
+        report()
+
+    def _rerun(self, slot: _Slot) -> bool:
+        # Callers hold self._lock.  Counts the death of the slot's
+        # worker; True when the point runs again on a fresh one.
+        self.crashes += 1
+        slot.crashes += 1
+        self._discard(slot)
+        if self._closed or slot.crashes >= MAX_WORKER_CRASHES:
+            return False
+        try:
+            self._start(slot)
+        except Exception:  # no worker can be spawned: give the point up
+            self._discard(slot)
+            return False
+        return True
+
+    def _expire(self, slot: _Slot, future: Future) -> None:
+        # Runs on the backstop timer thread.
+        with self._lock:
+            if slot.future is not future:
+                return
+            self._discard(slot, kill=True)
+            report = self._free(slot, "timeout", f"exceeded "
+                                f"{slot.timeout}s budget; hung worker "
+                                f"killed")
+        report()
+
+    def close(self, wait: bool = True, kill: str | None = None) -> None:
+        """Accept no more points; in-flight points finish and report
+        (``wait`` blocks until they have).  With ``kill``, every worker
+        is killed now instead, and each in-flight point is reported
+        ``"cancelled"`` with ``kill`` as the reason."""
+        with self._lock:
+            self._closed = True
+            executors = [slot.executor for slot in self._slots
+                         if slot.executor is not None]
+            reports = []
+            if kill:
+                reports = [self._free(slot, "cancelled", kill)
+                           for slot in self._slots
+                           if slot.future is not None]
+                for slot in self._slots:
+                    self._discard(slot, kill=True)
+        for executor in executors:
+            executor.shutdown(wait=wait)
+        for report in reports:
+            report()
 
 
 @dataclass
@@ -147,6 +349,16 @@ class Outcome:
     seconds: float = 0.0
     cached: bool = False
     key: str | None = None
+
+    @classmethod
+    def from_worker(cls, point: Workload, key: str | None, status: str,
+                    payload, seconds: float) -> "Outcome":
+        """The outcome of a :func:`point_worker` triple."""
+        if status == "ok":
+            return cls(point=point, status="ok", result=payload,
+                       seconds=seconds, key=key)
+        return cls(point=point, status=status, error=payload,
+                   seconds=seconds, key=key)
 
     @property
     def ok(self) -> bool:
@@ -253,6 +465,23 @@ class Campaign:
                     f"{outcome.status}:\n{outcome.error or ''}")
 
 
+def record_outcome(cache: ResultCache | None, outcome: Outcome,
+                   version: str) -> None:
+    """Write one fresh outcome to the store, for campaigns and the serve
+    scheduler alike.  Failures are never served as results, but the
+    store keeps the last ``error``/``timeout`` per key so ``repro
+    audit`` can classify gaps and budget retries; cancelled points are
+    not failures, and write nothing."""
+    if cache is None or outcome.key is None or outcome.cached:
+        return
+    if outcome.ok:
+        cache.put(outcome.key, outcome.point, outcome.result,
+                  outcome.seconds, version)
+    elif outcome.status in ("error", "timeout"):
+        cache.put_failure(outcome.key, outcome.point, outcome.status,
+                          outcome.error, outcome.seconds, version)
+
+
 class SweepRunner:
     """Executes campaigns of points with caching and process fan-out.
 
@@ -336,43 +565,29 @@ class SweepRunner:
                 progress(outcomes[index], done, len(points))
         done = len(outcomes)
 
+        def land(index: int, outcome: Outcome) -> None:
+            nonlocal done
+            outcomes[index] = outcome
+            record_outcome(self.cache, outcome, version)
+            if _obs.ENABLED:
+                if outcome.key is not None:
+                    METRICS.inc("cache.miss")
+                METRICS.observe("sweep.point_seconds", outcome.seconds)
+            done += 1
+            if progress:
+                progress(outcome, done, len(points))
+
         interrupted = False
         if pending:
             serial = self.workers is not None and self.workers <= 1
             execute = self._run_serial if serial else self._run_parallel
-            stream = execute(pending, cancel)
-            while True:
-                try:
-                    index, outcome = next(stream)
-                except StopIteration as stop:
-                    interrupted = bool(stop.value)
-                    break
-                outcomes[index] = outcome
-                if outcome.ok and not outcome.cached and \
-                        self.cache is not None:
-                    self.cache.put(outcome.key, outcome.point,
-                                   outcome.result, outcome.seconds,
-                                   version)
-                elif outcome.status in ("error", "timeout") and \
-                        self.cache is not None and \
-                        outcome.key is not None:
-                    # Resume hook: failures are never served as results
-                    # (the next campaign still retries them), but the
-                    # store remembers the last failed outcome per key so
-                    # `repro audit` can classify error/timeout gaps and
-                    # budget retries from the store alone.  Cancelled
-                    # points never ran: they are not failures.
-                    self.cache.put_failure(
-                        outcome.key, outcome.point, outcome.status,
-                        outcome.error, outcome.seconds, version)
-                if _obs.ENABLED:
-                    if outcome.key is not None:
-                        METRICS.inc("cache.miss")
-                    METRICS.observe("sweep.point_seconds",
-                                    outcome.seconds)
-                done += 1
-                if progress:
-                    progress(outcome, done, len(points))
+            interrupted = execute(pending, cancel, land)
+            for index, point, key in pending:
+                if index not in outcomes:
+                    land(index, Outcome(
+                        point=point, status="cancelled", key=key,
+                        error="interrupted before dispatch" if interrupted
+                        else "cancelled before dispatch"))
 
         ordered = [outcomes[i] for i in sorted(outcomes)]
         campaign = Campaign(outcomes=ordered,
@@ -382,165 +597,69 @@ class SweepRunner:
             campaign.obs = campaign_obs(ordered, campaign.seconds)
         return campaign
 
-    def _run_serial(self, pending, cancel: CancelToken | None = None):
+    def _run_serial(self, pending, cancel: CancelToken | None,
+                    land) -> bool:
         obs_dir = _obs.sink_dir()
-        interrupted = False
         for index, point, key in pending:
-            if interrupted or (cancel is not None and cancel.cancelled):
-                yield index, Outcome(
-                    point=point, status="cancelled", key=key,
-                    error="interrupted before dispatch" if interrupted
-                    else "cancelled before dispatch")
-                continue
+            if cancel is not None and cancel.cancelled:
+                return False
             try:
-                status, payload, seconds = point_worker(
-                    point, self.base_cfg, self.max_cycles,
-                    self.timeout, self.engine, obs_dir)
+                triple = point_worker(point, self.base_cfg,
+                                      self.max_cycles, self.timeout,
+                                      self.engine, obs_dir)
             except KeyboardInterrupt:
-                interrupted = True
-                yield index, Outcome(
-                    point=point, status="cancelled", key=key,
-                    error="interrupted mid-run (SIGINT)")
-                continue
-            yield index, self._outcome(point, key, status, payload, seconds)
-        return interrupted
+                land(index, Outcome(point=point, status="cancelled",
+                                    key=key,
+                                    error="interrupted mid-run (SIGINT)"))
+                return True
+            land(index, Outcome.from_worker(point, key, *triple))
+        return False
 
-    def _run_parallel(self, pending, cancel: CancelToken | None = None):
-        import os
-        workers = self.workers or os.cpu_count() or 1
-        workers = min(workers, len(pending))
-        obs_dir = _obs.sink_dir()
-        executor = ProcessPoolExecutor(max_workers=workers,
-                                       initializer=_pool_worker_init)
-        futures = [(index, point, key,
-                    executor.submit(point_worker, point, self.base_cfg,
-                                    self.max_cycles, self.timeout,
-                                    self.engine, obs_dir))
-                   for index, point, key in pending]
-        abandoned = False
-        interrupted = False
-        # Eager cancellation: workers drain the executor queue in the
-        # same FIFO order this loop awaits futures, so by the time the
-        # loop *reaches* a position its future is usually already
-        # running -- a lazy per-iteration ``future.cancel()`` loses
-        # that race every time and the whole campaign drains.  A tiny
-        # watcher thread reacts the moment the token trips and sweeps
-        # ``cancel()`` over every still-queued future at once; the loop
-        # below then just observes ``future.cancelled()``.
-        watch_stop = threading.Event()
-        watcher = None
-        if cancel is not None:
-            def _watch() -> None:
-                while not watch_stop.is_set():
-                    if cancel.wait(0.05):
-                        for _, _, _, queued in futures:
-                            queued.cancel()
-                        return
-            watcher = threading.Thread(
-                target=_watch, name="sweep-cancel-watcher", daemon=True)
-            watcher.start()
+    def _run_parallel(self, pending, cancel: CancelToken | None,
+                      land) -> bool:
+        """Keep ``workers`` points in flight on a :class:`WorkerPool`,
+        dispatching the next one from each completion; outcomes land on
+        this thread.  Cancellation just stops dispatching; SIGINT
+        terminates the pool."""
+        workers = min(self.workers or os.cpu_count() or 1, len(pending))
+        pool = WorkerPool(workers, self.base_cfg, self.max_cycles,
+                          self.engine)
+        todo = deque(pending)
+        landed: queue.SimpleQueue = queue.SimpleQueue()
+        lock = threading.RLock()
+        stopped = interrupted = False
+
+        def dispatch() -> None:
+            with lock:
+                while (todo and not stopped and pool.inflight < workers
+                       and not (cancel is not None and cancel.cancelled)):
+                    index, point, key = todo.popleft()
+                    pool.submit(point, self.timeout,
+                                partial(finish, index, point, key))
+
+        def finish(index, point, key, *triple) -> None:
+            landed.put((index, Outcome.from_worker(point, key, *triple)))
+            dispatch()
+
+        received = 0
         try:
-            for pos, (index, point, key, future) in enumerate(futures):
-                if interrupted:
-                    future.cancel()
-                if future.cancelled():
-                    # Never started: free to drop.  Started points keep
-                    # draining (token path) so their results land.
-                    yield index, Outcome(
-                        point=point, status="cancelled", key=key,
-                        error="cancelled before dispatch")
-                    continue
-                if interrupted:
-                    # Its worker was terminated by the interrupt below.
-                    yield index, Outcome(
-                        point=point, status="cancelled", key=key,
-                        error="interrupted mid-run (SIGINT)")
-                    continue
+            dispatch()
+            while True:
+                with lock:
+                    if received == len(pending) - len(todo):
+                        break
                 try:
-                    status, payload, seconds = self._await(
-                        future, pool_wedged=abandoned)
-                except CancelledError:
-                    # The watcher won a race against this very future.
-                    yield index, Outcome(
-                        point=point, status="cancelled", key=key,
-                        error="cancelled before dispatch")
-                    continue
-                except _PoolWedged:
-                    future.cancel()
-                    yield index, Outcome(
-                        point=point, status="timeout", key=key,
-                        error="never started: pool wedged behind a hung "
-                              "worker")
-                    continue
-                except FutureTimeout:
-                    future.cancel()
-                    abandoned = True
-                    yield index, Outcome(
-                        point=point, status="timeout", key=key,
-                        seconds=self.timeout or 0.0,
-                        error=f"exceeded {self.timeout}s budget")
-                    continue
-                except BrokenExecutor:
-                    yield index, Outcome(
-                        point=point, status="error", key=key,
-                        error="worker pool broke (worker died?)")
-                    continue
+                    item = landed.get()
                 except KeyboardInterrupt:
-                    # Workers ignore SIGINT (initializer), so the pool
-                    # is still intact here: cancel everything queued,
-                    # terminate the in-flight workers, report the rest
-                    # as cancelled.  Terminated processes join fast, so
-                    # the finally-shutdown below cannot orphan them.
-                    interrupted = True
-                    for _, _, _, pending_future in futures[pos + 1:]:
-                        pending_future.cancel()
-                    for proc in list(getattr(executor, "_processes",
-                                             {}).values()):
-                        proc.terminate()
-                    yield index, Outcome(
-                        point=point, status="cancelled", key=key,
-                        error="interrupted mid-run (SIGINT)")
+                    # In-flight points land as cancelled; nothing more
+                    # is dispatched.
+                    with lock:
+                        stopped = interrupted = True
+                    pool.close(kill="interrupted mid-run (SIGINT)")
                     continue
-                yield index, self._outcome(point, key, status, payload,
-                                           seconds)
+                received += 1
+                land(*item)
         finally:
-            watch_stop.set()
-            if watcher is not None:
-                watcher.join(timeout=1.0)
-            # Abandoned workers may still be simulating; don't block on
-            # them, but reap cleanly when everything completed (or was
-            # terminated by an interrupt).
-            executor.shutdown(wait=not abandoned,
-                              cancel_futures=abandoned or interrupted)
+            stopped = True
+            pool.close()
         return interrupted
-
-    def _await(self, future, pool_wedged: bool = False):
-        """Wait for one future, with a hung-worker backstop.
-
-        The real budget is the worker's own SIGALRM; the backstop only
-        abandons workers stuck somewhere signals cannot interrupt.  The
-        clock starts once the future leaves the executor's queue
-        (prefetch makes that slightly early, which the 3x-plus-margin
-        absorbs), so points queued behind slow siblings are never
-        falsely charged.  Once a worker has been abandoned its pool slot
-        may never free, so the queue wait itself is then bounded too.
-        """
-        if self.timeout is None:
-            return future.result()
-        backstop = 3.0 * self.timeout + 30.0
-        start_deadline = time.monotonic() + backstop if pool_wedged \
-            else None
-        while not (future.running() or future.done()):
-            if start_deadline is not None and \
-                    time.monotonic() > start_deadline:
-                raise _PoolWedged()
-            time.sleep(0.005)
-        return future.result(timeout=backstop)
-
-    @staticmethod
-    def _outcome(point, key, status, payload, seconds) -> Outcome:
-        if status == "ok":
-            return Outcome(point=point, status="ok", result=payload,
-                           seconds=seconds, key=key)
-        return Outcome(point=point, status=status, error=payload,
-                       seconds=seconds, key=key)

@@ -111,6 +111,7 @@ def test_removed_pre_2_0_names_are_gone():
     """The 1.x compatibility surface was removed in 2.0, not hidden."""
     import repro.eval
     import repro.sweep
+    import repro.sweep.runner
     import repro.sweep.spec
 
     for module, names in (
@@ -118,8 +119,9 @@ def test_removed_pre_2_0_names_are_gone():
                      "run_stencil_variant", "run_system_stencil")),
             (repro.eval, ("RunResult", "run_build",
                           "run_stencil_variant")),
-            (repro.sweep, ("make_point", "result_from_record",
-                           "result_to_record")),
+            (repro.sweep, ("execute_point", "make_point",
+                           "result_from_record", "result_to_record")),
+            (repro.sweep.runner, ("execute_point", "_worker")),
             (repro.sweep.spec, ("make_point",))):
         for name in names:
             assert not hasattr(module, name), f"{module.__name__}.{name}"

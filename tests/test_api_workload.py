@@ -12,8 +12,11 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import Workload, make_workload, workload
+from repro.api.workloads import FieldError
 from repro.core.config import CoreConfig
 from repro.kernels.layout import Grid3d
 from repro.sweep.cache import point_key
@@ -129,3 +132,77 @@ def test_point_alias_is_removed():
         from repro.sweep.spec import Point  # noqa: F401
     with pytest.raises(ImportError):
         from repro.sweep import Point as SweepPoint  # noqa: F401
+
+
+# -- the wire/journal decoder -------------------------------------------------
+
+_STENCIL_KERNELS = ("box3d1r", "j3d27pt", "star3d1r")
+_STENCIL_VARIANTS = ("Base--", "Base-", "Base", "Chaining", "Chaining+")
+
+
+@st.composite
+def _workloads(draw) -> Workload:
+    overrides = draw(st.dictionaries(
+        st.sampled_from(("tcdm_banks", "fpu_depth", "fp_queue_depth")),
+        st.integers(1, 64), max_size=3))
+    if draw(st.booleans()):
+        overrides["engine"] = draw(st.sampled_from(
+            ("auto", "scalar", "scalar-v2")))
+    if draw(st.booleans()):
+        return workload("vecop", draw(st.sampled_from(
+            ("baseline", "unrolled", "chaining"))),
+            n=draw(st.sampled_from((16, 32, 64))),
+            loop_mode=draw(st.sampled_from((None, "frep", "bne"))),
+            overrides=overrides)
+    system = draw(st.dictionaries(
+        st.sampled_from(("num_clusters", "iters", "gmem_latency")),
+        st.integers(1, 8), max_size=3))
+    return workload(draw(st.sampled_from(_STENCIL_KERNELS)),
+                    draw(st.sampled_from(_STENCIL_VARIANTS)),
+                    grid=draw(st.sampled_from(((2, 3, 8), (4, 4, 8)))),
+                    unroll=draw(st.sampled_from((None, 1, 2))),
+                    overrides=overrides, system=system)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_workloads(), st.randoms(use_true_random=False))
+def test_from_canonical_inverts_canonical_under_any_axis_order(w, rnd):
+    canonical = w.canonical()
+    assert Workload.from_canonical(canonical) == w
+    # The same point spelled with its overrides and system axes in
+    # another order decodes to the same workload and the same key.
+    shuffled = dict(canonical)
+    for axis in ("overrides", "system"):
+        shuffled[axis] = rnd.sample(canonical[axis], len(canonical[axis]))
+    decoded = Workload.from_canonical(shuffled)
+    assert decoded == w
+    assert point_key(decoded, "1.0") == point_key(w, "1.0")
+
+
+_GOOD = workload("box3d1r", "Base", grid=(2, 3, 8)).canonical()
+
+
+@pytest.mark.parametrize("field, change", [
+    ("kernel", {"kernel": "nope"}),
+    ("variant", {"variant": "Fastest"}),
+    ("grid", {"grid": []}),
+    ("grid", {"grid": [2, 3]}),
+    ("unroll", {"unroll": "two"}),
+    ("n", {"n": 16}),
+    ("overrides", {"overrides": [["no_such_knob", 1]]}),
+    ("overrides", {"overrides": [["engine", "warp"]]}),
+    ("system", {"system": [["num_clusters", 1.5]]}),
+    ("bogus", {"bogus": 1}),
+])
+def test_from_canonical_rejection_names_its_field(field, change):
+    with pytest.raises(FieldError) as err:
+        Workload.from_canonical({**_GOOD, **change})
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("missing", ["kernel", "variant"])
+def test_from_canonical_requires_kernel_and_variant(missing):
+    data = {k: v for k, v in _GOOD.items() if k != missing}
+    with pytest.raises(FieldError, match="missing") as err:
+        Workload.from_canonical(data)
+    assert err.value.field == missing

@@ -16,8 +16,8 @@ from pathlib import Path
 
 from repro import __version__
 from repro.api import workload
+from repro.api.execute import execute_workload
 from repro.sweep.cache import ResultCache, point_key
-from repro.sweep.runner import execute_point
 
 _WRITER = r"""
 import json, sys
@@ -44,7 +44,7 @@ def _manifest(store: Path, ns, rounds: int) -> dict:
         records.append({
             "key": point_key(point, __version__),
             "point": point.canonical(),
-            "result": execute_point(point).to_dict(),
+            "result": execute_workload(point).to_dict(),
             # Same-key appends from racing writers are benign only
             # when byte-identical, so the wall-clock field is pinned.
             "seconds": 0.25,

@@ -14,9 +14,9 @@ import pytest
 
 from repro import __version__
 from repro.api import workload
+from repro.api.execute import execute_workload
 from repro.cli import main as cli_main
 from repro.sweep.cache import ResultCache, point_key
-from repro.sweep.runner import execute_point
 
 
 def _fill(cache, ns):
@@ -25,7 +25,7 @@ def _fill(cache, ns):
     for n in ns:
         point = workload("vecop", "baseline", n=n)
         key = point_key(point, __version__)
-        cache.put(key, point, execute_point(point), 0.1, __version__)
+        cache.put(key, point, execute_workload(point), 0.1, __version__)
         laid[n] = (key, cache._shard_path(key))
     return laid
 
@@ -97,7 +97,7 @@ def test_prune_drops_superseded_failures_with_their_success(tmp_path):
     point = workload("vecop", "baseline", n=16)
     key = point_key(point, __version__)
     cache.put_failure(key, point, "timeout", "slow", 1.0, __version__)
-    cache.put(key, point, execute_point(point), 0.1, __version__)
+    cache.put(key, point, execute_workload(point), 0.1, __version__)
     assert cache.get_failure(key) is None  # masked by the success
 
     other = workload("vecop", "baseline", n=32)

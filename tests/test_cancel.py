@@ -90,7 +90,7 @@ def test_parallel_cancel_drains_cleanly():
     for outcome in campaign:
         if outcome.status == "cancelled":
             assert outcome.result is None
-            assert "cancel" in outcome.message.lower()
+            assert "cancel" in outcome.error.lower()
 
 
 def test_session_map_threads_cancel_token(tmp_path):

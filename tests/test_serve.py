@@ -193,6 +193,50 @@ def test_http_rejects_garbage(tmp_path):
         assert err.value.status == 404
 
 
+def test_http_rejects_invalid_workloads_naming_the_field(tmp_path):
+    """Regression: the wire decoder validates like ``workload()``.  An
+    unknown kernel used to get a 201 and fail in the pool."""
+    good = FAST.canonical()
+    with ServerThread(tmp_path / "store", workers=1) as server:
+        client = server.client()
+        for body, where in (
+                ({"workloads": [{"kernel": "nope"}]}, "workloads[0]."),
+                ({"workloads": [good, {**good, "kernel": "nope"}]},
+                 "workloads[1].kernel: unknown kernel"),
+                ({"workload": {**good, "colour": "red"}},
+                 "workload.colour: unknown workload field"),
+                ({"workloads": [{**SLOW.canonical(), "grid": []}]},
+                 "workloads[0].grid: ")):
+            with pytest.raises(ServeError) as err:
+                client._request("POST", "/v1/jobs", body)
+            assert err.value.status == 400, body
+            assert err.value.payload["error"].startswith(where), \
+                err.value.payload
+        metrics = client.metrics()["serve"]
+        assert metrics["serve.requests"] == 0
+    assert not (tmp_path / "store" / "jobs.jsonl").exists()
+
+
+def test_permuted_overrides_run_once(tmp_path):
+    """Regression: overrides are canonicalised on the wire, so one
+    point spelled in two override orders is one key and one run."""
+    point = workload("vecop", "baseline", n=16,
+                     overrides={"tcdm_banks": 16, "fpu_depth": 2})
+    canonical = point.canonical()
+    permuted = {**canonical,
+                "overrides": list(reversed(canonical["overrides"]))}
+    assert permuted != canonical
+    with ServerThread(tmp_path / "store", workers=1) as server:
+        client = server.client()
+        jobs = [client._request("POST", "/v1/jobs", {"workload": body})
+                for body in (canonical, permuted)]
+        views = [client.wait(job["id"]) for job in jobs]
+        assert [v["status"] for v in views] == ["done", "done"]
+        assert views[0]["results"][0]["key"] == \
+            views[1]["results"][0]["key"]
+        assert client.metrics()["serve"]["serve.executions"] == 1
+
+
 def test_http_cancel_pending_job(tmp_path):
     with ServerThread(tmp_path / "store", workers=1) as server:
         client = server.client()

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro import __version__
 from repro.api import Session, workload
+from repro.api.execute import execute_workload
 from repro.sweep import SweepSpec
 from repro.sweep.audit import (
     AUDIT_AXES,
@@ -22,7 +23,6 @@ from repro.sweep.audit import (
     audit_campaign,
 )
 from repro.sweep.cache import ResultCache, point_key
-from repro.sweep.runner import execute_point
 
 DATA = Path(__file__).parent / "data"
 
@@ -30,7 +30,7 @@ DATA = Path(__file__).parent / "data"
 def seed_ok(cache, point, version=__version__):
     """Simulate one point and store it exactly as a sweep would."""
     key = point_key(point, version)
-    cache.put(key, point, execute_point(point), 0.0, version)
+    cache.put(key, point, execute_workload(point), 0.0, version)
     return key
 
 
@@ -152,7 +152,7 @@ def test_same_version_other_context_is_missing_not_stale(tmp_path):
     cache = ResultCache(tmp_path / "c")
     point = workload("vecop", "chaining", n=16)
     key_scalar = point_key(point, __version__, engine="scalar")
-    cache.put(key_scalar, point, execute_point(point), 0.0, __version__)
+    cache.put(key_scalar, point, execute_workload(point), 0.0, __version__)
     audit = audit_campaign([point], cache)   # engine context: auto
     assert audit.points[0].status == "missing"
 
@@ -179,7 +179,7 @@ def test_cycle_record_is_stale_fidelity_at_analytical_context(tmp_path):
     cache = ResultCache(tmp_path / "c")
     point = workload("vecop", "chaining", n=16)
     key = point_key(point, __version__, engine="analytical")
-    cache.put(key, point, execute_point(point), 0.0, __version__)
+    cache.put(key, point, execute_workload(point), 0.0, __version__)
     audit = audit_campaign([point], cache, engine="analytical")
     assert audit.points[0].status == "stale-fidelity"
     assert "expects 'analytical'" in audit.points[0].detail
@@ -420,7 +420,7 @@ def test_stale_schema_record_is_a_miss_that_reruns(tmp_path, seed, via):
         assert campaign.ok_count == 1 and campaign.cached_count == 0
 
     reopened = ResultCache(tmp_path / "c")
-    assert reopened.get(key).cycles == execute_point(point).cycles
+    assert reopened.get(key).cycles == execute_workload(point).cycles
     assert audit_campaign([point], reopened).complete
 
 

@@ -7,13 +7,14 @@ import pytest
 
 from repro import __version__
 from repro.api import Result, Workload, workload
+from repro.api.execute import execute_workload
 from repro.core.config import CoreConfig
 from repro.sweep.cache import (
     SHARD_PREFIX_LEN,
     ResultCache,
     point_key,
 )
-from repro.sweep.runner import SweepRunner, execute_point
+from repro.sweep.runner import SweepRunner
 
 POINT = workload("vecop", "chaining", n=16)
 
@@ -30,7 +31,7 @@ def test_point_key_stability_and_sensitivity():
 
 
 def test_result_record_roundtrip_is_exact():
-    result = execute_point(POINT)
+    result = execute_workload(POINT)
     record = result.to_dict()
     json.dumps(record)  # must be JSON-clean
     again = Result.from_dict(record)
@@ -48,7 +49,7 @@ def test_cache_persists_across_instances(tmp_path):
     cache = ResultCache(tmp_path / "c")
     key = point_key(POINT, __version__)
     assert cache.get(key) is None
-    result = execute_point(POINT)
+    result = execute_workload(POINT)
     cache.put(key, POINT, result, seconds=0.1, version=__version__)
     assert key in cache
 
@@ -63,7 +64,7 @@ def test_cache_persists_across_instances(tmp_path):
 def test_cache_ignores_torn_tail_line(tmp_path):
     cache = ResultCache(tmp_path / "c")
     key = point_key(POINT, __version__)
-    cache.put(key, POINT, execute_point(POINT), 0.1, __version__)
+    cache.put(key, POINT, execute_workload(POINT), 0.1, __version__)
     with open(cache._shard_path(key), "a") as handle:
         handle.write('{"key": "partial...')  # killed mid-append
     reopened = ResultCache(tmp_path / "c")
@@ -208,7 +209,7 @@ def test_analytical_keys_collide_with_no_cycle_engine():
 def test_new_store_is_sharded_and_files_match_key_prefixes(tmp_path):
     cache = ResultCache(tmp_path / "c")
     points = [workload("vecop", "baseline", n=n) for n in (16, 32, 48)]
-    result = execute_point(points[0])
+    result = execute_workload(points[0])
     for point in points:
         key = point_key(point, __version__)
         cache.put(key, point, result, 0.0, __version__)
@@ -225,7 +226,7 @@ def test_new_store_is_sharded_and_files_match_key_prefixes(tmp_path):
 def test_verify_clean_store(tmp_path):
     cache = ResultCache(tmp_path / "c")
     cache.put(point_key(POINT, __version__), POINT,
-              execute_point(POINT), 0.0, __version__)
+              execute_workload(POINT), 0.0, __version__)
     report = cache.verify()
     assert report["ok"]
     assert report["records"] == 1 and report["files"] == 1
@@ -235,7 +236,7 @@ def test_verify_clean_store(tmp_path):
 def test_verify_flags_corrupt_conflicting_and_orphan_lines(tmp_path):
     cache = ResultCache(tmp_path / "c")
     key = point_key(POINT, __version__)
-    cache.put(key, POINT, execute_point(POINT), 0.0, __version__)
+    cache.put(key, POINT, execute_workload(POINT), 0.0, __version__)
     shard = cache._shard_path(key)
     record = json.loads(shard.read_text())
     with open(shard, "a") as handle:
@@ -255,7 +256,7 @@ def test_verify_flags_corrupt_conflicting_and_orphan_lines(tmp_path):
 def test_verify_identical_duplicates_are_benign(tmp_path):
     cache = ResultCache(tmp_path / "c")
     key = point_key(POINT, __version__)
-    cache.put(key, POINT, execute_point(POINT), 0.0, __version__)
+    cache.put(key, POINT, execute_workload(POINT), 0.0, __version__)
     shard = cache._shard_path(key)
     line = shard.read_text()
     with open(shard, "a") as handle:
@@ -280,7 +281,7 @@ def test_verify_flags_invalid_result_payloads(tmp_path):
 def test_corrupt_lines_counted_and_warned_once(tmp_path):
     cache = ResultCache(tmp_path / "c")
     cache.put(point_key(POINT, __version__), POINT,
-              execute_point(POINT), 0.0, __version__)
+              execute_workload(POINT), 0.0, __version__)
     [shard] = (tmp_path / "c" / "shards").glob("*.jsonl")
     with open(shard, "a") as handle:
         handle.write('{"torn": \n{"no_key": 1}\n')
@@ -310,7 +311,7 @@ def test_get_failure_hidden_once_key_succeeds(tmp_path):
     cache = ResultCache(tmp_path / "c")
     key = point_key(POINT, __version__)
     cache.put_failure(key, POINT, "timeout", None, 60.0, __version__)
-    cache.put(key, POINT, execute_point(POINT), 0.0, __version__)
+    cache.put(key, POINT, execute_workload(POINT), 0.0, __version__)
     assert cache.get_failure(key) is None
     assert ResultCache(tmp_path / "c").get_failure(key) is None
 
