@@ -144,6 +144,7 @@ class Cluster:
             core.load_program(program)
         if self.fastpath is not None:
             self.fastpath._reset()
+            self.fastpath.loop.reset()
 
     def _install_program_image(self) -> None:
         """Encode the program into memory for binary-fetch mode."""
@@ -276,6 +277,8 @@ class Cluster:
         fp0_queue = self.fp.sequencer.queue
         qdepth = self._fp_qdepth
         ff_cooldown = 0
+        # Only set when the loop memo lowered core 0's branches.
+        loop = self.fastpath.loop if self.fastpath is not None else None
         while True:
             if (core.halted if single_core
                     else all(c.halted for c in cores)) \
@@ -301,6 +304,8 @@ class Cluster:
                         self._step_v2()
                 else:
                     self._step_v2()
+                if core.loop_head:
+                    loop.at_head(max_cycles)
             else:
                 self._step_seed()
             if core.halted:
@@ -314,7 +319,16 @@ class Cluster:
                         "starved chaining pop?)"
                     )
                 last_progress = token
+        self.release()
         return self.perf
+
+    def release(self) -> None:
+        """Drop the per-run caches (memo tables, lowered micro-ops) of a
+        finished run; they are rebuilt if the cluster runs again."""
+        if self.fastpath is not None:
+            self.fastpath.loop.reset()
+        for core in self.cores:
+            core.drop_lowered()
 
     def _progress_token(self) -> tuple:
         """Cheap state fingerprint for deadlock detection after halt."""

@@ -47,15 +47,27 @@ fidelity:
 The engine is attached per cluster to compute core 0 under
 ``CoreConfig.engine == "auto"`` (over the scalar-v2 micro-op engine); it
 only engages while every other core is halted and drained.
+
+Integer-core loops, which never reach the FREP sequencer, are the loop
+memo's (:class:`LoopMemo`, in the second half of this module): it
+replays recorded loop iterations under the same bit-identity contract.
 """
 
 from __future__ import annotations
 
+import weakref
+from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter, sub
+from typing import Any
 
 import numpy as np
 
+from repro.core.fpu import InFlightOp
+from repro.core.sequencer import DispatchedEntry
+from repro.mem.tcdm import Tcdm
 from repro.obs import spans as _obs
+from repro.ssr.address_gen import affine_addresses
 from repro.ssr.config import SsrMode
 
 
@@ -177,11 +189,45 @@ def _last_instance(slots: list[int], bound: int, body_len: int) -> int:
     return best
 
 
+def _apply_delta(cl, delta: dict, n: int) -> None:
+    """Advance every counter of ``cl`` by ``n`` times a measured
+    :meth:`FastPathEngine._diff` delta (the shared applier of the FREP
+    batch and the loop memo; stream data and positions are the
+    caller's)."""
+    cl.perf.add_scaled(delta["counters"], delta["stalls"], n)
+    chain = cl.fp.chain
+    cp, cpop, cbp = delta["chain"]
+    chain.pushes += n * cp
+    chain.pops += n * cpop
+    chain.backpressure_events += n * cbp
+    tcdm = cl.tcdm
+    ta, tc, tb = delta["tcdm"]
+    tcdm.total_accesses += n * ta
+    tcdm.total_conflicts += n * tc
+    tcdm.busy_bank_cycles += n * tb
+    for port, (dr, dw, dc) in zip(tcdm.ports, delta["ports"]):
+        port.reads += n * dr
+        port.writes += n * dw
+        port.conflicts += n * dc
+    for fp, (dl, dst) in zip(cl.fps, delta["lsu"]):
+        fp.lsu.loads += n * dl
+        fp.lsu.stores += n * dst
+    for (fi, si), (dact, dmov, dcons, dprod, _) in \
+            delta["streamers"].items():
+        s = cl.fps[fi].streamers[si]
+        s.active_cycles += n * dact
+        s.elements_moved += n * dmov
+        s._to_consume += n * dcons
+        s._to_produce += n * dprod
+
+
 class FastPathEngine:
     """Steady-state detector and batch executor for one compute core."""
 
     def __init__(self, cluster):
-        self.cluster = cluster
+        # Weak: the cluster owns the engine, and a cycle would keep a
+        # finished cluster alive until a full garbage collection.
+        self.cluster = weakref.proxy(cluster)
         self.core = cluster.core
         self.fp = cluster.fp
         self._state = _IDLE
@@ -198,6 +244,8 @@ class FastPathEngine:
         #: Why the most recent region analysis bailed (``None`` while
         #: the last region was eligible).
         self.reject_reason: str | None = None
+        #: The integer-loop iteration memo; reports under ``loop_*``.
+        self.loop = LoopMemo(cluster, self)
 
     # -- per-cycle hook (end of Cluster.step) --------------------------------
 
@@ -542,10 +590,12 @@ class FastPathEngine:
         streamers = {}
         for fi, ofp in enumerate(cl.fps):
             for si, s in enumerate(ofp.streamers):
+                gen, igen = s._gen, s._igen
                 streamers[(fi, si)] = (
                     s.active_cycles, s.elements_moved,
                     s._to_consume, s._to_produce,
-                    s._gen.position if s._gen is not None else 0)
+                    gen.position if gen is not None
+                    else igen._pos if igen is not None else 0)
         counters, stalls = perf.counter_state()
         return {
             "counters": counters,
@@ -705,8 +755,6 @@ class FastPathEngine:
             return False
 
         # Gather stream inputs and evaluate the body over the batch.
-        from repro.ssr.address_gen import affine_addresses
-
         elems: dict[int, np.ndarray] = {}
         for r, ppi in plan.read_ppi.items():
             s = fp.streamers[r]
@@ -763,21 +811,8 @@ class FastPathEngine:
 
         # ---- no more failure paths: mutate ---------------------------------
         dt = n * period
-
         perf = cl.perf
-        perf.add_scaled(delta["counters"], delta["stalls"], n)
-        cp, cpop, cbp = delta["chain"]
-        fp.chain.pushes += n * cp
-        fp.chain.pops += n * cpop
-        fp.chain.backpressure_events += n * cbp
-        ta, tc, tb = delta["tcdm"]
-        cl.tcdm.total_accesses += n * ta
-        cl.tcdm.total_conflicts += n * tc
-        cl.tcdm.busy_bank_cycles += n * tb
-        for port, (dr, dw, dc) in zip(cl.tcdm.ports, delta["ports"]):
-            port.reads += n * dr
-            port.writes += n * dw
-            port.conflicts += n * dc
+        _apply_delta(cl, delta, n)
 
         seq.jump_to(pos1)
         seq.replayed_instrs += n * delta["replayed"]
@@ -795,10 +830,6 @@ class FastPathEngine:
         for si, d in sdelta.items():
             s = fp.streamers[si]
             dact, dmov, dcons, dprod, dgen = d
-            s.active_cycles += n * dact
-            s.elements_moved += n * dmov
-            s._to_consume += n * dcons
-            s._to_produce += n * dprod
             if s._gen is None or (not dgen and not dmov
                                   and not dcons and not dprod):
                 continue
@@ -840,3 +871,1585 @@ class FastPathEngine:
         cl.cycle += dt
         perf.cycles = cl.cycle
         return True
+
+
+
+
+
+
+# ---------------------------------------------------------------------------
+# Loop memo: replayed iterations of integer-core loops
+# ---------------------------------------------------------------------------
+#
+# The Fig. 3 stencils never enter FREP: their hot region is an integer
+# loop whose body dispatches the FP work.  Following FastSim (Schnarr and
+# Larus, ASPLOS 1998) the memo splits each iteration -- the cycles from
+# one loop head (a taken backward branch) to the next -- into a core
+# side that is replayed and a memory side that is re-simulated:
+#
+# * **Key**: the core-side control state at the loop head: pc, FP queue
+#   and pipe contents, relative completion and ready times, chaining
+#   and scoreboard bits, stream repeat phases, the LSU.  No address,
+#   value, FIFO fill or TCDM arbitration state enters it.
+# * **Value**: recorded by stepping the first time a key is seen: the
+#   core-side cycle and counter deltas, the exit key, the integer path
+#   with its branch outcomes, the FP data program, and a per-cycle
+#   schedule of what the core did to the memory side (stream pops and
+#   pushes, LSU accesses) and of every stream observation its timing
+#   depended on (an operand FIFO holding enough elements, a write FIFO
+#   with room).
+# * **Hit**: the memory side -- stream FIFO fills, index fetches, port
+#   requests, bank conflicts, round robin -- is re-simulated cycle by
+#   cycle on counters (no values) against the schedule, from the current
+#   stream positions, index array and LSU addresses.  The recorded core
+#   timing stands exactly when every logged observation comes out the
+#   same; otherwise the iteration is stepped.  Recordings of one key
+#   share their schedule up to the first observation that tells them
+#   apart, so one pass walks them as a decision tree.  Matching logged
+#   bank patterns instead would pin whole iterations to the bank phases
+#   of the indirect stream, which recur too rarely (docs/performance.md).
+# * **Data**: values follow program order whatever the timing (the
+#   scoreboard and the chaining valid bits enforce it), so a hit runs the
+#   iteration's FP operations -- the scalar executors, in issue order --
+#   over a virtual register, pipe and FIFO state.  Hits chain through
+#   their exit keys; the machine is written once when a run ends.
+#
+# Anything outside that model declines with a counted reason and steps:
+# SCFG/CSR/FREP/DMA/barrier/integer memory/FP-to-integer instructions, a
+# busy DMA or second core, a store that can reach the run's reads, an
+# address out of range, or an iteration longer than the record cap.
+
+#: Recorded iterations kept per control key (one per stream behaviour
+#: seen); a key whose ways are all taken just steps on a miss.
+_MEMO_WAYS = 64
+#: Control keys kept per cluster before recording stops.
+_MEMO_KEYS = 4096
+#: Longest iteration, in cycles, that is recorded.
+_MEMO_MAX_CYCLES = 4096
+_MASK32 = 0xFFFFFFFF
+
+#: Decline reasons tied to one iteration's data, not to its key: the
+#: key stays recordable.
+_TRANSIENT = frozenset({"long-iteration", "unproven"})
+
+# Stream modes of the memory-side simulation.  Its per-stream state is
+# a list: fill, repeat count, data requested, data request pending,
+# data response ready, index fill, index request pending, index
+# response ready, position, elements moved, write address held, index
+# element, then the active-cycle, read, write and conflict counters.
+_AFFINE_READ, _INDIRECT_READ, _WRITE = range(3)
+_CONSUME = attrgetter("_to_consume")
+_PRODUCE = attrgetter("_to_produce")
+
+
+def _fp_kind(instr) -> str:
+    """``"c"`` (FP compute), ``"l"`` (fld), ``"s"`` (fsd) or the reason
+    the memo declines the instruction."""
+    from repro.core.fpu import UNPIPELINED_CLASSES
+    from repro.isa.instructions import InstrClass
+
+    iclass = instr.iclass
+    if iclass is InstrClass.FP_LOAD:
+        return "l"
+    if iclass is InstrClass.FP_STORE:
+        return "s"
+    if iclass in (InstrClass.FREP, InstrClass.CSR, InstrClass.SCFG):
+        return iclass.name.lower()
+    spec = instr.spec
+    if spec.rd_domain != "f":
+        return "fp-to-int"
+    if spec.rs1_domain == "x":
+        return "int-to-fp"
+    if iclass in UNPIPELINED_CLASSES:
+        return "unpipelined-op"
+    return "c"
+
+
+def _exec_int(op: tuple, regs: list) -> bool:
+    """Apply one recorded integer op; False when a branch or an indirect
+    jump would leave the recorded path."""
+    code = op[0]
+    if code == 0:
+        if op[1]:
+            regs[op[1]] = op[2](regs[op[3]], regs[op[4]]) & _MASK32
+    elif code == 1:
+        if op[1]:
+            regs[op[1]] = op[2](regs[op[3]], op[4]) & _MASK32
+    elif code == 2:
+        if op[1]:
+            regs[op[1]] = op[2]
+    elif code == 3:
+        return bool(op[1](regs[op[2]], regs[op[3]])) == op[4]
+    elif code == 5:
+        if (regs[op[1]] + op[2]) & ~1 != op[3]:
+            return False
+        if op[4]:
+            regs[op[4]] = op[5]
+    return True
+
+
+def _post(port, addr: int, is_write: bool, data, width: int) -> None:
+    """Leave ``port`` with a pending request, as a requester would."""
+    req = port._req
+    req.addr = addr
+    req.is_write = is_write
+    req.data = data
+    req.width = width
+    port._pending = req
+
+
+class _Recording:
+    """Loop-head state of an iteration being recorded."""
+
+    __slots__ = ("key", "cycle", "deadline", "snap", "iregs", "pc",
+                 "queue", "pipe", "lsu_count", "log")
+    key: tuple
+    cycle: int
+    deadline: int
+    snap: dict
+    iregs: list
+    pc: int
+    queue: list
+    pipe: list
+    lsu_count: int
+    log: list
+
+
+@dataclass(slots=True)
+class _Shape:
+    """The data side of a recorded iteration, shared by every recording
+    with the same loop-head structure and issue sequence."""
+
+    program: tuple              # slot-numbered FP data program
+    lsu_issued: tuple           # kinds of the LSU entries issued
+    lsu_entry: bool             # the loop-head LSU op belongs here
+    lsu_busy: bool              # the last LSU op is busy at exit
+    reads: tuple                # (si, elements consumed from) per stream
+    advance: tuple              # (si, elements fully consumed)
+
+
+@dataclass(slots=True)
+class _Iter:
+    """One recorded iteration: the memo value for a control key."""
+
+    dt: int
+    delta: dict                 # core-side FastPathEngine._diff
+    exit_key: tuple | None      # None: the next loop head is declined
+    exit: dict                  # exit control state for materialising
+    shape: Any                  # _Shape, or its inputs until first hit
+    int_ops: tuple              # integer path, branch outcomes included
+    ready_rel: tuple            # (reg, ready cycle - exit cycle)
+    stall_rel: int
+    last_rel: int | None        # pipe._last_completion - exit cycle
+    pipe_rel: tuple             # per exit op: rel to exit, or (index,)
+    schedule: tuple             # per cycle: (pops and pushes per stream,
+    #                             LSU access, checks, expected outcomes,
+    #                             (stream, pops, expected) triples)
+
+
+class _Node:
+    """A decision tree over the recorded iterations of one key and one
+    integer path.  They share their schedule up to the first stream
+    observation that tells them apart: before ``split`` any of them
+    (``rep``) stands for all; at ``split`` the observed outcomes pick a
+    child.  A leaf (``split`` None) holds one iteration."""
+
+    __slots__ = ("split", "rep", "children")
+
+    def __init__(self, it, split=None, children=None):
+        self.rep = it
+        self.split = split
+        self.children = children
+
+
+def _insert(node: _Node, it: _Iter) -> bool:
+    """Add ``it`` to the tree; False when an iteration with the same
+    observations is already there."""
+    start = 0
+    while True:
+        rep = node.rep
+        end = min(rep.dt, it.dt) if node.split is None else node.split
+        a, b = rep.schedule, it.schedule
+        for cycle in range(start, end):
+            if a[cycle][4] != b[cycle][4]:
+                node.children = {
+                    a[cycle][4]: _Node(rep, node.split, node.children),
+                    b[cycle][4]: _Node(it)}
+                node.split = cycle
+                return True
+        if node.split is None:
+            return False
+        start = node.split
+        child = node.children.get(b[start][4])
+        if child is None:
+            node.children[b[start][4]] = _Node(it)
+            return True
+        node = child
+
+
+class _View:
+    """Every element address and bank of one armed stream."""
+
+    __slots__ = ("total", "addr", "idx", "banks", "ibanks", "span",
+                 "ispan")
+    total: int
+    addr: Any                   # element byte addresses (numpy int64)
+    idx: Any                    # index values of an indirect stream
+    banks: Any                  # bank of each element, indexable
+    ibanks: Any                 # bank of each index element
+    span: tuple                 # [lo, hi) bytes the elements cover
+    ispan: tuple | None
+
+
+class _Run:
+    """Virtual machine state across one run of memo hits."""
+
+    __slots__ = ("start", "cycle", "ir", "iready", "stall", "lsuq",
+                 "lsu_op", "pv", "pcomp", "last_comp", "rv", "pushed",
+                 "head", "moved0", "mem", "rr", "tcdm", "order", "views",
+                 "sim", "counts", "st_writes", "ws_writes", "reads",
+                 "writes", "ld_range", "st_range", "hits", "last")
+    start: int
+    cycle: int
+    ir: list                    # integer registers
+    iready: dict                # register -> ready cycle, when rewritten
+    stall: int
+    lsuq: deque                 # addresses of queued fld/fsd entries
+    lsu_op: Any                 # [kind, addr, value] of the busy LSU op
+    pv: list                    # in-flight pipe values
+    pcomp: list                 # their completion cycles
+    last_comp: int
+    rv: list                    # retired FP register values
+    pushed: dict                # write stream -> [first element, values]
+    head: dict                  # read stream -> first unconsumed element
+    moved0: dict
+    mem: list                   # memory-side state per stream
+    rr: int
+    tcdm: list                  # [accesses, conflicts] added
+    order: list                 # (stream, mode, view) of armed streams
+    views: list
+    sim: Any
+    counts: dict
+    st_writes: list
+    ws_writes: list
+    reads: list
+    writes: list
+    ld_range: Any
+    st_range: Any
+    hits: int
+    last: Any
+
+
+class LoopMemo:
+    """Iteration memo for the integer-core loops of compute core 0."""
+
+    def __init__(self, cluster, engine: FastPathEngine):
+        self.cluster = engine.cluster
+        self.core = cluster.core
+        self.fp = cluster.fp
+        self.tcdm = cluster.tcdm
+        self.stats = stats = engine.stats
+        stats.update(loop_regions_seen=0, loop_hits=0, loop_misses=0,
+                     loop_cycles=0, loop_reject_reasons={})
+        self._engine = engine
+        #: key -> {id(integer path): [path ops, decision tree, ways]}
+        self._table: dict[tuple, dict] = {}
+        #: Keys whose recording declined, with the reason.
+        self._dead: dict[tuple, str] = {}
+        self._kinds: dict[int, str] = {}
+        self._uses: dict[tuple, tuple] = {}
+        self._paths: dict[tuple, tuple] = {}
+        self._shapes: dict[tuple, _Shape] = {}
+        self._views: dict[int, tuple] = {}
+        #: Interned schedule entries (most cycles repeat a few shapes).
+        self._entries: dict[tuple, tuple] = {}
+        self._moves: dict[tuple, tuple] = {}
+        self._splits: dict[tuple, tuple] = {}
+        self._rec: _Recording | None = None
+        from repro.core.perf import StallReason
+
+        self._early = (StallReason.RAW, StallReason.CHAIN_EMPTY,
+                       StallReason.LSU_BUSY)
+        self.core.memo_heads = True
+
+    def reset(self) -> None:
+        """Forget every recorded iteration: the program changed, or it
+        ran to completion and the tables would only hold memory."""
+        self._stop_recording()
+        for table in (self._table, self._dead, self._kinds, self._uses,
+                      self._paths, self._shapes, self._views,
+                      self._entries, self._moves, self._splits):
+            table.clear()
+
+    def _decline(self, reason: str) -> None:
+        reasons = self.stats["loop_reject_reasons"]
+        reasons[reason] = reasons.get(reason, 0) + 1
+
+    # -- the loop-head hook ---------------------------------------------------
+
+    def at_head(self, limit: int) -> None:
+        """Called at a cycle boundary right after a taken backward
+        branch: close a recording, replay what the memo can, then start
+        recording the iteration that steps next."""
+        self.core.loop_head = False
+        self.stats["loop_regions_seen"] += 1
+        key = self._finish_recording() if self._rec is not None \
+            else self._key()
+        if key in self._table:
+            key = self._replay(key, limit)
+            if key is None:
+                key = self._key()
+        if isinstance(key, str):
+            self._decline(key)
+            return
+        reason = self._dead.get(key)
+        if reason is not None:
+            self._decline(reason)
+            return
+        self.stats["loop_misses"] += 1
+        paths = self._table.get(key)
+        if paths is None and len(self._table) < _MEMO_KEYS or \
+                paths is not None and sum(
+                    p[2] for p in paths.values()) < _MEMO_WAYS:
+            self._start_recording(key)
+
+    # -- control key ----------------------------------------------------------
+
+    def _kind(self, instr) -> str:
+        kind = self._kinds.get(id(instr))
+        if kind is None:
+            kind = self._kinds[id(instr)] = _fp_kind(instr)
+        return kind
+
+    def _stream_uses(self, instr, nstream: int) -> tuple:
+        """``((stream, pops), ...)`` an issue of ``instr`` reads."""
+        uses = self._uses.get((id(instr), nstream))
+        if uses is None:
+            kind = self._kind(instr)
+            if kind == "s":
+                regs = [instr.rs2]
+            elif kind == "c":
+                spec = instr.spec
+                regs = [reg for reg, domain in (
+                    (instr.rs1, spec.rs1_domain),
+                    (instr.rs2, spec.rs2_domain),
+                    (instr.rs3, spec.rs3_domain)) if domain == "f"]
+            else:
+                regs = []
+            regs = [reg for reg in regs if reg < nstream]
+            uses = self._uses[(id(instr), nstream)] = tuple(
+                (reg, regs.count(reg)) for reg in sorted(set(regs)))
+        return uses
+
+    def _key(self):
+        """The core-side control key at a loop head, or why the memo
+        declines it."""
+        cl, core, fp = self.cluster, self.core, self.fp
+        if cl.cfg.fetch_from_memory:
+            return "binary-fetch"
+        for other, ofp in zip(cl.cores[1:], cl.fps[1:]):
+            if not other.halted or other.port.busy \
+                    or other._pending_load_rd is not None \
+                    or not ofp.idle or not ofp.streamers_done():
+                return "other-core-busy"
+        if cl.dma._queue:
+            return "dma-busy"
+        if core.waiting_sync is not None or fp.sync_ready:
+            return "fp-to-int"
+        if core.barrier_wait or core.halted:
+            return "barrier"
+        port = core.port
+        if core._pending_load_rd is not None or port._pending is not None \
+                or port._response_ready:
+            return "int-load-store"
+        seq = fp.sequencer
+        if seq._active:
+            return "frep"
+        lsu = fp.lsu
+        lport = lsu.port
+        if lsu._blocked_value is not None or lport._pending is not None:
+            return "unproven"
+        chain = fp.chain
+        mask = chain.mask
+        nstream = fp._num_streamers if fp.ssr_enable else 0
+        queue = []
+        for entry in seq.queue:
+            instr = entry.instr
+            kind = self._kind(instr)
+            if len(kind) > 1:
+                return kind
+            if entry.sync:
+                return "fp-to-int"
+            if kind == "l" and (mask >> instr.rd & 1 or instr.rd < nstream):
+                return "unproven"
+            queue.append(id(instr))
+        now = cl.cycle
+        pipe = []
+        for op in fp.pipe.in_flight:
+            if op.sync:
+                return "fp-to-int"
+            if op.unpipelined:
+                return "unpipelined-op"
+            rel = op.completes_at - now
+            pipe.append((id(op.instr), op.dest, op.dest_is_ssr,
+                         rel if rel > 0 else 0))
+        streams = []
+        for s in fp.streamers:
+            cfg = s.cfg
+            if cfg is None:
+                streams.append(None)
+                continue
+            if cfg.indirect and cfg.mode == SsrMode.WRITE:
+                return "indirect-write"
+            if not cfg.indirect and (s.idx_port._pending is not None
+                                     or s.idx_port._response_ready):
+                return "unproven"
+            streams.append((cfg.mode, cfg.indirect, cfg.repeat,
+                            s._rep_count))
+        pending_load = lsu._pending_load
+        ready = core.regs.ready_cycle
+        last = fp.pipe._last_completion - now
+        stall = core.stall_until - now
+        return (
+            core.pc, tuple(queue), tuple(pipe), last if last > -1 else -1,
+            mask, tuple(chain.valid), tuple(fp.fpregs.busy),
+            fp.ssr_enable, tuple(streams),
+            None if pending_load is None else pending_load.dest,
+            lsu._pending_store, lport._response_ready,
+            stall if stall > 0 else 0,
+            tuple(r - now if r > now else 0 for r in ready))
+
+    # -- recording ------------------------------------------------------------
+
+    def _observe(self, cycle: int) -> tuple:
+        """At the boundary before ``cycle``: the core-side progress
+        counters and the stream observations its FP step can make."""
+        fp = self.fp
+        streamers = fp.streamers
+        checks = ()
+        queue = fp.sequencer.queue
+        if queue:
+            nstream = fp._num_streamers if fp.ssr_enable else 0
+            uses = self._stream_uses(queue[0].instr, nstream)
+            if uses:
+                checks = tuple(
+                    (si, n, bool(streamers[si]._fifo) if n == 1
+                     else streamers[si].available_pops() >= n)
+                    for si, n in uses)
+        in_flight = fp.pipe.in_flight
+        if in_flight:
+            op = in_flight[0]
+            if op.dest_is_ssr and op.completes_at <= cycle:
+                s = streamers[op.dest]
+                checks += ((op.dest, 0, len(s._fifo) < s.fifo_depth),)
+        stalls = fp.perf.stalls
+        raw, empty, busy = self._early
+        lsu = fp.lsu
+        return ((*map(_CONSUME, streamers), *map(_PRODUCE, streamers)),
+                lsu.loads + lsu.stores,
+                stalls.get(raw, 0) + stalls.get(empty, 0)
+                + stalls.get(busy, 0), checks)
+
+    def _start_recording(self, key: tuple) -> None:
+        cl, core, fp = self.cluster, self.core, self.fp
+        rec = _Recording()
+        rec.key = key
+        rec.cycle = cl.cycle
+        rec.deadline = cl.cycle + _MEMO_MAX_CYCLES
+        rec.snap = self._engine._snapshot()
+        rec.iregs = list(core.regs.values)
+        rec.pc = core.pc
+        rec.queue = list(fp.sequencer.queue)
+        rec.pipe = [(op.instr, op.dest, op.dest_is_ssr)
+                    for op in fp.pipe.in_flight]
+        lsu = fp.lsu
+        rec.lsu_count = lsu.loads + lsu.stores
+        rec.log = [self._observe(cl.cycle)]
+        self._rec = rec
+        self.tcdm.arbitrate_v2 = self._recording_arbitrate
+
+    def _stop_recording(self) -> None:
+        self._rec = None
+        self.tcdm.__dict__.pop("arbitrate_v2", None)
+
+    def _recording_arbitrate(self) -> None:
+        """``Tcdm.arbitrate_v2`` while recording: after each cycle's
+        grants, log the core-side progress and next observations."""
+        Tcdm.arbitrate_v2(self.tcdm)
+        rec = self._rec
+        cycle = self.cluster.cycle  # the cycle just arbitrated
+        if cycle >= rec.deadline:
+            self._stop_recording()
+            self._decline("long-iteration")
+            return
+        log = rec.log
+        # Cycles skipped by idle fast-forwarding changed nothing: each
+        # repeats the observation before it.
+        gap = cycle - rec.cycle - (len(log) - 1)
+        if gap:
+            log += [log[-1]] * gap
+        log.append(self._observe(cycle + 1))
+
+    def _finish_recording(self):
+        """Store the iteration that just ended; returns the current key
+        (or the reason the memo declines it)."""
+        rec = self._rec
+        self._stop_recording()
+        key = self._key()
+        result = self._build(rec, key)
+        if isinstance(result, str):
+            self._decline(result)
+            if rec.key not in self._table and result not in _TRANSIENT:
+                self._dead[rec.key] = result
+        else:
+            paths = self._table.setdefault(rec.key, {})
+            entry = paths.get(id(result.int_ops))
+            if entry is None:
+                paths[id(result.int_ops)] = [result.int_ops,
+                                             _Node(result), 1]
+            elif _insert(entry[1], result):
+                entry[2] += 1
+        return key
+
+    def _int_path(self, rec: _Recording, n_int: int):
+        """The integer instructions of the iteration, replayed from the
+        loop-head registers: ``(ops, dispatched, written)`` or a reason.
+        Paths are cached by (pc, length) and re-verified on reuse."""
+        from repro.core.int_core import _ALU_OPS, _BRANCH_OPS, \
+            _IMM_TO_ALU, IntCore
+        from repro.isa.instructions import InstrClass
+
+        core = self.core
+        cached = self._paths.get((rec.pc, n_int))
+        if cached is not None:
+            regs = list(rec.iregs)
+            if all(op[0] == 6 or _exec_int(op, regs) for op in cached[0]) \
+                    and regs == core.regs.values:
+                return cached
+        program = core.program
+        instrs = program.instrs
+        regs = list(rec.iregs)
+        pc = rec.pc
+        ops = []
+        dispatched = []
+        written = set()
+        for _ in range(n_int):
+            index = (pc - program.base) // 4
+            if pc % 4 or not 0 <= index < len(instrs):
+                return "unproven"
+            instr = instrs[index]
+            iclass = instr.iclass
+            mn = instr.mnemonic
+            rd, rs1, rs2, imm = instr.rd, instr.rs1, instr.rs2, instr.imm
+            if instr.is_fp:
+                kind = self._kind(instr)
+                if len(kind) > 1:
+                    return kind
+                dispatched.append(instr)
+                if kind != "c":
+                    ops.append((6, rs1, imm))
+                pc += 4
+                continue
+            if iclass in (InstrClass.INT_ALU, InstrClass.INT_MUL,
+                          InstrClass.INT_DIV):
+                if mn in ("lui", "auipc"):
+                    value = (imm << 12) & _MASK32
+                    if mn == "auipc":
+                        value = (value + pc) & _MASK32
+                    op = (2, rd, value)
+                else:
+                    base_mn = _IMM_TO_ALU.get(mn, mn)
+                    if iclass is InstrClass.INT_MUL:
+                        fn = (lambda m: lambda a, b: IntCore._mul(m, a, b)
+                              )(base_mn)
+                    elif iclass is InstrClass.INT_DIV:
+                        fn = (lambda m: lambda a, b: IntCore._div(m, a, b)
+                              )(base_mn)
+                    else:
+                        fn = _ALU_OPS[base_mn]
+                    op = (1, rd, fn, rs1, imm) if mn in _IMM_TO_ALU \
+                        else (0, rd, fn, rs1, rs2)
+                pc += 4
+            elif iclass is InstrClass.BRANCH:
+                fn = _BRANCH_OPS[mn]
+                taken = bool(fn(regs[rs1], regs[rs2]))
+                op = (3, fn, rs1, rs2, taken)
+                pc += imm if taken else 4
+            elif iclass is InstrClass.JUMP:
+                link = (pc + 4) & _MASK32
+                if mn == "jal":
+                    op = (2, rd, link)
+                    pc += imm
+                else:
+                    target = (regs[rs1] + imm) & ~1
+                    op = (5, rs1, imm, target, rd, link)
+                    pc = target
+            elif iclass in (InstrClass.LOAD, InstrClass.STORE):
+                return "int-load-store"
+            else:
+                return iclass.name.lower()
+            _exec_int(op, regs)
+            target_reg = op[4] if op[0] == 5 else op[1]
+            if op[0] != 3 and target_reg:
+                written.add(target_reg)
+            ops.append(op)
+        if pc != core.pc or regs != core.regs.values:
+            return "unproven"
+        path = (tuple(ops), tuple(dispatched), tuple(sorted(written)))
+        self._paths[(rec.pc, n_int)] = path
+        return path
+
+    def _build(self, rec: _Recording, exit_key):
+        """Turn a stepped iteration into a memo value (or a reason)."""
+        cl, core, fp = self.cluster, self.core, self.fp
+        now = cl.cycle
+        dt = now - rec.cycle
+        log = rec.log
+        if dt > _MEMO_MAX_CYCLES or len(log) != dt + 1:
+            return "long-iteration"
+        lsu = fp.lsu
+        if lsu.port._pending is not None:
+            return "unproven"
+        delta = self._engine._diff(rec.snap, self._engine._snapshot())
+        counters = delta["counters"]
+        for name, reason in (("frep_ops", "frep"), ("fp_csr_ops", "csr"),
+                             ("scfg_ops", "scfg"), ("dma_transfers", "dma"),
+                             ("barriers", "barrier")):
+            if counters.get(name):
+                return reason
+        if delta["dma"]:
+            return "dma-busy"
+        path = self._int_path(rec, counters.get("int_instrs", 0))
+        if isinstance(path, str):
+            return path
+        int_ops, dispatched, written = path
+
+        # The FP side issues in queue order.
+        n_issue = counters.get("fpu_compute_ops", 0) \
+            + counters.get("fp_lsu_ops", 0)
+        stream = [e.instr for e in rec.queue] + list(dispatched)
+        queue = fp.sequencer.queue
+        rest = stream[n_issue:]
+        if len(rest) != len(queue) or any(
+                instr is not e.instr for instr, e in zip(rest, queue)):
+            return "unproven"
+        key = rec.key
+        signature = (id(path), n_issue, key[1],
+                     tuple(op[:3] for op in key[2]), key[4], key[5], key[7],
+                     key[8], key[9], key[10], len(fp.pipe.in_flight),
+                     lsu.busy)
+        # The data side is worked out on the iteration's first hit: a
+        # third of the recordings never replay.
+        shape = self._shapes.get(signature) or (
+            signature, rec.key, len(rec.pipe), stream[:n_issue],
+            [delta["streamers"].get((0, si), (0,) * 5)
+             for si in range(len(fp.streamers))],
+            len(fp.pipe.in_flight), lsu.busy)
+
+        # What the core did to the memory side each cycle, and which
+        # stream observations its timing rested on.  An operand check
+        # counts only when the FP step got as far as the stream test.
+        schedule = []
+        base = rec.lsu_count
+        intern = self._entries
+        moves = self._moves
+        splits = self._splits
+        for before, after in zip(log, log[1:]):
+            progress0, lsu0, early0, checks = before
+            progress1, lsu1, early1, _ = after
+            moved = tuple(map(sub, progress0, progress1))
+            flow = moves.get(moved)
+            if flow is None:
+                nst = len(moved) // 2
+                flow = moves[moved] = (moved[:nst], moved[nst:])
+            split = splits.get((checks, early1 != early0))
+            if split is None:
+                kept = tuple(c for c in checks if not c[1]) \
+                    if early1 != early0 else checks
+                split = splits[(checks, early1 != early0)] = (
+                    tuple(c[:2] for c in kept), tuple(c[2] for c in kept),
+                    kept)
+            entry = (*flow, lsu0 - base if lsu1 != lsu0 else -1, *split)
+            schedule.append(intern.setdefault(entry, entry))
+
+        # The memory side's own counters come from re-simulation.
+        stream_ports = {id(s.data_port) for s in fp.streamers} \
+            | {id(s.idx_port) for s in fp.streamers}
+        delta["ports"] = [(0, 0, 0) if id(port) in stream_ports else d
+                          for port, d in zip(cl.tcdm.ports, delta["ports"])]
+        delta["tcdm"] = (0, 0, 0)
+        delta["streamers"] = {
+            k: (0, 0, d[2], d[3], 0) for k, d in delta["streamers"].items()}
+
+        ready = core.regs.ready_cycle
+        pipe1 = fp.pipe.in_flight
+        pipe_rel = []
+        entry_ops = len(rec.pipe)
+        n_compute = counters.get("fpu_compute_ops", 0)
+        for i, op in enumerate(pipe1):
+            # Exit op i is the (entry + issued - exit + i)-th pipe op.
+            index = entry_ops + n_compute - len(pipe1) + i
+            pipe_rel.append((index,) if index < entry_ops
+                            else op.completes_at - now)
+        chain = fp.chain
+        exit_state = {
+            "pc": core.pc,
+            "queue": list(queue),
+            "pipe": [(op.instr, op.dest, op.dest_is_ssr) for op in pipe1],
+            "valid": list(chain.valid),
+            "popped": set(chain._popped_this_cycle),
+            "valid_at_start": list(chain._valid_at_start),
+            "busy": list(fp.fpregs.busy),
+            "rep": [s._rep_count for s in fp.streamers],
+            "pending_load": lsu._pending_load,
+            "pending_store": lsu._pending_store,
+            "lsu_response": lsu.port._response_ready,
+        }
+        return _Iter(
+            dt=dt, delta=delta,
+            exit_key=None if isinstance(exit_key, str) else exit_key,
+            exit=exit_state, shape=shape, int_ops=int_ops,
+            ready_rel=tuple((r, ready[r] - now) for r in written),
+            stall_rel=core.stall_until - now,
+            last_rel=fp.pipe._last_completion - now if n_compute else None,
+            pipe_rel=tuple(pipe_rel), schedule=tuple(schedule))
+
+    def _shape(self, _signature: tuple, key: tuple, n_entry: int,
+               issued: list, sdelta: list, n_exit: int, lsu_busy: bool):
+        """Symbolic program-order execution of the issued FP entries:
+        the data program and the LSU structure (or why it fails)."""
+        from repro.core.fpu import EXECUTORS
+
+        fp = self.fp
+        streams = key[8]
+        mask = key[4]
+        valid0 = key[5]
+        nstream = fp._num_streamers if key[7] else 0
+
+        # Loop-head data symbols: ("p", i) pipe value, ("r", reg)
+        # retired register, ("e", s, k) stream element k from the
+        # stream's head, ("l", m) loaded value, ("l0",) the loop-head
+        # load, ("o", j) issued op j's result.
+        value = [("r", r) for r in range(len(fp.fpregs.values))]
+        chainq = {r: [("r", r)] if valid0[r] else []
+                  for r in range(len(valid0)) if mask >> r & 1}
+        lsu_ops = []            # (kind, dest, symbol, order)
+        lsu_entry = key[9] is not None or key[10]
+        if key[9] is not None:
+            value[key[9]] = ("l0",)
+            lsu_ops.append(("l", key[9], ("l0",), -1))
+        elif key[10]:
+            lsu_ops.append(("s", None, None, -1))
+        pipe_syms = []          # (is_stream, dest, symbol, order)
+        for i, (_, dest, is_ssr, _) in enumerate(key[2]):
+            sym = ("p", i)
+            if not is_ssr:
+                if mask >> dest & 1:
+                    chainq[dest].append(sym)
+                else:
+                    value[dest] = sym
+            pipe_syms.append((is_ssr, dest, sym, i - n_entry))
+
+        pops = {si: 0 for si, st in enumerate(streams) if st is not None}
+        need = dict.fromkeys(pops, 0)
+        ops = []                # (executor, result, operands)
+        stores = []
+        lsu_kinds = []
+        n_ld = 0
+
+        def operand(reg, seen):
+            if reg < nstream:
+                st = streams[reg]
+                if st is None or st[0] != SsrMode.READ:
+                    return None
+                k = (st[3] + pops[reg]) // (st[2] + 1)
+                pops[reg] += 1
+                if k >= need[reg]:
+                    need[reg] = k + 1
+                return ("e", reg, k)
+            if mask >> reg & 1:
+                if reg not in seen:
+                    queue = chainq[reg]
+                    if not queue:
+                        return None
+                    seen[reg] = queue.pop(0)
+                return seen[reg]
+            return value[reg]
+
+        for j, instr in enumerate(issued):
+            kind = self._kinds[id(instr)]
+            if kind == "c":
+                spec = instr.spec
+                seen: dict = {}
+                args = []
+                for reg, domain in ((instr.rs1, spec.rs1_domain),
+                                    (instr.rs2, spec.rs2_domain),
+                                    (instr.rs3, spec.rs3_domain)):
+                    if domain == "f":
+                        sym = operand(reg, seen)
+                        if sym is None:
+                            return "unproven"
+                        args.append(sym)
+                result = ("o", j)
+                ops.append((EXECUTORS[instr.mnemonic][1], result, args))
+                dest = instr.rd
+                if dest < nstream:
+                    st = streams[dest]
+                    if st is None or st[0] != SsrMode.WRITE:
+                        return "unproven"
+                    pipe_syms.append((True, dest, result, j))
+                else:
+                    if mask >> dest & 1:
+                        chainq[dest].append(result)
+                    else:
+                        value[dest] = result
+                    pipe_syms.append((False, dest, result, j))
+            elif kind == "l":
+                dest = instr.rd
+                if mask >> dest & 1 or dest < nstream:
+                    return "unproven"
+                sym = ("l", n_ld)
+                n_ld += 1
+                value[dest] = sym
+                lsu_ops.append(("l", dest, sym, j))
+                lsu_kinds.append("l")
+            else:
+                sym = operand(instr.rs2, {})
+                if sym is None:
+                    return "unproven"
+                stores.append(sym)
+                lsu_ops.append(("s", None, sym, j))
+                lsu_kinds.append("s")
+
+        # Retirement: the pipe retires in order, the LSU one op at a
+        # time; per register at most one writer is outstanding, so
+        # program order decides the retired value.
+        n_retire = len(pipe_syms) - n_exit
+        if n_retire < 0 or (lsu_busy and not lsu_ops):
+            return "unproven"
+        done = lsu_ops[:-1] if lsu_busy else lsu_ops
+        writes = [(order, dest, sym) for is_ssr, dest, sym, order in
+                  pipe_syms[:n_retire] if not is_ssr]
+        writes += [(order, dest, sym) for kind, dest, sym, order in done
+                   if kind == "l"]
+        writes.sort(key=lambda w: w[0])
+        final = {dest: sym for _, dest, sym in writes}
+        pushed = {}
+        for is_ssr, dest, sym, _ in pipe_syms[:n_retire]:
+            if is_ssr:
+                pushed.setdefault(dest, []).append(sym)
+
+        reads, advance = [], []
+        for si, st in enumerate(streams):
+            if st is None:
+                continue
+            _, _, dcons, dprod, _ = sdelta[si]
+            if pops[si] != -dcons or len(pushed.get(si, ())) != -dprod:
+                return "unproven"
+            if need[si]:
+                reads.append((si, need[si]))
+            if pops[si]:
+                advance.append((si, (st[3] + pops[si]) // (st[2] + 1)))
+
+        # The data program: slot-numbered operations over a flat value
+        # list laid out as pipe values, registers, stream elements,
+        # loaded values, then the results in issue order.
+        slot = {("p", i): i for i in range(n_entry)}
+        base = n_entry
+        slot.update((("r", r), base + r) for r in range(len(value)))
+        base += len(value)
+        for si, n in reads:
+            slot.update((("e", si, k), base + k) for k in range(n))
+            base += n
+        slot.update((("l", m), base + m) for m in range(n_ld))
+        base += n_ld
+        slot[("l0",)] = base
+        base += 1
+        flat_ops = []
+        for fn, result, args in ops:
+            slot[result] = base
+            base += 1
+            index = [slot[x] for x in args]
+            flat_ops.append((fn, *index, *(-1,) * (3 - len(index))))
+        program = (
+            tuple(si for si, _ in reads), tuple(flat_ops),
+            tuple(slot[sym] for _, _, sym, _ in pipe_syms[n_retire:]),
+            tuple((r, slot[sym]) for r, sym in sorted(final.items())),
+            tuple((si, tuple(slot[x] for x in syms))
+                  for si, syms in pushed.items()),
+            tuple(slot[x] for x in stores))
+        return _Shape(
+            program=program, lsu_issued=tuple(lsu_kinds),
+            lsu_entry=bool(lsu_entry), lsu_busy=lsu_busy,
+            reads=tuple(reads), advance=tuple(advance))
+
+    # -- replay ---------------------------------------------------------------
+
+    def _view(self, s):
+        """Addresses and banks of every element of ``s``'s armed stream
+        (None when some element is out of range or misaligned: stepping
+        must raise there).  Views are kept per configuration; an
+        indirect one is rebuilt when its index array changed."""
+        cfg = s.cfg
+        mem = self.cluster.mem
+        total = cfg.total_elements()
+        raw = None
+        if cfg.indirect:
+            isz = cfg.idx_size
+            off = cfg.idx_base
+            if off < 0 or off + total * isz > mem.size or off % isz:
+                return None
+            raw = bytes(mem._data[off:off + total * isz])
+        cached = self._views.get(id(cfg))
+        if cached is not None and cached[2] == raw:
+            return cached[1]
+        tcdm = self.tcdm
+        idx = None
+        if cfg.indirect:
+            idx = np.frombuffer(
+                raw, dtype=np.uint32 if isz == 4 else np.uint16
+            ).astype(np.int64)
+            addr = cfg.base + (idx << cfg.idx_shift)
+        else:
+            addr = affine_addresses(cfg, np.arange(total))
+        if total and (addr.min() < 0 or addr.max() + 8 > mem.size
+                      or np.any(addr & 7)):
+            return None
+        view = _View()
+        view.total = total
+        view.addr = addr
+        view.idx = idx
+        bw, nb = tcdm.bank_width, tcdm.num_banks
+        # Bank numbers as bytes: compact, and indexing yields ints.
+        kind = np.uint8 if nb <= 256 else np.int64
+        view.banks = (addr // bw % nb).astype(kind).tobytes() \
+            if kind is np.uint8 else (addr // bw % nb).tolist()
+        view.span = (int(addr.min()), int(addr.max()) + 8) if total \
+            else (0, 0)
+        view.ibanks = view.ispan = None
+        if idx is not None:
+            ibanks = (cfg.idx_base + np.arange(total) * cfg.idx_size) \
+                // bw % nb
+            view.ibanks = ibanks.astype(kind).tobytes() \
+                if kind is np.uint8 else ibanks.tolist()
+            view.ispan = (cfg.idx_base, cfg.idx_base + total * cfg.idx_size)
+        self._views[id(cfg)] = (cfg, view, raw)
+        return view
+
+    def _open_run(self):
+        """Virtual state of a run of hits, or the reason none can start
+        here (an element out of range, a store that can reach a stream,
+        or stream data that memory no longer backs)."""
+        cl, core, fp = self.cluster, self.core, self.fp
+        run = _Run()
+        run.start = run.cycle = cl.cycle
+        run.ir = list(core.regs.values)
+        run.iready = {}
+        run.stall = core.stall_until
+        run.lsuq = deque(e.vals["addr"] for e in fp.sequencer.queue
+                         if self._kinds[id(e.instr)] != "c")
+        lsu = fp.lsu
+        # A busy LSU at a loop head has been granted (the key declines a
+        # pending request): only the loaded value is still to arrive.
+        run.lsu_op = None
+        if lsu.busy:
+            run.lsu_op = ["s" if lsu._pending_store else "l", None,
+                          lsu.port._response]
+        pipe = fp.pipe
+        run.pv = [op.value for op in pipe.in_flight]
+        run.pcomp = [op.completes_at for op in pipe.in_flight]
+        run.last_comp = pipe._last_completion
+        run.rv = list(fp.fpregs.values)
+        run.pushed = {}
+        run.head = {}
+        run.moved0 = {}
+        run.mem = mem_state = []
+        run.order = order = []
+        run.views = views = []
+        reads, writes = [], []
+        mem = cl.mem
+        armed = {id(s.cfg) for s in fp.streamers}
+        for stale in [k for k in self._views if k not in armed]:
+            del self._views[stale]
+        for si, s in enumerate(fp.streamers):
+            cfg = s.cfg
+            if cfg is None:
+                mem_state.append(None)
+                views.append(None)
+                continue
+            view = self._view(s)
+            if view is None:
+                return "address-range"
+            views.append(view)
+            dport, iport = s.data_port, s.idx_port
+            fill = len(s._fifo)
+            ipending = iport._pending is not None or iport._response_ready
+            if s._igen is not None:
+                pos = s._igen._pos
+                mode = _INDIRECT_READ
+                # Element indices count from the stream's arming, while
+                # ``elements_moved`` counts across re-arms.
+                here = pos - len(s._idx_fifo) - s._data_requested - ipending
+            else:
+                pos = s._gen.position
+                if cfg.mode == SsrMode.WRITE:
+                    mode = _WRITE
+                    here = pos - (s._pending_write_addr is not None)
+                else:
+                    mode = _AFFINE_READ
+                    here = pos - s._data_requested
+            order.append((si, mode, view))
+            run.moved0[si] = here
+            mem_state.append([
+                fill, s._rep_count, s._data_requested,
+                dport._pending is not None, dport._response_ready,
+                len(s._idx_fifo), iport._pending is not None,
+                iport._response_ready, pos, here,
+                s._pending_write_addr is not None, pos - 1,
+                0, 0, 0, 0, 0, 0])
+            addr = view.addr
+            if mode == _WRITE:
+                run.pushed[si] = [here, list(s._fifo)]
+                if s._pending_write_addr is not None \
+                        and s._pending_write_addr != addr[here]:
+                    return "aliasing"
+                writes.append(view.span)
+                continue
+            run.head[si] = here - fill
+            reads.append(view.span)
+            if view.ispan is not None:
+                reads.append(view.ispan)
+            for k, v in zip(range(here - fill, here), s._fifo):
+                if mem.read_f64(int(addr[k])) != v:
+                    return "aliasing"
+            if dport._pending is not None \
+                    and dport._pending.addr != addr[here]:
+                return "aliasing"
+            if dport._response_ready \
+                    and dport._response != mem.read_f64(int(addr[here])):
+                return "aliasing"
+            if view.idx is not None:
+                first = here + s._data_requested
+                for k, v in zip(range(first, first + len(s._idx_fifo)),
+                                s._idx_fifo):
+                    if view.idx[k] != v:
+                        return "aliasing"
+                if iport._response_ready \
+                        and iport._response != view.idx[pos - 1]:
+                    return "aliasing"
+        for i, (lo, hi) in enumerate(writes):
+            for lo2, hi2 in reads + writes[:i]:
+                if lo < hi2 and lo2 < hi:
+                    return "aliasing"
+        run.sim = _simulator(tuple((si, mode, bool(fp.streamers[si].cfg.repeat))
+                                   for si, mode, _ in order),
+                             len(fp.streamers))(
+            [v and v.banks for v in views], [v and v.ibanks for v in views],
+            [v and v.total for v in views],
+            [s.data_port._rot_index for s in fp.streamers],
+            [s.idx_port._rot_index for s in fp.streamers],
+            [s.cfg and s.cfg.repeat + 1 for s in fp.streamers],
+            fp.streamers[0].fifo_depth, len(cl.tcdm._streamer_ports))
+        run.reads = reads
+        run.writes = writes
+        run.ld_range = run.st_range = None
+        run.rr = cl.tcdm._rr_offset
+        run.tcdm = [0, 0]
+        run.counts = {}
+        run.st_writes = []
+        run.ws_writes = []
+        run.hits = 0
+        run.last = None
+        return run
+
+    def _replay(self, key: tuple, limit: int):
+        """Chain hits from ``key`` and write the machine once.  Returns
+        the key the run stopped at (None when the last exit key is one
+        the memo declines, a reason when no run could start)."""
+        run = self._open_run()
+        if isinstance(run, str):
+            return run
+        table = self._table
+        cur = key
+        while cur is not None:
+            paths = table.get(cur)
+            if not paths:
+                break
+            it = self._hit(run, paths, limit)
+            if it is None:
+                break
+            if isinstance(it, str):
+                cur = it  # a decline: step on without recording
+                break
+            cur = it.exit_key
+        if run.hits:
+            self._materialize(run)
+            stats = self.stats
+            stats["loop_hits"] += run.hits
+            stats["loop_cycles"] += run.cycle - run.start
+            if _obs.ENABLED:
+                _obs.tracer().sim_span(
+                    "loop-memo", "engine", run.start, run.cycle,
+                    lane=self.cluster.obs_lane,
+                    args={"iterations": run.hits})
+        return cur
+
+    def _hit(self, run: _Run, paths: dict, limit: int):
+        """Replay the recorded iteration whose core timing holds onto the
+        run's virtual state; returns it, None on a miss, or the reason
+        the memo declines it (nothing is touched unless it replays)."""
+        # The integer path first: branch outcomes and LSU addresses.
+        for int_ops, root, _ in paths.values():
+            regs = run.ir[:]
+            new_lsu = []
+            for op in int_ops:
+                if op[0] == 6:
+                    new_lsu.append((regs[op[1]] + op[2]) & _MASK32)
+                elif not _exec_int(op, regs):
+                    break
+            else:
+                break
+        else:
+            return None
+        lsuq = run.lsuq
+        addrs = list(lsuq) + new_lsu
+        tcdm = self.tcdm
+        bw, nb = tcdm.bank_width, tcdm.num_banks
+        sim = run.sim(run.mem, root, [a // bw % nb for a in addrs],
+                      limit - run.cycle, run.rr)
+        if sim is None:
+            return None
+        it = sim[0]
+        shape = it.shape
+        if type(shape) is tuple:
+            built = self._shape(*shape)
+            self._shapes[shape[0]] = it.shape = shape = built
+        if isinstance(shape, str):
+            self._decline(shape)
+            return None
+        c1 = run.cycle + it.dt
+
+        # The iteration's LSU accesses: in range, aligned, and clear of
+        # every stream and each other.
+        kinds = shape.lsu_issued
+        n_issue = len(kinds)
+        issued = addrs[:n_issue]
+        mem = self.cluster.mem
+        size = mem.size
+        ld_range, st_range = run.ld_range, run.st_range
+        for kind, addr in zip(kinds, issued):
+            if addr < 0 or addr + 8 > size or addr & 7:
+                return "address-range"
+            if kind == "l":
+                ld_range = (addr, addr + 8) if ld_range is None else (
+                    min(ld_range[0], addr), max(ld_range[1], addr + 8))
+            else:
+                st_range = (addr, addr + 8) if st_range is None else (
+                    min(st_range[0], addr), max(st_range[1], addr + 8))
+        if st_range is not None:
+            lo, hi = st_range
+            for lo2, hi2 in run.reads + run.writes:
+                if lo < hi2 and lo2 < hi:
+                    return "aliasing"
+            if ld_range is not None and lo < ld_range[1] \
+                    and ld_range[0] < hi:
+                return "aliasing"
+        if ld_range is not None:
+            lo, hi = ld_range
+            for lo2, hi2 in run.writes:
+                if lo < hi2 and lo2 < hi:
+                    return "aliasing"
+
+        # The core timing holds: run the iteration's data program.
+        views = run.views
+        f64 = mem._f64_view()
+        elems = [None] * len(views)
+        head = run.head
+        for si, count in shape.reads:
+            k0 = head[si]
+            elems[si] = f64[views[si].addr[k0:k0 + count] >> 3].tolist()
+        loads = [mem.read_f64(addr) for kind, addr in zip(kinds, issued)
+                 if kind == "l"]
+        lsu_op = run.lsu_op
+        ld0 = lsu_op[2] if shape.lsu_entry and lsu_op[0] == "l" else None
+        pv, pushed, stores = _run_program(shape.program, run, elems, loads,
+                                          ld0)
+        run.pv = pv
+        pcomp = run.pcomp
+        run.pcomp = [pcomp[r[0]] if type(r) is tuple else c1 + r
+                     for r in it.pipe_rel]
+        if it.last_rel is not None:
+            run.last_comp = c1 + it.last_rel
+        _, run.mem, run.rr, accesses, conflicts, grants = sim
+        for si, values in pushed:
+            run.pushed[si][1] += values
+        for si, element in grants:
+            first, values = run.pushed[si]
+            run.ws_writes.append((int(views[si].addr[element]),
+                                  values[element - first]))
+        run.st_writes += zip((a for k, a in zip(kinds, issued) if k == "s"),
+                             stores)
+        if not shape.lsu_busy:
+            run.lsu_op = None
+        elif kinds:
+            kind = kinds[-1]
+            run.lsu_op = [kind, issued[-1],
+                          stores[-1] if kind == "s" else loads[-1]]
+        tcdm_delta = run.tcdm
+        tcdm_delta[0] += accesses
+        tcdm_delta[1] += conflicts
+        lsuq.extend(new_lsu)
+        for _ in range(n_issue):
+            lsuq.popleft()
+        run.ir = regs
+        iready = run.iready
+        for reg, rel in it.ready_rel:
+            iready[reg] = c1 + rel
+        run.stall = c1 + it.stall_rel
+        for si, elements in shape.advance:
+            head[si] += elements
+        run.ld_range, run.st_range = ld_range, st_range
+        count = run.counts.get(id(it))
+        if count is None:
+            run.counts[id(it)] = [it, 1]
+        else:
+            count[1] += 1
+        run.cycle = c1
+        run.hits += 1
+        run.last = it
+        return it
+
+    def _materialize(self, run: _Run) -> None:
+        """Write a run of hits into the machine, in program order."""
+        cl, core, fp = self.cluster, self.core, self.fp
+        ex = run.last.exit
+        for entry, n in run.counts.values():
+            _apply_delta(cl, entry.delta, n)
+        cl.cycle = run.cycle
+        cl.perf.cycles = run.cycle
+        mem = cl.mem
+
+        regs = core.regs
+        regs.values[:] = run.ir
+        for reg, ready in run.iready.items():
+            regs.ready_cycle[reg] = ready
+        core.pc = ex["pc"]
+        core.stall_until = run.stall
+
+        queue = fp.sequencer.queue
+        queue.clear()
+        lsuq = run.lsuq
+        for entry in ex["queue"]:
+            if self._kinds[id(entry.instr)] == "c":
+                queue.append(entry)
+            else:
+                fresh = DispatchedEntry(entry.instr,
+                                        {"addr": lsuq.popleft()}, False)
+                fresh.uop = entry.uop
+                queue.append(fresh)
+
+        pipe = fp.pipe
+        in_flight = pipe.in_flight
+        in_flight.clear()
+        for (instr, dest, is_ssr), value, completes in zip(
+                ex["pipe"], run.pv, run.pcomp):
+            in_flight.append(InFlightOp(instr, dest, is_ssr, value,
+                                        completes, False, False))
+        pipe._last_completion = run.last_comp
+        fp.fpregs.values[:] = run.rv
+        fp.fpregs.busy[:] = ex["busy"]
+        chain = fp.chain
+        chain.valid[:] = ex["valid"]
+        chain._popped_this_cycle.clear()
+        chain._popped_this_cycle.update(ex["popped"])
+        chain._valid_at_start = list(ex["valid_at_start"])
+
+        tcdm = cl.tcdm
+        tcdm._rr_offset = run.rr
+        tcdm.total_accesses += run.tcdm[0]
+        tcdm.busy_bank_cycles += run.tcdm[0]
+        tcdm.total_conflicts += run.tcdm[1]
+        for si, mode, view in run.order:
+            s = fp.streamers[si]
+            (fill, _, requested, dpend, dresp, ifill, ipend, iresp, pos,
+             here, pwa, ielem, active, dreads, dwrites, dconf, ireads,
+             iconf) = run.mem[si]
+            cfg = s.cfg
+            dport, iport = s.data_port, s.idx_port
+            s._rep_count = ex["rep"][si]
+            s._data_requested = requested
+            s.active_cycles += active
+            dport.reads += dreads
+            dport.writes += dwrites
+            dport.conflicts += dconf
+            iport.reads += ireads
+            iport.conflicts += iconf
+            addr = int(view.addr[here]) if here < view.total else None
+            s.elements_moved += here - run.moved0[si]
+            if mode == _WRITE:
+                first, values = run.pushed[si]
+                fifo = values[here - first:here - first + fill]
+                s._pending_write_addr = addr if pwa else None
+                if dpend:
+                    _post(dport, addr, True, fifo[0], 8)
+                else:
+                    dport._pending = None
+                dport._response = None
+            else:
+                fifo = [mem.read_f64(int(a))
+                        for a in view.addr[here - fill:here]]
+                if dpend:
+                    _post(dport, addr, False, None, 8)
+                else:
+                    dport._pending = None
+                dport._response = mem.read_f64(addr) if dresp else None
+            dport._response_ready = dresp
+            s._fifo.clear()
+            s._fifo.extend(fifo)
+            if mode == _INDIRECT_READ:
+                s._igen._pos = pos
+                first = here + requested
+                s._idx_fifo.clear()
+                s._idx_fifo.extend(int(v) for v in
+                                   view.idx[first:first + ifill])
+                if ipend:
+                    _post(iport, cfg.idx_base + ielem * cfg.idx_size,
+                          False, None, cfg.idx_size)
+                else:
+                    iport._pending = None
+                iport._response_ready = iresp
+                iport._response = int(view.idx[ielem]) if iresp else None
+            else:
+                s._gen.jump_to(pos)
+
+        lsu = fp.lsu
+        lsu._pending_load = ex["pending_load"]
+        lsu._pending_store = ex["pending_store"]
+        lport = lsu.port
+        lport._pending = None
+        lport._response_ready = ex["lsu_response"]
+        op = run.lsu_op
+        lport._response = op[2] if ex["lsu_response"] and op[0] == "l" \
+            else None
+
+        for addr, value in run.ws_writes:
+            mem.write_f64(addr, value)
+        for addr, value in run.st_writes:
+            mem.write_f64(addr, value)
+
+
+#: Compiled memory-side simulators keyed by the armed stream modes.
+_SIMULATORS: dict[tuple, object] = {}
+
+_SIM_TEMPLATE = """\
+def factory(B, IB, T, RD, RI, R1, D, n):
+{bind}
+    def sim(state, node, LB, budget, rr):
+{unpack}
+        it = node.rep
+        schedule = it.schedule
+        split = node.split
+        dt = it.dt
+        if dt > budget and split is None:
+            return None
+        acc = conf = 0
+        grants = []
+        cycle = 0
+        while cycle < dt:
+            pops, pushes, lsu, checks, expect, triples = schedule[cycle]
+            if checks:
+                if cycle == split:
+                    seen = []
+                    for si, uses in checks:
+{seen}
+                    node = node.children.get((*seen,))
+                    if node is None:
+                        return None
+                    it = node.rep
+                    schedule = it.schedule
+                    split = node.split
+                    dt = it.dt
+                    if dt > budget and split is None:
+                        return None
+                    pops, pushes, lsu, _, _, _ = schedule[cycle]
+                else:
+                    for si, uses, want in triples:
+{verify}
+{flow}
+{steps}
+            pend = []
+            ns = 0
+            if lsu >= 0:
+                pend.append((LB[lsu], -1))
+{requests}
+            count = len(pend)
+            if count:
+                old = rr
+                if count > 1 and ns > 1:
+                    rr = (rr + 1) % n
+                if count == 1:
+                    clash = False
+                elif count == 2:
+                    clash = pend[0][0] == pend[1][0]
+                else:
+                    clash = len(set([bank for bank, _ in pend])) < count
+                if clash:
+                    # A bank conflict: the LSU, then streams in
+                    # round-robin order, take their banks first.
+                    pend.sort(key=lambda x: -1 if x[1] < 0
+                              else (ROT[x[1]] - old) % n)
+                    taken = set()
+                    for bank, code in pend:
+                        if bank in taken:
+                            conf += 1
+{conflict}
+                            continue
+                        taken.add(bank)
+                        acc += 1
+{grant}
+                else:
+                    acc += count
+                    for bank, code in pend:
+{grant_all}
+            cycle += 1
+        if split is not None or dt > budget:
+            return None
+        return it, [{pack}], rr, acc, conf, grants
+    return sim
+"""
+
+
+def _simulator(modes: tuple, nstreams: int):
+    """The memory-side re-simulator for one set of armed streams.
+
+    It replays one iteration's recorded core schedule against the
+    stream FIFOs, index fetches, write drains and TCDM arbitration on
+    counters alone -- the exact rules of the streamer ``_step_v2_*``
+    bodies and ``Tcdm.arbitrate_v2`` -- walking the decision tree of the
+    recorded iterations as the observations come out.  Returns
+    ``(iteration, streams, rr, accesses, conflicts, write grants)`` or
+    None.  The code is generated per stream configuration (``modes``:
+    stream, mode, repeats) so that all stream state lives in local
+    variables, as the FP issue bodies of :mod:`repro.core.uops` do.
+    """
+    factory = _SIMULATORS.get((modes, nstreams))
+    if factory is not None:
+        return factory
+    names = "f r q dp dr g ip ir p m w e a xr xw xc yr yc".split()
+
+    def block(lines, depth):
+        return "\n".join(" " * depth + line for line in lines)
+
+    bind, unpack, probe, flow, steps = [], [], [], [], []
+    requests, conflict, grant = [], [], []
+    rot = ["0"] * (2 * nstreams)
+    for index, (si, mode, repeats) in enumerate(modes):
+        v = {name: f"{name}{si}" for name in names}
+        bind += [f"B{si} = B[{si}]", f"IB{si} = IB[{si}]",
+                 f"T{si} = T[{si}]", f"R1{si} = R1[{si}]"]
+        rot[2 * si] = f"RD[{si}]"
+        rot[2 * si + 1] = f"RI[{si}]"
+        unpack.append(f"({', '.join(v[x] for x in names)}) = state[{si}]")
+        probe += [f"{'if' if index == 0 else 'elif'} si == {si}:",
+                  f"    cf, cr, cn = f{si}, r{si}, R1{si}"]
+        if repeats:
+            flow += [f"k = pops[{si}]", "if k:", f"    t = r{si} + k",
+                     f"    f{si} -= t // R1{si}", f"    r{si} = t % R1{si}",
+                     f"    if f{si} < 0:", "        return None"]
+        else:
+            flow += [f"if pops[{si}]:", f"    f{si} -= pops[{si}]",
+                     f"    if f{si} < 0:", "        return None"]
+        if mode == _WRITE:
+            flow += [f"f{si} += pushes[{si}]"]
+        step = ["wk = False", f"if dr{si}:", f"    dr{si} = False",
+                f"    m{si} += 1", "    wk = True"]
+        if mode == _WRITE:
+            step += [f"    f{si} -= 1", f"    w{si} = False",
+                     f"if f{si} and not dp{si} and (w{si} or p{si} < T{si}):",
+                     f"    if not w{si}:", f"        w{si} = True",
+                     f"        p{si} += 1", f"    dp{si} = True",
+                     "    wk = True"]
+        else:
+            step += [f"    f{si} += 1", f"    q{si} = False"]
+            if mode == _INDIRECT_READ:
+                step += [f"if ir{si}:", f"    ir{si} = False",
+                         f"    g{si} += 1", "    wk = True",
+                         f"if g{si} and not dp{si} and D - f{si} - q{si} > 0:",
+                         f"    g{si} -= 1", f"    dp{si} = True",
+                         f"    q{si} = True", "    wk = True",
+                         f"if p{si} < T{si} and not ip{si} and g{si} < D:",
+                         f"    ip{si} = True", f"    e{si} = p{si}",
+                         f"    p{si} += 1", "    wk = True"]
+            else:
+                step += [f"if p{si} < T{si} and not dp{si} "
+                         f"and D - f{si} - q{si} > 0:",
+                         f"    dp{si} = True", f"    q{si} = True",
+                         f"    p{si} += 1", "    wk = True"]
+        step += ["if wk:", f"    a{si} += 1"]
+        steps += step
+        requests += [f"if dp{si}:", f"    pend.append((B{si}[m{si}], {2 * si}))",
+                     "    ns += 1"]
+        if mode == _INDIRECT_READ:
+            requests += [f"if ip{si}:",
+                         f"    pend.append((IB{si}[e{si}], {2 * si + 1}))",
+                         "    ns += 1"]
+        conflict += [f"elif code == {2 * si}:", f"    xc{si} += 1",
+                     f"elif code == {2 * si + 1}:", f"    yc{si} += 1"]
+        done = [f"    xw{si} += 1", f"    grants.append(({si}, m{si}))"] \
+            if mode == _WRITE else [f"    xr{si} += 1"]
+        grant += [f"elif code == {2 * si}:", f"    dp{si} = False",
+                  f"    dr{si} = True"] + done + [
+                  f"elif code == {2 * si + 1}:", f"    ip{si} = False",
+                  f"    ir{si} = True", f"    yr{si} += 1"]
+    bind.append(f"ROT = [{', '.join(rot)}]")
+    armed = {si for si, _, _ in modes}
+    pack = ", ".join(
+        "[" + ", ".join(f"{name}{si}" for name in names) + "]"
+        if si in armed else "None" for si in range(nstreams))
+    grants = ["if code < 0:", "    pass"] + grant
+    source = _SIM_TEMPLATE.format(
+        bind=block(bind or ["pass"], 4), unpack=block(unpack or ["pass"], 8),
+        seen=block(probe + [
+            "if uses:",
+            "    seen.append(cf > 0 and cn - cr + (cf - 1) * cn >= uses)",
+            "else:", "    seen.append(cf < D)"], 24),
+        verify=block(probe + [
+            "if uses:",
+            "    if (cf > 0 and cn - cr + (cf - 1) * cn >= uses) "
+            "is not want:",
+            "        return None",
+            "elif (cf < D) is not want:", "    return None"], 24),
+        flow=block(flow, 12), steps=block(steps, 12),
+        requests=block(requests, 12),
+        conflict=block(["if code < 0:", "    pass"] + conflict, 28),
+        grant=block(grants, 24), grant_all=block(grants, 24), pack=pack)
+    namespace: dict = {}
+    exec(compile(source, f"<memory side {modes}>", "exec"), namespace)
+    factory = _SIMULATORS[(modes, nstreams)] = namespace["factory"]
+    return factory
+
+
+def _run_program(prog, run, elems, loads, ld0):
+    """Execute an iteration's data program on the run's values; returns
+    the new pipe values, the values pushed into write streams, and the
+    stored values.  The retired registers are updated in place."""
+    e_order, ops, pipe_out, rv_out, push_out, store_out = prog
+    vals = run.pv + run.rv
+    for si in e_order:
+        vals += elems[si]
+    vals += loads
+    vals.append(ld0)
+    append = vals.append
+    for fn, a, b, c in ops:
+        if c >= 0:
+            append(fn(vals[a], vals[b], vals[c]))
+        elif b >= 0:
+            append(fn(vals[a], vals[b]))
+        else:
+            append(fn(vals[a]))
+    rv = run.rv
+    for reg, index in rv_out:
+        rv[reg] = vals[index]
+    return ([vals[i] for i in pipe_out],
+            [(si, [vals[i] for i in out]) for si, out in push_out],
+            [vals[i] for i in store_out])

@@ -116,6 +116,11 @@ class IntCore:
         self._pvals = perf.values
         self._s_barrier = perf.slot("int_barrier_stalls")
         self._s_sync = perf.slot("int_sync_stalls")
+        #: Loop-memo hooks (:mod:`repro.core.fastpath`): with
+        #: ``memo_heads`` set before lowering, a taken backward branch
+        #: raises ``loop_head`` for the cluster's run loop to clear.
+        self.memo_heads = False
+        self.loop_head = False
 
     # -- helpers ---------------------------------------------------------------
 
@@ -135,6 +140,7 @@ class IntCore:
         self.barrier_wait = False
         self.sys_barrier_wait = False
         self._pending_load_rd = None
+        self.loop_head = False
         self._decode_cache.clear()
         # Micro-ops capture per-instruction state, so they are keyed to
         # the program image exactly like the decode cache and must be
@@ -142,6 +148,16 @@ class IntCore:
         self._uops = [None] * len(program.instrs)
         self._uop_cache.clear()
         self._pc_base = program.base
+
+    def drop_lowered(self) -> None:
+        """Forget the lowered micro-ops (rebuilt on the next fetch).
+
+        The closures reference the core, so dropping them once a run is
+        over lets a finished cluster be freed by reference counting
+        instead of waiting for a full garbage collection.
+        """
+        self._uops = [None] * len(self._uops)
+        self._uop_cache.clear()
 
     def _fetch(self) -> Instr | None:
         index = (self.pc - self.program.base) // 4

@@ -241,6 +241,9 @@ def _lower_branch(core, instr: Instr):
     s_taken = _S_TAKEN
     s_not = _S_NOT_TAKEN
     finish = _finish(core, instr, False)
+    # A taken backward branch closes a loop iteration; under the loop
+    # memo it flags the loop head for the cluster's run loop.
+    mark_head = core.memo_heads and imm < 0
 
     def uop(cycle):
         if rready[rs1] > cycle or rready[rs2] > cycle:
@@ -250,6 +253,8 @@ def _lower_branch(core, instr: Instr):
             core.pc += imm
             core.stall_until = cycle + penalty_plus_one
             vals[s_taken] += 1
+            if mark_head:
+                core.loop_head = True
         else:
             core.pc += 4
             vals[s_not] += 1

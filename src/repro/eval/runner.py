@@ -78,6 +78,10 @@ def execute_build(build: KernelBuild, cfg: CoreConfig | None = None,
             METRICS.inc("fastpath.eligible", stats["regions_eligible"])
             METRICS.inc("fastpath.cycles",
                         stats["fast_forwarded_cycles"])
+            METRICS.inc("loop.regions", stats["loop_regions_seen"])
+            METRICS.inc("loop.hits", stats["loop_hits"])
+            METRICS.inc("loop.misses", stats["loop_misses"])
+            METRICS.inc("loop.cycles", stats["loop_cycles"])
     return Result(
         name=build.name,
         correct=correct,

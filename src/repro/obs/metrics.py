@@ -19,6 +19,10 @@ name                      type         meaning
 ``fastpath.regions``      counter      FREP regions seen by the fast path
 ``fastpath.eligible``     counter      regions the fast path accepted
 ``fastpath.cycles``       counter      cycles skipped by fastpath apply
+``loop.regions``          counter      loop heads the loop memo examined
+``loop.hits``             counter      loop iterations replayed
+``loop.misses``           counter      eligible iterations stepped
+``loop.cycles``           counter      cycles replayed by the loop memo
 ``ff.spans``              counter      scalar-v2 quiescence fast-forwards
 ``ff.cycles``             counter      cycles skipped by fast-forwarding
 ``dma.bytes``             counter      bytes moved through global memory
@@ -113,6 +117,11 @@ METRICS = MetricsRegistry()
 # cached records stay bit-identical across obs-on/obs-off runs.
 
 
+#: Loop-memo counters summed over a campaign (see repro.core.fastpath).
+_LOOP_TOTALS = ("loop_regions_seen", "loop_hits", "loop_misses",
+                "loop_cycles")
+
+
 def cluster_run_obs(cluster) -> dict:
     """Summarize one finished single-cluster run."""
     obs: dict = {
@@ -124,6 +133,7 @@ def cluster_run_obs(cluster) -> dict:
     if fastpath is not None:
         stats = dict(fastpath.stats)
         reasons = stats.pop("reject_reasons", {})
+        stats["loop_reject_reasons"] = dict(stats["loop_reject_reasons"])
         obs["fastpath"] = stats
         if reasons:
             obs["fastpath"]["reject_reasons"] = dict(reasons)
@@ -166,6 +176,8 @@ def campaign_obs(outcomes, seconds: float) -> dict:
     }
     ff_spans = ff_cycles = fp_regions = fp_eligible = 0
     reject_reasons: dict[str, int] = {}
+    loop = dict.fromkeys(_LOOP_TOTALS, 0)
+    loop_reasons: dict[str, int] = {}
     for o in outcomes:
         meta = getattr(o.result, "meta", None) or {}
         run_obs = meta.get("obs")
@@ -180,6 +192,10 @@ def campaign_obs(outcomes, seconds: float) -> dict:
                 fp_eligible += fp.get("regions_eligible", 0)
                 for reason, n in fp.get("reject_reasons", {}).items():
                     reject_reasons[reason] = reject_reasons.get(reason, 0) + n
+                for name in _LOOP_TOTALS:
+                    loop[name] += fp.get(name, 0)
+                for reason, n in fp.get("loop_reject_reasons", {}).items():
+                    loop_reasons[reason] = loop_reasons.get(reason, 0) + n
     agg["ff_spans"] = ff_spans
     agg["ff_cycles_skipped"] = ff_cycles
     agg["fastpath_regions_seen"] = fp_regions
@@ -188,4 +204,7 @@ def campaign_obs(outcomes, seconds: float) -> dict:
         fp_eligible / fp_regions if fp_regions else 0.0)
     if reject_reasons:
         agg["fastpath_reject_reasons"] = reject_reasons
+    agg.update(loop)
+    if loop_reasons:
+        agg["loop_reject_reasons"] = loop_reasons
     return agg

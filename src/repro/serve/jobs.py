@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.api.workloads import Workload
+from repro.sweep.cache import append_jsonl
 
 __all__ = ["Job", "JobStore", "TERMINAL_STATUSES"]
 
@@ -122,10 +123,10 @@ class JobStore:
          "priority": ..., "timeout": ..., "created": ...}
         {"op": "status", "id": ..., "status": ..., "ts": ...}
 
-    Appends are one ``write()`` of one ``\\n``-terminated line on an
-    ``O_APPEND`` handle -- the same lock-free multi-writer discipline
-    as the result store's shards, so a crash can at worst lose the
-    final line, never corrupt an earlier one.
+    Appends go through :func:`repro.sweep.cache.append_jsonl`, the
+    result store's own append: one ``write()`` of one line on an
+    ``O_APPEND`` descriptor, starting a new line after a torn tail, so a
+    crash can at worst lose the line it tore, never a later one.
     """
 
     def __init__(self, path: str | Path):
@@ -136,11 +137,8 @@ class JobStore:
     # -- persistence --------------------------------------------------------
 
     def _append(self, record: dict) -> None:
-        line = json.dumps(record, sort_keys=True) + "\n"
         with self._lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a") as sink:
-                sink.write(line)
+            append_jsonl(self.path, record)
 
     def add(self, job: Job) -> None:
         """Register and journal a new submission."""

@@ -101,6 +101,29 @@ def point_key(point: Workload, version: str,
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def append_jsonl(path: Path, record: dict) -> None:
+    """Append ``record`` to a JSONL file as one line, in one ``write()``
+    on an ``O_APPEND`` descriptor, so appends from cooperating processes
+    interleave at line granularity on local filesystems.
+
+    A file whose last byte is not a newline ends in a torn line (a crash
+    mid-write, a full disk); the record then starts with one, so it
+    never glues onto that line and is lost with it.  Readers skip the
+    blank line a concurrent appender may leave.  This is the one append
+    path of the result store, its failure log and the job journal.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    line = (json.dumps(record, sort_keys=True) + "\n").encode()
+    fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
+    try:
+        size = os.fstat(fd).st_size
+        if size and os.pread(fd, 1, size - 1) != b"\n":
+            line = b"\n" + line
+        os.write(fd, line)
+    finally:
+        os.close(fd)
+
+
 class SchemaError(ValueError):
     """A store record whose ``result`` payload is not the current
     canonical schema."""
@@ -234,12 +257,7 @@ class ResultCache:
         return self.shards_dir / f"{key[:SHARD_PREFIX_LEN]}.jsonl"
 
     def _append(self, path: Path, record: dict) -> None:
-        # One write() of one whole line: appends from cooperating
-        # processes interleave at line granularity on local filesystems.
-        path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(record, sort_keys=True) + "\n"
-        with open(path, "a") as handle:
-            handle.write(line)
+        append_jsonl(path, record)
 
     def put(self, key: str, point: Workload, result: Result,
             seconds: float, version: str) -> None:

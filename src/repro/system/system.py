@@ -431,6 +431,8 @@ class System:
                     self.interconnect.arbitrate(dmas)
             for cluster in batch:
                 cluster.step()
+                if cluster.core.loop_head:
+                    cluster.fastpath.loop.at_head(max_cycles)
             # Post-halt drain watchdog: every core halted yet some
             # decoupled unit can make no progress (mirrors the
             # single-cluster deadlock detection in Cluster.run).
@@ -446,6 +448,8 @@ class System:
                 last_token = None
                 quiet = 0
         self.cycle = max(cl.cycle for cl in clusters)
+        for cluster in clusters:
+            cluster.release()
         return self
 
     def _release_sys_barrier(self) -> None:

@@ -60,6 +60,22 @@ def test_journal_tolerates_torn_tail(tmp_path):
     assert [j.id for j in pending] == ["job-aaa"]
 
 
+def test_journal_keeps_jobs_acknowledged_after_a_torn_tail(tmp_path):
+    """A torn last line (crash mid-write, full disk) must not swallow
+    the next append: a job accepted after the restart survives the
+    next one."""
+    path = tmp_path / "jobs.jsonl"
+    store = JobStore(path)
+    store.add(Job(id="job-aaa", workloads=[FAST]))
+    store.add(Job(id="job-bbb", workloads=[FAST]))
+    path.write_bytes(path.read_bytes()[:-20])  # tear job-bbb's line
+    restarted = JobStore(path)
+    assert [j.id for j in restarted.replay()] == ["job-aaa"]
+    restarted.add(Job(id="job-ccc", workloads=[FAST]))
+    again = JobStore(path)
+    assert sorted(j.id for j in again.replay()) == ["job-aaa", "job-ccc"]
+
+
 # -- scheduler ----------------------------------------------------------------
 
 

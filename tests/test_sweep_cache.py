@@ -71,6 +71,27 @@ def test_cache_ignores_torn_tail_line(tmp_path):
     assert len(reopened) == 1
 
 
+def test_put_after_a_torn_tail_keeps_the_new_record(tmp_path):
+    """A shard torn mid-line, then the point re-run: the fresh record
+    must start a line of its own instead of gluing onto the torn one
+    (which lost it, and the store re-simulated the point forever)."""
+    cache = ResultCache(tmp_path / "c")
+    key = point_key(POINT, __version__)
+    result = execute_workload(POINT)
+    cache.put(key, POINT, result, 0.1, __version__)
+    shard = cache._shard_path(key)
+    data = shard.read_bytes()
+    shard.write_bytes(data[:len(data) // 2])  # crash mid-write
+    with pytest.warns(UserWarning, match="malformed"):
+        torn = ResultCache(tmp_path / "c")
+    assert len(torn) == 0
+    torn.put(key, POINT, result, 0.1, __version__)
+    with pytest.warns(UserWarning, match="malformed"):
+        reopened = ResultCache(tmp_path / "c")
+    assert len(reopened) == 1 and reopened.corrupt_lines == 1
+    assert reopened.get(key) is not None
+
+
 def test_progress_counter_increments_over_cache_hits(tmp_path):
     points = [workload("vecop", "baseline", n=n) for n in (16, 32, 48)]
     SweepRunner(cache=tmp_path / "c", workers=0).run(points)
