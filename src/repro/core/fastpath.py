@@ -1329,26 +1329,27 @@ class LoopMemo:
         checks = ()
         queue = fp.sequencer.queue
         if queue:
+            instr = queue[0].instr
             nstream = fp._num_streamers if fp.ssr_enable else 0
-            uses = self._stream_uses(queue[0].instr, nstream)
-            if uses:
-                checks = tuple(
-                    (si, n, bool(streamers[si]._fifo) if n == 1
-                     else streamers[si].available_pops() >= n)
-                    for si, n in uses)
+            uses = self._uses.get((id(instr), nstream))
+            if uses is None:
+                uses = self._stream_uses(instr, nstream)
+            for si, n in uses:
+                fifo = streamers[si]._fifo
+                checks += ((si, n, bool(fifo) if n == 1
+                            else streamers[si].available_pops() >= n),)
         in_flight = fp.pipe.in_flight
         if in_flight:
             op = in_flight[0]
             if op.dest_is_ssr and op.completes_at <= cycle:
                 s = streamers[op.dest]
                 checks += ((op.dest, 0, len(s._fifo) < s.fifo_depth),)
-        stalls = fp.perf.stalls
+        get = fp.perf.stalls.get
         raw, empty, busy = self._early
         lsu = fp.lsu
         return ((*map(_CONSUME, streamers), *map(_PRODUCE, streamers)),
                 lsu.loads + lsu.stores,
-                stalls.get(raw, 0) + stalls.get(empty, 0)
-                + stalls.get(busy, 0), checks)
+                get(raw, 0) + get(empty, 0) + get(busy, 0), checks)
 
     def _start_recording(self, key: tuple) -> None:
         cl, core, fp = self.cluster, self.core, self.fp
