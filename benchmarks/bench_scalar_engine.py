@@ -1,10 +1,13 @@
 """Scalar-v2 micro-op engine benchmarks: the fastpath-rejected workloads.
 
-The vectorized FREP/SSR fast path (PR 2) bails out on exactly the
-workloads the paper's evaluation leans on beyond Fig. 1 -- stencils ride
-an indirect SSR stream, and indirect gathers are data-dependent by
-definition.  Those run on the scalar execution engine, so this suite
-pins the micro-op engine's two contracts on them:
+The vectorized FREP/SSR fast path bails out on exactly the workloads
+the paper's evaluation leans on beyond Fig. 1 -- stencils ride an
+indirect SSR stream, and indirect gathers are data-dependent by
+definition.  Under ``auto`` the loop memo replays most iterations of
+the stencils' integer loop (``bench_loop_memo.py``); whatever it does
+not replay, and every cycle under ``scalar-v2``, is stepped by the
+micro-op engine, so this suite pins that engine's two contracts on
+them:
 
 * **speed** -- >= 3x wall-clock over the seed scalar interpreter on the
   ``j3d27pt`` reference grid (the acceptance bar), and a solid win on an

@@ -926,6 +926,10 @@ _MEMO_WAYS = 64
 _MEMO_KEYS = 4096
 #: Longest iteration, in cycles, that is recorded.
 _MEMO_MAX_CYCLES = 4096
+#: Recordings a cluster may make before replays have to keep pace.
+_MEMO_FREE = 4
+#: Loop heads a cluster passes before it records anything.
+_MEMO_WARMUP = 32
 _MASK32 = 0xFFFFFFFF
 
 #: Decline reasons tied to one iteration's data, not to its key: the
@@ -1156,6 +1160,9 @@ class LoopMemo:
         self._table: dict[tuple, dict] = {}
         #: Keys whose recording declined, with the reason.
         self._dead: dict[tuple, str] = {}
+        #: Keys seen once, not yet recorded.
+        self._seen: set[tuple] = set()
+        self._recordings = 0
         self._kinds: dict[int, str] = {}
         self._uses: dict[tuple, tuple] = {}
         self._paths: dict[tuple, tuple] = {}
@@ -1176,8 +1183,9 @@ class LoopMemo:
         """Forget every recorded iteration: the program changed, or it
         ran to completion and the tables would only hold memory."""
         self._stop_recording()
-        for table in (self._table, self._dead, self._kinds, self._uses,
-                      self._paths, self._shapes, self._views,
+        self._recordings = 0
+        for table in (self._table, self._dead, self._seen, self._kinds,
+                      self._uses, self._paths, self._shapes, self._views,
                       self._entries, self._moves, self._splits):
             table.clear()
 
@@ -1207,11 +1215,28 @@ class LoopMemo:
             self._decline(reason)
             return
         self.stats["loop_misses"] += 1
+        # Recording costs a stepped iteration about again, so it must
+        # pay for itself: nothing records in a cluster's first loop
+        # heads (short loops never earn it back), a key records from
+        # its second sighting on, and recordings must keep pace with
+        # replays -- or at most one per eight eligible loop heads.
+        stats = self.stats
+        eligible = stats["loop_hits"] + stats["loop_misses"]
+        if stats["loop_regions_seen"] <= _MEMO_WARMUP or self._recordings \
+                > _MEMO_FREE + 2 * stats["loop_hits"] + eligible // 8:
+            self._seen.add(key)
+            return
         paths = self._table.get(key)
-        if paths is None and len(self._table) < _MEMO_KEYS or \
-                paths is not None and sum(
-                    p[2] for p in paths.values()) < _MEMO_WAYS:
-            self._start_recording(key)
+        if paths is None:
+            if key not in self._seen:
+                self._seen.add(key)
+                return
+            if len(self._table) >= _MEMO_KEYS:
+                return
+        elif sum(p[2] for p in paths.values()) >= _MEMO_WAYS:
+            return
+        self._recordings += 1
+        self._start_recording(key)
 
     # -- control key ----------------------------------------------------------
 
