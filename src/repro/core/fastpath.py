@@ -1126,7 +1126,7 @@ class _Run:
     rv: list                    # retired FP register values
     pushed: dict                # write stream -> [first element, values]
     head: dict                  # read stream -> first unconsumed element
-    moved0: dict
+    moved0: dict                # stream -> elements moved at run start
     mem: list                   # memory-side state per stream
     rr: int
     tcdm: list                  # [accesses, conflicts] added
