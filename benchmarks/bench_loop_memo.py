@@ -63,7 +63,7 @@ def _timed(build, engine: str, rounds: int):
 def test_loop_memo_stencil_speedup_and_equivalence(benchmark):
     """The memo against stepping on the j3d27pt Chaining+ reference."""
     build = build_j3d27pt()
-    stepped, stepped_seconds = _timed(build, "scalar-v2", 2)
+    stepped, stepped_seconds = _timed(build, "scalar-v2", 3)
     memo = benchmark.pedantic(lambda: _run(build, "auto"), rounds=3,
                               iterations=1)
 
