@@ -107,6 +107,9 @@ class Cluster:
         # a hardware loop safe.  Tracing needs every per-issue event, so
         # "auto" silently runs without it under a trace.
         self.fastpath = None
+        #: Called after each micro-op cycle's arbitration while the loop
+        #: memo records an iteration (None otherwise).
+        self.cycle_observer = None
         if self.cfg.engine == "auto" and trace is None:
             from repro.core.fastpath import FastPathEngine
 
@@ -254,6 +257,8 @@ class Cluster:
         if dma._queue:
             dma.step()
         self.tcdm.arbitrate_v2()
+        if self.cycle_observer is not None:
+            self.cycle_observer()
         self.cycle = cycle + 1
         self.perf.cycles = cycle + 1
         fastpath = self.fastpath

@@ -65,7 +65,6 @@ import numpy as np
 
 from repro.core.fpu import InFlightOp
 from repro.core.sequencer import DispatchedEntry
-from repro.mem.tcdm import Tcdm
 from repro.obs import spans as _obs
 from repro.ssr.address_gen import affine_addresses
 from repro.ssr.config import SsrMode
@@ -926,10 +925,14 @@ _MEMO_WAYS = 64
 _MEMO_KEYS = 4096
 #: Longest iteration, in cycles, that is recorded.
 _MEMO_MAX_CYCLES = 4096
-#: Recordings a cluster may make before replays have to keep pace.
-_MEMO_FREE = 4
-#: Loop heads a cluster passes before it records anything.
+#: Loop heads a cluster passes before the memo looks at any: the 2x4x16
+#: stencil points (31 heads) ran 16-21% slower with a warm-up of 0-16,
+#: while the Fig. 3 points (440-560 heads) gained at most a few percent.
 _MEMO_WARMUP = 32
+#: Recording budget: ``_MEMO_FREE + _MEMO_PACE * hits`` (docs/performance.md
+#: has the measurements behind these values).
+_MEMO_FREE = 4
+_MEMO_PACE = 2
 _MASK32 = 0xFFFFFFFF
 
 #: Decline reasons tied to one iteration's data, not to its key: the
@@ -990,6 +993,24 @@ def _exec_int(op: tuple, regs: list) -> bool:
         if op[4]:
             regs[op[4]] = op[5]
     return True
+
+
+def _arbiter_modelled(fp) -> bool:
+    """True when the memory-side simulator's fixed arbitration rules hold
+    for ``fp``: the FP LSU is granted before any stream, every stream
+    port has one priority (round robin alone orders them) and every
+    stream one FIFO depth.  The FP subsystem builds its ports that way;
+    other priorities or depths make the memo decline."""
+    streamers = fp.streamers
+    if not streamers:
+        return True
+    priority = streamers[0].data_port.priority
+    depth = streamers[0].fifo_depth
+    for s in streamers:
+        if s.data_port.priority != priority \
+                or s.idx_port.priority != priority or s.fifo_depth != depth:
+            return False
+    return fp.lsu.port.priority < priority
 
 
 def _post(port, addr: int, is_write: bool, data, width: int) -> None:
@@ -1200,7 +1221,12 @@ class LoopMemo:
         branch: close a recording, replay what the memo can, then start
         recording the iteration that steps next."""
         self.core.loop_head = False
-        self.stats["loop_regions_seen"] += 1
+        stats = self.stats
+        stats["loop_regions_seen"] += 1
+        if stats["loop_regions_seen"] <= _MEMO_WARMUP:
+            # Nothing is recorded yet, so there is no key to look up.
+            self._decline("warm-up")
+            return
         key = self._finish_recording() if self._rec is not None \
             else self._key()
         if key in self._table:
@@ -1214,16 +1240,11 @@ class LoopMemo:
         if reason is not None:
             self._decline(reason)
             return
-        self.stats["loop_misses"] += 1
-        # Recording costs a stepped iteration about again, so it must
-        # pay for itself: nothing records in a cluster's first loop
-        # heads (short loops never earn it back), a key records from
-        # its second sighting on, and recordings must keep pace with
-        # replays -- or at most one per eight eligible loop heads.
-        stats = self.stats
-        eligible = stats["loop_hits"] + stats["loop_misses"]
-        if stats["loop_regions_seen"] <= _MEMO_WARMUP or self._recordings \
-                > _MEMO_FREE + 2 * stats["loop_hits"] + eligible // 8:
+        stats["loop_misses"] += 1
+        # Recording costs about a stepped iteration again, so it must pay
+        # for itself: a key records from its second sighting on, and a
+        # cluster makes at most _MEMO_FREE + _MEMO_PACE x hits recordings.
+        if self._recordings >= _MEMO_FREE + _MEMO_PACE * stats["loop_hits"]:
             self._seen.add(key)
             return
         paths = self._table.get(key)
@@ -1272,6 +1293,8 @@ class LoopMemo:
         cl, core, fp = self.cluster, self.core, self.fp
         if cl.cfg.fetch_from_memory:
             return "binary-fetch"
+        if not _arbiter_modelled(fp):
+            return "unproven"
         for other, ofp in zip(cl.cores[1:], cl.fps[1:]):
             if not other.halted or other.port.busy \
                     or other._pending_load_rd is not None \
@@ -1392,16 +1415,19 @@ class LoopMemo:
         rec.lsu_count = lsu.loads + lsu.stores
         rec.log = [self._observe(cl.cycle)]
         self._rec = rec
-        self.tcdm.arbitrate_v2 = self._recording_arbitrate
+        # An attribute the cluster already has: overriding a method on
+        # the instance instead would slow every later attribute access
+        # of that object.
+        self.cluster.cycle_observer = self._record_cycle
 
     def _stop_recording(self) -> None:
         self._rec = None
-        self.tcdm.__dict__.pop("arbitrate_v2", None)
+        self.cluster.cycle_observer = None
 
-    def _recording_arbitrate(self) -> None:
-        """``Tcdm.arbitrate_v2`` while recording: after each cycle's
-        grants, log the core-side progress and next observations."""
-        Tcdm.arbitrate_v2(self.tcdm)
+    def _record_cycle(self) -> None:
+        """The cluster's cycle observer while recording: after each
+        cycle's grants, log the core-side progress and next
+        observations."""
         rec = self._rec
         cycle = self.cluster.cycle  # the cycle just arbitrated
         if cycle >= rec.deadline:
@@ -1967,9 +1993,9 @@ class LoopMemo:
             for lo2, hi2 in reads + writes[:i]:
                 if lo < hi2 and lo2 < hi:
                     return "aliasing"
-        run.sim = _simulator(tuple((si, mode, bool(fp.streamers[si].cfg.repeat))
-                                   for si, mode, _ in order),
-                             len(fp.streamers))(
+        modes = tuple((si, mode, bool(fp.streamers[si].cfg.repeat))
+                      for si, mode, _ in order)
+        run.sim = _simulator(modes, len(fp.streamers))(
             [v and v.banks for v in views], [v and v.ibanks for v in views],
             [v and v.total for v in views],
             [s.data_port._rot_index for s in fp.streamers],
@@ -2303,40 +2329,36 @@ def factory(B, IB, T, RD, RI, R1, D, n):
 {verify}
 {flow}
 {steps}
-            pend = []
-            ns = 0
-            if lsu >= 0:
-                pend.append((LB[lsu], -1))
+            # Requests this cycle as one bit per bank: ``clash`` is set
+            # when two requesters want one bank.
+            occ = 1 << LB[lsu] if lsu >= 0 else 0
+            clash = ns = 0
 {requests}
-            count = len(pend)
-            if count:
+            if ns:
                 old = rr
-                if count > 1 and ns > 1:
+                if ns > 1:
                     rr = (rr + 1) % n
-                if count == 1:
-                    clash = False
-                elif count == 2:
-                    clash = pend[0][0] == pend[1][0]
-                else:
-                    clash = len(set([bank for bank, _ in pend])) < count
                 if clash:
                     # A bank conflict: the LSU, then streams in
                     # round-robin order, take their banks first.
-                    pend.sort(key=lambda x: -1 if x[1] < 0
-                              else (ROT[x[1]] - old) % n)
-                    taken = set()
-                    for bank, code in pend:
-                        if bank in taken:
+                    pend = []
+{pending}
+                    pend.sort()
+                    taken = 1 << LB[lsu] if lsu >= 0 else 0
+                    acc += lsu >= 0
+                    for _, bit, code in pend:
+                        if taken & bit:
                             conf += 1
 {conflict}
                             continue
-                        taken.add(bank)
+                        taken |= bit
                         acc += 1
 {grant}
                 else:
-                    acc += count
-                    for bank, code in pend:
+                    acc += ns + (lsu >= 0)
 {grant_all}
+            elif lsu >= 0:
+                acc += 1
             cycle += 1
         if split is not None or dt > budget:
             return None
@@ -2367,7 +2389,7 @@ def _simulator(modes: tuple, nstreams: int):
         return "\n".join(" " * depth + line for line in lines)
 
     bind, unpack, probe, flow, steps = [], [], [], [], []
-    requests, conflict, grant = [], [], []
+    requests, pending, conflict, grant, grant_all = [], [], [], [], []
     rot = ["0"] * (2 * nstreams)
     for index, (si, mode, repeats) in enumerate(modes):
         v = {name: f"{name}{si}" for name in names}
@@ -2413,16 +2435,26 @@ def _simulator(modes: tuple, nstreams: int):
                          f"    p{si} += 1", "    wk = True"]
         step += ["if wk:", f"    a{si} += 1"]
         steps += step
-        requests += [f"if dp{si}:", f"    pend.append((B{si}[m{si}], {2 * si}))",
-                     "    ns += 1"]
-        if mode == _INDIRECT_READ:
-            requests += [f"if ip{si}:",
-                         f"    pend.append((IB{si}[e{si}], {2 * si + 1}))",
-                         "    ns += 1"]
-        conflict += [f"elif code == {2 * si}:", f"    xc{si} += 1",
-                     f"elif code == {2 * si + 1}:", f"    yc{si} += 1"]
         done = [f"    xw{si} += 1", f"    grants.append(({si}, m{si}))"] \
             if mode == _WRITE else [f"    xr{si} += 1"]
+        requests += [f"if dp{si}:", f"    bit = 1 << B{si}[m{si}]",
+                     "    clash |= occ & bit", "    occ |= bit", "    ns += 1"]
+        pending += [f"if dp{si}:",
+                    f"    pend.append(((ROT[{2 * si}] - old) % n, "
+                    f"1 << B{si}[m{si}], {2 * si}))"]
+        grant_all += [f"if dp{si}:", f"    dp{si} = False",
+                      f"    dr{si} = True"] + done
+        if mode == _INDIRECT_READ:
+            requests += [f"if ip{si}:", f"    bit = 1 << IB{si}[e{si}]",
+                         "    clash |= occ & bit", "    occ |= bit",
+                         "    ns += 1"]
+            pending += [f"if ip{si}:",
+                        f"    pend.append(((ROT[{2 * si + 1}] - old) % n, "
+                        f"1 << IB{si}[e{si}], {2 * si + 1}))"]
+            grant_all += [f"if ip{si}:", f"    ip{si} = False",
+                          f"    ir{si} = True", f"    yr{si} += 1"]
+        conflict += [f"elif code == {2 * si}:", f"    xc{si} += 1",
+                     f"elif code == {2 * si + 1}:", f"    yc{si} += 1"]
         grant += [f"elif code == {2 * si}:", f"    dp{si} = False",
                   f"    dr{si} = True"] + done + [
                   f"elif code == {2 * si + 1}:", f"    ip{si} = False",
@@ -2432,7 +2464,9 @@ def _simulator(modes: tuple, nstreams: int):
     pack = ", ".join(
         "[" + ", ".join(f"{name}{si}" for name in names) + "]"
         if si in armed else "None" for si in range(nstreams))
-    grants = ["if code < 0:", "    pass"] + grant
+    # The dispatch chains on the requester code start with an ``if``.
+    conflict[0] = conflict[0][2:]
+    grant[0] = grant[0][2:]
     source = _SIM_TEMPLATE.format(
         bind=block(bind or ["pass"], 4), unpack=block(unpack or ["pass"], 8),
         seen=block(probe + [
@@ -2446,9 +2480,9 @@ def _simulator(modes: tuple, nstreams: int):
             "        return None",
             "elif (cf < D) is not want:", "    return None"], 24),
         flow=block(flow, 12), steps=block(steps, 12),
-        requests=block(requests, 12),
-        conflict=block(["if code < 0:", "    pass"] + conflict, 28),
-        grant=block(grants, 24), grant_all=block(grants, 24), pack=pack)
+        requests=block(requests, 12), pending=block(pending, 20),
+        conflict=block(conflict, 28), grant=block(grant, 24),
+        grant_all=block(grant_all, 20), pack=pack)
     namespace: dict = {}
     exec(compile(source, f"<memory side {modes}>", "exec"), namespace)
     factory = _SIMULATORS[(modes, nstreams)] = namespace["factory"]

@@ -37,6 +37,7 @@ so the point re-runs and its new record supersedes the bad one.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
@@ -108,14 +109,17 @@ def append_jsonl(path: Path, record: dict) -> None:
 
     A file whose last byte is not a newline ends in a torn line (a crash
     mid-write, a full disk); the record then starts with one, so it
-    never glues onto that line and is lost with it.  Readers skip the
-    blank line a concurrent appender may leave.  This is the one append
-    path of the result store, its failure log and the job journal.
+    never glues onto that line and is lost with it.  The tail test and
+    the write hold an exclusive ``flock``: another appender's write in
+    progress would otherwise look like a torn tail.  This is the one
+    append path of the result store, its failure log and the job
+    journal.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     line = (json.dumps(record, sort_keys=True) + "\n").encode()
     fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
     try:
+        fcntl.flock(fd, fcntl.LOCK_EX)  # released by the close below
         size = os.fstat(fd).st_size
         if size and os.pread(fd, 1, size - 1) != b"\n":
             line = b"\n" + line

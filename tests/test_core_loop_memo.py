@@ -24,6 +24,11 @@ from repro.kernels.registry import get_stencil
 from repro.kernels.stencil_codegen import build_stencil
 from repro.kernels.variants import VARIANT_ORDER, Variant
 from repro.kernels.vecop import VecopVariant, build_vecop
+from repro.mem.memory import Memory
+from repro.mem.tcdm import Tcdm
+from repro.ssr.address_gen import AffineGenerator
+from repro.ssr.config import SsrConfig, SsrMode
+from repro.ssr.streamer import SsrStreamer
 from repro.system import System
 from tests.test_core_scalar_v2 import machine_digest
 
@@ -181,7 +186,7 @@ def test_store_into_the_input_window_declines_with_aliasing():
 
 def test_two_core_cluster_declines_while_the_other_core_runs():
     spec, _ = get_stencil("box3d1r")
-    build = build_stencil(spec, Grid3d(nz=1, ny=3, nx=8),
+    build = build_stencil(spec, SMALL["box3d1r"],
                           Variant.from_label("Chaining+"))
     got = _compare(build, "scalar", num_cores=2)
     reasons = got.fastpath.stats["loop_reject_reasons"]
@@ -273,3 +278,162 @@ def test_loop_memo_reports_through_obs():
     finally:
         obs.disable()
         METRICS.reset()
+
+
+def _element_addresses(cfg, mem) -> list[int]:
+    """Byte address of every element an armed stream moves."""
+    if cfg.indirect:
+        return [cfg.base + (mem.read_u32(cfg.idx_base + k * cfg.idx_size)
+                            << cfg.idx_shift)
+                for k in range(cfg.total_elements())]
+    gen = AffineGenerator(cfg)
+    return [gen.next() for _ in range(cfg.total_elements())]
+
+
+@pytest.mark.parametrize("num_banks", [4, 32])
+@pytest.mark.parametrize("seed", range(8))
+def test_memory_side_simulator_matches_streamers_and_tcdm(seed, num_banks):
+    """The counters-only memory side a hit re-simulates must agree with
+    the real streamers and TCDM arbiter driven by the same per-cycle
+    schedule of register pops, pushes and LSU requests: same FIFO fills,
+    positions, port flags and statistics, grants and round robin -- and
+    every stream observation the schedule logs must come out as logged
+    (a flipped one makes the simulator refuse the iteration)."""
+    rng = np.random.default_rng(seed)
+    mem = Memory(1 << 16)
+    tcdm = Tcdm(mem, num_banks=num_banks)
+    tcdm.port("core", priority=0)
+    lsu = tcdm.port("fplsu", priority=1)
+    streamers = [SsrStreamer(i, tcdm, fifo_depth=4) for i in range(3)]
+    index = rng.integers(0, 256, size=96).astype(np.uint32)
+    mem.write_array(0x8000, index)
+    configs = [
+        SsrConfig(base=0x1000, bounds=[8, 12] + [1] * 4,
+                  strides=[8, int(rng.choice([64, 72, 8]))] + [0] * 4,
+                  ndims=2, repeat=int(rng.integers(0, 2))),
+        SsrConfig(base=0x2000, bounds=[96] + [1] * 5, strides=[0] * 6,
+                  indirect=True, idx_base=0x8000, idx_size=4),
+        SsrConfig(base=0x6000, bounds=[96] + [1] * 5,
+                  strides=[8] + [0] * 5, mode=SsrMode.WRITE),
+    ]
+    for s, cfg in zip(streamers, configs):
+        s._arm(cfg)
+    modes = ((0, fastpath._AFFINE_READ, bool(configs[0].repeat)),
+             (1, fastpath._INDIRECT_READ, False), (2, fastpath._WRITE, False))
+    bank = tcdm.bank_of
+    banks = [[bank(a) for a in _element_addresses(cfg, mem)]
+             for cfg in configs]
+    ibanks = [None, [bank(0x8000 + 4 * k) for k in range(96)], None]
+    state0 = [[0, 0, False, False, False, 0, False, False, 0, 0, False, -1]
+              + [0] * 6 for _ in configs]
+
+    schedule, lsu_banks = [], []
+    for _ in range(400):
+        pops, pushes, triples = [0, 0, 0], [0, 0, 0], []
+        for si in (0, 1):
+            s = streamers[si]
+            if s._to_consume and rng.random() < 0.7:
+                want = int(rng.integers(1, 3))
+                ok = s.available_pops() >= want
+                triples.append((si, want, ok))
+                if ok:
+                    for _ in range(want):
+                        s.pop()
+                    pops[si] = want
+        w = streamers[2]
+        if w._to_produce and rng.random() < 0.6:
+            ok = w.can_push()
+            triples.append((2, 0, ok))
+            if ok:
+                w.push(float(rng.random()))
+                pushes[2] = 1
+        lsu_index = -1
+        lsu._response_ready = False
+        lsu._response = None
+        if rng.random() < 0.3:
+            addr = 0x4000 + 8 * int(rng.integers(0, 64))
+            lsu_index = len(lsu_banks)
+            lsu_banks.append(bank(addr))
+            _post_read(lsu, addr)
+        for s in streamers:
+            s.step_v2()
+        tcdm.arbitrate_v2()
+        schedule.append((tuple(pops), tuple(pushes), lsu_index,
+                         tuple(t[:2] for t in triples),
+                         tuple(t[2] for t in triples), tuple(triples)))
+
+    factory = fastpath._simulator(modes, 3)
+    sim = factory(banks, ibanks, [c.total_elements() for c in configs],
+                  [s.data_port._rot_index for s in streamers],
+                  [s.idx_port._rot_index for s in streamers],
+                  [c.repeat + 1 for c in configs], 4,
+                  len(tcdm._streamer_ports))
+    node = fastpath._Node(SimpleNamespace(dt=len(schedule),
+                                          schedule=tuple(schedule)))
+    out = sim([list(st) for st in state0], node, lsu_banks, 10**6, 0)
+    assert out is not None
+    _, states, rr, accesses, conflicts, grants = out
+    assert (rr, accesses, conflicts) == (
+        tcdm._rr_offset, tcdm.total_accesses, tcdm.total_conflicts)
+    assert grants == [(2, k) for k in range(len(grants))]
+    assert len(grants) == streamers[2].data_port.writes
+    for si, s in enumerate(streamers):
+        (fill, rep, requested, dpend, dresp, ifill, ipend, iresp, pos,
+         moved, held, _, active, dreads, dwrites, dconf, ireads,
+         iconf) = states[si]
+        gen = s._igen._pos if s._igen is not None else s._gen.position
+        assert (fill, rep, requested, ifill, pos, moved, held) == (
+            len(s._fifo), s._rep_count, s._data_requested,
+            len(s._idx_fifo), gen, s.elements_moved,
+            s._pending_write_addr is not None), si
+        dport, iport = s.data_port, s.idx_port
+        assert (dpend, dresp, ipend, iresp) == (
+            dport._pending is not None, dport._response_ready,
+            iport._pending is not None, iport._response_ready), si
+        assert (active, dreads, dwrites, dconf, ireads, iconf) == (
+            s.active_cycles, dport.reads, dport.writes, dport.conflicts,
+            iport.reads, iport.conflicts), si
+
+    # A stream observation that comes out otherwise refuses the timing.
+    at = next(c for c, entry in enumerate(schedule) if entry[5])
+    pops, pushes, lsu_index, checks, expect, triples = schedule[at]
+    flipped = ((*triples[0][:2], not triples[0][2]),) + triples[1:]
+    bad = list(schedule)
+    bad[at] = (pops, pushes, lsu_index, checks,
+               tuple(t[2] for t in flipped), flipped)
+    node = fastpath._Node(SimpleNamespace(dt=len(bad), schedule=tuple(bad)))
+    assert sim([list(st) for st in state0], node, lsu_banks, 10**6,
+               0) is None
+
+
+def _post_read(port, addr: int) -> None:
+    req = port._req
+    req.addr, req.is_write, req.data, req.width = addr, False, None, 8
+    port._pending = req
+
+
+@pytest.mark.parametrize("change", ["fifo_depth", "port_priority",
+                                    "lsu_priority"])
+def test_unmodelled_arbitration_declines(change):
+    """The memory-side simulator assumes the LSU outranks every stream,
+    equal stream priorities and one FIFO depth; a cluster built otherwise
+    must step every iteration (reason ``unproven``) and stay exact."""
+    spec, _ = get_stencil("box3d1r")
+    build = build_stencil(spec, SMALL["box3d1r"],
+                          Variant.from_label("Chaining+"))
+    clusters = [_cluster(build, engine) for engine in ("scalar", "auto")]
+    for cluster in clusters:
+        s = cluster.fp.streamers[1]
+        if change == "fifo_depth":
+            s.fifo_depth = 2
+        elif change == "port_priority":
+            s.data_port.priority = 11
+        else:
+            cluster.fp.lsu.port.priority = 10
+    for cluster in clusters:
+        cluster.run()
+    ref, got = clusters
+    assert machine_digest(got) == machine_digest(ref)
+    stats = _loop_stats(got)
+    assert stats["loop_hits"] == 0, stats
+    assert stats["loop_reject_reasons"].get("unproven", 0) > 0, stats
