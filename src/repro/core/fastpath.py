@@ -927,7 +927,7 @@ _MEMO_KEYS = 4096
 _MEMO_MAX_CYCLES = 4096
 #: Loop heads a cluster passes before the memo looks at any: the 2x4x16
 #: stencil points (31 heads) ran 16-21% slower with a warm-up of 0-16,
-#: while the Fig. 3 points (440-560 heads) gained at most a few percent.
+#: while the Fig. 3 points (440-560 heads) gained at most 7%.
 _MEMO_WARMUP = 32
 #: Recording budget: ``_MEMO_FREE + _MEMO_PACE * hits`` (docs/performance.md
 #: has the measurements behind these values).
