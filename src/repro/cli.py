@@ -442,6 +442,8 @@ def cmd_serve(args) -> int:
               f"(store {args.store}, {scheduler.workers} workers"
               + (f"; journal replay: {len(pending)} job(s), "
                  f"{requeued} point(s) re-enqueued" if pending else "")
+              + (f"; {job_store.skipped_records} malformed journal "
+                 f"record(s) skipped" if job_store.skipped_records else "")
               + ")", flush=True)
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()

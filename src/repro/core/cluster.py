@@ -182,11 +182,28 @@ class Cluster:
 
     @property
     def done(self) -> bool:
-        """Program halted and every decoupled unit has drained."""
-        return (all(core.halted for core in self.cores)
-                and all(fp.idle and fp.streamers_done()
-                        for fp in self.fps)
-                and self.dma.idle)
+        """Program halted and every decoupled unit -- FP queue and
+        sequencer, pipe, LSU, SSR streams, DMA -- has drained."""
+        for core in self.cores:
+            if not core.halted:
+                return False
+        if self.dma._queue:
+            return False
+        for fp in self.fps:
+            seq = fp.sequencer
+            if seq.queue or seq._active or fp.pipe.in_flight \
+                    or fp.sync_ready:
+                return False
+            lsu = fp.lsu
+            if lsu._pending_load is not None or lsu._pending_store \
+                    or lsu._blocked_value is not None \
+                    or lsu.port._pending is not None \
+                    or lsu.port._response_ready:
+                return False
+            for s in fp.streamers:
+                if not s.done:
+                    return False
+        return True
 
     def _release_barrier(self) -> None:
         """Open the cluster barrier once every live core has arrived.
@@ -286,8 +303,7 @@ class Cluster:
         loop = self.fastpath.loop if self.fastpath is not None else None
         while True:
             if (core.halted if single_core
-                    else all(c.halted for c in cores)) \
-                    and (self._done_v2() if v2 else self.done):
+                    else all(c.halted for c in cores)) and self.done:
                 break
             if self.cycle >= max_cycles:
                 raise SimulationTimeout(
@@ -354,29 +370,6 @@ class Cluster:
             self.dma.bytes_moved,
             waiting,
         )
-
-    def _done_v2(self) -> bool:
-        """Attribute-direct equivalent of :attr:`done` for the v2 loop."""
-        if self.dma._queue:
-            return False
-        for core in self.cores:
-            if not core.halted:
-                return False
-        for fp in self.fps:
-            seq = fp.sequencer
-            if seq.queue or seq._active or fp.pipe.in_flight \
-                    or fp.sync_ready:
-                return False
-            lsu = fp.lsu
-            if lsu._pending_load is not None or lsu._pending_store \
-                    or lsu._blocked_value is not None \
-                    or lsu.port._pending is not None \
-                    or lsu.port._response_ready:
-                return False
-            for s in fp.streamers:
-                if not s.done:
-                    return False
-        return True
 
     # -- idle-cycle fast-forwarding (scalar-v2) -----------------------------
     #
@@ -660,24 +653,13 @@ class Cluster:
         dma_active = bool(self.dma._queue)
         sig0 = self._quiet_signature(dma_active)
         perf = self.perf
-        vals0 = list(perf.values)
-        stalls0 = dict(perf.stalls)
+        window = perf.window()
         self._step_v2()  # the measured dead cycle
         if self._quiet_signature(dma_active) != sig0:
             return True  # misclassified: one normal step was taken
         # Replay the measured per-cycle delta over the remaining span.
         k = span - 1
-        pvals = perf.values
-        n0 = len(vals0)
-        for i in range(len(pvals)):
-            d = pvals[i] - (vals0[i] if i < n0 else 0)
-            if d:
-                pvals[i] += d * k
-        stalls = perf.stalls
-        for reason, value in list(stalls.items()):
-            d = value - stalls0.get(reason, 0)
-            if d:
-                stalls[reason] += d * k
+        perf.replay(perf.since(window), k)
         if dma_active:
             dma = self.dma
             for _ in range(k):

@@ -64,7 +64,9 @@ from typing import Any
 import numpy as np
 
 from repro.core.fpu import InFlightOp
+from repro.core.perf import SLOT
 from repro.core.sequencer import DispatchedEntry
+from repro.isa.instructions import InstrClass
 from repro.obs import spans as _obs
 from repro.ssr.address_gen import affine_addresses
 from repro.ssr.config import SsrMode
@@ -121,43 +123,126 @@ _VECTOR_OPS: dict[str, tuple] = {
     "fcvt.d.w": (lambda a: a, None),
 }
 
-#: Counters allowed to advance during a steady-state period.  Any other
-#: counter moving inside the measured window marks a one-shot event (an
-#: in-flight FP load landing, an integer instruction retiring, ...) that
-#: must not be replayed, so the engine refuses to fast-forward.
-_PERIODIC_COUNTERS = frozenset({
+#: Counter slots allowed to advance during a steady-state period.  Any
+#: other counter moving inside the measured window marks a one-shot
+#: event (an in-flight FP load landing, an integer instruction retiring,
+#: ...) that must not be replayed, so the engine refuses to fast-forward.
+_PERIODIC_SLOTS = frozenset(SLOT[name] for name in (
     "fpu_compute_ops", "fpu_fp_add", "fpu_fp_mul", "fpu_fp_fma",
     "fpu_fp_div", "fpu_fp_sqrt", "fpu_fp_minmax", "fpu_fp_sgnj",
     "fpu_fp_cvt", "ssr_reg_reads", "ssr_reg_writes", "chain_pops",
     "chain_pushes", "fp_rf_reads", "fp_rf_writes", "int_sync_stalls",
     "int_dispatch_stalls",
-})
+))
 
 _HISTORY_CAP = 4096
 
 _IDLE, _ARMED, _DONE, _REJECTED = range(4)
 
 
-@dataclass
-class _SlotPlan:
-    """Dataflow of one body instruction.
+@dataclass(slots=True)
+class _DataFlow:
+    """Program-order dataflow of a sequence of FP entries (see
+    :func:`_data_flow`); entries are numbered by their position."""
 
-    ``operands`` entries are ``("const", v)``, ``("reg", reg)`` (loop
-    invariant), ``("slot", j)`` (produced earlier this iteration) or
-    ``("stream", r, off)`` (the ``off``-th pop of streamer ``r`` within
-    one iteration).
+    sources: list               # per entry: its operand symbols, in order
+    pops: dict                  # stream -> popping entry, once per pop
+    pushes: dict                # stream -> pushing entries
+    chain_pops: dict            # chaining register -> popping entries
+    chain_pushes: dict
+    writers: dict               # register -> writing entries, in order
+    chains: dict                # chaining register -> symbols left queued
+
+
+def _operands(instr) -> tuple:
+    """``(register, domain)`` of every operand an FP instruction reads,
+    in order (a load's address and a store's base are the LSU's)."""
+    iclass = instr.iclass
+    if iclass is InstrClass.FP_LOAD:
+        return ()
+    if iclass is InstrClass.FP_STORE:
+        return ((instr.rs2, "f"),)
+    spec = instr.spec
+    return ((instr.rs1, spec.rs1_domain), (instr.rs2, spec.rs2_domain),
+            (instr.rs3, spec.rs3_domain))
+
+
+def _data_flow(instrs, nstream: int, mask: int, readable, writable,
+               regs: dict | None = None, chains: dict | None = None):
+    """Name the value every operand of ``instrs`` reads, in program
+    order: the data model of both the FREP batch and the loop memo.
+
+    Registers below ``nstream`` are streams (``readable``/``writable``:
+    armed for that direction); ``mask`` marks chaining registers, popped
+    at most once per instruction.  ``regs`` and ``chains`` give the start
+    state: a register's symbol (``("r", reg)`` when absent) and each
+    chaining FIFO's queued symbols.  Operands are start symbols,
+    ``("o", j)`` (entry ``j``'s result), ``("e", r, k)`` (the ``k``-th
+    pop of stream ``r``) or ``("x", j)`` (entry ``j``'s integer operand).
+    Returns a :class:`_DataFlow`, or ``(j, "operand")``/``(j, "dest")``
+    at the first operand or destination outside the model.
     """
-
-    mnemonic: str
-    operands: list
-    dest: tuple  # ("stream", r) | ("reg", reg)
+    value = dict(regs or {})
+    queues = {reg: list(q) for reg, q in (chains or {}).items()}
+    flow = _DataFlow([], {}, {}, {}, {}, {}, queues)
+    sources, stream_pops = flow.sources, flow.pops
+    for j, instr in enumerate(instrs):
+        operands = _operands(instr)
+        args = [("x", j)] if operands and operands[0][1] == "x" else []
+        popped = None
+        for reg, domain in operands:
+            if domain != "f":
+                continue
+            if reg < nstream:
+                if reg not in readable:
+                    return j, "operand"
+                pops = stream_pops.get(reg)
+                if pops is None:
+                    pops = stream_pops[reg] = []
+                args.append(("e", reg, len(pops)))
+                pops.append(j)
+            elif mask >> reg & 1:
+                if popped is None:
+                    popped = {}
+                if reg not in popped:
+                    queue = queues.get(reg)
+                    if not queue:
+                        return j, "operand"  # a value from before
+                    popped[reg] = queue.pop(0)
+                    flow.chain_pops.setdefault(reg, []).append(j)
+                args.append(popped[reg])
+            else:
+                args.append(value.get(reg, ("r", reg)))
+        sources.append(args)
+        iclass = instr.iclass
+        if iclass is InstrClass.FP_STORE:
+            continue
+        dest = instr.rd
+        load = iclass is InstrClass.FP_LOAD
+        if dest < nstream:
+            if load or dest not in writable:
+                return j, "dest"
+            flow.pushes.setdefault(dest, []).append(j)
+            continue
+        if mask >> dest & 1:
+            if load:
+                return j, "dest"
+            queues.setdefault(dest, []).append(("o", j))
+            flow.chain_pushes.setdefault(dest, []).append(j)
+        else:
+            value[dest] = ("o", j)
+        flow.writers.setdefault(dest, []).append(j)
+    return flow
 
 
 @dataclass
 class _BodyPlan:
-    """Static analysis of an eligible FREP body."""
+    """An eligible FREP body: its data flow and the per-iteration event
+    tables derived from it (slot ``j`` is body instruction ``j``)."""
 
-    slots: list[_SlotPlan]
+    mnemonics: list[str]
+    sources: list                        # per slot: _data_flow symbols
+    consts: dict[int, float]             # slot -> its integer operand
     slot_of: dict[int, int]              # id(instr) -> slot index
     read_ppi: dict[int, int]             # streamer -> pops / iteration
     read_prefix: dict[int, list[int]]    # streamer -> pops in slots < k
@@ -166,6 +251,31 @@ class _BodyPlan:
     chain_pops: dict[int, tuple]         # reg -> (per_iter, prefix)
     chain_pushes: dict[int, tuple]
     reg_writers: dict[int, list[int]]    # non-stream dest -> writer slots
+
+
+def _prefix(where: list[int], body_len: int) -> list[int]:
+    """Events in slots ``< k`` for every slot ``k``; ``where`` holds an
+    event's slot once per event."""
+    prefix, count = [], 0
+    for k in range(body_len):
+        prefix.append(count)
+        count += where.count(k)
+    return prefix
+
+
+def _cluster_busy(cl, core) -> str | None:
+    """Why the cluster around ``core`` is not quiet -- another core not
+    halted and drained, or the DMA moving data -- or None when it is:
+    the precondition of every replay."""
+    for other, ofp in zip(cl.cores, cl.fps):
+        if other is not core and (
+                not other.halted or other.port.busy
+                or other._pending_load_rd is not None
+                or not ofp.idle or not ofp.streamers_done()):
+            return "other-core-busy"
+    if cl.dma._queue:
+        return "dma-busy"
+    return None
 
 
 def _prefix_f(pos: int, per_iter: int, prefix: list[int], body_len: int
@@ -190,10 +300,10 @@ def _last_instance(slots: list[int], bound: int, body_len: int) -> int:
 
 def _apply_delta(cl, delta: dict, n: int) -> None:
     """Advance every counter of ``cl`` by ``n`` times a measured
-    :meth:`FastPathEngine._diff` delta (the shared applier of the FREP
+    :meth:`FastPathEngine._since` delta (the shared applier of the FREP
     batch and the loop memo; stream data and positions are the
     caller's)."""
-    cl.perf.add_scaled(delta["counters"], delta["stalls"], n)
+    cl.perf.replay(delta["perf"], n)
     chain = cl.fp.chain
     cp, cpop, cbp = delta["chain"]
     chain.pushes += n * cp
@@ -297,7 +407,7 @@ class FastPathEngine:
         prev = self._history.get(fingerprint)
         if prev is not None and pos > prev[1]:
             period, dpos = cycle - prev[0], pos - prev[1]
-            delta = self._diff(prev[2], self._snapshot())
+            delta = self._since(prev[2])
             if not self._delta_ok(delta):
                 self._state = _REJECTED
                 return
@@ -338,23 +448,9 @@ class FastPathEngine:
         if not core.halted and core.waiting_sync is None \
                 and core.stall_until > cl.cycle:
             return False
-        if fp.lsu.busy or not cl.dma.idle:
-            return False
-        for i, other in enumerate(cl.cores):
-            if other is core:
-                continue
-            ofp = cl.fps[i]
-            if not other.halted or other.port.busy \
-                    or other._pending_load_rd is not None:
-                return False
-            if not ofp.idle or not ofp.streamers_done():
-                return False
-        return True
+        return not fp.lsu.busy and _cluster_busy(cl, core) is None
 
     # -- eligibility ---------------------------------------------------------
-
-    def _is_stream(self, reg: int) -> bool:
-        return self.fp.ssr_enable and reg < len(self.fp.streamers)
 
     def _affine_ok(self, streamer, mode: SsrMode) -> bool:
         cfg = streamer.cfg
@@ -373,132 +469,40 @@ class FastPathEngine:
         return None
 
     def _analyze(self) -> _BodyPlan | None:
-        from collections import deque
-
         fp = self.fp
         seq = fp.sequencer
-        chain = fp.chain
         if seq.inner or seq.staggered:
             return self._reject("nested-or-staggered-frep")
 
         body = seq.body_entries()
-        slots: list[_SlotPlan] = []
-        slot_of: dict[int, int] = {}
-        read_ppi: dict[int, int] = {}
-        read_prefix: dict[int, list[int]] = {}
-        write_slots: dict[int, list[int]] = {}
-        chain_fifos: dict[int, deque] = {}
-        chain_pop_slots: dict[int, list[int]] = {}
-        chain_push_slots: dict[int, list[int]] = {}
-        reg_writers: dict[int, list[int]] = {}
-        invariant_reads: set[int] = set()
-        last_writer: dict[int, int] = {}
-
-        for j, entry in enumerate(body):
-            instr = entry.instr
-            spec = instr.spec
-            if entry.sync or spec.rd_domain != "f" \
-                    or instr.mnemonic not in _VECTOR_OPS:
-                return self._reject("non-vector-op")
-            operands = []
-            chain_seen: dict[int, tuple] = {}
-
-            def classify(reg: int):
-                if self._is_stream(reg):
-                    s = fp.streamers[reg]
-                    if not self._affine_ok(s, SsrMode.READ):
-                        return None
-                    off = read_ppi.get(reg, 0)
-                    read_ppi[reg] = off + 1
-                    return ("stream", reg, off)
-                if chain.enabled(reg):
-                    if reg in chain_seen:
-                        return chain_seen[reg]
-                    fifo = chain_fifos.setdefault(reg, deque())
-                    if not fifo:
-                        return None  # would pop a pre-iteration value
-                    src = ("slot", fifo.popleft())
-                    chain_pop_slots.setdefault(reg, []).append(j)
-                    chain_seen[reg] = src
-                    return src
-                if reg in last_writer:
-                    return ("slot", last_writer[reg])
-                invariant_reads.add(reg)
-                return ("reg", reg)
-
-            if spec.rs1_domain == "x":
-                operands.append(("const", float(entry.vals.get("rs1", 0))))
-            elif spec.rs1_domain == "f":
-                operands.append(classify(instr.rs1))
-            if spec.rs2_domain == "f":
-                operands.append(classify(instr.rs2))
-            if spec.rs3_domain == "f":
-                operands.append(classify(instr.rs3))
-            if any(op is None for op in operands):
-                return self._reject("ineligible-operand")
-
-            dest = instr.rd
-            if self._is_stream(dest):
-                s = fp.streamers[dest]
-                if not self._affine_ok(s, SsrMode.WRITE):
-                    return self._reject("non-affine-write-stream")
-                write_slots.setdefault(dest, []).append(j)
-                dest_desc = ("stream", dest)
-            else:
-                if chain.enabled(dest):
-                    chain_fifos.setdefault(dest, deque()).append(j)
-                    chain_push_slots.setdefault(dest, []).append(j)
-                else:
-                    last_writer[dest] = j
-                reg_writers.setdefault(dest, []).append(j)
-                dest_desc = ("reg", dest)
-            slots.append(_SlotPlan(instr.mnemonic, operands, dest_desc))
-            slot_of[id(instr)] = j
-
+        L = len(body)
+        # The instructions before the first non-vector op are analyzed
+        # first: a reason found among them takes precedence.
+        n_vec = next((j for j, entry in enumerate(body)
+                      if entry.sync or entry.instr.spec.rd_domain != "f"
+                      or entry.instr.mnemonic not in _VECTOR_OPS), L)
+        streamers = fp.streamers if fp.ssr_enable else []
+        flow = _data_flow(
+            [entry.instr for entry in body[:n_vec]], len(streamers),
+            fp.chain.mask,
+            {r for r, s in enumerate(streamers)
+             if self._affine_ok(s, SsrMode.READ)},
+            {r for r, s in enumerate(streamers)
+             if self._affine_ok(s, SsrMode.WRITE)})
+        if type(flow) is tuple:
+            return self._reject("ineligible-operand" if flow[1] == "operand"
+                                else "non-affine-write-stream")
+        if n_vec < L:
+            return self._reject("non-vector-op")
         # A chaining push left unmatched would be popped next iteration:
         # a cross-iteration carry the vectorized evaluation cannot model.
-        if any(fifo for fifo in chain_fifos.values()):
+        if any(flow.chains.values()):
             return self._reject("cross-iteration-chain-carry")
         # A register read before any write in the same iteration carries
         # the previous iteration's value.
-        if any(reg in reg_writers for reg in invariant_reads):
+        if any(sym[0] == "r" and sym[1] in flow.writers
+               for sources in flow.sources for sym in sources):
             return self._reject("cross-iteration-register-carry")
-
-        # Build per-slot prefix counts (events in slots < k).
-        L = len(body)
-
-        def prefixes(positions: dict[int, list[int]]) -> dict:
-            out = {}
-            for key, where in positions.items():
-                pref = [0] * L
-                count = 0
-                marks = set(where)
-                for k in range(L):
-                    pref[k] = count
-                    if k in marks:
-                        count += 1
-                out[key] = pref
-            return out
-
-        stream_pop_positions: dict[int, list[int]] = {}
-        for j, sp in enumerate(slots):
-            for op in sp.operands:
-                if op[0] == "stream":
-                    stream_pop_positions.setdefault(op[1], []).append(j)
-        read_prefix = {}
-        for r, where in stream_pop_positions.items():
-            pref = [0] * L
-            count = 0
-            for k in range(L):
-                pref[k] = count
-                count += where.count(k)
-            read_prefix[r] = pref
-
-        chain_pops = {c: (len(w), prefixes({c: w})[c])
-                      for c, w in chain_pop_slots.items()}
-        chain_pushes = {c: (len(w), prefixes({c: w})[c])
-                        for c, w in chain_push_slots.items()}
-        write_prefix = prefixes(write_slots)
 
         # The streams the body writes must not alias anything the body
         # reads (bulk gathers assume stable inputs) or another write
@@ -506,9 +510,9 @@ class FastPathEngine:
         from repro.ssr.address_gen import affine_addr_range
         mem_size = self.cluster.mem.size
         wranges = [affine_addr_range(fp.streamers[r].cfg)
-                   for r in write_slots]
+                   for r in flow.pushes]
         rranges = [affine_addr_range(fp.streamers[r].cfg)
-                   for r in read_ppi]
+                   for r in flow.pops]
         for i, (wlo, whi) in enumerate(wranges):
             if wlo < 0 or whi >= mem_size:
                 # Scalar path must surface the fault.
@@ -520,11 +524,26 @@ class FastPathEngine:
                 if wlo <= whi2 and wlo2 <= whi:
                     return self._reject("write-stream-alias")
 
+        def per_iteration(events: dict) -> dict:
+            return {key: (len(where), _prefix(where, L))
+                    for key, where in events.items()}
+
         return _BodyPlan(
-            slots=slots, slot_of=slot_of, read_ppi=read_ppi,
-            read_prefix=read_prefix, write_slots=write_slots,
-            write_prefix=write_prefix, chain_pops=chain_pops,
-            chain_pushes=chain_pushes, reg_writers=reg_writers)
+            mnemonics=[entry.instr.mnemonic for entry in body],
+            sources=flow.sources,
+            consts={j: float(entry.vals.get("rs1", 0))
+                    for j, entry in enumerate(body)
+                    if entry.instr.spec.rs1_domain == "x"},
+            slot_of={id(entry.instr): j for j, entry in enumerate(body)},
+            read_ppi={r: len(where) for r, where in flow.pops.items()},
+            read_prefix={r: _prefix(where, L)
+                         for r, where in flow.pops.items()},
+            write_slots=flow.pushes,
+            write_prefix={r: _prefix(where, L)
+                          for r, where in flow.pushes.items()},
+            chain_pops=per_iteration(flow.chain_pops),
+            chain_pushes=per_iteration(flow.chain_pushes),
+            reg_writers=flow.writers)
 
     # -- structural fingerprint ----------------------------------------------
 
@@ -581,11 +600,12 @@ class FastPathEngine:
             cl.tcdm._rr_offset,
         )
 
-    # -- counter snapshots ---------------------------------------------------
+    # -- counter windows -----------------------------------------------------
 
     def _snapshot(self) -> dict:
-        cl = self.cluster
-        perf = cl.perf
+        """Every counter of the machine, the start of a measured window
+        (the performance counters as a :meth:`PerfCounters.window`)."""
+        cl, fp = self.cluster, self.fp
         streamers = {}
         for fi, ofp in enumerate(cl.fps):
             for si, s in enumerate(ofp.streamers):
@@ -595,41 +615,32 @@ class FastPathEngine:
                     s._to_consume, s._to_produce,
                     gen.position if gen is not None
                     else igen._pos if igen is not None else 0)
-        counters, stalls = perf.counter_state()
         return {
-            "counters": counters,
-            "stalls": stalls,
-            "pos": self.fp.sequencer.position,
-            "replayed": self.fp.sequencer.replayed_instrs,
-            "chain": (self.fp.chain.pushes, self.fp.chain.pops,
-                      self.fp.chain.backpressure_events),
+            "perf": cl.perf.window(),
+            "pos": fp.sequencer.position,
+            "replayed": fp.sequencer.replayed_instrs,
+            "chain": (fp.chain.pushes, fp.chain.pops,
+                      fp.chain.backpressure_events),
             "tcdm": (cl.tcdm.total_accesses, cl.tcdm.total_conflicts,
                      cl.tcdm.busy_bank_cycles),
             "ports": [(p.reads, p.writes, p.conflicts)
                       for p in cl.tcdm.ports],
             "streamers": streamers,
-            "lsu": tuple((fp.lsu.loads, fp.lsu.stores) for fp in cl.fps),
+            "lsu": tuple((ofp.lsu.loads, ofp.lsu.stores)
+                         for ofp in cl.fps),
             "dma": cl.dma.bytes_moved,
-            "int_instrs": perf.counters.get("int_instrs", 0),
         }
 
-    @staticmethod
-    def _diff(a: dict, b: dict) -> dict:
-        """Per-entry ``b - a`` over two snapshots."""
-        delta: dict = {"counters": {}, "stalls": {}, "ports": {},
-                       "streamers": {}}
-        for key in ("counters", "stalls"):
-            for name in b[key].keys() | a[key].keys():
-                d = b[key].get(name, 0) - a[key].get(name, 0)
-                if d:
-                    delta[key][name] = d
+    def _since(self, a: dict) -> dict:
+        """What changed since snapshot ``a``, entry by entry."""
+        b = self._snapshot()
+        delta: dict = {"perf": self.cluster.perf.since(a["perf"])}
         delta["ports"] = [tuple(y - x for x, y in zip(pa, pb))
                           for pa, pb in zip(a["ports"], b["ports"])]
-        for key in b["streamers"]:
-            delta["streamers"][key] = tuple(
-                y - x for x, y in zip(a["streamers"][key],
-                                      b["streamers"][key]))
-        for key in ("pos", "replayed", "dma", "int_instrs"):
+        delta["streamers"] = {
+            key: tuple(y - x for x, y in zip(a["streamers"][key], value))
+            for key, value in b["streamers"].items()}
+        for key in ("pos", "replayed", "dma"):
             delta[key] = b[key] - a[key]
         for key in ("chain", "tcdm"):
             delta[key] = tuple(y - x for x, y in zip(a[key], b[key]))
@@ -640,13 +651,10 @@ class FastPathEngine:
 
     def _delta_ok(self, delta: dict) -> bool:
         """Refuse windows containing any non-periodic (one-shot) event."""
-        if delta["int_instrs"] or delta["dma"]:
+        if delta["dma"] or any(any(pair) for pair in delta["lsu"]):
             return False
-        if any(any(pair) for pair in delta["lsu"]):
+        if any(slot not in _PERIODIC_SLOTS for slot, _ in delta["perf"][0]):
             return False
-        for name, d in delta["counters"].items():
-            if d and name not in _PERIODIC_COUNTERS:
-                return False
         plan = self._plan
         ports = self.cluster.tcdm.ports
         used_ports = {self.fp.streamers[r].data_port
@@ -775,24 +783,24 @@ class FastPathEngine:
         results: dict[int, np.ndarray] = {}
         it = np.arange(eval_iters, dtype=np.int64)
         with np.errstate(all="ignore"):
-            for j, sp in enumerate(plan.slots):
+            for j, sources in enumerate(plan.sources):
                 ops = []
-                for od in sp.operands:
-                    if od[0] == "const":
-                        ops.append(np.full(eval_iters, od[1]))
-                    elif od[0] == "reg":
-                        ops.append(np.full(eval_iters,
-                                           fp.fpregs.values[od[1]]))
-                    elif od[0] == "slot":
-                        ops.append(results[od[1]])
-                    else:
-                        r, off = od[1], od[2]
+                for sym in sources:
+                    if sym[0] == "o":
+                        ops.append(results[sym[1]])
+                    elif sym[0] == "e":
+                        r, off = sym[1], sym[2]
                         rep = fp.streamers[r].cfg.repeat
                         idx = (pre_pops[r] + it * plan.read_ppi[r] + off) \
                             // (rep + 1)
                         np.minimum(idx, len(elems[r]) - 1, out=idx)
                         ops.append(elems[r][idx])
-                fn, guard = _VECTOR_OPS[sp.mnemonic]
+                    elif sym[0] == "r":
+                        ops.append(np.full(eval_iters,
+                                           fp.fpregs.values[sym[1]]))
+                    else:
+                        ops.append(np.full(eval_iters, plan.consts[j]))
+                fn, guard = _VECTOR_OPS[plan.mnemonics[j]]
                 if guard is not None and not guard(*ops):
                     return False
                 results[j] = fn(*ops)
@@ -825,7 +833,6 @@ class FastPathEngine:
             if g >= 0:
                 fp.fpregs.values[reg] = value(g)
 
-        from collections import deque as _deque
         for si, d in sdelta.items():
             s = fp.streamers[si]
             dact, dmov, dcons, dprod, dgen = d
@@ -836,7 +843,7 @@ class FastPathEngine:
                 s._gen.jump_to(s._gen.position + n * dgen)
                 fill = len(s._fifo)
                 end = s.elements_moved
-                s._fifo = _deque(
+                s._fifo = deque(
                     float(v) for v in elems[si][end - fill:end])
                 port = s.data_port
                 if port._pending is not None:
@@ -856,7 +863,7 @@ class FastPathEngine:
                 pushes = s.cfg.total_elements() - s._to_produce
                 fill = len(s._fifo)
                 window = np.arange(pushes - fill, pushes, dtype=np.int64)
-                s._fifo = _deque(float(v) for v in wvals(si, window))
+                s._fifo = deque(float(v) for v in wvals(si, window))
                 if s._pending_write_addr is not None:
                     s._pending_write_addr = int(affine_addresses(
                         s.cfg, [w1])[0])
@@ -947,6 +954,13 @@ _TRANSIENT = frozenset({"long-iteration", "unproven"})
 _AFFINE_READ, _INDIRECT_READ, _WRITE = range(3)
 _CONSUME = attrgetter("_to_consume")
 _PRODUCE = attrgetter("_to_produce")
+#: Counters whose movement in an iteration declines it, with the reason.
+_MEMO_DECLINES = (("frep_ops", "frep"), ("fp_csr_ops", "csr"),
+                  ("scfg_ops", "scfg"), ("dma_transfers", "dma"),
+                  ("barriers", "barrier"))
+_S_INT_INSTRS = SLOT["int_instrs"]
+_S_COMPUTE = SLOT["fpu_compute_ops"]
+_S_FP_LSU = SLOT["fp_lsu_ops"]
 
 
 def _fp_kind(instr) -> str:
@@ -1058,7 +1072,7 @@ class _Iter:
     """One recorded iteration: the memo value for a control key."""
 
     dt: int
-    delta: dict                 # core-side FastPathEngine._diff
+    delta: dict                 # core-side FastPathEngine._since
     exit_key: tuple | None      # None: the next loop head is declined
     exit: dict                  # exit control state for materialising
     shape: Any                  # _Shape, or its inputs until first hit
@@ -1271,18 +1285,9 @@ class LoopMemo:
         """``((stream, pops), ...)`` an issue of ``instr`` reads."""
         uses = self._uses.get((id(instr), nstream))
         if uses is None:
-            kind = self._kind(instr)
-            if kind == "s":
-                regs = [instr.rs2]
-            elif kind == "c":
-                spec = instr.spec
-                regs = [reg for reg, domain in (
-                    (instr.rs1, spec.rs1_domain),
-                    (instr.rs2, spec.rs2_domain),
-                    (instr.rs3, spec.rs3_domain)) if domain == "f"]
-            else:
-                regs = []
-            regs = [reg for reg in regs if reg < nstream]
+            regs = [reg for reg, domain in _operands(instr)
+                    if domain == "f" and reg < nstream] \
+                if self._kind(instr) in ("c", "s") else []
             uses = self._uses[(id(instr), nstream)] = tuple(
                 (reg, regs.count(reg)) for reg in sorted(set(regs)))
         return uses
@@ -1295,13 +1300,9 @@ class LoopMemo:
             return "binary-fetch"
         if not _arbiter_modelled(fp):
             return "unproven"
-        for other, ofp in zip(cl.cores[1:], cl.fps[1:]):
-            if not other.halted or other.port.busy \
-                    or other._pending_load_rd is not None \
-                    or not ofp.idle or not ofp.streamers_done():
-                return "other-core-busy"
-        if cl.dma._queue:
-            return "dma-busy"
+        busy = _cluster_busy(cl, core)
+        if busy is not None:
+            return busy
         if core.waiting_sync is not None or fp.sync_ready:
             return "fp-to-int"
         if core.barrier_wait or core.halted:
@@ -1562,23 +1563,22 @@ class LoopMemo:
         lsu = fp.lsu
         if lsu.port._pending is not None:
             return "unproven"
-        delta = self._engine._diff(rec.snap, self._engine._snapshot())
-        counters = delta["counters"]
-        for name, reason in (("frep_ops", "frep"), ("fp_csr_ops", "csr"),
-                             ("scfg_ops", "scfg"), ("dma_transfers", "dma"),
-                             ("barriers", "barrier")):
-            if counters.get(name):
+        delta = self._engine._since(rec.snap)
+        counters = dict(delta["perf"][0])
+        # The last two counters are interned on first use, not in SLOT.
+        slot_of = cl.perf._slot_of
+        for name, reason in _MEMO_DECLINES:
+            if counters.get(slot_of.get(name)):
                 return reason
         if delta["dma"]:
             return "dma-busy"
-        path = self._int_path(rec, counters.get("int_instrs", 0))
+        path = self._int_path(rec, counters.get(_S_INT_INSTRS, 0))
         if isinstance(path, str):
             return path
         int_ops, dispatched, written = path
 
         # The FP side issues in queue order.
-        n_issue = counters.get("fpu_compute_ops", 0) \
-            + counters.get("fp_lsu_ops", 0)
+        n_issue = counters.get(_S_COMPUTE, 0) + counters.get(_S_FP_LSU, 0)
         stream = [e.instr for e in rec.queue] + list(dispatched)
         queue = fp.sequencer.queue
         rest = stream[n_issue:]
@@ -1637,7 +1637,7 @@ class LoopMemo:
         pipe1 = fp.pipe.in_flight
         pipe_rel = []
         entry_ops = len(rec.pipe)
-        n_compute = counters.get("fpu_compute_ops", 0)
+        n_compute = counters.get(_S_COMPUTE, 0)
         for i, op in enumerate(pipe1):
             # Exit op i is the (entry + issued - exit + i)-th pipe op.
             index = entry_ops + n_compute - len(pipe1) + i
@@ -1668,8 +1668,9 @@ class LoopMemo:
 
     def _shape(self, _signature: tuple, key: tuple, n_entry: int,
                issued: list, sdelta: list, n_exit: int, lsu_busy: bool):
-        """Symbolic program-order execution of the issued FP entries:
-        the data program and the LSU structure (or why it fails)."""
+        """The data program and the LSU structure of the issued FP
+        entries (or why they fail): :func:`_data_flow` from the loop-head
+        state, then retirement."""
         from repro.core.fpu import EXECUTORS
 
         fp = self.fp
@@ -1679,16 +1680,14 @@ class LoopMemo:
         nstream = fp._num_streamers if key[7] else 0
 
         # Loop-head data symbols: ("p", i) pipe value, ("r", reg)
-        # retired register, ("e", s, k) stream element k from the
-        # stream's head, ("l", m) loaded value, ("l0",) the loop-head
-        # load, ("o", j) issued op j's result.
-        value = [("r", r) for r in range(len(fp.fpregs.values))]
-        chainq = {r: [("r", r)] if valid0[r] else []
+        # retired register, ("l0",) the loop-head load.
+        regs = {}
+        chains = {r: [("r", r)] if valid0[r] else []
                   for r in range(len(valid0)) if mask >> r & 1}
         lsu_ops = []            # (kind, dest, symbol, order)
         lsu_entry = key[9] is not None or key[10]
         if key[9] is not None:
-            value[key[9]] = ("l0",)
+            regs[key[9]] = ("l0",)
             lsu_ops.append(("l", key[9], ("l0",), -1))
         elif key[10]:
             lsu_ops.append(("s", None, None, -1))
@@ -1697,80 +1696,36 @@ class LoopMemo:
             sym = ("p", i)
             if not is_ssr:
                 if mask >> dest & 1:
-                    chainq[dest].append(sym)
+                    chains[dest].append(sym)
                 else:
-                    value[dest] = sym
+                    regs[dest] = sym
             pipe_syms.append((is_ssr, dest, sym, i - n_entry))
 
-        pops = {si: 0 for si, st in enumerate(streams) if st is not None}
-        need = dict.fromkeys(pops, 0)
+        flow = _data_flow(
+            issued, nstream, mask,
+            {si for si, st in enumerate(streams)
+             if st is not None and st[0] == SsrMode.READ},
+            {si for si, st in enumerate(streams)
+             if st is not None and st[0] == SsrMode.WRITE}, regs, chains)
+        if type(flow) is tuple:
+            return "unproven"
         ops = []                # (executor, result, operands)
         stores = []
+        loads = []
         lsu_kinds = []
-        n_ld = 0
-
-        def operand(reg, seen):
-            if reg < nstream:
-                st = streams[reg]
-                if st is None or st[0] != SsrMode.READ:
-                    return None
-                k = (st[3] + pops[reg]) // (st[2] + 1)
-                pops[reg] += 1
-                if k >= need[reg]:
-                    need[reg] = k + 1
-                return ("e", reg, k)
-            if mask >> reg & 1:
-                if reg not in seen:
-                    queue = chainq[reg]
-                    if not queue:
-                        return None
-                    seen[reg] = queue.pop(0)
-                return seen[reg]
-            return value[reg]
-
-        for j, instr in enumerate(issued):
+        for j, (instr, args) in enumerate(zip(issued, flow.sources)):
             kind = self._kinds[id(instr)]
+            result = ("o", j)
             if kind == "c":
-                spec = instr.spec
-                seen: dict = {}
-                args = []
-                for reg, domain in ((instr.rs1, spec.rs1_domain),
-                                    (instr.rs2, spec.rs2_domain),
-                                    (instr.rs3, spec.rs3_domain)):
-                    if domain == "f":
-                        sym = operand(reg, seen)
-                        if sym is None:
-                            return "unproven"
-                        args.append(sym)
-                result = ("o", j)
                 ops.append((EXECUTORS[instr.mnemonic][1], result, args))
-                dest = instr.rd
-                if dest < nstream:
-                    st = streams[dest]
-                    if st is None or st[0] != SsrMode.WRITE:
-                        return "unproven"
-                    pipe_syms.append((True, dest, result, j))
-                else:
-                    if mask >> dest & 1:
-                        chainq[dest].append(result)
-                    else:
-                        value[dest] = result
-                    pipe_syms.append((False, dest, result, j))
+                pipe_syms.append((instr.rd < nstream, instr.rd, result, j))
             elif kind == "l":
-                dest = instr.rd
-                if mask >> dest & 1 or dest < nstream:
-                    return "unproven"
-                sym = ("l", n_ld)
-                n_ld += 1
-                value[dest] = sym
-                lsu_ops.append(("l", dest, sym, j))
+                loads.append(result)
+                lsu_ops.append(("l", instr.rd, result, j))
                 lsu_kinds.append("l")
             else:
-                sym = operand(instr.rs2, {})
-                if sym is None:
-                    return "unproven"
-                stores.append(sym)
-                lsu_ops.append(("s", None, sym, j))
+                stores.append(args[0])
+                lsu_ops.append(("s", None, args[0], j))
                 lsu_kinds.append("s")
 
         # Retirement: the pipe retires in order, the LSU one op at a
@@ -1791,30 +1746,35 @@ class LoopMemo:
             if is_ssr:
                 pushed.setdefault(dest, []).append(sym)
 
+        # Stream pops become element indices: ``repeat + 1`` pops read
+        # one element, counting from the loop-head repeat phase.
         reads, advance = [], []
         for si, st in enumerate(streams):
             if st is None:
                 continue
             _, _, dcons, dprod, _ = sdelta[si]
-            if pops[si] != -dcons or len(pushed.get(si, ())) != -dprod:
+            pops = len(flow.pops.get(si, ()))
+            if pops != -dcons or len(pushed.get(si, ())) != -dprod:
                 return "unproven"
-            if need[si]:
-                reads.append((si, need[si]))
-            if pops[si]:
-                advance.append((si, (st[3] + pops[si]) // (st[2] + 1)))
+            if pops:
+                reads.append((si, (st[3] + pops - 1) // (st[2] + 1) + 1))
+                advance.append((si, (st[3] + pops) // (st[2] + 1)))
 
         # The data program: slot-numbered operations over a flat value
         # list laid out as pipe values, registers, stream elements,
         # loaded values, then the results in issue order.
         slot = {("p", i): i for i in range(n_entry)}
         base = n_entry
-        slot.update((("r", r), base + r) for r in range(len(value)))
-        base += len(value)
+        nregs = len(fp.fpregs.values)
+        slot.update((("r", r), base + r) for r in range(nregs))
+        base += nregs
         for si, n in reads:
-            slot.update((("e", si, k), base + k) for k in range(n))
+            phase, per = streams[si][3], streams[si][2] + 1
+            slot.update((("e", si, k), base + (phase + k) // per)
+                        for k in range(len(flow.pops[si])))
             base += n
-        slot.update((("l", m), base + m) for m in range(n_ld))
-        base += n_ld
+        slot.update((sym, base + m) for m, sym in enumerate(loads))
+        base += len(loads)
         slot[("l0",)] = base
         base += 1
         flat_ops = []

@@ -114,24 +114,41 @@ class PerfCounters:
                         if values[index]})
 
     def counter_state(self) -> tuple[dict[str, int], dict[StallReason, int]]:
-        """Plain-dict copies of all counters and stall buckets.
+        """Plain-dict copies of all counters and stall buckets, keyed
+        by name (:meth:`window` is the slot-indexed copy)."""
+        return dict(self.counters), dict(self.stalls)
 
-        Used by the fast path to measure per-period deltas; cheap enough
-        to take once per candidate steady-state sample.
-        """
+    # -- counter windows (the idle fast-forward, the FREP batch and the
+    # loop memo measure a stretch of cycles and replay it with these) -----
+
+    def window(self) -> tuple[list[int], dict[StallReason, int]]:
+        """Copy of every counter slot and stall bucket, the start of a
+        window that :meth:`since` closes."""
+        return list(self.values), dict(self.stalls)
+
+    def since(self, window: tuple) -> tuple[tuple, tuple]:
+        """What changed since ``window``: ``((slot, change), ...)`` and
+        ``((reason, change), ...)``, nonzero entries only."""
+        values0, stalls0 = window
         values = self.values
-        counters = {name: values[index]
-                    for name, index in self._slot_of.items()
-                    if values[index]}
-        return counters, dict(self.stalls)
+        counters = [(slot, value - old) for slot, (value, old)
+                    in enumerate(zip(values, values0)) if value != old]
+        counters += [(slot, values[slot])
+                     for slot in range(len(values0), len(values))
+                     if values[slot]]
+        stalls = [(reason, count - stalls0.get(reason, 0))
+                  for reason, count in self.stalls.items()
+                  if count != stalls0.get(reason, 0)]
+        return tuple(counters), tuple(stalls)
 
-    def add_scaled(self, counter_delta: dict[str, int],
-                   stall_delta: dict[StallReason, int], times: int) -> None:
-        """Apply ``times`` repetitions of a measured per-period delta."""
-        for name, amount in counter_delta.items():
-            self.values[self.slot(name)] += times * amount
-        for reason, amount in stall_delta.items():
-            self.stalls[reason] += times * amount
+    def replay(self, change: tuple, times: int) -> None:
+        """Apply ``times`` repetitions of a :meth:`since` change."""
+        values = self.values
+        for slot, amount in change[0]:
+            values[slot] += times * amount
+        stalls = self.stalls
+        for reason, amount in change[1]:
+            stalls[reason] += times * amount
 
     def mark(self, mark_id: int) -> None:
         """Snapshot all counters under ``mark_id``."""

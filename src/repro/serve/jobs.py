@@ -34,6 +34,8 @@ __all__ = ["Job", "JobStore", "TERMINAL_STATUSES"]
 #: terminal: it only annotates what happened (a server died mid-job)
 #: and the job is re-enqueued on the next boot.
 TERMINAL_STATUSES = frozenset({"done", "error", "timeout", "cancelled"})
+#: Every status the journal can hold.
+STATUSES = TERMINAL_STATUSES | {"queued", "running", "interrupted"}
 
 
 def new_job_id() -> str:
@@ -104,14 +106,18 @@ class Job:
 
     @classmethod
     def from_submit_record(cls, record: dict) -> "Job":
-        return cls(
-            id=record["id"],
-            workloads=[Workload.from_canonical(w)
-                       for w in record["workloads"]],
-            priority=int(record.get("priority", 10)),
-            timeout=record.get("timeout"),
-            created=float(record.get("created", 0.0)),
-        )
+        """The job a journaled submission describes; raises when the
+        record is incomplete or malformed (nothing is defaulted)."""
+        job_id, workloads, priority, timeout, created = (record[k] for k in (
+            "id", "workloads", "priority", "timeout", "created"))
+        if not (isinstance(job_id, str) and isinstance(workloads, list)
+                and workloads and type(priority) is int
+                and type(created) in (int, float)
+                and type(timeout) in (type(None), int, float)):
+            raise ValueError(f"malformed submit record {job_id!r}")
+        return cls(id=job_id,
+                   workloads=[Workload.from_canonical(w) for w in workloads],
+                   priority=priority, timeout=timeout, created=float(created))
 
 
 class JobStore:
@@ -133,6 +139,10 @@ class JobStore:
         self.path = Path(path)
         self._lock = threading.Lock()
         self.jobs: dict[str, Job] = {}
+        #: Journal lines the last :meth:`replay` skipped: torn, not a
+        #: record, or a record that is incomplete, names an unknown job
+        #: or an unknown status.
+        self.skipped_records = 0
 
     # -- persistence --------------------------------------------------------
 
@@ -162,31 +172,18 @@ class JobStore:
         ``running``, or ``interrupted`` from a prior crash) are reset
         to ``queued`` and returned for re-enqueueing; their finished
         points will come straight back out of the result cache.
-        Corrupt trailing lines (torn final write) are skipped.
+        Malformed lines (a torn final write, bit rot, a record missing a
+        field) are skipped and counted in :attr:`skipped_records`.
         """
         self.jobs = {}
+        self.skipped_records = 0
         if not self.path.exists():
             return []
         with open(self.path) as source:
             for raw in source:
                 raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    record = json.loads(raw)
-                except json.JSONDecodeError:
-                    continue  # torn trailing write; ops are append-only
-                op = record.get("op")
-                if op == "submit":
-                    try:
-                        job = Job.from_submit_record(record)
-                    except Exception:
-                        continue  # unparseable workload: skip the job
-                    self.jobs[job.id] = job
-                elif op == "status":
-                    job = self.jobs.get(record.get("id"))
-                    if job is not None:
-                        job.status = record.get("status", job.status)
+                if raw and not self._replay_line(raw):
+                    self.skipped_records += 1
         pending = []
         for job in self.jobs.values():
             if job.terminal:
@@ -198,6 +195,30 @@ class JobStore:
             pending.append(job)
         pending.sort(key=lambda j: (j.priority, j.created))
         return pending
+
+    def _replay_line(self, raw: str) -> bool:
+        """Apply one journal line; False when it is not a valid op."""
+        try:
+            record = json.loads(raw)
+        except json.JSONDecodeError:
+            return False
+        if not isinstance(record, dict):
+            return False
+        op = record.get("op")
+        if op == "submit":
+            try:
+                job = Job.from_submit_record(record)
+            except Exception:
+                return False
+            self.jobs[job.id] = job
+            return True
+        job_id, status = record.get("id"), record.get("status")
+        if op != "status" or not isinstance(job_id, str) \
+                or job_id not in self.jobs or not isinstance(status, str) \
+                or status not in STATUSES:
+            return False
+        self.jobs[job_id].status = status
+        return True
 
     def get(self, job_id: str) -> Job | None:
         return self.jobs.get(job_id)

@@ -22,18 +22,22 @@ from repro.ssr.address_gen import AffineGenerator, IndirectGenerator
 from repro.ssr.config import SsrConfig, SsrConfigSpace, SsrMode
 
 
+#: TCDM priority of every stream port: after the core (0) and FP LSU (1)
+#: ports, and equal among streams, which round robin orders.
+_PORT_PRIORITY = 10
+
+
 class SsrStreamer:
     """Data mover for one SSR lane."""
 
-    def __init__(self, ssr_id: int, tcdm: Tcdm, fifo_depth: int = 4,
-                 port_priority: int = 10):
+    def __init__(self, ssr_id: int, tcdm: Tcdm, fifo_depth: int = 4):
         self.ssr_id = ssr_id
         self.fifo_depth = fifo_depth
         self.cfgspace = SsrConfigSpace(ssr_id)
         self.data_port: TcdmPort = tcdm.port(
-            f"ssr{ssr_id}", port_priority, is_streamer=True)
+            f"ssr{ssr_id}", _PORT_PRIORITY, is_streamer=True)
         self.idx_port: TcdmPort = tcdm.port(
-            f"ssr{ssr_id}_idx", port_priority, is_streamer=True)
+            f"ssr{ssr_id}_idx", _PORT_PRIORITY, is_streamer=True)
 
         self.cfg: SsrConfig | None = None
         self._gen: AffineGenerator | None = None

@@ -156,6 +156,24 @@ def record_result(record: dict) -> Result:
             f"unparseable result: {type(exc).__name__}: {exc}") from exc
 
 
+def _jsonl_lines(path: Path) -> Iterator[tuple[int, str, dict | None]]:
+    """``(line number, line, record)`` for every non-blank line of one
+    JSONL file of the store: the one reader of loading and
+    :meth:`ResultCache.verify`.  ``record`` is None when the line is not
+    a JSON object with a ``key`` (a torn write, bit rot)."""
+    with open(path) as handle:
+        for lineno, line in enumerate(handle, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+                record["key"]
+            except (json.JSONDecodeError, TypeError, KeyError):
+                record = None
+            yield lineno, line, record
+
+
 class ResultCache:
     """Keyed JSONL store; loads its index once, appends as results land."""
 
@@ -208,17 +226,10 @@ class ResultCache:
     def _parse_lines(self, path: Path) -> Iterator[dict]:
         """Yield well-formed records of one JSONL file, counting (not
         silently dropping) every malformed line."""
-        with open(path) as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    record["key"]
-                except (json.JSONDecodeError, TypeError, KeyError):
-                    self.corrupt_lines += 1
-                    continue
+        for _, _, record in _jsonl_lines(path):
+            if record is None:
+                self.corrupt_lines += 1
+            else:
                 yield record
 
     # -- lookups ----------------------------------------------------------
@@ -424,47 +435,33 @@ class ResultCache:
                         "orphans": [], "failure_records": 0}
         for path in self._record_files():
             report["files"] += 1
-            with open(path) as handle:
-                for lineno, line in enumerate(handle, 1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    where = {"file": str(path.relative_to(self.root)),
-                             "line": lineno}
-                    try:
-                        record = json.loads(line)
-                        key = record["key"]
-                    except (json.JSONDecodeError, TypeError, KeyError):
-                        report["corrupt"].append(where)
-                        continue
-                    report["records"] += 1
-                    where["key"] = key
-                    try:
-                        record_result(record)
-                    except SchemaError as exc:
-                        report["invalid"].append(dict(where,
-                                                      error=str(exc)))
-                    if not key.startswith(path.stem):
-                        report["orphans"].append(where)
-                    if key in seen:
-                        bucket = "duplicates" if seen[key] == line \
-                            else "conflicts"
-                        report[bucket].append(where)
-                    else:
-                        seen[key] = line
+            name = str(path.relative_to(self.root))
+            for lineno, line, record in _jsonl_lines(path):
+                where = {"file": name, "line": lineno}
+                if record is None:
+                    report["corrupt"].append(where)
+                    continue
+                key = where["key"] = record["key"]
+                report["records"] += 1
+                try:
+                    record_result(record)
+                except SchemaError as exc:
+                    report["invalid"].append(dict(where, error=str(exc)))
+                if not key.startswith(path.stem):
+                    report["orphans"].append(where)
+                if key in seen:
+                    bucket = "duplicates" if seen[key] == line \
+                        else "conflicts"
+                    report[bucket].append(where)
+                else:
+                    seen[key] = line
         if self.failures_path.exists():
-            with open(self.failures_path) as handle:
-                for lineno, line in enumerate(handle, 1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                        record["key"], record["status"]
-                        report["failure_records"] += 1
-                    except (json.JSONDecodeError, TypeError, KeyError):
-                        report["corrupt"].append(
-                            {"file": FAILURES_FILE, "line": lineno})
+            for lineno, _, record in _jsonl_lines(self.failures_path):
+                if record is None or "status" not in record:
+                    report["corrupt"].append(
+                        {"file": FAILURES_FILE, "line": lineno})
+                else:
+                    report["failure_records"] += 1
         report["ok"] = not (report["corrupt"] or report["invalid"]
                             or report["conflicts"] or report["orphans"])
         return report

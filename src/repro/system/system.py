@@ -325,15 +325,9 @@ class System:
 
     # -- aggregate metrics ---------------------------------------------------
 
-    def _cluster_done(self, cluster: Cluster) -> bool:
-        for core in cluster.cores:
-            if not core.halted:
-                return False
-        return cluster._done_v2() if cluster._v2 else cluster.done
-
     @property
     def done(self) -> bool:
-        return all(self._cluster_done(cl) for cl in self.clusters)
+        return all(cl.done for cl in self.clusters)
 
     def total(self, counter: str) -> int:
         """Sum of one perf counter over every cluster."""
@@ -413,8 +407,7 @@ class System:
         quiet = 0
         last_token = None
         while True:
-            active = [cl for cl in clusters
-                      if not self._cluster_done(cl)]
+            active = [cl for cl in clusters if not cl.done]
             if not active:
                 break
             self._release_sys_barrier()

@@ -126,7 +126,10 @@ def test_sigint_drains_and_exits_nonzero(tmp_path):
         "name": "cancel regression",
         "kernels": ["box3d1r"],
         "variants": ["Base--", "Base-", "Base", "Chaining", "Chaining+"],
-        "grids": [[4, 8, 32], [4, 16, 32], [8, 16, 32], [8, 16, 64]],
+        # Long enough (about 15 s on a 2-core host) that the interrupt
+        # below lands mid-sweep, not after the last point.
+        "grids": [[4, 8, 32], [4, 16, 32], [8, 16, 32], [8, 16, 64],
+                  [8, 32, 64], [16, 32, 64]],
     }
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))

@@ -76,6 +76,38 @@ def test_journal_keeps_jobs_acknowledged_after_a_torn_tail(tmp_path):
     assert sorted(j.id for j in again.replay()) == ["job-aaa", "job-ccc"]
 
 
+def test_journal_replay_skips_and_counts_malformed_records(tmp_path):
+    """Every journal line replay cannot apply as written is skipped and
+    counted, never filled in with defaults or allowed to stop replay."""
+    path = tmp_path / "jobs.jsonl"
+    store = JobStore(path)
+    store.add(Job(id="job-aaa", workloads=[FAST]))
+    good = Job(id="job-bbb", workloads=[FAST]).submit_record()
+    bad = [
+        42,                                          # not a record
+        ["op", "submit"],
+        {k: v for k, v in good.items() if k != "priority"},
+        {k: v for k, v in good.items() if k != "created"},
+        dict(good, workloads=[]),
+        dict(good, priority="high"),
+        {"op": "status", "id": "job-aaa", "status": "bogus"},
+        {"op": "status", "id": "job-zzz", "status": "done"},
+        {"op": "status", "id": ["job-aaa"], "status": "done"},
+        {"op": "status", "id": "job-aaa", "status": ["done"]},
+        {"op": "rename", "id": "job-aaa"},
+    ]
+    with open(path, "a") as sink:
+        for record in bad:
+            sink.write(json.dumps(record) + "\n")
+        sink.write('{"op": "sub')                    # torn tail
+    replayed = JobStore(path)
+    pending = replayed.replay()
+    assert [j.id for j in pending] == ["job-aaa"]
+    assert replayed.get("job-bbb") is None
+    assert replayed.get("job-aaa").status == "queued"
+    assert replayed.skipped_records == len(bad) + 1
+
+
 # -- scheduler ----------------------------------------------------------------
 
 

@@ -312,6 +312,32 @@ def test_corrupt_lines_counted_and_warned_once(tmp_path):
     assert len(reopened) == 1                # good record still served
 
 
+def test_mid_shard_corrupt_line_keeps_both_neighbours(tmp_path):
+    """Bit rot in the middle of a shard costs exactly that line: loading
+    keeps the records before and after it, and verify() names its file
+    and line number."""
+    cache = ResultCache(tmp_path / "c")
+    key = point_key(POINT, __version__)
+    cache.put(key, POINT, execute_workload(POINT), 0.0, __version__)
+    shard = cache._shard_path(key)
+    record = json.loads(shard.read_text())
+    neighbour = dict(record, key=key[:SHARD_PREFIX_LEN] + "0" * (
+        len(key) - SHARD_PREFIX_LEN))
+    with open(shard, "a") as handle:
+        handle.write('{"key": "' + key[:8] + '", "result": {\n')  # rot
+        handle.write(json.dumps(neighbour, sort_keys=True) + "\n")
+    with pytest.warns(UserWarning, match="1 malformed JSONL line"):
+        reopened = ResultCache(tmp_path / "c")
+    assert reopened.corrupt_lines == 1
+    assert key in reopened and neighbour["key"] in reopened
+    assert reopened.get(key) is not None
+    assert reopened.get(neighbour["key"]) is not None
+    report = reopened.verify()
+    assert report["corrupt"] == [
+        {"file": str(shard.relative_to(tmp_path / "c")), "line": 2}]
+    assert report["records"] == 2 and not report["ok"]
+
+
 # -- failure log ----------------------------------------------------------
 
 

@@ -206,7 +206,7 @@ wait:
     while not system.done:
         before = system.gmem.bytes_moved
         active = [cl for cl in system.clusters
-                  if not system._cluster_done(cl)]
+                  if not cl.done]
         now = min(cl.cycle for cl in active)
         batch = [cl for cl in active if cl.cycle == now]
         dmas = [cl.dma for cl in batch]
