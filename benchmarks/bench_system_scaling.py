@@ -9,7 +9,7 @@ Two contracts on the ``repro.system`` scale-out path:
 * **simulator throughput** -- the 2-cluster halo-exchange run on the
   composed ``auto`` engine is regression-gated in CI, so the system
   loop's scheduling overhead (min-cycle batching, interconnect
-  arbitration, system-level fast-forward) stays paid for.
+  arbitration, stepping parked clusters) stays paid for.
 """
 
 import numpy as np

@@ -137,7 +137,7 @@ def execute_workload(workload: Workload,
                                  require_correct)
     label = workload.label
     # The sim-context label groups every simulated-cycle event emitted
-    # below (engine selection, fast-forwards, DMA/barriers) onto this
+    # below (engine selection, loop-memo replays, DMA/barriers) onto this
     # workload's own timeline track.
     with _obs.sim_context(label), \
             _obs.tracer().span("execute", "exec",

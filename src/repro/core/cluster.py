@@ -20,24 +20,14 @@ import numpy as np
 from repro.core.config import CoreConfig
 from repro.core.fp_subsystem import FpSubsystem
 from repro.core.int_core import IntCore
-from repro.core.perf import SLOT, PerfCounters, StallReason
+from repro.core.perf import SLOT, PerfCounters
 from repro.isa.assembler import Program, assemble
-from repro.isa.csr import is_fp_csr
-from repro.isa.instructions import InstrClass
 from repro.mem.dma import DmaEngine
 from repro.mem.memory import Allocator, Memory
 from repro.mem.tcdm import Tcdm
-from repro.obs import spans as _obs
-from repro.ssr.config import SsrMode
 
-_INF = 1 << 62
 _S_FPU_COMPUTE = SLOT["fpu_compute_ops"]
 _S_FP_LSU = SLOT["fp_lsu_ops"]
-
-#: After a failed fast-forward probe (no dead span, or a span too short
-#: to pay for itself), further probes are suppressed for this many
-#: cycles.  Pure throughput damping: skipping is always optional.
-_FF_COOLDOWN = 8
 
 
 class SimulationTimeout(RuntimeError):
@@ -92,12 +82,11 @@ class Cluster:
             trace.attach(self.fp)
         self.cycle = 0
         self._single = num_cores == 1
-        #: Micro-op engine selection (pre-decoded dispatch + idle-cycle
-        #: fast-forwarding); bit-identical to the seed interpreter and
-        #: trace-safe, so it stays on under a trace recorder.
+        #: Micro-op engine selection (pre-decoded dispatch);
+        #: bit-identical to the seed interpreter and trace-safe, so it
+        #: stays on under a trace recorder.
         self._v2 = self.cfg.uses_uops
-        self._fp_qdepth = self.cfg.fp_queue_depth
-        #: Idle-cycle fast-forward statistics (scalar-v2 engine).
+        #: Always zero (no idle-cycle skipping); perfbench reads it.
         self.ff_stats = {"spans": 0, "cycles": 0}
         #: Track name for this cluster's simulated-cycle obs events;
         #: a surrounding System renames it per cluster index.
@@ -296,9 +285,6 @@ class Cluster:
         cores = self.cores
         single_core = self._single
         v2 = self._v2
-        fp0_queue = self.fp.sequencer.queue
-        qdepth = self._fp_qdepth
-        ff_cooldown = 0
         # Only set when the loop memo lowered core 0's branches.
         loop = self.fastpath.loop if self.fastpath is not None else None
         while True:
@@ -311,20 +297,7 @@ class Cluster:
                     f"(pc={self.core.pc:#x}, halted={self.core.halted})"
                 )
             if v2:
-                # Fast-forwarding needs every core blocked; test core 0
-                # inline so active cycles pay a few comparisons at most.
-                if (core.halted or core.barrier_wait
-                        or core.waiting_sync is not None
-                        or core.stall_until > self.cycle
-                        or len(fp0_queue) >= qdepth) \
-                        and self.cycle >= ff_cooldown \
-                        and self._ff_candidate():
-                    skipped = self._try_fast_forward(max_cycles)
-                    if not skipped:
-                        ff_cooldown = self.cycle + _FF_COOLDOWN
-                        self._step_v2()
-                else:
-                    self._step_v2()
+                self._step_v2()
                 if core.loop_head:
                     loop.at_head(max_cycles)
             else:
@@ -370,310 +343,6 @@ class Cluster:
             self.dma.bytes_moved,
             waiting,
         )
-
-    # -- idle-cycle fast-forwarding (scalar-v2) -----------------------------
-    #
-    # Quiescence protocol: a cycle is *dead* when every component either
-    # cannot change state before a known future cycle (its horizon) or
-    # is provably inert.  All dead cycles in a span are identical -- the
-    # machine is deterministic and, with every threshold (FPU completion
-    # times, branch-penalty ends, register ready cycles) beyond the
-    # span, time itself cannot alter any decision -- so the engine steps
-    # *one* of them normally, verifies that nothing but counters moved,
-    # and replays the measured per-cycle counter delta over the rest of
-    # the span in O(1).  An active DMA engine is the one deterministic
-    # exception: it is stepped through the span in isolation (nothing
-    # else can observe it while all cores are blocked), reproducing its
-    # chunk-exact memory traffic and busy accounting.  Any
-    # misclassification is caught by the signature check and simply
-    # degrades into a normal single step.
-
-    def _ff_candidate(self) -> bool:
-        """Cheap pre-gate: every core blocked and no stream traffic."""
-        cycle = self.cycle
-        for core, fp in zip(self.cores, self.fps):
-            if not (core.halted or core.barrier_wait
-                    or core.waiting_sync is not None
-                    or core.stall_until > cycle
-                    or len(fp.sequencer.queue) >= self._fp_qdepth):
-                return False
-            for s in fp.streamers:
-                port = s.data_port
-                if port._pending is not None or port._response_ready:
-                    return False
-        return True
-
-    def _streamer_quiescent(self, s) -> bool:
-        """Would stepping this armed streamer do any work at all?"""
-        port = s.data_port
-        if port._pending is not None or port._response_ready:
-            return False
-        iport = s.idx_port
-        if iport._pending is not None or iport._response_ready:
-            return False
-        if s.cfg.mode == SsrMode.READ:
-            headroom = s.fifo_depth - len(s._fifo) \
-                - (1 if s._data_requested else 0)
-            if headroom > 0:
-                if s._igen is not None:
-                    if s._idx_fifo:
-                        return False
-                elif not s._gen.exhausted:
-                    return False
-        elif s._fifo:
-            return False
-        if s._igen is not None and not s._igen.exhausted \
-                and len(s._idx_fifo) < s.fifo_depth:
-            return False
-        return True
-
-    def _fp_stall_horizon(self, fp, entry, cycle, pipe_event):
-        """When could the stalled head-of-queue entry next make progress?
-
-        Returns None when the entry would issue (or its stall cannot be
-        bounded), else a cycle that is <= the first possible change.
-        Mirrors the issue-stall checks side-effect-free; the caller has
-        already established an idle LSU, quiescent streamers and an
-        incomplete pipe head.
-        """
-        instr = entry.instr
-        iclass = instr.iclass
-        if iclass in (InstrClass.FREP, InstrClass.CSR, InstrClass.SCFG):
-            return None
-        if iclass is InstrClass.FP_LOAD:
-            dest = instr.rd
-            if fp.ssr_enable and dest < fp._num_streamers:
-                return None  # would raise; let the normal step do it
-            if fp.chain.enabled(dest) or not fp.fpregs.busy[dest]:
-                return None  # would issue
-            return pipe_event  # WAW clears at the next writeback
-        if iclass is InstrClass.FP_STORE:
-            reason = fp._sources_ready([instr.rs2])
-            if reason is StallReason.NONE:
-                return None
-            if reason is StallReason.SSR_EMPTY:
-                return None  # an empty quiescent stream never refills
-            return pipe_event  # RAW / CHAIN_EMPTY resolve via writeback
-        sources = fp._fp_sources(instr)
-        reason = fp._sources_ready(sources)
-        if reason is not StallReason.NONE:
-            if reason is StallReason.SSR_EMPTY:
-                return None
-            return pipe_event
-        sync = instr.spec.rd_domain == "x"
-        dest = None if sync else instr.rd
-        if dest is not None and not fp._is_stream_reg(dest) \
-                and not fp.fpregs.can_write(dest):
-            return pipe_event  # WAW
-        if not fp.pipe.can_accept(cycle, iclass, False):
-            return pipe_event  # pipe full / unpipelined op in flight
-        return None  # would issue
-
-    def _core_fetch_horizon(self, core, fp, cycle):
-        """Horizon of a running core: None unless it is hazard- or
-        dispatch-stalled with a bounded wake-up."""
-        instr = core._fetch()
-        if instr is None:
-            return None  # will raise in the normal step
-        spec = instr.spec
-        iclass = spec.iclass
-        if instr.is_fp or (iclass is InstrClass.CSR
-                           and is_fp_csr(instr.csr)):
-            if len(fp.sequencer.queue) >= self._fp_qdepth:
-                return _INF  # dispatch stall; resolves via an FP issue
-            if iclass in (InstrClass.FP_LOAD, InstrClass.FP_STORE,
-                          InstrClass.FREP):
-                needed = (instr.rs1,)
-            elif iclass is InstrClass.SCFG:
-                needed = (instr.rs1, instr.rs2) \
-                    if instr.mnemonic == "scfgw" else (instr.rs1,)
-            elif iclass is InstrClass.CSR:
-                needed = (instr.rs1,) if (
-                    spec.rs1_domain == "x" and instr.mnemonic in (
-                        "csrrw", "csrrs", "csrrc")) else ()
-            elif spec.rd_domain == "x":
-                needed = ()
-            elif spec.rs1_domain == "x":
-                needed = (instr.rs1,)
-            else:
-                needed = ()
-        elif iclass in (InstrClass.INT_ALU, InstrClass.INT_MUL,
-                        InstrClass.INT_DIV):
-            from repro.core.int_core import _IMM_TO_ALU
-
-            mn = instr.mnemonic
-            if mn in ("lui", "auipc"):
-                return None  # executes unconditionally
-            needed = (instr.rs1,) if mn in _IMM_TO_ALU \
-                else (instr.rs1, instr.rs2)
-        elif iclass is InstrClass.LOAD:
-            needed = (instr.rs1,)
-        elif iclass in (InstrClass.STORE, InstrClass.BRANCH):
-            needed = (instr.rs1, instr.rs2)
-        elif iclass is InstrClass.JUMP:
-            if instr.mnemonic == "jal":
-                return None
-            needed = (instr.rs1,)
-        else:
-            return None  # CSR / DMA / SYS: executes (or retries) now
-        ready_cycle = core.regs.ready_cycle
-        horizon = 0
-        for reg in needed:
-            r = ready_cycle[reg]
-            if r > cycle and r > horizon:
-                horizon = r
-        return horizon if horizon else None
-
-    def _classify_pair(self, core, fp, cycle):
-        """Dead-state horizon of one core + FP subsystem, or None."""
-        port = core.port
-        if port._pending is not None or port._response_ready \
-                or core._pending_load_rd is not None:
-            return None
-        lsu = fp.lsu
-        if lsu._pending_load is not None or lsu._pending_store \
-                or lsu._blocked_value is not None or lsu.port.busy:
-            return None
-        for s in fp.streamers:
-            if s.cfg is not None and not self._streamer_quiescent(s):
-                return None
-        pipe = fp.pipe
-        fp_event = _INF
-        if pipe.in_flight:
-            head_t = pipe.in_flight[0].completes_at
-            if head_t <= cycle:
-                return None  # a writeback fires this cycle
-            fp_event = head_t
-        entry = fp.sequencer.peek()
-        if entry is not None:
-            stall_h = self._fp_stall_horizon(fp, entry, cycle, fp_event)
-            if stall_h is None:
-                return None
-            if stall_h < fp_event:
-                fp_event = stall_h
-        horizon = fp_event
-        if core.halted or core.barrier_wait:
-            pass
-        elif core.waiting_sync is not None:
-            if fp.sync_ready:
-                return None  # the core consumes the sync next cycle
-        elif core.stall_until > cycle:
-            if core.stall_until < horizon:
-                horizon = core.stall_until
-        else:
-            h = self._core_fetch_horizon(core, fp, cycle)
-            if h is None:
-                return None
-            if h < horizon:
-                horizon = h
-        return horizon
-
-    def _dead_horizon(self, external: int | None = None):
-        """First cycle at which any cluster state can change, or None.
-
-        ``external`` is an externally-known bound on the span (the next
-        cycle at which the *environment* -- a sibling cluster in a
-        :class:`repro.system.System` -- can interact with this cluster);
-        it clamps the horizon, which also makes indefinitely-parked
-        states (every core halted or waiting at the system barrier,
-        horizon would be infinite) fast-forwardable up to that bound.
-        """
-        cycle = self.cycle
-        horizon = _INF
-        dma = self.dma
-        if dma._queue:
-            remaining = sum(t.row_bytes * t.rows - t.moved
-                            for t in dma._queue)
-            horizon = cycle + -(-remaining // dma.bytes_per_cycle)
-        any_barrier = False
-        for core, fp in zip(self.cores, self.fps):
-            h = self._classify_pair(core, fp, cycle)
-            if h is None:
-                return None
-            if h < horizon:
-                horizon = h
-            any_barrier = any_barrier or (core.barrier_wait
-                                          and not core.sys_barrier_wait)
-        # Mirror _release_barrier exactly: a core parked at the *system*
-        # barrier has not arrived at the local one, so it blocks the
-        # local release rather than triggering it.
-        if any_barrier and all(c.halted
-                               or (c.barrier_wait
-                                   and not c.sys_barrier_wait)
-                               for c in self.cores):
-            return None  # the barrier opens this very cycle
-        if external is not None and external < horizon:
-            horizon = external
-        if horizon >= _INF or horizon <= cycle + 1:
-            return None
-        return horizon
-
-    def _quiet_signature(self, skip_dma: bool):
-        """Everything a dead cycle must leave untouched (counters aside)."""
-        tcdm = self.tcdm
-        parts = [tcdm.total_accesses, tcdm.total_conflicts]
-        if not skip_dma:
-            parts.append(self.dma.bytes_moved)
-            parts.append(len(self.dma._queue))
-        for core, fp in zip(self.cores, self.fps):
-            seq = fp.sequencer
-            chain = fp.chain
-            lsu = fp.lsu
-            parts.append((
-                core.pc, core.halted, core.barrier_wait,
-                core.waiting_sync is not None, core.stall_until,
-                core._pending_load_rd, core.port._pending is not None,
-                core.port._response_ready,
-                len(seq.queue), seq._active, seq._pos,
-                len(fp.pipe.in_flight), fp.pipe._last_completion,
-                fp.sync_ready,
-                chain.pushes, chain.pops, chain.backpressure_events,
-                lsu.loads, lsu.stores,
-                lsu._pending_load is not None, lsu._pending_store,
-            ))
-            for s in fp.streamers:
-                parts.append((
-                    len(s._fifo), len(s._idx_fifo), s._rep_count,
-                    s._to_consume, s._to_produce,
-                    s.elements_moved, s.active_cycles))
-        return parts
-
-    def _try_fast_forward(self, max_cycles: int,
-                          external: int | None = None) -> bool:
-        """Jump over a provably-dead span; False when none exists."""
-        horizon = self._dead_horizon(external)
-        if horizon is None:
-            return False
-        start = self.cycle
-        if horizon > max_cycles:
-            horizon = max_cycles
-        span = horizon - start
-        if span < 2:
-            return False
-        dma_active = bool(self.dma._queue)
-        sig0 = self._quiet_signature(dma_active)
-        perf = self.perf
-        window = perf.window()
-        self._step_v2()  # the measured dead cycle
-        if self._quiet_signature(dma_active) != sig0:
-            return True  # misclassified: one normal step was taken
-        # Replay the measured per-cycle delta over the remaining span.
-        k = span - 1
-        perf.replay(perf.since(window), k)
-        if dma_active:
-            dma = self.dma
-            for _ in range(k):
-                dma.step()
-        self.cycle += k
-        perf.cycles = self.cycle
-        self.ff_stats["spans"] += 1
-        self.ff_stats["cycles"] += k
-        if _obs.ENABLED:
-            _obs.tracer().sim_span(
-                "fast-forward", "engine", start, self.cycle,
-                lane=self.obs_lane,
-                args={"cycles_skipped": k, "dma_active": dma_active})
-        return True
 
     # -- convenience metrics ---------------------------------------------------
 

@@ -91,14 +91,15 @@ class CoreConfig:
     #:
     #: * ``"auto"`` (default) -- compose both accelerated engines: the
     #:   vectorized FREP/SSR fast path (:mod:`repro.core.fastpath`) on
-    #:   eligible hardware-loop regions, and the scalar-v2 micro-op
-    #:   engine (pre-decoded dispatch plus idle-cycle fast-forwarding,
-    #:   :mod:`repro.core.uops`) everywhere else.  With a trace recorder
-    #:   attached the fast path silently stands down (it skips per-issue
-    #:   events) while the micro-op engine keeps running -- it emits
-    #:   every trace event exactly like the seed interpreter;
-    #: * ``"scalar-v2"`` -- the micro-op engine alone, never the
-    #:   vectorized fast path;
+    #:   eligible hardware-loop regions, with the loop memo replaying
+    #:   recorded integer-loop iterations, and the scalar-v2 micro-op
+    #:   engine (pre-decoded dispatch, :mod:`repro.core.uops`)
+    #:   everywhere else.  With a trace recorder attached the fast path
+    #:   silently stands down (it skips per-issue events) while the
+    #:   micro-op engine keeps running -- it emits every trace event
+    #:   exactly like the seed interpreter;
+    #: * ``"scalar-v2"`` -- the micro-op engine alone, stepping every
+    #:   cycle: never the vectorized fast path or the loop memo;
     #: * ``"scalar"`` -- the seed cycle-by-cycle interpreter (the
     #:   reference model);
     #: * ``"analytical"`` -- no simulation at all: the closed-form

@@ -1436,8 +1436,8 @@ class LoopMemo:
             self._decline("long-iteration")
             return
         log = rec.log
-        # Cycles skipped by idle fast-forwarding changed nothing: each
-        # repeats the observation before it.
+        # Cycles jumped by an FREP batch inside the iteration are not
+        # observed one by one: each repeats the observation before it.
         gap = cycle - rec.cycle - (len(log) - 1)
         if gap:
             log += [log[-1]] * gap

@@ -118,8 +118,8 @@ class PerfCounters:
         by name (:meth:`window` is the slot-indexed copy)."""
         return dict(self.counters), dict(self.stalls)
 
-    # -- counter windows (the idle fast-forward, the FREP batch and the
-    # loop memo measure a stretch of cycles and replay it with these) -----
+    # -- counter windows (the FREP batch and the loop memo measure a
+    # stretch of cycles and replay it with these) -------------------------
 
     def window(self) -> tuple[list[int], dict[StallReason, int]]:
         """Copy of every counter slot and stall bucket, the start of a

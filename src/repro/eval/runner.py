@@ -70,8 +70,6 @@ def execute_build(build: KernelBuild, cfg: CoreConfig | None = None,
         from repro.obs.metrics import METRICS, cluster_run_obs
 
         meta["obs"] = cluster_run_obs(cluster)
-        METRICS.inc("ff.spans", cluster.ff_stats["spans"])
-        METRICS.inc("ff.cycles", cluster.ff_stats["cycles"])
         if cluster.fastpath is not None:
             stats = cluster.fastpath.stats
             METRICS.inc("fastpath.regions", stats["regions_seen"])

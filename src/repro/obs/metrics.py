@@ -2,7 +2,7 @@
 
 The registry complements the span timeline with cheap aggregates —
 cache hit/miss counts, per-point wall seconds, fastpath eligibility,
-fast-forward savings, DMA traffic.  Like the tracer, it is only
+loop-memo replays, DMA traffic.  Like the tracer, it is only
 touched behind ``if spans.ENABLED:`` guards, so the default-off cost
 on instrumented seams is one attribute read.
 
@@ -23,8 +23,6 @@ name                      type         meaning
 ``loop.hits``             counter      loop iterations replayed
 ``loop.misses``           counter      eligible iterations stepped
 ``loop.cycles``           counter      cycles replayed by the loop memo
-``ff.spans``              counter      scalar-v2 quiescence fast-forwards
-``ff.cycles``             counter      cycles skipped by fast-forwarding
 ``dma.bytes``             counter      bytes moved through global memory
 ``dma.contended_cycles``  counter      interconnect arbitration conflicts
 ``system.runs``           counter      ``System.run`` invocations
@@ -124,11 +122,7 @@ _LOOP_TOTALS = ("loop_regions_seen", "loop_hits", "loop_misses",
 
 def cluster_run_obs(cluster) -> dict:
     """Summarize one finished single-cluster run."""
-    obs: dict = {
-        "engine": cluster.cfg.engine,
-        "ff_spans": cluster.ff_stats["spans"],
-        "ff_cycles_skipped": cluster.ff_stats["cycles"],
-    }
+    obs: dict = {"engine": cluster.cfg.engine}
     fastpath = getattr(cluster, "fastpath", None)
     if fastpath is not None:
         stats = dict(fastpath.stats)
@@ -174,7 +168,7 @@ def campaign_obs(outcomes, seconds: float) -> dict:
             "max": max(wall) if wall else 0.0,
         },
     }
-    ff_spans = ff_cycles = fp_regions = fp_eligible = 0
+    fp_regions = fp_eligible = 0
     reject_reasons: dict[str, int] = {}
     loop = dict.fromkeys(_LOOP_TOTALS, 0)
     loop_reasons: dict[str, int] = {}
@@ -184,8 +178,6 @@ def campaign_obs(outcomes, seconds: float) -> dict:
         if not isinstance(run_obs, dict):
             continue
         for part in ([run_obs] + list(run_obs.get("clusters", []))):
-            ff_spans += part.get("ff_spans", 0)
-            ff_cycles += part.get("ff_cycles_skipped", 0)
             fp = part.get("fastpath")
             if isinstance(fp, dict):
                 fp_regions += fp.get("regions_seen", 0)
@@ -196,8 +188,6 @@ def campaign_obs(outcomes, seconds: float) -> dict:
                     loop[name] += fp.get(name, 0)
                 for reason, n in fp.get("loop_reject_reasons", {}).items():
                     loop_reasons[reason] = loop_reasons.get(reason, 0) + n
-    agg["ff_spans"] = ff_spans
-    agg["ff_cycles_skipped"] = ff_cycles
     agg["fastpath_regions_seen"] = fp_regions
     agg["fastpath_regions_eligible"] = fp_eligible
     agg["fastpath_eligibility_rate"] = (

@@ -9,8 +9,8 @@ One process-wide :class:`Tracer` records two kinds of events:
   one campaign land on one comparable timeline; durations are measured
   with :func:`time.perf_counter` for precision.
 * **sim** events -- spans and instants whose timeline is *simulated
-  cycles* (engine-selection accept/reject, scalar-v2 fast-forward
-  jumps, system barrier waits, global-memory DMA transfers).  They
+  cycles* (engine-selection accept/reject, loop-memo replays, system
+  barrier waits, global-memory DMA transfers).  They
   carry the current :func:`sim_context` label so each workload's cycle
   timeline becomes its own track in the Perfetto export.
 
@@ -22,7 +22,7 @@ module-level :data:`ENABLED` flag is ``False`` by default and every
 instrumentation site guards with ``if spans.ENABLED:`` before touching
 the tracer, so the disabled cost is one module-attribute read on the
 few non-hot seams that are instrumented at all (per *workload*, per
-*fast-forward jump*, per *DMA transfer* -- never per cycle).  The
+*replayed region*, per *DMA transfer* -- never per cycle).  The
 benchmark-regression gate runs with observability disabled and pins
 this.
 

@@ -261,11 +261,21 @@ class Scheduler:
             self._sync_crashes()
             outcome = Outcome.from_worker(task.workload, key, status,
                                           payload, seconds)
-            record_outcome(self.session.cache, outcome, package_version())
+            try:
+                record_outcome(self.session.cache, outcome,
+                               package_version())
+            except OSError as exc:  # ENOSPC, EIO, a read-only store
+                # Results are durable only in the store, so a result
+                # that could not be written is not served either.
+                outcome = Outcome(
+                    point=task.workload, status="error", key=key,
+                    seconds=seconds, error=f"result store write failed: "
+                    f"{exc.strerror or exc}")
             if self._shutdown:
                 return
-            record = {"status": status, "key": key, "cached": False,
-                      "seconds": seconds, "error": outcome.error,
+            record = {"status": outcome.status, "key": key,
+                      "cached": False, "seconds": seconds,
+                      "error": outcome.error,
                       "result": outcome.result.to_dict()
                       if outcome.ok else None}
             for job_id, index in task.subscribers:

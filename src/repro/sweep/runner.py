@@ -660,6 +660,7 @@ class SweepRunner:
                 received += 1
                 land(*item)
         finally:
-            stopped = True
+            with lock:  # no dispatch may race the close below
+                stopped = True
             pool.close()
         return interrupted

@@ -39,10 +39,7 @@ equals the global minimum.  Clusters can run *ahead* of that minimum
 in one step); they simply wait until the others catch up, which is
 exactly event-order-correct because the only inter-cluster couplings --
 global-memory DMA bandwidth and the system barrier -- are arbitrated at
-the minimum clock.  The scalar-v2 idle-cycle fast-forward is preserved
-at system level: when every minimum-clock cluster is provably dead (and
-no DMA contention is possible), all of them jump over the common dead
-span in O(1).
+the minimum clock.
 """
 
 from __future__ import annotations
@@ -64,8 +61,6 @@ from repro.obs import spans as _obs
 
 #: First byte address decoded as global memory (by the DMA engines only).
 GLOBAL_BASE = 0x4000_0000
-
-_INF = 1 << 62
 
 
 class SystemTimeout(SimulationTimeout):
@@ -415,9 +410,6 @@ class System:
             if now >= max_cycles:
                 raise SystemTimeout(self._diagnose(max_cycles))
             batch = [cl for cl in active if cl.cycle == now]
-            if self._try_system_ff(active, batch, now, max_cycles,
-                                   single):
-                continue
             if not single:
                 dmas = [cl.dma for cl in batch]
                 if any(dma._queue for dma in dmas):
@@ -451,8 +443,8 @@ class System:
         Halted cores count as arrived (matching the cluster barrier).
         Release aligns every waiting cluster's clock to the latest
         arrival -- the cycle at which the barrier actually opens -- by
-        fast-forwarding (or, for non-micro-op engines, stepping) the
-        parked clusters, so barrier wait time is fully accounted.
+        stepping the parked clusters, so barrier wait time is fully
+        accounted.
         """
         waiting = [core for cl in self.clusters for core in cl.cores
                    if core.sys_barrier_wait]
@@ -467,7 +459,8 @@ class System:
         tmax = max(cl.cycle for cl in parked)
         arrived_at = [cl.cycle for cl in parked]
         for cluster in parked:
-            self._advance_parked(cluster, tmax)
+            while cluster.cycle < tmax:
+                cluster.step()
         for core in waiting:
             core.sys_barrier_wait = False
             core.barrier_wait = False
@@ -484,39 +477,6 @@ class System:
                            lane="system",
                            args={"barrier": self.sys_barriers,
                                  "clusters": len(parked)})
-
-    def _advance_parked(self, cluster: Cluster, target: int) -> None:
-        """Burn a parked cluster's clock up to ``target`` cycles."""
-        while cluster.cycle < target:
-            if not (cluster._v2
-                    and cluster._try_fast_forward(target,
-                                                  external=target)):
-                cluster.step()
-
-    def _try_system_ff(self, active, batch, now, max_cycles,
-                       single) -> bool:
-        """Jump every minimum-clock cluster over a common dead span."""
-        if not single:
-            # Bandwidth shares are only constant over a span when no DMA
-            # can contend; with several clusters, any active DMA forces
-            # cycle-by-cycle stepping through the interconnect.
-            for cluster in active:
-                if cluster.dma._queue:
-                    return False
-        caps = [cl.cycle for cl in active if cl.cycle > now]
-        target = min(min(caps) if caps else _INF - 1, max_cycles)
-        horizons = []
-        for cluster in batch:
-            if not cluster._v2 or not cluster._ff_candidate():
-                return False
-            horizon = cluster._dead_horizon(external=target)
-            if horizon is None:
-                return False
-            horizons.append(horizon)
-        common = min(horizons)
-        for cluster in batch:
-            cluster._try_fast_forward(max_cycles, external=common)
-        return True
 
     def _diagnose(self, max_cycles: int) -> str:
         """Human-readable per-cluster state for timeout/deadlock errors."""

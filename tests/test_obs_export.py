@@ -205,10 +205,6 @@ def test_observed_sweep_exports_full_timeline(tmp_path):
     reject = by_name["fastpath.reject"][0]
     assert reject["args"]["reason"] == "cross-iteration-register-carry"
 
-    # Fast-forward spans with cycles-skipped args.
-    assert all(e["args"]["cycles_skipped"] > 0
-               for e in by_name["fast-forward"])
-
     # System events: per-cluster slices, barrier, DMA transfers.
     assert {e["args"]["name"] for e in doc["traceEvents"]
             if e["ph"] == "M" and e["name"] == "thread_name"} >= {

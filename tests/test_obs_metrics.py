@@ -66,10 +66,8 @@ def test_cluster_run_obs_from_real_run():
 def test_cluster_run_obs_without_fastpath():
     cluster = SimpleNamespace(
         cfg=SimpleNamespace(engine="scalar"),
-        ff_stats={"spans": 2, "cycles": 100},
         fastpath=None)
-    assert cluster_run_obs(cluster) == {
-        "engine": "scalar", "ff_spans": 2, "ff_cycles_skipped": 100}
+    assert cluster_run_obs(cluster) == {"engine": "scalar"}
 
 
 # -- campaign aggregation -------------------------------------------------
@@ -83,8 +81,7 @@ def _outcome(status="ok", cached=False, seconds=0.5, run_obs=None):
 
 def test_campaign_obs_counts_and_rates():
     outcomes = [
-        _outcome(run_obs={"ff_spans": 3, "ff_cycles_skipped": 40,
-                          "fastpath": {"regions_seen": 2,
+        _outcome(run_obs={"fastpath": {"regions_seen": 2,
                                        "regions_eligible": 1,
                                        "reject_reasons": {
                                            "non-vector-op": 1}}}),
@@ -96,7 +93,7 @@ def test_campaign_obs_counts_and_rates():
     assert agg["errors"] == 1 and agg["timeouts"] == 0
     assert agg["cache_hits"] == 1
     assert agg["hit_rate"] == pytest.approx(1 / 3)
-    assert agg["ff_spans"] == 3 and agg["ff_cycles_skipped"] == 40
+    assert "ff_spans" not in agg and "ff_cycles_skipped" not in agg
     assert agg["fastpath_regions_seen"] == 2
     assert agg["fastpath_eligibility_rate"] == 0.5
     assert agg["fastpath_reject_reasons"] == {"non-vector-op": 1}
@@ -105,11 +102,13 @@ def test_campaign_obs_counts_and_rates():
 
 def test_campaign_obs_walks_nested_system_clusters():
     run_obs = {"num_clusters": 2,
-               "clusters": [{"ff_spans": 4, "ff_cycles_skipped": 10},
-                            {"ff_spans": 6, "ff_cycles_skipped": 30}]}
+               "clusters": [{"fastpath": {"regions_seen": 4,
+                                          "loop_cycles": 10}},
+                            {"fastpath": {"regions_seen": 6,
+                                          "loop_cycles": 30}}]}
     agg = campaign_obs([_outcome(run_obs=run_obs)], seconds=0.5)
-    assert agg["ff_spans"] == 10
-    assert agg["ff_cycles_skipped"] == 40
+    assert agg["fastpath_regions_seen"] == 10
+    assert agg["loop_cycles"] == 40
 
 
 def test_campaign_obs_empty():

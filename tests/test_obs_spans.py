@@ -94,8 +94,8 @@ def test_sim_events_carry_context_label(enabled):
     assert obs.sim_label() == "sim"
     with obs.sim_context("j3d27pt/Chaining"):
         assert obs.sim_label() == "j3d27pt/Chaining"
-        enabled.sim_span("fast-forward", "engine", 100, 140,
-                         lane="cluster", args={"cycles_skipped": 40})
+        enabled.sim_span("loop-memo", "engine", 100, 140,
+                         lane="cluster", args={"iterations": 4})
         enabled.sim_instant("fastpath.accept", "engine", 90)
     assert obs.sim_label() == "sim"
     span_ev, inst_ev = enabled.events

@@ -8,7 +8,9 @@ result JSON; a server restarted mid-campaign resumes from the job
 journal with no lost and no duplicated results.
 """
 
+import errno
 import json
+import os
 import threading
 import time
 
@@ -160,6 +162,30 @@ def test_priority_orders_the_queue(tmp_path):
             head = min(sched._heap)[2]
         assert head == sched.session.key(high.workloads[0])
         assert head != sched.session.key(low.workloads[0])
+    finally:
+        sched.shutdown(wait=True)
+
+
+def test_failed_store_write_is_an_error_and_dispatch_continues(
+        tmp_path, monkeypatch):
+    """A result the store cannot take (a full disk) lands as an error,
+    the job finishes, and the next queued point is still dispatched."""
+    def disk_full(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    sched = _scheduler(tmp_path, workers=1)
+    monkeypatch.setattr(sched.session.cache, "put", disk_full)
+    try:
+        # One worker: the second point waits for the first's completion.
+        job = sched.submit([FAST, workload("vecop", "baseline", n=17)])
+        job = _wait_terminal(sched, job.id, timeout=60.0)
+        assert job.status == "error"
+        assert [r["status"] for r in job.results] == ["error", "error"]
+        assert job.results[0]["error"] == (
+            "result store write failed: No space left on device")
+        assert job.results[0]["result"] is None
+        assert sched.counters["executions"] == 2
+        assert sched.metrics()["serve.inflight"] == 0
     finally:
         sched.shutdown(wait=True)
 

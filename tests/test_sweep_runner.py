@@ -96,9 +96,11 @@ def test_timeout_budget_excludes_queue_wait():
     # their budget while the fast vecop sits queued behind them.  The
     # queued point's clock must not start until it actually runs, so it
     # still completes instead of being falsely charged for the wait.
+    # The stencils run on the seed interpreter (seconds each), so they
+    # stay slow however fast the default engine gets.
     points = [
-        workload("box3d1r", "Chaining+"),  # default grid, ~2s
-        workload("j3d27pt", "Chaining+"),  # default grid, ~2s
+        workload("box3d1r", "Chaining+", engine="scalar"),
+        workload("j3d27pt", "Chaining+", engine="scalar"),
         workload("vecop", "baseline", n=16),
     ]
     campaign = SweepRunner(workers=2, timeout=0.3).run(points)

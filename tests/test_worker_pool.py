@@ -155,6 +155,22 @@ def test_pool_stress_more_workers_than_cores_with_kills(tmp_path,
     assert len(ResultCache(store)) == len(points)
 
 
+def test_failed_store_write_raises_and_leaves_no_worker(tmp_path,
+                                                        monkeypatch):
+    """A sweep has no job to fail: the store's OSError propagates, after
+    the pool has shut down every worker it started."""
+    def disk_full(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(ResultCache, "put", disk_full)
+    before = {p.pid for p in multiprocessing.active_children()}
+    with pytest.raises(OSError) as info:
+        SweepRunner(cache=str(tmp_path / "store"),
+                    workers=2).run(POINTS[:6])
+    assert info.value.errno == errno.ENOSPC
+    assert _new_children(before) == []
+
+
 def test_unspawnable_worker_is_an_error_outcome(monkeypatch):
     class NoFork(runner.ProcessPoolExecutor):
         def submit(self, *args, **kwargs):
