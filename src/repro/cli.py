@@ -833,8 +833,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="execution engine for every point (bit-identical "
                         "results; 'scalar-v2' is the pre-decoded "
                         "micro-op engine, 'scalar' is the cycle-by-cycle "
-                        "reference, 'auto' adds the vectorized FREP/SSR "
-                        "fast path to scalar-v2, 'analytical' estimates "
+                        "reference, 'auto' adds to scalar-v2 the "
+                        "vectorized FREP/SSR fast path and the loop memo "
+                        "(replayed integer-loop iterations), "
+                        "'analytical' estimates "
                         "without simulating; default: config's own "
                         "choice); part of the result-cache key")
     p.add_argument("--num-clusters", type=int, default=None,

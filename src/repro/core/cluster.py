@@ -1,9 +1,9 @@
 """Cluster top level: one Snitch-like compute core + TCDM + SSRs.
 
 Matches the paper's experimental platform (a Snitch cluster with one
-compute core).  :meth:`Cluster.run` steps the whole system cycle by cycle
-until the program halts (``ebreak``) and all decoupled work -- the FP
-queue, the FPU pipe, the LSUs and the SSR write streamers -- has drained.
+compute core).  :func:`run_clusters` steps clusters cycle by cycle until
+the program halts (``ebreak``) and all decoupled work -- the FP queue,
+the FPU pipe, the LSUs and the SSR write streamers -- has drained.
 
 Per-cycle component order (rationale in :mod:`repro.core.fp_subsystem`):
 
@@ -276,44 +276,7 @@ class Cluster:
 
     def run(self, max_cycles: int = 5_000_000) -> PerfCounters:
         """Run to completion; returns the performance counters."""
-        # The progress token exists purely for post-halt deadlock
-        # detection, so it is only computed once the core has halted --
-        # evaluating it every cycle was pure hot-loop waste.
-        quiet_cycles = 0
-        last_progress: tuple | None = None
-        core = self.core
-        cores = self.cores
-        single_core = self._single
-        v2 = self._v2
-        # Only set when the loop memo lowered core 0's branches.
-        loop = self.fastpath.loop if self.fastpath is not None else None
-        while True:
-            if (core.halted if single_core
-                    else all(c.halted for c in cores)) and self.done:
-                break
-            if self.cycle >= max_cycles:
-                raise SimulationTimeout(
-                    f"no completion after {max_cycles} cycles "
-                    f"(pc={self.core.pc:#x}, halted={self.core.halted})"
-                )
-            if v2:
-                self._step_v2()
-                if core.loop_head:
-                    loop.at_head(max_cycles)
-            else:
-                self._step_seed()
-            if core.halted:
-                token = self._progress_token()
-                quiet_cycles = 0 if token != last_progress else \
-                    quiet_cycles + 1
-                if quiet_cycles > 64:
-                    raise SimulationDeadlock(
-                        "halted but the FP subsystem or an SSR write "
-                        "stream cannot drain (under-produced stream or "
-                        "starved chaining pop?)"
-                    )
-                last_progress = token
-        self.release()
+        run_clusters([self], max_cycles)
         return self.perf
 
     def release(self) -> None:
@@ -352,3 +315,89 @@ class Cluster:
 
     def runtime_seconds(self) -> float:
         return self.cycle / self.cfg.clock_hz
+
+
+def _core_state(core) -> str:
+    if core.halted:
+        return "halted"
+    if core.sys_barrier_wait:
+        return "waiting at the system barrier"
+    if core.barrier_wait:
+        return "waiting at the cluster barrier"
+    return f"running at pc={core.pc:#x}"
+
+
+def _diagnose(clusters: list[Cluster], system) -> str:
+    """Each cluster's clock, every core's state and the DMA backlog."""
+    cores = [core for cl in clusters for core in cl.cores]
+    opened = "" if system is None else \
+        f", {system.sys_barriers} barriers opened"
+    lines = [f" ({sum(c.sys_barrier_wait for c in cores)}/{len(cores)} "
+             f"cores at the system barrier{opened}):"]
+    for index, cl in enumerate(clusters):
+        states = ", ".join(f"core {hart} {_core_state(core)}"
+                           for hart, core in enumerate(cl.cores))
+        lines.append(f"  cluster {index}: cycle={cl.cycle}, {states}, dma "
+                     f"outstanding={cl.dma.outstanding()}, fp idle="
+                     f"{all(fp.idle for fp in cl.fps)}")
+    return "\n".join(lines)
+
+
+def run_clusters(clusters: list[Cluster], max_cycles: int, system=None,
+                 errors=(SimulationTimeout, SimulationDeadlock)) -> None:
+    """The one run loop: step the unfinished clusters whose clock is
+    lowest until every cluster is :attr:`~Cluster.done`, then release
+    them.  Once every core of every unfinished cluster has halted, 64
+    iterations without progress are a deadlock.  A ``system``
+    (:class:`repro.system.System`) opens its barrier before each batch
+    is chosen and arbitrates its interconnect before the batch steps; a
+    bare cluster never opens a system barrier.
+    """
+    timeout, deadlock = errors
+    active = [cl for cl in clusters if not cl.done]
+    # A lone bare cluster waits for nothing: it steps on until core 0
+    # halts or the budget ends, as cheaply as a bare stepping loop.
+    solo = system is None and len(active) == 1
+    quiet = 0
+    last_token = None
+    while active:
+        if system is not None:
+            system._release_sys_barrier()
+        now = min(cl.cycle for cl in active)
+        if now >= max_cycles:
+            raise timeout(f"no completion after {max_cycles} cycles"
+                          + _diagnose(clusters, system))
+        batch = [cl for cl in active if cl.cycle == now]
+        if system is not None:
+            system._arbitrate(batch)
+        halted = False
+        for cl in batch:
+            core = cl.core
+            while True:
+                cl.step()
+                if core.loop_head:
+                    cl.fastpath.loop.at_head(max_cycles)
+                if core.halted:
+                    halted = True
+                    break
+                if not solo or cl.cycle >= max_cycles:
+                    break
+        # Only a step that leaves core 0 halted can finish a cluster or
+        # halt the last running core, so the hot loop tests just that.
+        if halted:
+            active = [cl for cl in active if not cl.done]
+            halted = all(core.halted for cl in active for core in cl.cores)
+        if not halted:
+            quiet = 0
+            last_token = None
+            continue
+        token = tuple(cl._progress_token() for cl in active)
+        quiet = quiet + 1 if token == last_token else 0
+        last_token = token
+        if quiet > 64:
+            raise deadlock(
+                "every core halted but a decoupled unit cannot drain "
+                "(under-produced stream or starved chaining pop?)"
+                + _diagnose(clusters, system))
+    for cl in clusters:
+        cl.release()

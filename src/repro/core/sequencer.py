@@ -22,7 +22,7 @@ from typing import Any
 
 from repro.core.config import CoreConfig
 from repro.isa.encoding import unpack_frep
-from repro.isa.instructions import Instr, InstrClass
+from repro.isa.instructions import Instr
 
 
 @dataclass
@@ -78,10 +78,6 @@ class Sequencer:
         if self.space() <= 0:
             raise RuntimeError("FP queue overflow")
         self.queue.append(entry)
-
-    @property
-    def queue_len(self) -> int:
-        return len(self.queue)
 
     # -- frep --------------------------------------------------------------
 
@@ -230,7 +226,3 @@ class Sequencer:
     def idle(self) -> bool:
         """True when neither queued work nor an active frep remains."""
         return not self.queue and not self._active
-
-
-def is_frep(instr: Instr) -> bool:
-    return instr.iclass is InstrClass.FREP

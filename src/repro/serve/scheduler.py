@@ -54,6 +54,14 @@ class QueueFull(Exception):
     """The pending-task queue is at ``max_queue``; submission refused."""
 
 
+def _point_record(status: str, key: str | None, *, cached: bool = False,
+                  seconds: float | None = None, result: dict | None = None,
+                  error: str | None = None) -> dict:
+    """One point's entry in ``Job.results``, the record clients read."""
+    return {"status": status, "key": key, "cached": cached,
+            "seconds": seconds, "result": result, "error": error}
+
+
 @dataclass
 class _Task:
     """One unique in-flight cache key and everyone waiting on it."""
@@ -183,10 +191,8 @@ class Scheduler:
                     key = self.session.key(workload)
                     hit = self.session.cache.get(key)
                     if hit is not None:
-                        job.results[index] = {
-                            "status": "ok", "key": key, "cached": True,
-                            "seconds": None, "result": hit.to_dict(),
-                            "error": None}
+                        job.results[index] = _point_record(
+                            "ok", key, cached=True, result=hit.to_dict())
         return requeued
 
     def _schedule(self, job: Job, keys: list[str]) -> int:
@@ -200,10 +206,8 @@ class Scheduler:
             hit = cache.get(key)
             if hit is not None:
                 self._count("cache_hits")
-                job.results[index] = {
-                    "status": "ok", "key": key, "cached": True,
-                    "seconds": None, "result": hit.to_dict(),
-                    "error": None}
+                job.results[index] = _point_record(
+                    "ok", key, cached=True, result=hit.to_dict())
                 job.add_event("point", index=index, status="ok",
                               cached=True)
                 continue
@@ -273,11 +277,10 @@ class Scheduler:
                     f"{exc.strerror or exc}")
             if self._shutdown:
                 return
-            record = {"status": outcome.status, "key": key,
-                      "cached": False, "seconds": seconds,
-                      "error": outcome.error,
-                      "result": outcome.result.to_dict()
-                      if outcome.ok else None}
+            record = _point_record(
+                outcome.status, key, seconds=seconds,
+                result=outcome.result.to_dict() if outcome.ok else None,
+                error=outcome.error)
             for job_id, index in task.subscribers:
                 job = self.store.get(job_id)
                 if job is None or job.results[index] is not None:
@@ -334,10 +337,8 @@ class Scheduler:
                     self._queued -= 1
             for index, record in enumerate(job.results):
                 if record is None:
-                    job.results[index] = {
-                        "status": "cancelled", "key": None,
-                        "cached": False, "seconds": None,
-                        "result": None, "error": "cancelled by client"}
+                    job.results[index] = _point_record(
+                        "cancelled", None, error="cancelled by client")
                     job.add_event("point", index=index,
                                   status="cancelled", cached=False)
             self._finalize(job)

@@ -32,14 +32,13 @@ Timing model
 Scheduling
 ----------
 
-:meth:`System.run` drives the clusters with a conservative min-cycle
-scheduler: each iteration steps exactly the clusters whose local clock
-equals the global minimum.  Clusters can run *ahead* of that minimum
-(the vectorized FREP/SSR fast path applies whole steady-state regions
-in one step); they simply wait until the others catch up, which is
-exactly event-order-correct because the only inter-cluster couplings --
-global-memory DMA bandwidth and the system barrier -- are arbitrated at
-the minimum clock.
+:meth:`System.run` drives the clusters through the conservative
+min-cycle scheduler it shares with :meth:`Cluster.run`
+(:func:`~repro.core.cluster.run_clusters`), adding only the system
+barrier and the interconnect.  Clusters can run *ahead* (the FREP/SSR
+fast path and the loop memo cover many cycles in one step); they wait
+until the others catch up, which is event-order-correct because the
+only inter-cluster couplings are arbitrated at the minimum clock.
 """
 
 from __future__ import annotations
@@ -52,6 +51,7 @@ from repro.core.cluster import (
     Cluster,
     SimulationDeadlock,
     SimulationTimeout,
+    run_clusters,
 )
 from repro.core.config import SystemConfig
 from repro.isa.assembler import Program
@@ -314,10 +314,6 @@ class System:
         """Place a float64 array at absolute global address ``addr``."""
         self.gmem.write_array(addr, np.asarray(array, dtype=np.float64))
 
-    def read_global_f64(self, addr: int,
-                        shape: tuple[int, ...]) -> np.ndarray:
-        return self.gmem.read_array(addr, shape, np.float64)
-
     # -- aggregate metrics ---------------------------------------------------
 
     @property
@@ -397,45 +393,17 @@ class System:
         return self
 
     def _run(self, max_cycles: int) -> "System":
-        clusters = self.clusters
-        single = len(clusters) == 1
-        quiet = 0
-        last_token = None
-        while True:
-            active = [cl for cl in clusters if not cl.done]
-            if not active:
-                break
-            self._release_sys_barrier()
-            now = min(cl.cycle for cl in active)
-            if now >= max_cycles:
-                raise SystemTimeout(self._diagnose(max_cycles))
-            batch = [cl for cl in active if cl.cycle == now]
-            if not single:
-                dmas = [cl.dma for cl in batch]
-                if any(dma._queue for dma in dmas):
-                    self.interconnect.arbitrate(dmas)
-            for cluster in batch:
-                cluster.step()
-                if cluster.core.loop_head:
-                    cluster.fastpath.loop.at_head(max_cycles)
-            # Post-halt drain watchdog: every core halted yet some
-            # decoupled unit can make no progress (mirrors the
-            # single-cluster deadlock detection in Cluster.run).
-            if all(core.halted for cl in active for core in cl.cores):
-                token = tuple(cl._progress_token() for cl in active)
-                quiet = quiet + 1 if token == last_token else 0
-                last_token = token
-                if quiet > 64:
-                    raise SystemDeadlock(
-                        "every core halted but a decoupled unit cannot "
-                        "drain:\n" + self._diagnose(max_cycles))
-            else:
-                last_token = None
-                quiet = 0
-        self.cycle = max(cl.cycle for cl in clusters)
-        for cluster in clusters:
-            cluster.release()
+        run_clusters(self.clusters, max_cycles, self,
+                     (SystemTimeout, SystemDeadlock))
+        self.cycle = max(cl.cycle for cl in self.clusters)
         return self
+
+    def _arbitrate(self, batch: list[Cluster]) -> None:
+        """Share global-memory bandwidth among the batch's DMAs."""
+        if len(self.clusters) > 1:
+            dmas = [cl.dma for cl in batch]
+            if any(dma._queue for dma in dmas):
+                self.interconnect.arbitrate(dmas)
 
     def _release_sys_barrier(self) -> None:
         """Open the system barrier once every core has arrived.
@@ -477,30 +445,6 @@ class System:
                            lane="system",
                            args={"barrier": self.sys_barriers,
                                  "clusters": len(parked)})
-
-    def _diagnose(self, max_cycles: int) -> str:
-        """Human-readable per-cluster state for timeout/deadlock errors."""
-        arrived = sum(1 for cl in self.clusters for c in cl.cores
-                      if c.sys_barrier_wait)
-        total = sum(len(cl.cores) for cl in self.clusters)
-        lines = [f"system stuck after {max_cycles} cycle budget "
-                 f"({arrived}/{total} cores at the system barrier, "
-                 f"{self.sys_barriers} barriers opened)"]
-        for index, cluster in enumerate(self.clusters):
-            core = cluster.core
-            if core.halted:
-                state = "halted"
-            elif core.sys_barrier_wait:
-                state = "waiting at the system barrier"
-            elif core.barrier_wait:
-                state = "waiting at the cluster barrier"
-            else:
-                state = f"running at pc={core.pc:#x}"
-            lines.append(
-                f"  cluster {index}: cycle={cluster.cycle}, core "
-                f"{state}, dma outstanding={cluster.dma.outstanding()}, "
-                f"fp idle={cluster.fp.idle}")
-        return "\n".join(lines)
 
     def runtime_seconds(self) -> float:
         return self.cycle / self.cfg.core.clock_hz

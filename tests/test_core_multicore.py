@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import Cluster
+from repro.core import Cluster, CoreConfig
+from repro.core.cluster import SimulationTimeout
 
 OUT = 0x8000
 
@@ -95,6 +96,51 @@ done:
     cluster = Cluster(prog, num_cores=2)
     cluster.run(max_cycles=1000)
     assert cluster.done
+
+
+@pytest.mark.parametrize("engine", ["scalar", "scalar-v2", "auto"])
+def test_running_core_is_not_a_deadlock_after_hart0_halts(engine):
+    # Hart 0 halts at once while hart 1 spins 200 iterations without a
+    # memory access: no progress token moves, yet hart 1 is running.
+    prog = f"""
+    csrr a0, mhartid
+    bnez a0, spin
+    ebreak
+spin:
+    li t0, 0
+    li t1, 200
+loop:
+    addi t0, t0, 1
+    bne t0, t1, loop
+    li t6, {OUT}
+    sw t0, 0(t6)
+    ebreak
+"""
+    cluster = Cluster(prog, cfg=CoreConfig(engine=engine), num_cores=2)
+    cluster.run()
+    assert cluster.done
+    assert cluster.mem.read_u32(OUT) == 200
+
+
+def test_timeout_names_every_core_state():
+    prog = """
+    csrr a0, mhartid
+    bnez a0, spin
+    csrrwi x0, 0x7C7, 1
+    ebreak
+spin:
+    j spin
+"""
+    cluster = Cluster(prog, num_cores=2)
+    with pytest.raises(SimulationTimeout) as err:
+        cluster.run(max_cycles=300)
+    message = str(err.value)
+    assert "no completion after 300 cycles" in message
+    assert "1/2 cores at the system barrier" in message
+    assert "cluster 0: cycle=300" in message
+    assert "core 0 waiting at the system barrier" in message
+    assert "core 1 running at pc=0x" in message
+    assert "dma outstanding=0" in message
 
 
 def test_parallel_speedup_on_fp_kernel():

@@ -332,6 +332,33 @@ def test_http_cancel_pending_job(tmp_path):
         assert metrics["serve.executions"] == 1  # cancelled never ran
 
 
+def test_http_cancel_running_job_finishes_into_the_store(tmp_path):
+    """Cancelling a running point ends the job at once, but the point
+    finishes into the store: resubmitting it is a cache hit, not a
+    second execution."""
+    with ServerThread(tmp_path / "store", workers=1) as server:
+        client = server.client()
+        job = client.submit(SLOW)
+        deadline = time.monotonic() + 60
+        while client.job(job["id"])["status"] != "running":
+            assert time.monotonic() < deadline
+            time.sleep(0.02)
+        cancelled = client.cancel(job["id"])
+        assert cancelled["status"] == "cancelled"
+        view = client.job(job["id"])
+        assert [r["status"] for r in view["results"]] == ["cancelled"]
+        while client.healthz()["inflight"]:
+            assert time.monotonic() < deadline
+            time.sleep(0.05)
+        again = client.submit(SLOW)
+        assert again["status"] == "done"
+        assert again["results"][0]["cached"] is True
+        metrics = client.metrics()["serve"]
+        assert metrics["serve.executions"] == 1
+        assert metrics["serve.jobs_cancelled"] == 1
+        assert metrics["serve.cache_hits"] == 1
+
+
 # -- the tentpole guarantees --------------------------------------------------
 
 
