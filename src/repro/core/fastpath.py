@@ -56,15 +56,17 @@ replays recorded loop iterations under the same bit-identity contract.
 from __future__ import annotations
 
 import weakref
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from operator import attrgetter, sub
+from itertools import repeat
+from operator import itemgetter, ne, sub
 from typing import Any
 
 import numpy as np
 
 from repro.core.fpu import InFlightOp
-from repro.core.perf import SLOT
+from repro.core.perf import SLOT, StallReason
 from repro.core.sequencer import DispatchedEntry
 from repro.isa.instructions import InstrClass
 from repro.obs import spans as _obs
@@ -932,9 +934,11 @@ _MEMO_WAYS = 64
 _MEMO_KEYS = 4096
 #: Longest iteration, in cycles, that is recorded.
 _MEMO_MAX_CYCLES = 4096
-#: Loop heads a cluster passes before the memo looks at any: the 2x4x16
-#: stencil points (31 heads) ran 16-21% slower with a warm-up of 0-16,
-#: while the Fig. 3 points (440-560 heads) gained at most 7%.
+#: Loop heads a cluster passes before the memo looks at any.  Even with
+#: cheap recordings a warm-up of 24, 16 or 4 made the 2x4x16 stencil
+#: points (31 heads each) 3-7%, 10-12% and 9-13% slower, while the
+#: Fig. 3 points (440-560 heads) gained 3-5% (docs/performance.md,
+#: "Recording policy").
 _MEMO_WARMUP = 32
 #: Recording budget: ``_MEMO_FREE + _MEMO_PACE * hits`` (docs/performance.md
 #: has the measurements behind these values).
@@ -952,8 +956,6 @@ _TRANSIENT = frozenset({"long-iteration", "unproven"})
 # response ready, position, elements moved, write address held, index
 # element, then the active-cycle, read, write and conflict counters.
 _AFFINE_READ, _INDIRECT_READ, _WRITE = range(3)
-_CONSUME = attrgetter("_to_consume")
-_PRODUCE = attrgetter("_to_produce")
 #: Counters whose movement in an iteration declines it, with the reason.
 _MEMO_DECLINES = (("frep_ops", "frep"), ("fp_csr_ops", "csr"),
                   ("scfg_ops", "scfg"), ("dma_transfers", "dma"),
@@ -1037,20 +1039,115 @@ def _post(port, addr: int, is_write: bool, data, width: int) -> None:
     port._pending = req
 
 
-class _Recording:
-    """Loop-head state of an iteration being recorded."""
+#: Stall reasons the FP step can take before its stream operand test.
+_EARLY = (StallReason.RAW, StallReason.CHAIN_EMPTY, StallReason.LSU_BUSY)
 
-    __slots__ = ("key", "cycle", "deadline", "snap", "iregs", "pc",
-                 "queue", "pipe", "lsu_count", "log")
+#: Compiled per-cycle recorders keyed by the streamer count.
+_RECORDERS: dict[int, Any] = {}
+
+_RECORDER_TEMPLATE = """\
+def factory(S, lsu, stalls, queue, in_flight, perf, deadline, log,
+            overrun, RAW, EMPTY, BUSY):
+{bind}
+    get = stalls.get
+    append = log.append
+
+    def record():
+        if perf.cycles >= deadline:
+            overrun()
+            return
+        append(({row}lsu.loads + lsu.stores,
+                get(RAW, 0) + get(EMPTY, 0) + get(BUSY, 0),
+                queue[0].instr if queue else None,
+                in_flight[0] if in_flight else None))
+    return record
+"""
+
+
+def _recorder(nstreams: int):
+    """The cycle observer of one recording, generated per streamer count
+    so that every stream is a local variable.  At each cycle boundary it
+    appends one flat row of raw facts to the log: the reads and writes
+    each stream is still owed, each stream's FIFO fill and repeat phase,
+    the FP LSU's access count, the early-stall count (:data:`_EARLY`),
+    the FP queue head's instruction and the FPU pipe head op (rows
+    are decoded by :meth:`LoopMemo._schedule`).  After
+    :data:`_MEMO_MAX_CYCLES` cycles it calls ``overrun`` instead."""
+    factory = _RECORDERS.get(nstreams)
+    if factory is not None:
+        return factory
+    streams = range(nstreams)
+    bind = [f"s{i} = S[{i}]" for i in streams] \
+        + [f"f{i} = s{i}._fifo" for i in streams]
+    row = [f"s{i}._to_consume" for i in streams] \
+        + [f"s{i}._to_produce" for i in streams] \
+        + [f"len(f{i})" for i in streams] \
+        + [f"s{i}._rep_count" for i in streams]
+    source = _RECORDER_TEMPLATE.format(
+        bind="\n".join("    " + line for line in bind) or "    pass",
+        row="".join(f"{field}, " for field in row))
+    namespace: dict = {}
+    exec(compile(source, f"<loop recorder {nstreams}>", "exec"), namespace)
+    factory = _RECORDERS[nstreams] = namespace["factory"]
+    return factory
+
+
+#: Schedule entries by stream context (nstream, repeat counts, FIFO
+#: depths) and cycle situation (see LoopMemo._schedule), shared by
+#: every cluster of the process; a context is dropped past the cap.
+_SITUATIONS: dict[tuple, dict] = {}
+_SITUATIONS_CAP = 1 << 16
+#: Numbers for the ``((stream, pops), ...)`` an FP issue reads (the
+#: situations name the queue head's by number); ``{(): 0}`` is no read.
+_USES: dict[tuple, int] = {(): 0}
+_USE_LIST: list[tuple] = [()]
+
+
+def _situation(k: tuple, context: tuple, cache: dict) -> tuple:
+    """The schedule entry of one cycle situation ``k``, stored in
+    ``cache``.  ``k`` holds per stream the pops, then the pushes, the
+    LSU access, the number (:data:`_USES`) of the queue head's stream
+    reads, per stream the FIFO fill, then (with repeats in the context)
+    the repeat phase, the stream whose write the pipe head would retire
+    (or -1), and whether an early stall happened."""
+    _, repeats, depths = context
+    n = len(depths)
+    fills = k[2 * n + 2:3 * n + 2]
+    checks = ()
+    for si, uses in _USE_LIST[k[2 * n + 1]]:
+        fill = fills[si]
+        if uses == 1 or not fill:
+            ok = fill > 0
+        else:
+            # SsrStreamer.available_pops at the logged repeat phase.
+            per = repeats[si] + 1
+            phase = k[3 * n + 2 + si] if any(repeats) else 0
+            ok = per - phase + (fill - 1) * per >= uses
+        checks += ((si, uses, ok),)
+    dest = k[-2]
+    if dest >= 0:
+        checks += ((dest, 0, fills[dest] < depths[dest]),)
+    if k[-1]:
+        checks = tuple(c for c in checks if not c[1])
+    entry = cache[k] = (k[:n], k[n:2 * n], k[2 * n],
+                        tuple(c[:2] for c in checks),
+                        tuple(c[2] for c in checks), checks)
+    return entry
+
+
+class _Recording:
+    """Loop-head state of an iteration being recorded, and its per-cycle
+    log (one row per cycle boundary, see :func:`_recorder`)."""
+
+    __slots__ = ("key", "cycle", "snap", "iregs", "pc", "queue", "pipe",
+                 "log")
     key: tuple
     cycle: int
-    deadline: int
     snap: dict
     iregs: list
     pc: int
     queue: list
     pipe: list
-    lsu_count: int
     log: list
 
 
@@ -1065,6 +1162,30 @@ class _Shape:
     lsu_busy: bool              # the last LSU op is busy at exit
     reads: tuple                # (si, elements consumed from) per stream
     advance: tuple              # (si, elements fully consumed)
+
+
+class _Walk:
+    """The loop-head data flow of one FP entry stream, numbered once for
+    every issue count (see :meth:`LoopMemo._walk`).  Codes: pipe values,
+    registers, the loop-head load (``l0``), each stream's pops in stream
+    order, the loads, then the results."""
+
+    __slots__ = ("limit", "pipe", "l0", "pops", "nloads", "ncomp", "ops",
+                 "comp", "lsu", "comp_at", "lsu_at")
+    limit: int                  # entries inside the model
+    pipe: list                  # loop-head pipe ops: (is_stream, dest,
+    #                             code, order)
+    l0: int
+    pops: dict                  # stream -> popping entry, once per pop
+    nloads: int
+    ncomp: int
+    ops: list                   # per result: (executor, operand codes)
+    comp: list                  # per result: (is_stream, dest, code,
+    #                             entry)
+    lsu: list                   # per load or store: (kind, dest, code,
+    #                             entry); a store's code is its data
+    comp_at: list               # entry of each result, and of each
+    lsu_at: list                # LSU op (for bisection)
 
 
 @dataclass(slots=True)
@@ -1189,7 +1310,8 @@ class LoopMemo:
         self.tcdm = cluster.tcdm
         self.stats = stats = engine.stats
         stats.update(loop_regions_seen=0, loop_hits=0, loop_misses=0,
-                     loop_cycles=0, loop_reject_reasons={})
+                     loop_cycles=0, loop_recordings=0,
+                     loop_recorded_cycles=0, loop_reject_reasons={})
         self._engine = engine
         #: key -> {id(integer path): [path ops, decision tree, ways]}
         self._table: dict[tuple, dict] = {}
@@ -1199,19 +1321,14 @@ class LoopMemo:
         self._seen: set[tuple] = set()
         self._recordings = 0
         self._kinds: dict[int, str] = {}
-        self._uses: dict[tuple, tuple] = {}
+        #: nstream -> {id(instr): _stream_uses}
+        self._uses: dict[int, dict] = {}
         self._paths: dict[tuple, tuple] = {}
         self._shapes: dict[tuple, _Shape] = {}
         self._views: dict[int, tuple] = {}
-        #: Interned schedule entries (most cycles repeat a few shapes).
-        self._entries: dict[tuple, tuple] = {}
-        self._moves: dict[tuple, tuple] = {}
-        self._splits: dict[tuple, tuple] = {}
+        #: Numbered data-flow walks by integer path and loop-head layout.
+        self._flows: dict[tuple, _Walk] = {}
         self._rec: _Recording | None = None
-        from repro.core.perf import StallReason
-
-        self._early = (StallReason.RAW, StallReason.CHAIN_EMPTY,
-                       StallReason.LSU_BUSY)
         self.core.memo_heads = True
 
     def reset(self) -> None:
@@ -1221,7 +1338,7 @@ class LoopMemo:
         self._recordings = 0
         for table in (self._table, self._dead, self._seen, self._kinds,
                       self._uses, self._paths, self._shapes, self._views,
-                      self._entries, self._moves, self._splits):
+                      self._flows):
             table.clear()
 
     def _decline(self, reason: str) -> None:
@@ -1282,15 +1399,12 @@ class LoopMemo:
         return kind
 
     def _stream_uses(self, instr, nstream: int) -> tuple:
-        """``((stream, pops), ...)`` an issue of ``instr`` reads."""
-        uses = self._uses.get((id(instr), nstream))
-        if uses is None:
-            regs = [reg for reg, domain in _operands(instr)
-                    if domain == "f" and reg < nstream] \
-                if self._kind(instr) in ("c", "s") else []
-            uses = self._uses[(id(instr), nstream)] = tuple(
-                (reg, regs.count(reg)) for reg in sorted(set(regs)))
-        return uses
+        """``((stream, pops), ...)`` an issue of ``instr`` reads (none
+        for no instruction)."""
+        regs = [reg for reg, domain in _operands(instr)
+                if domain == "f" and reg < nstream] \
+            if instr is not None and self._kind(instr) in ("c", "s") else []
+        return tuple((reg, regs.count(reg)) for reg in sorted(set(regs)))
 
     def _key(self):
         """The core-side control key at a loop head, or why the memo
@@ -1370,78 +1484,42 @@ class LoopMemo:
 
     # -- recording ------------------------------------------------------------
 
-    def _observe(self, cycle: int) -> tuple:
-        """At the boundary before ``cycle``: the core-side progress
-        counters and the stream observations its FP step can make."""
-        fp = self.fp
-        streamers = fp.streamers
-        checks = ()
-        queue = fp.sequencer.queue
-        if queue:
-            instr = queue[0].instr
-            nstream = fp._num_streamers if fp.ssr_enable else 0
-            uses = self._uses.get((id(instr), nstream))
-            if uses is None:
-                uses = self._stream_uses(instr, nstream)
-            for si, n in uses:
-                fifo = streamers[si]._fifo
-                checks += ((si, n, bool(fifo) if n == 1
-                            else streamers[si].available_pops() >= n),)
-        in_flight = fp.pipe.in_flight
-        if in_flight:
-            op = in_flight[0]
-            if op.dest_is_ssr and op.completes_at <= cycle:
-                s = streamers[op.dest]
-                checks += ((op.dest, 0, len(s._fifo) < s.fifo_depth),)
-        get = fp.perf.stalls.get
-        raw, empty, busy = self._early
-        lsu = fp.lsu
-        return ((*map(_CONSUME, streamers), *map(_PRODUCE, streamers)),
-                lsu.loads + lsu.stores,
-                get(raw, 0) + get(empty, 0) + get(busy, 0), checks)
-
     def _start_recording(self, key: tuple) -> None:
         cl, core, fp = self.cluster, self.core, self.fp
         rec = _Recording()
         rec.key = key
         rec.cycle = cl.cycle
-        rec.deadline = cl.cycle + _MEMO_MAX_CYCLES
         rec.snap = self._engine._snapshot()
         rec.iregs = list(core.regs.values)
         rec.pc = core.pc
         rec.queue = list(fp.sequencer.queue)
         rec.pipe = [(op.instr, op.dest, op.dest_is_ssr)
                     for op in fp.pipe.in_flight]
-        lsu = fp.lsu
-        rec.lsu_count = lsu.loads + lsu.stores
-        rec.log = [self._observe(cl.cycle)]
+        rec.log = []
         self._rec = rec
+        self.stats["loop_recordings"] += 1
+        record = _recorder(len(fp.streamers))(
+            fp.streamers, fp.lsu, fp.perf.stalls, fp.sequencer.queue,
+            fp.pipe.in_flight, cl.perf, cl.cycle + _MEMO_MAX_CYCLES,
+            rec.log, self._overrun, *_EARLY)
+        record()
         # An attribute the cluster already has: overriding a method on
         # the instance instead would slow every later attribute access
         # of that object.
-        self.cluster.cycle_observer = self._record_cycle
+        cl.cycle_observer = record
 
     def _stop_recording(self) -> None:
-        self._rec = None
-        self.cluster.cycle_observer = None
-
-    def _record_cycle(self) -> None:
-        """The cluster's cycle observer while recording: after each
-        cycle's grants, log the core-side progress and next
-        observations."""
         rec = self._rec
-        cycle = self.cluster.cycle  # the cycle just arbitrated
-        if cycle >= rec.deadline:
-            self._stop_recording()
-            self._decline("long-iteration")
-            return
-        log = rec.log
-        # Cycles jumped by an FREP batch inside the iteration are not
-        # observed one by one: each repeats the observation before it.
-        gap = cycle - rec.cycle - (len(log) - 1)
-        if gap:
-            log += [log[-1]] * gap
-        log.append(self._observe(cycle + 1))
+        if rec is not None:
+            self._rec = None
+            self.cluster.cycle_observer = None
+            self.stats["loop_recorded_cycles"] += self.cluster.cycle \
+                - rec.cycle
+
+    def _overrun(self) -> None:
+        """The recorder reached :data:`_MEMO_MAX_CYCLES`."""
+        self._stop_recording()
+        self._decline("long-iteration")
 
     def _finish_recording(self):
         """Store the iteration that just ended; returns the current key
@@ -1557,8 +1635,7 @@ class LoopMemo:
         cl, core, fp = self.cluster, self.core, self.fp
         now = cl.cycle
         dt = now - rec.cycle
-        log = rec.log
-        if dt > _MEMO_MAX_CYCLES or len(log) != dt + 1:
+        if dt > _MEMO_MAX_CYCLES:
             return "long-iteration"
         lsu = fp.lsu
         if lsu.port._pending is not None:
@@ -1572,6 +1649,9 @@ class LoopMemo:
                 return reason
         if delta["dma"]:
             return "dma-busy"
+        # Only an FREP batch (declined above) jumps cycles unlogged.
+        if len(rec.log) != dt + 1:
+            return "long-iteration"
         path = self._int_path(rec, counters.get(_S_INT_INSTRS, 0))
         if isinstance(path, str):
             return path
@@ -1593,36 +1673,12 @@ class LoopMemo:
         # The data side is worked out on the iteration's first hit: a
         # third of the recordings never replay.
         shape = self._shapes.get(signature) or (
-            signature, rec.key, len(rec.pipe), stream[:n_issue],
+            signature, rec.key, len(rec.pipe), stream, n_issue,
             [delta["streamers"].get((0, si), (0,) * 5)
              for si in range(len(fp.streamers))],
             len(fp.pipe.in_flight), lsu.busy)
 
-        # What the core did to the memory side each cycle, and which
-        # stream observations its timing rested on.  An operand check
-        # counts only when the FP step got as far as the stream test.
-        schedule = []
-        base = rec.lsu_count
-        intern = self._entries
-        moves = self._moves
-        splits = self._splits
-        for before, after in zip(log, log[1:]):
-            progress0, lsu0, early0, checks = before
-            progress1, lsu1, early1, _ = after
-            moved = tuple(map(sub, progress0, progress1))
-            flow = moves.get(moved)
-            if flow is None:
-                nst = len(moved) // 2
-                flow = moves[moved] = (moved[:nst], moved[nst:])
-            split = splits.get((checks, early1 != early0))
-            if split is None:
-                kept = tuple(c for c in checks if not c[1]) \
-                    if early1 != early0 else checks
-                split = splits[(checks, early1 != early0)] = (
-                    tuple(c[:2] for c in kept), tuple(c[2] for c in kept),
-                    kept)
-            entry = (*flow, lsu0 - base if lsu1 != lsu0 else -1, *split)
-            schedule.append(intern.setdefault(entry, entry))
+        schedule = self._schedule(rec, fp._num_streamers if key[7] else 0)
 
         # The memory side's own counters come from re-simulation.
         stream_ports = {id(s.data_port) for s in fp.streamers} \
@@ -1664,13 +1720,80 @@ class LoopMemo:
             ready_rel=tuple((r, ready[r] - now) for r in written),
             stall_rel=core.stall_until - now,
             last_rel=fp.pipe._last_completion - now if n_compute else None,
-            pipe_rel=tuple(pipe_rel), schedule=tuple(schedule))
+            pipe_rel=tuple(pipe_rel), schedule=schedule)
 
-    def _shape(self, _signature: tuple, key: tuple, n_entry: int,
-               issued: list, sdelta: list, n_exit: int, lsu_busy: bool):
-        """The data program and the LSU structure of the issued FP
-        entries (or why they fail): :func:`_data_flow` from the loop-head
-        state, then retirement."""
+    def _schedule(self, rec: _Recording, nstream: int) -> tuple:
+        """Per cycle of the recorded iteration, from consecutive log
+        rows: what the core did to the memory side (pops and pushes per
+        stream, the LSU access), and which stream observations its
+        timing rested on with their outcomes (see :class:`_Iter`).  An
+        operand check counts only when the FP step got as far as the
+        stream test, i.e. took no early stall.  Most cycles repeat a few
+        situations -- the flat tuple of a cycle's raw facts, with the
+        queue head's instruction reduced to the streams it reads -- so
+        entries are shared through :data:`_SITUATIONS`."""
+        log = rec.log
+        streamers = self.fp.streamers
+        n = len(streamers)
+        cols = list(zip(*log))
+        lsu, early, heads, ops = cols[4 * n:]
+        uses = self._uses.get(nstream)
+        if uses is None:
+            uses = self._uses[nstream] = {}
+        instrs = dict(zip(map(id, heads), heads))
+        for new in instrs.keys() - uses.keys():
+            reads = self._stream_uses(instrs[new], nstream)
+            code = _USES.get(reads)
+            if code is None:
+                code = _USES[reads] = len(_USE_LIST)
+                _USE_LIST.append(reads)
+            uses[new] = code
+        # Checks also depend on the streams' repeat counts and depths;
+        # without repeats every phase is 0 and stays out of the key.
+        repeats = tuple(st and st[2] for st in rec.key[8])
+        context = (nstream, repeats, tuple(s.fifo_depth for s in streamers))
+        # The owed reads and writes, the LSU count and the early stalls
+        # only move one way within an iteration that gets this far (a
+        # re-arm or a batch would have declined it), so a column whose
+        # ends agree is constant.
+        dt = len(log) - 1
+        base = lsu[0]
+        situations = zip(
+            *[map(sub, c, c[1:]) if c[0] != c[-1] else repeat(0, dt)
+              for c in cols[:2 * n]],
+            [a - base if a != b else -1 for a, b in zip(lsu, lsu[1:])]
+            if base != lsu[-1] else repeat(-1, dt),
+            map(uses.__getitem__, map(id, heads)),
+            *cols[2 * n:(4 if any(repeats) else 3) * n],
+            [op.dest if op is not None and op.dest_is_ssr
+             and op.completes_at <= cycle else -1
+             for op, cycle in zip(ops, range(rec.cycle, rec.cycle + dt))],
+            map(ne, early, early[1:]) if early[0] != early[-1]
+            else repeat(False, dt))
+        cache = _SITUATIONS.get(context)
+        if cache is None or len(cache) > _SITUATIONS_CAP:
+            cache = _SITUATIONS[context] = {}
+        get = cache.get
+        return tuple([get(k) or _situation(k, context, cache)
+                      for k in situations])
+
+    def _walk(self, signature: tuple, key: tuple, stream: list):
+        """The data flow of ``stream`` from the loop-head state, every
+        symbol numbered (a :class:`_Walk`).  An entry's operands are
+        named from the entries before it alone, so one walk of the whole
+        stream serves every issue count that the integer path, the
+        loop-head queue and the layout recur with."""
+        walk_key = (signature[0], *signature[2:7],
+                    tuple(st and st[0] for st in key[8]), key[9])
+        walk = self._flows.get(walk_key)
+        if walk is None:
+            walk = self._flows[walk_key] = self._number(key, stream)
+        return walk
+
+    def _number(self, key: tuple, stream: list):
+        """Walk ``stream`` (:func:`_data_flow`) and number its symbols:
+        pipe values, registers, the loop-head load, each stream's pops,
+        the loads, then the results."""
         from repro.core.fpu import EXECUTORS
 
         fp = self.fp
@@ -1678,20 +1801,18 @@ class LoopMemo:
         mask = key[4]
         valid0 = key[5]
         nstream = fp._num_streamers if key[7] else 0
+        n_entry = len(key[2])
+        nregs = len(fp.fpregs.values)
 
         # Loop-head data symbols: ("p", i) pipe value, ("r", reg)
         # retired register, ("l0",) the loop-head load.
         regs = {}
         chains = {r: [("r", r)] if valid0[r] else []
                   for r in range(len(valid0)) if mask >> r & 1}
-        lsu_ops = []            # (kind, dest, symbol, order)
-        lsu_entry = key[9] is not None or key[10]
         if key[9] is not None:
             regs[key[9]] = ("l0",)
-            lsu_ops.append(("l", key[9], ("l0",), -1))
-        elif key[10]:
-            lsu_ops.append(("s", None, None, -1))
-        pipe_syms = []          # (is_stream, dest, symbol, order)
+        walk = _Walk()
+        walk.pipe = []
         for i, (_, dest, is_ssr, _) in enumerate(key[2]):
             sym = ("p", i)
             if not is_ssr:
@@ -1699,61 +1820,103 @@ class LoopMemo:
                     chains[dest].append(sym)
                 else:
                     regs[dest] = sym
-            pipe_syms.append((is_ssr, dest, sym, i - n_entry))
-
-        flow = _data_flow(
-            issued, nstream, mask,
-            {si for si, st in enumerate(streams)
-             if st is not None and st[0] == SsrMode.READ},
-            {si for si, st in enumerate(streams)
-             if st is not None and st[0] == SsrMode.WRITE}, regs, chains)
+            walk.pipe.append((is_ssr, dest, i, i - n_entry))
+        readable = {si for si, st in enumerate(streams)
+                    if st is not None and st[0] == SsrMode.READ}
+        writable = {si for si, st in enumerate(streams)
+                    if st is not None and st[0] == SsrMode.WRITE}
+        flow = _data_flow(stream, nstream, mask, readable, writable, regs,
+                          chains)
+        walk.limit = len(stream)
         if type(flow) is tuple:
-            return "unproven"
-        ops = []                # (executor, result, operands)
-        stores = []
-        loads = []
-        lsu_kinds = []
-        for j, (instr, args) in enumerate(zip(issued, flow.sources)):
-            kind = self._kinds[id(instr)]
-            result = ("o", j)
+            # Entries before the failing one are still in the model.
+            walk.limit = flow[0]
+            flow = _data_flow(stream[:walk.limit], nstream, mask, readable,
+                              writable, regs, chains)
+
+        code = {("p", i): i for i in range(n_entry)}
+        code.update((("r", r), n_entry + r) for r in range(nregs))
+        code[("l0",)] = walk.l0 = n_entry + nregs
+        base = walk.l0 + 1
+        walk.pops = {}
+        for si, entries in sorted(flow.pops.items()):
+            walk.pops[si] = entries
+            code.update((("e", si, k), base + k)
+                        for k in range(len(entries)))
+            base += len(entries)
+        kinds = [self._kinds[id(instr)] for instr in stream[:walk.limit]]
+        walk.nloads = kinds.count("l")
+        walk.ncomp = kinds.count("c")
+        loads, results = base, base + walk.nloads
+        walk.ops = []           # (executor, operand codes) per result
+        walk.comp = []          # (is_stream, dest, code, order)
+        walk.lsu = []           # (kind, dest, code, order)
+        for j, (instr, args, kind) in enumerate(zip(stream, flow.sources,
+                                                    kinds)):
             if kind == "c":
-                ops.append((EXECUTORS[instr.mnemonic][1], result, args))
-                pipe_syms.append((instr.rd < nstream, instr.rd, result, j))
+                code[("o", j)] = results
+                index = [code[x] for x in args]
+                walk.ops.append((EXECUTORS[instr.mnemonic][1], *index,
+                                 *(-1,) * (3 - len(index))))
+                walk.comp.append((instr.rd < nstream, instr.rd, results,
+                                  j))
+                results += 1
             elif kind == "l":
-                loads.append(result)
-                lsu_ops.append(("l", instr.rd, result, j))
-                lsu_kinds.append("l")
+                code[("o", j)] = loads
+                walk.lsu.append(("l", instr.rd, loads, j))
+                loads += 1
             else:
-                stores.append(args[0])
-                lsu_ops.append(("s", None, args[0], j))
-                lsu_kinds.append("s")
+                walk.lsu.append(("s", None, code[args[0]], j))
+        walk.comp_at = [c[3] for c in walk.comp]
+        walk.lsu_at = [op[3] for op in walk.lsu]
+        return walk
+
+    def _shape(self, signature: tuple, key: tuple, n_entry: int,
+               stream: list, n_issue: int, sdelta: list, n_exit: int,
+               lsu_busy: bool):
+        """The data program and the LSU structure of the first
+        ``n_issue`` FP entries of ``stream`` (or why they fail): their
+        :meth:`_walk`, then retirement."""
+        walk = self._walk(signature, key, stream)
+        if n_issue > walk.limit:
+            return "unproven"
+        streams = key[8]
+        ncomp = bisect_left(walk.comp_at, n_issue)
+        issued = walk.lsu[:bisect_left(walk.lsu_at, n_issue)]
+        lsu_ops = list(issued)
+        if key[9] is not None:
+            lsu_ops.insert(0, ("l", key[9], walk.l0, -1))
+        elif key[10]:
+            lsu_ops.insert(0, ("s", None, None, -1))
 
         # Retirement: the pipe retires in order, the LSU one op at a
         # time; per register at most one writer is outstanding, so
         # program order decides the retired value.
+        pipe_syms = walk.pipe + walk.comp[:ncomp]
         n_retire = len(pipe_syms) - n_exit
         if n_retire < 0 or (lsu_busy and not lsu_ops):
             return "unproven"
         done = lsu_ops[:-1] if lsu_busy else lsu_ops
-        writes = [(order, dest, sym) for is_ssr, dest, sym, order in
+        writes = [(order, dest, c) for is_ssr, dest, c, order in
                   pipe_syms[:n_retire] if not is_ssr]
-        writes += [(order, dest, sym) for kind, dest, sym, order in done
+        writes += [(order, dest, c) for kind, dest, c, order in done
                    if kind == "l"]
-        writes.sort(key=lambda w: w[0])
-        final = {dest: sym for _, dest, sym in writes}
+        writes.sort(key=itemgetter(0))
+        final = {dest: c for _, dest, c in writes}
         pushed = {}
-        for is_ssr, dest, sym, _ in pipe_syms[:n_retire]:
+        for is_ssr, dest, c, _ in pipe_syms[:n_retire]:
             if is_ssr:
-                pushed.setdefault(dest, []).append(sym)
+                pushed.setdefault(dest, []).append(c)
 
         # Stream pops become element indices: ``repeat + 1`` pops read
         # one element, counting from the loop-head repeat phase.
         reads, advance = [], []
+        npops = {}
         for si, st in enumerate(streams):
             if st is None:
                 continue
             _, _, dcons, dprod, _ = sdelta[si]
-            pops = len(flow.pops.get(si, ()))
+            pops = npops[si] = bisect_left(walk.pops.get(si, ()), n_issue)
             if pops != -dcons or len(pushed.get(si, ())) != -dprod:
                 return "unproven"
             if pops:
@@ -1762,38 +1925,39 @@ class LoopMemo:
 
         # The data program: slot-numbered operations over a flat value
         # list laid out as pipe values, registers, stream elements,
-        # loaded values, then the results in issue order.
-        slot = {("p", i): i for i in range(n_entry)}
-        base = n_entry
-        nregs = len(fp.fpregs.values)
-        slot.update((("r", r), base + r) for r in range(nregs))
-        base += nregs
-        for si, n in reads:
-            phase, per = streams[si][3], streams[si][2] + 1
-            slot.update((("e", si, k), base + (phase + k) // per)
-                        for k in range(len(flow.pops[si])))
-            base += n
-        slot.update((sym, base + m) for m, sym in enumerate(loads))
-        base += len(loads)
-        slot[("l0",)] = base
-        base += 1
-        flat_ops = []
-        for fn, result, args in ops:
-            slot[result] = base
-            base += 1
-            index = [slot[x] for x in args]
-            flat_ops.append((fn, *index, *(-1,) * (3 - len(index))))
+        # loaded values, then the results in issue order.  ``slot`` maps
+        # the walk's numbering onto it (-1 stays -1: no operand).
+        nloads = sum(kind == "l" for kind, _, _, _ in issued)
+        base = n_entry + len(self.fp.fpregs.values)
+        elements = []
+        for si, entries in walk.pops.items():
+            pops = npops.get(si, 0)
+            if pops:
+                phase, per = streams[si][3], streams[si][2] + 1
+                elements += [base + (phase + k) // per for k in range(pops)]
+                base += (phase + pops - 1) // per + 1
+            elements += [-1] * (len(entries) - pops)
+        slot = list(range(walk.l0))
+        slot.append(base + nloads)
+        slot += elements
+        slot += range(base, base + nloads)
+        slot += [-1] * (walk.nloads - nloads)
+        slot += range(base + nloads + 1, base + nloads + 1 + ncomp)
+        slot += [-1] * (walk.ncomp - ncomp + 1)
         program = (
-            tuple(si for si, _ in reads), tuple(flat_ops),
-            tuple(slot[sym] for _, _, sym, _ in pipe_syms[n_retire:]),
-            tuple((r, slot[sym]) for r, sym in sorted(final.items())),
-            tuple((si, tuple(slot[x] for x in syms))
-                  for si, syms in pushed.items()),
-            tuple(slot[x] for x in stores))
+            tuple(si for si, _ in reads),
+            tuple([(fn, slot[a], slot[b], slot[c])
+                   for fn, a, b, c in walk.ops[:ncomp]]),
+            tuple(slot[c] for _, _, c, _ in pipe_syms[n_retire:]),
+            tuple((r, slot[c]) for r, c in sorted(final.items())),
+            tuple((si, tuple(slot[c] for c in codes))
+                  for si, codes in pushed.items()),
+            tuple(slot[c] for kind, _, c, _ in issued if kind == "s"))
         return _Shape(
-            program=program, lsu_issued=tuple(lsu_kinds),
-            lsu_entry=bool(lsu_entry), lsu_busy=lsu_busy,
-            reads=tuple(reads), advance=tuple(advance))
+            program=program,
+            lsu_issued=tuple(kind for kind, _, _, _ in issued),
+            lsu_entry=key[9] is not None or bool(key[10]),
+            lsu_busy=lsu_busy, reads=tuple(reads), advance=tuple(advance))
 
     # -- replay ---------------------------------------------------------------
 

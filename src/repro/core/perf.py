@@ -40,6 +40,10 @@ class StallReason(Enum):
     FPU_BUSY = auto()          # pipe at capacity (or unpipelined op)
     LSU_BUSY = auto()          # FP load/store unit occupied
 
+    # Members are singletons, so identity hashing agrees with equality;
+    # Enum's own __hash__ is a Python-level call on every stall count.
+    __hash__ = object.__hash__
+
 
 @dataclass
 class Snapshot:

@@ -80,6 +80,7 @@ def execute_build(build: KernelBuild, cfg: CoreConfig | None = None,
             METRICS.inc("loop.hits", stats["loop_hits"])
             METRICS.inc("loop.misses", stats["loop_misses"])
             METRICS.inc("loop.cycles", stats["loop_cycles"])
+            METRICS.inc("loop.recordings", stats["loop_recordings"])
     return Result(
         name=build.name,
         correct=correct,

@@ -117,7 +117,7 @@ METRICS = MetricsRegistry()
 
 #: Loop-memo counters summed over a campaign (see repro.core.fastpath).
 _LOOP_TOTALS = ("loop_regions_seen", "loop_hits", "loop_misses",
-                "loop_cycles")
+                "loop_cycles", "loop_recordings", "loop_recorded_cycles")
 
 
 def cluster_run_obs(cluster) -> dict:

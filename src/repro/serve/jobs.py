@@ -163,6 +163,13 @@ class JobStore:
         self._append({"op": "status", "id": job.id, "status": status,
                       "ts": time.time()})
 
+    def journal_bytes(self) -> int:
+        """Size of the journal file (0 before its first record)."""
+        try:
+            return self.path.stat().st_size
+        except FileNotFoundError:
+            return 0
+
     # -- replay -------------------------------------------------------------
 
     def replay(self) -> list[Job]:

@@ -124,9 +124,11 @@ class Scheduler:
         with self._lock:
             self._sync_crashes()
             return {"ok": not self._shutdown, "workers": self.workers,
+                    "live_workers": self._pool.live_workers,
                     "inflight": self._inflight,
                     "queue_depth": self._queued,
-                    "worker_crashes": self.counters["worker_crashes"]}
+                    "worker_crashes": self.counters["worker_crashes"],
+                    "journal_bytes": self.store.journal_bytes()}
 
     def metrics(self) -> dict:
         """JSON-ready ``serve.*`` snapshot (counters + live gauges)."""

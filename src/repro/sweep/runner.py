@@ -205,6 +205,17 @@ class WorkerPool:
         with self._lock:
             return sum(slot.future is not None for slot in self._slots)
 
+    @property
+    def live_workers(self) -> int:
+        """Slots whose worker process is alive (workers start on a
+        slot's first point and are replaced after a death)."""
+        with self._lock:
+            return sum(
+                any(proc.is_alive() for proc in list(
+                    (getattr(slot.executor, "_processes", None)
+                     or {}).values()))
+                for slot in self._slots)
+
     def submit(self, point: Workload, timeout: float | None,
                done: Callable[[str, object, float], None]) -> None:
         """Start ``point`` on a free worker; ``done`` reports it."""

@@ -393,9 +393,13 @@ class System:
         return self
 
     def _run(self, max_cycles: int) -> "System":
-        run_clusters(self.clusters, max_cycles, self,
-                     (SystemTimeout, SystemDeadlock))
-        self.cycle = max(cl.cycle for cl in self.clusters)
+        try:
+            run_clusters(self.clusters, max_cycles, self,
+                         (SystemTimeout, SystemDeadlock))
+        finally:
+            # Also after a timeout or deadlock: the clusters' clocks
+            # are where the run stopped.
+            self.cycle = max(cl.cycle for cl in self.clusters)
         return self
 
     def _arbitrate(self, batch: list[Cluster]) -> None:

@@ -18,6 +18,7 @@ import pytest
 import repro.core.fastpath as fastpath
 from repro.core.cluster import Cluster
 from repro.core.config import CoreConfig, SystemConfig
+from repro.core.perf import StallReason
 from repro.kernels.layout import Grid3d
 from repro.kernels.partition import build_partitioned_stencil
 from repro.kernels.registry import get_stencil
@@ -149,6 +150,135 @@ def test_state_at_every_replay_matches_lockstep_stepping(variant,
                         checked_materialize)
     got.run()
     assert len(checked) >= 3
+
+
+def _reference_observe(memo, cycle: int) -> tuple:
+    """Reference per-cycle observation for ``LoopMemo._schedule``,
+    taken directly from the machine: at the boundary before ``cycle``,
+    the progress counters, the LSU access and early-stall counts, and
+    the stream checks an FP step can make."""
+    fp = memo.fp
+    streamers = fp.streamers
+    checks = ()
+    queue = fp.sequencer.queue
+    if queue:
+        nstream = fp._num_streamers if fp.ssr_enable else 0
+        for si, n in memo._stream_uses(queue[0].instr, nstream):
+            s = streamers[si]
+            checks += ((si, n, bool(s._fifo) if n == 1
+                        else s.available_pops() >= n),)
+    in_flight = fp.pipe.in_flight
+    if in_flight:
+        op = in_flight[0]
+        if op.dest_is_ssr and op.completes_at <= cycle:
+            s = streamers[op.dest]
+            checks += ((op.dest, 0, len(s._fifo) < s.fifo_depth),)
+    stalls = fp.perf.stalls
+    lsu = fp.lsu
+    return ((*[s._to_consume for s in streamers],
+             *[s._to_produce for s in streamers]),
+            lsu.loads + lsu.stores,
+            sum(stalls.get(reason, 0) for reason in (
+                StallReason.RAW, StallReason.CHAIN_EMPTY,
+                StallReason.LSU_BUSY)),
+            checks)
+
+
+def _reference_schedule(log: list) -> tuple:
+    """Schedule entries from consecutive reference observations."""
+    schedule = []
+    base = log[0][1]
+    for (progress0, lsu0, early0, checks), (progress1, lsu1, early1, _) \
+            in zip(log, log[1:]):
+        moved = tuple(a - b for a, b in zip(progress0, progress1))
+        half = len(moved) // 2
+        if early1 != early0:
+            checks = tuple(c for c in checks if not c[1])
+        schedule.append((moved[:half], moved[half:],
+                         lsu0 - base if lsu1 != lsu0 else -1,
+                         tuple(c[:2] for c in checks),
+                         tuple(c[2] for c in checks), checks))
+    return tuple(schedule)
+
+
+def _check_recordings(monkeypatch) -> list:
+    """Log every recording with the reference observation too, and
+    assert that ``_build`` makes the same iteration from either log;
+    returns the list of checked iteration lengths."""
+    checked = []
+    logs = {}
+    start = fastpath.LoopMemo._start_recording
+    build = fastpath.LoopMemo._build
+
+    def start_recording(memo, key):
+        start(memo, key)
+        rec, cl = memo._rec, memo.cluster
+        log = logs[id(rec)] = [_reference_observe(memo, cl.cycle)]
+        record = cl.cycle_observer
+
+        def both():
+            cycle = cl.cycle
+            if cycle < rec.cycle + fastpath._MEMO_MAX_CYCLES:
+                log.extend([log[-1]] * (cycle - rec.cycle - len(log) + 1))
+                log.append(_reference_observe(memo, cycle + 1))
+            record()
+
+        cl.cycle_observer = both
+
+    def checked_build(memo, rec, exit_key):
+        got = build(memo, rec, exit_key)
+        reference = _reference_schedule(logs.pop(id(rec)))
+        memo._schedule = lambda rec, nstream: reference
+        try:
+            want = build(memo, rec, exit_key)
+        finally:
+            del memo._schedule
+        if isinstance(want, str):
+            assert got == want
+        else:
+            for field in ("dt", "schedule", "delta", "exit_key", "int_ops"):
+                assert getattr(got, field) == getattr(want, field), field
+            checked.append(got.dt)
+        return got
+
+    monkeypatch.setattr(fastpath.LoopMemo, "_start_recording",
+                        start_recording)
+    monkeypatch.setattr(fastpath.LoopMemo, "_build", checked_build)
+    return checked
+
+
+@pytest.mark.parametrize("variant", VARIANT_ORDER, ids=lambda v: v.label)
+@pytest.mark.parametrize("kernel", ["box3d1r", "j3d27pt"])
+def test_recorded_schedules_match_the_reference_observation(
+        kernel, variant, monkeypatch):
+    """Every recording of a Fig. 3 point (default grid) builds the same
+    iteration from its flat rows as from the reference observation."""
+    spec, grid = get_stencil(kernel)
+    build = build_stencil(spec, grid, variant)
+    checked = _check_recordings(monkeypatch)
+    cluster = _cluster(build, "auto")
+    cluster.run()
+    assert len(checked) >= 10
+    assert cluster.fastpath.stats["loop_recordings"] >= len(checked)
+
+
+@pytest.mark.parametrize("num_cores", [1, 2], ids=["2x4x16", "two-core"])
+def test_recorded_schedules_match_on_small_and_two_core_clusters(
+        num_cores, monkeypatch):
+    """The same on a small campaign point, and on a 2-core cluster whose
+    hart 1 halts at once (the memo records only on a quiet cluster)."""
+    spec, _ = get_stencil("box3d1r")
+    build = build_stencil(spec, Grid3d(nz=2, ny=4, nx=16),
+                          Variant.from_label("Chaining+"))
+    if num_cores == 2:
+        build = dataclasses.replace(
+            build, asm="    csrr t0, mhartid\n    beqz t0, hart0\n"
+            "    ebreak\nhart0:\n" + build.asm)
+    # Short runs: record from the first loop heads on.
+    monkeypatch.setattr(fastpath, "_MEMO_WARMUP", 0)
+    checked = _check_recordings(monkeypatch)
+    _compare(build, "scalar-v2", num_cores=num_cores)
+    assert checked
 
 
 def test_permuted_index_array_misses_and_stays_identical():

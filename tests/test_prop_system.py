@@ -17,6 +17,7 @@ Three system-level invariants over random small grids/partitions:
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -111,6 +112,19 @@ def test_hung_cluster_timeout_is_diagnosable():
         assert "1/2 cores at the system barrier" in message
     else:
         raise AssertionError("expected a SystemTimeout")
+
+
+def test_timed_out_system_reports_where_its_clusters_stopped():
+    """After a SystemTimeout the system clock (and the runtime derived
+    from it) reads where the clusters stopped, not 0."""
+    waiter = "    csrrwi x0, 0x7C7, 1\n    ebreak\n"
+    spinner = "spin:\n    j spin\n    ebreak\n"
+    system = System([waiter, spinner], SystemConfig(num_clusters=2))
+    with pytest.raises(SystemTimeout):
+        system.run(max_cycles=300)
+    assert system.per_cluster_cycles() == [300, 300]
+    assert system.cycle == 300
+    assert system.runtime_seconds() == 300 / system.cfg.core.clock_hz
 
 
 def test_halted_cores_count_as_arrived():

@@ -203,6 +203,19 @@ def _wait_terminal(sched, job_id, timeout=120.0):
 # -- HTTP API -----------------------------------------------------------------
 
 
+def test_healthz_reports_live_workers_and_journal_size(tmp_path):
+    with ServerThread(tmp_path / "store", workers=2) as server:
+        client = server.client()
+        health = client.healthz()
+        assert health["live_workers"] == 0  # started on first use
+        assert health["journal_bytes"] == 0
+        client.wait(client.submit([FAST])["id"])
+        health = client.healthz()
+        assert health["live_workers"] == 1
+        journal = tmp_path / "store" / "jobs.jsonl"
+        assert health["journal_bytes"] == journal.stat().st_size > 0
+
+
 def test_http_endpoints_roundtrip(tmp_path):
     with ServerThread(tmp_path / "store", workers=1) as server:
         client = server.client()
