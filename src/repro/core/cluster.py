@@ -262,7 +262,7 @@ class Cluster:
         dma = self.dma
         if dma._queue:
             dma.step()
-        self.tcdm.arbitrate_v2()
+        self.tcdm.arbiter()
         if self.cycle_observer is not None:
             self.cycle_observer()
         self.cycle = cycle + 1

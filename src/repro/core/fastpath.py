@@ -69,6 +69,9 @@ from repro.core.fpu import InFlightOp
 from repro.core.perf import SLOT, StallReason
 from repro.core.sequencer import DispatchedEntry
 from repro.isa.instructions import InstrClass
+from repro.mem.timing import (AFFINE_READ, INDIRECT_READ, WRITE,
+                               compile_factory, counters_rules,
+                               port_layouts)
 from repro.obs import spans as _obs
 from repro.ssr.address_gen import affine_addresses
 from repro.ssr.config import SsrMode
@@ -845,8 +848,8 @@ class FastPathEngine:
                 s._gen.jump_to(s._gen.position + n * dgen)
                 fill = len(s._fifo)
                 end = s.elements_moved
-                s._fifo = deque(
-                    float(v) for v in elems[si][end - fill:end])
+                s._fifo.clear()
+                s._fifo.extend(float(v) for v in elems[si][end - fill:end])
                 port = s.data_port
                 if port._pending is not None:
                     port._pending.addr = int(affine_addresses(
@@ -865,7 +868,8 @@ class FastPathEngine:
                 pushes = s.cfg.total_elements() - s._to_produce
                 fill = len(s._fifo)
                 window = np.arange(pushes - fill, pushes, dtype=np.int64)
-                s._fifo = deque(float(v) for v in wvals(si, window))
+                s._fifo.clear()
+                s._fifo.extend(float(v) for v in wvals(si, window))
                 if s._pending_write_addr is not None:
                     s._pending_write_addr = int(affine_addresses(
                         s.cfg, [w1])[0])
@@ -950,12 +954,11 @@ _MASK32 = 0xFFFFFFFF
 #: key stays recordable.
 _TRANSIENT = frozenset({"long-iteration", "unproven"})
 
-# Stream modes of the memory-side simulation.  Its per-stream state is
-# a list: fill, repeat count, data requested, data request pending,
-# data response ready, index fill, index request pending, index
-# response ready, position, elements moved, write address held, index
-# element, then the active-cycle, read, write and conflict counters.
-_AFFINE_READ, _INDIRECT_READ, _WRITE = range(3)
+# The memory-side simulation's per-stream state is a list: fill, repeat
+# count, data requested, data request pending, data response ready,
+# index fill, index request pending, index response ready, position,
+# elements moved, write address held, index element, then the
+# active-cycle, read, write and conflict counters.
 #: Counters whose movement in an iteration declines it, with the reason.
 _MEMO_DECLINES = (("frep_ops", "frep"), ("fp_csr_ops", "csr"),
                   ("scfg_ops", "scfg"), ("dma_transfers", "dma"),
@@ -1009,24 +1012,6 @@ def _exec_int(op: tuple, regs: list) -> bool:
         if op[4]:
             regs[op[4]] = op[5]
     return True
-
-
-def _arbiter_modelled(fp) -> bool:
-    """True when the memory-side simulator's fixed arbitration rules hold
-    for ``fp``: the FP LSU is granted before any stream, every stream
-    port has one priority (round robin alone orders them) and every
-    stream one FIFO depth.  The FP subsystem builds its ports that way;
-    other priorities or depths make the memo decline."""
-    streamers = fp.streamers
-    if not streamers:
-        return True
-    priority = streamers[0].data_port.priority
-    depth = streamers[0].fifo_depth
-    for s in streamers:
-        if s.data_port.priority != priority \
-                or s.idx_port.priority != priority or s.fifo_depth != depth:
-            return False
-    return fp.lsu.port.priority < priority
 
 
 def _post(port, addr: int, is_write: bool, data, width: int) -> None:
@@ -1086,9 +1071,8 @@ def _recorder(nstreams: int):
     source = _RECORDER_TEMPLATE.format(
         bind="\n".join("    " + line for line in bind) or "    pass",
         row="".join(f"{field}, " for field in row))
-    namespace: dict = {}
-    exec(compile(source, f"<loop recorder {nstreams}>", "exec"), namespace)
-    factory = _RECORDERS[nstreams] = namespace["factory"]
+    factory = _RECORDERS[nstreams] = compile_factory(
+        source, f"<loop recorder {nstreams}>")
     return factory
 
 
@@ -1412,8 +1396,6 @@ class LoopMemo:
         cl, core, fp = self.cluster, self.core, self.fp
         if cl.cfg.fetch_from_memory:
             return "binary-fetch"
-        if not _arbiter_modelled(fp):
-            return "unproven"
         busy = _cluster_busy(cl, core)
         if busy is not None:
             return busy
@@ -1683,6 +1665,9 @@ class LoopMemo:
         # The memory side's own counters come from re-simulation.
         stream_ports = {id(s.data_port) for s in fp.streamers} \
             | {id(s.idx_port) for s in fp.streamers}
+        # The schedule has the LSU granted when it posts (see _simulator).
+        if delta["ports"][cl.tcdm._ports.index(lsu.port)][2]:
+            return "unproven"
         delta["ports"] = [(0, 0, 0) if id(port) in stream_ports else d
                           for port, d in zip(cl.tcdm.ports, delta["ports"])]
         delta["tcdm"] = (0, 0, 0)
@@ -2062,17 +2047,17 @@ class LoopMemo:
             ipending = iport._pending is not None or iport._response_ready
             if s._igen is not None:
                 pos = s._igen._pos
-                mode = _INDIRECT_READ
+                mode = INDIRECT_READ
                 # Element indices count from the stream's arming, while
                 # ``elements_moved`` counts across re-arms.
                 here = pos - len(s._idx_fifo) - s._data_requested - ipending
             else:
                 pos = s._gen.position
                 if cfg.mode == SsrMode.WRITE:
-                    mode = _WRITE
+                    mode = WRITE
                     here = pos - (s._pending_write_addr is not None)
                 else:
-                    mode = _AFFINE_READ
+                    mode = AFFINE_READ
                     here = pos - s._data_requested
             order.append((si, mode, view))
             run.moved0[si] = here
@@ -2084,7 +2069,7 @@ class LoopMemo:
                 s._pending_write_addr is not None, pos - 1,
                 0, 0, 0, 0, 0, 0])
             addr = view.addr
-            if mode == _WRITE:
+            if mode == WRITE:
                 run.pushed[si] = [here, list(s._fifo)]
                 if s._pending_write_addr is not None \
                         and s._pending_write_addr != addr[here]:
@@ -2119,13 +2104,10 @@ class LoopMemo:
                     return "aliasing"
         modes = tuple((si, mode, bool(fp.streamers[si].cfg.repeat))
                       for si, mode, _ in order)
-        run.sim = _simulator(modes, len(fp.streamers))(
+        run.sim = _simulator(modes, fp.streamers, fp.lsu.port, cl.tcdm)(
             [v and v.banks for v in views], [v and v.ibanks for v in views],
             [v and v.total for v in views],
-            [s.data_port._rot_index for s in fp.streamers],
-            [s.idx_port._rot_index for s in fp.streamers],
-            [s.cfg and s.cfg.repeat + 1 for s in fp.streamers],
-            fp.streamers[0].fifo_depth, len(cl.tcdm._streamer_ports))
+            [s.cfg and s.cfg.repeat + 1 for s in fp.streamers])
         run.reads = reads
         run.writes = writes
         run.ld_range = run.st_range = None
@@ -2362,7 +2344,7 @@ class LoopMemo:
             iport.conflicts += iconf
             addr = int(view.addr[here]) if here < view.total else None
             s.elements_moved += here - run.moved0[si]
-            if mode == _WRITE:
+            if mode == WRITE:
                 first, values = run.pushed[si]
                 fifo = values[here - first:here - first + fill]
                 s._pending_write_addr = addr if pwa else None
@@ -2382,7 +2364,7 @@ class LoopMemo:
             dport._response_ready = dresp
             s._fifo.clear()
             s._fifo.extend(fifo)
-            if mode == _INDIRECT_READ:
+            if mode == INDIRECT_READ:
                 s._igen._pos = pos
                 first = here + requested
                 s._idx_fifo.clear()
@@ -2414,11 +2396,11 @@ class LoopMemo:
             mem.write_f64(addr, value)
 
 
-#: Compiled memory-side simulators keyed by the armed stream modes.
+#: Compiled memory-side simulators by armed streams and port layout.
 _SIMULATORS: dict[tuple, object] = {}
 
 _SIM_TEMPLATE = """\
-def factory(B, IB, T, RD, RI, R1, D, n):
+def factory(B, IB, T, R1):
 {bind}
     def sim(state, node, LB, budget, rr):
 {unpack}
@@ -2452,37 +2434,7 @@ def factory(B, IB, T, RD, RI, R1, D, n):
                     for si, uses, want in triples:
 {verify}
 {flow}
-{steps}
-            # Requests this cycle as one bit per bank: ``clash`` is set
-            # when two requesters want one bank.
-            occ = 1 << LB[lsu] if lsu >= 0 else 0
-            clash = ns = 0
-{requests}
-            if ns:
-                old = rr
-                if ns > 1:
-                    rr = (rr + 1) % n
-                if clash:
-                    # A bank conflict: the LSU, then streams in
-                    # round-robin order, take their banks first.
-                    pend = []
-{pending}
-                    pend.sort()
-                    taken = 1 << LB[lsu] if lsu >= 0 else 0
-                    acc += lsu >= 0
-                    for _, bit, code in pend:
-                        if taken & bit:
-                            conf += 1
-{conflict}
-                            continue
-                        taken |= bit
-                        acc += 1
-{grant}
-                else:
-                    acc += ns + (lsu >= 0)
-{grant_all}
-            elif lsu >= 0:
-                acc += 1
+{memory}
             cycle += 1
         if split is not None or dt > budget:
             return None
@@ -2491,20 +2443,21 @@ def factory(B, IB, T, RD, RI, R1, D, n):
 """
 
 
-def _simulator(modes: tuple, nstreams: int):
-    """The memory-side re-simulator for one set of armed streams.
-
-    It replays one iteration's recorded core schedule against the
-    stream FIFOs, index fetches, write drains and TCDM arbitration on
-    counters alone -- the exact rules of the streamer ``_step_v2_*``
-    bodies and ``Tcdm.arbitrate_v2`` -- walking the decision tree of the
-    recorded iterations as the observations come out.  Returns
-    ``(iteration, streams, rr, accesses, conflicts, write grants)`` or
-    None.  The code is generated per stream configuration (``modes``:
-    stream, mode, repeats) so that all stream state lives in local
-    variables, as the FP issue bodies of :mod:`repro.core.uops` do.
-    """
-    factory = _SIMULATORS.get((modes, nstreams))
+def _simulator(modes: tuple, streamers: list, lsu, tcdm):
+    """The memory side a hit re-simulates on counters (the rules of
+    :mod:`repro.mem.timing`) against an iteration's recorded schedule,
+    walking the decision tree of the recordings as the observations come
+    out; returns ``(iteration, streams, rr, accesses, conflicts, write
+    grants)`` or None.  Generated per stream configuration (``modes``:
+    stream, mode, repeats), FIFO depths and port layout (the streams'
+    and the FP LSU port ``lsu``), with the stream state in locals."""
+    layout = port_layouts(tcdm)
+    streams = tuple(
+        (si, mode, streamers[si].fifo_depth, layout[streamers[si].data_port],
+         layout[streamers[si].idx_port]) for si, mode, _ in modes)
+    key = (modes, streams, layout[lsu], len(tcdm._streamer_ports),
+           len(streamers))
+    factory = _SIMULATORS.get(key)
     if factory is not None:
         return factory
     names = "f r q dp dr g ip ir p m w e a xr xw xc yr yc".split()
@@ -2512,18 +2465,18 @@ def _simulator(modes: tuple, nstreams: int):
     def block(lines, depth):
         return "\n".join(" " * depth + line for line in lines)
 
-    bind, unpack, probe, flow, steps = [], [], [], [], []
-    requests, pending, conflict, grant, grant_all = [], [], [], [], []
-    rot = ["0"] * (2 * nstreams)
-    for index, (si, mode, repeats) in enumerate(modes):
-        v = {name: f"{name}{si}" for name in names}
+    bind, unpack, probe, flow = [], [], [], []
+    for index, ((si, mode, repeats), stream) in enumerate(
+            zip(modes, streams)):
         bind += [f"B{si} = B[{si}]", f"IB{si} = IB[{si}]",
                  f"T{si} = T[{si}]", f"R1{si} = R1[{si}]"]
-        rot[2 * si] = f"RD[{si}]"
-        rot[2 * si + 1] = f"RI[{si}]"
-        unpack.append(f"({', '.join(v[x] for x in names)}) = state[{si}]")
-        probe += [f"{'if' if index == 0 else 'elif'} si == {si}:",
-                  f"    cf, cr, cn = f{si}, r{si}, R1{si}"]
+        unpack.append(f"({', '.join(n + str(si) for n in names)}) "
+                      f"= state[{si}]")
+        # An operand observation: the FIFO serves ``uses`` pops (honouring
+        # the repeat phase); a push observation: the FIFO has room.
+        probe += [f"{'elif' if index else 'if'} si == {si}:",
+                  f"    ok = f{si} > 0 and R1{si} - r{si} + (f{si} - 1) "
+                  f"* R1{si} >= uses if uses else f{si} < {stream[2]}"]
         if repeats:
             flow += [f"k = pops[{si}]", "if k:", f"    t = r{si} + k",
                      f"    f{si} -= t // R1{si}", f"    r{si} = t % R1{si}",
@@ -2531,85 +2484,21 @@ def _simulator(modes: tuple, nstreams: int):
         else:
             flow += [f"if pops[{si}]:", f"    f{si} -= pops[{si}]",
                      f"    if f{si} < 0:", "        return None"]
-        if mode == _WRITE:
+        if mode == WRITE:
             flow += [f"f{si} += pushes[{si}]"]
-        step = ["wk = False", f"if dr{si}:", f"    dr{si} = False",
-                f"    m{si} += 1", "    wk = True"]
-        if mode == _WRITE:
-            step += [f"    f{si} -= 1", f"    w{si} = False",
-                     f"if f{si} and not dp{si} and (w{si} or p{si} < T{si}):",
-                     f"    if not w{si}:", f"        w{si} = True",
-                     f"        p{si} += 1", f"    dp{si} = True",
-                     "    wk = True"]
-        else:
-            step += [f"    f{si} += 1", f"    q{si} = False"]
-            if mode == _INDIRECT_READ:
-                step += [f"if ir{si}:", f"    ir{si} = False",
-                         f"    g{si} += 1", "    wk = True",
-                         f"if g{si} and not dp{si} and D - f{si} - q{si} > 0:",
-                         f"    g{si} -= 1", f"    dp{si} = True",
-                         f"    q{si} = True", "    wk = True",
-                         f"if p{si} < T{si} and not ip{si} and g{si} < D:",
-                         f"    ip{si} = True", f"    e{si} = p{si}",
-                         f"    p{si} += 1", "    wk = True"]
-            else:
-                step += [f"if p{si} < T{si} and not dp{si} "
-                         f"and D - f{si} - q{si} > 0:",
-                         f"    dp{si} = True", f"    q{si} = True",
-                         f"    p{si} += 1", "    wk = True"]
-        step += ["if wk:", f"    a{si} += 1"]
-        steps += step
-        done = [f"    xw{si} += 1", f"    grants.append(({si}, m{si}))"] \
-            if mode == _WRITE else [f"    xr{si} += 1"]
-        requests += [f"if dp{si}:", f"    bit = 1 << B{si}[m{si}]",
-                     "    clash |= occ & bit", "    occ |= bit", "    ns += 1"]
-        pending += [f"if dp{si}:",
-                    f"    pend.append(((ROT[{2 * si}] - old) % n, "
-                    f"1 << B{si}[m{si}], {2 * si}))"]
-        grant_all += [f"if dp{si}:", f"    dp{si} = False",
-                      f"    dr{si} = True"] + done
-        if mode == _INDIRECT_READ:
-            requests += [f"if ip{si}:", f"    bit = 1 << IB{si}[e{si}]",
-                         "    clash |= occ & bit", "    occ |= bit",
-                         "    ns += 1"]
-            pending += [f"if ip{si}:",
-                        f"    pend.append(((ROT[{2 * si + 1}] - old) % n, "
-                        f"1 << IB{si}[e{si}], {2 * si + 1}))"]
-            grant_all += [f"if ip{si}:", f"    ip{si} = False",
-                          f"    ir{si} = True", f"    yr{si} += 1"]
-        conflict += [f"elif code == {2 * si}:", f"    xc{si} += 1",
-                     f"elif code == {2 * si + 1}:", f"    yc{si} += 1"]
-        grant += [f"elif code == {2 * si}:", f"    dp{si} = False",
-                  f"    dr{si} = True"] + done + [
-                  f"elif code == {2 * si + 1}:", f"    ip{si} = False",
-                  f"    ir{si} = True", f"    yr{si} += 1"]
-    bind.append(f"ROT = [{', '.join(rot)}]")
     armed = {si for si, _, _ in modes}
     pack = ", ".join(
         "[" + ", ".join(f"{name}{si}" for name in names) + "]"
-        if si in armed else "None" for si in range(nstreams))
-    # The dispatch chains on the requester code start with an ``if``.
-    conflict[0] = conflict[0][2:]
-    grant[0] = grant[0][2:]
+        if si in armed else "None" for si in range(len(streamers)))
     source = _SIM_TEMPLATE.format(
         bind=block(bind or ["pass"], 4), unpack=block(unpack or ["pass"], 8),
-        seen=block(probe + [
-            "if uses:",
-            "    seen.append(cf > 0 and cn - cr + (cf - 1) * cn >= uses)",
-            "else:", "    seen.append(cf < D)"], 24),
-        verify=block(probe + [
-            "if uses:",
-            "    if (cf > 0 and cn - cr + (cf - 1) * cn >= uses) "
-            "is not want:",
-            "        return None",
-            "elif (cf < D) is not want:", "    return None"], 24),
-        flow=block(flow, 12), steps=block(steps, 12),
-        requests=block(requests, 12), pending=block(pending, 20),
-        conflict=block(conflict, 28), grant=block(grant, 24),
-        grant_all=block(grant_all, 20), pack=pack)
-    namespace: dict = {}
-    exec(compile(source, f"<memory side {modes}>", "exec"), namespace)
-    factory = _SIMULATORS[(modes, nstreams)] = namespace["factory"]
+        seen=block(probe + ["seen.append(ok)"], 24),
+        verify=block(probe + ["if ok is not want:", "    return None"], 24),
+        flow=block(flow, 12),
+        memory=block(counters_rules(streams, key[2], key[3]), 12),
+        pack=pack)
+    factory = _SIMULATORS[key] = compile_factory(
+        source, f"<memory side {key}>")
     return factory
 
 

@@ -25,13 +25,11 @@ streamers).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
+from typing import Callable
 
+from repro.mem import timing
 from repro.mem.memory import Memory
-
-_UNPACK_F64 = struct.Struct("<d").unpack_from
-_UNPACK_U32 = struct.Struct("<I").unpack_from
 
 
 @dataclass(slots=True)
@@ -49,11 +47,6 @@ class TcdmPort:
         self.name = name
         self.priority = priority
         self.is_streamer = is_streamer
-        #: Rotation index used for round-robin tie-breaking; maintained
-        #: by :meth:`Tcdm.port` (the index of the *last* streamer port
-        #: registered under this port's name, mirroring the name-keyed
-        #: rotation table of the original arbitration loop).
-        self._rot_index: int | None = None
         self._pending: _Request | None = None
         #: The port's reusable request record: the scalar-v2 requesters
         #: fill it in and point ``_pending`` at it instead of allocating
@@ -146,12 +139,15 @@ class Tcdm:
         self.bank_width = bank_width
         self._ports: list[TcdmPort] = []
         self._streamer_ports: list[TcdmPort] = []
-        self._name_to_sidx: dict[str, int] = {}
         self._rr_offset = 0
         # Statistics.
         self.total_accesses = 0
         self.total_conflicts = 0
         self.busy_bank_cycles = 0
+        #: The scalar-v2 arbitration, grant for grant :meth:`arbitrate`:
+        #: generated for the registered ports on its first call after a
+        #: registration (:func:`repro.mem.timing.arbiter`).
+        self.arbiter: Callable[[], None] = self._relayout
 
     def port(self, name: str, priority: int,
              is_streamer: bool = False) -> TcdmPort:
@@ -160,14 +156,12 @@ class Tcdm:
         self._ports.append(p)
         if is_streamer:
             self._streamer_ports.append(p)
-            self._name_to_sidx[name] = len(self._streamer_ports) - 1
-            # A later streamer may shadow an earlier one's name, so the
-            # rotation indices of every port are refreshed.
-            for q in self._ports:
-                q._rot_index = self._name_to_sidx.get(q.name)
-        else:
-            p._rot_index = self._name_to_sidx.get(name)
+        self.arbiter = self._relayout
         return p
+
+    def _relayout(self) -> None:
+        self.arbiter = timing.arbiter(self)
+        self.arbiter()
 
     @property
     def ports(self) -> tuple[TcdmPort, ...]:
@@ -186,9 +180,9 @@ class Tcdm:
     def arbitrate(self) -> None:
         """Resolve this cycle's requests (call once per cycle).
 
-        This is the seed reference arbiter; :meth:`arbitrate_v2` is the
-        grant-for-grant identical fast variant used by the micro-op
-        engine.
+        This is the seed reference arbiter; :attr:`arbiter` is the
+        grant-for-grant identical generated variant the micro-op engine
+        calls.
         """
         pending = [p for p in self._ports if p._pending is not None]
         if not pending:
@@ -221,97 +215,6 @@ class Tcdm:
             p._grant(self.mem)
             self.total_accesses += 1
         self.busy_bank_cycles += len(granted_banks)
-
-    def arbitrate_v2(self) -> None:
-        """Grant-for-grant identical arbitration with the common request
-        counts (1, 2) special-cased, the name-keyed rotation table
-        replaced by per-port rotation indices, and 4-/8-byte reads served
-        straight from the backing store (same bounds and alignment
-        errors as :class:`~repro.mem.memory.Memory`)."""
-        pending = []
-        for p in self._ports:  # a plain loop: no comprehension frame
-            if p._pending is not None:
-                pending.append(p)
-        if not pending:
-            return
-        conflicts = 0
-        if len(pending) == 1:
-            # A lone request always wins its bank, and the round-robin
-            # pointer only advances on contended streamer rounds, so the
-            # full arbitration dance is skipped.
-            granted = pending
-        else:
-            off = self._rr_offset
-            n = len(self._streamer_ports)
-            contended = 0
-            for p in pending:
-                if p.is_streamer:
-                    contended += 1
-            if contended >= 2:
-                self._rr_offset = (off + 1) % n
-            bw = self.bank_width
-            nb = self.num_banks
-            if len(pending) == 2:
-                a, b = pending
-                pa, pb = a.priority, b.priority
-                if pb < pa or pb == pa and (
-                        0 if b._rot_index is None
-                        else (b._rot_index - off) % n) < (
-                        0 if a._rot_index is None
-                        else (a._rot_index - off) % n):
-                    a, b = b, a
-                if (a._pending.addr // bw) % nb \
-                        == (b._pending.addr // bw) % nb:
-                    b.conflicts += 1
-                    conflicts = 1
-                    granted = (a,)
-                else:
-                    granted = (a, b)
-            else:
-                def key(p: TcdmPort) -> tuple[int, int]:
-                    r = p._rot_index
-                    return (p.priority, 0 if r is None else (r - off) % n)
-
-                granted = []
-                granted_banks: set[int] = set()
-                for p in sorted(pending, key=key):
-                    bank = (p._pending.addr // bw) % nb
-                    if bank in granted_banks:
-                        p.conflicts += 1
-                        conflicts += 1
-                        continue
-                    granted_banks.add(bank)
-                    granted.append(p)
-        mem = self.mem
-        data = mem._data
-        size = mem.size
-        for p in granted:
-            req = p._pending
-            if req.is_write:
-                p._grant(mem)
-                continue
-            addr = req.addr
-            width = req.width
-            if width == 8:
-                if addr < 0 or addr + 8 > size or addr & 7:
-                    mem._check(addr, 8)
-                p._response = _UNPACK_F64(data, addr)[0]
-            elif width == 4:
-                if addr < 0 or addr + 4 > size or addr & 3:
-                    mem._check(addr, 4)
-                p._response = _UNPACK_U32(data, addr)[0]
-            elif width == 2:
-                p._response = mem.read_u16(addr)
-            elif width == 1:
-                p._response = mem.read_u8(addr)
-            else:
-                raise ValueError(f"unsupported read width {width}")
-            p.reads += 1
-            p._pending = None
-            p._response_ready = True
-        self.total_conflicts += conflicts
-        self.total_accesses += len(granted)
-        self.busy_bank_cycles += len(granted)
 
     # -- statistics ---------------------------------------------------------
 

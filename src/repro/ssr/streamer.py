@@ -18,6 +18,7 @@ from collections import deque
 from typing import Callable
 
 from repro.mem.tcdm import Tcdm, TcdmPort
+from repro.mem.timing import AFFINE_READ, INDIRECT_READ, WRITE, stream_step
 from repro.ssr.address_gen import AffineGenerator, IndirectGenerator
 from repro.ssr.config import SsrConfig, SsrConfigSpace, SsrMode
 
@@ -49,9 +50,10 @@ class SsrStreamer:
         self._to_produce = 0     # writes the FPU still owes us
         self._data_requested = False
         self._pending_write_addr: int | None = None
-        #: Micro-op engine per-cycle step, bound by :meth:`_arm` to the
-        #: armed mode's specialised body (None while unarmed).  A re-arm
-        #: re-binds it, so callers look it up every cycle.
+        #: Micro-op engine per-cycle step generated for the armed mode
+        #: and FIFO depth (:func:`repro.mem.timing.stream_step`; None
+        #: while unarmed).  Every arming re-binds it, so callers look it
+        #: up every cycle.
         self.step_v2: Callable[[], None] | None = None
         # Statistics (energy model inputs).
         self.active_cycles = 0
@@ -105,12 +107,12 @@ class SsrStreamer:
         if cfg.mode == SsrMode.READ:
             self._to_consume = total * (cfg.repeat + 1)
             self._to_produce = 0
-            self.step_v2 = self._step_v2_indirect_read if cfg.indirect \
-                else self._step_v2_affine_read
+            mode = INDIRECT_READ if cfg.indirect else AFFINE_READ
         else:
             self._to_produce = total
             self._to_consume = 0
-            self.step_v2 = self._step_v2_write
+            mode = WRITE
+        self.step_v2 = stream_step(self, mode)
 
     # -- register-port interface (used at FP instruction issue) -----------
 
@@ -164,132 +166,6 @@ class SsrStreamer:
             worked = self._step_read()
         else:
             worked = self._step_write()
-        if worked:
-            self.active_cycles += 1
-
-    # Micro-op engine per-cycle bodies, one per armed mode (bound to
-    # ``step_v2`` at arm time).  Each performs exactly the actions of
-    # :meth:`step` for its mode, posting requests by filling in the
-    # port's reusable record instead of through the checked
-    # :meth:`~repro.mem.tcdm.TcdmPort.request` interface -- every guard
-    # the checked path enforces is established inline.  A port never
-    # holds a pending request and an unconsumed response at once, so
-    # once a response is retired the port is free exactly when nothing
-    # is pending.
-
-    def _step_v2_indirect_read(self) -> None:
-        port = self.data_port
-        iport = self.idx_port
-        fifo = self._fifo
-        idx_fifo = self._idx_fifo
-        worked = False
-        if port._response_ready:
-            port._response_ready = False
-            fifo.append(float(port._response))
-            port._response = None
-            self._data_requested = False
-            self.elements_moved += 1
-            worked = True
-        if iport._response_ready:
-            iport._response_ready = False
-            idx_fifo.append(int(iport._response))
-            iport._response = None
-            worked = True
-        cfg = self.cfg
-        depth = self.fifo_depth
-        if idx_fifo and port._pending is None \
-                and depth - len(fifo) - self._data_requested > 0:
-            req = port._req
-            req.addr = cfg.base + (idx_fifo.popleft() << cfg.idx_shift)
-            req.is_write = False
-            req.data = None
-            req.width = 8
-            port._pending = req
-            self._data_requested = True
-            worked = True
-        igen = self._igen
-        if igen._pos < igen._count and iport._pending is None \
-                and len(idx_fifo) < depth:
-            req = iport._req
-            req.addr = cfg.idx_base + igen._pos * cfg.idx_size
-            req.is_write = False
-            req.data = None
-            req.width = cfg.idx_size
-            iport._pending = req
-            igen._pos += 1
-            worked = True
-        if worked:
-            self.active_cycles += 1
-
-    def _step_v2_affine_read(self) -> None:
-        port = self.data_port
-        fifo = self._fifo
-        worked = False
-        if port._response_ready:
-            port._response_ready = False
-            fifo.append(float(port._response))
-            port._response = None
-            self._data_requested = False
-            self.elements_moved += 1
-            worked = True
-        iport = self.idx_port
-        if iport._response_ready:
-            # Only an index fetch left over from an earlier arming.
-            iport._response_ready = False
-            self._idx_fifo.append(int(iport._response))
-            iport._response = None
-            worked = True
-        gen = self._gen
-        if gen._remaining and port._pending is None \
-                and self.fifo_depth - len(fifo) - self._data_requested > 0:
-            req = port._req
-            req.addr = gen.next()
-            req.is_write = False
-            req.data = None
-            req.width = 8
-            port._pending = req
-            self._data_requested = True
-            worked = True
-        if worked:
-            self.active_cycles += 1
-
-    def _step_v2_write(self) -> None:
-        port = self.data_port
-        fifo = self._fifo
-        worked = False
-        if port._response_ready:
-            port._response_ready = False
-            port._response = None
-            fifo.popleft()
-            self._pending_write_addr = None
-            self.elements_moved += 1
-            worked = True
-        if fifo and port._pending is None:
-            addr = self._pending_write_addr
-            if addr is None:
-                addr = self._next_data_addr()
-                if addr is None:
-                    # No resolvable address (index FIFO dry): the cycle
-                    # ends here -- including the index-fetch launch
-                    # below, exactly like the seed path.
-                    if worked:
-                        self.active_cycles += 1
-                    return
-                self._pending_write_addr = addr
-            req = port._req
-            req.addr = addr
-            req.is_write = True
-            req.data = fifo[0]
-            req.width = 8
-            port._pending = req
-            worked = True
-        igen = self._igen
-        if igen is not None and not igen.exhausted \
-                and not self.idx_port.busy \
-                and len(self._idx_fifo) < self.fifo_depth:
-            self.idx_port.request(igen.next_index_addr(),
-                                  width=self.cfg.idx_size)
-            worked = True
         if worked:
             self.active_cycles += 1
 

@@ -25,13 +25,15 @@ from repro.kernels.registry import get_stencil
 from repro.kernels.stencil_codegen import build_stencil
 from repro.kernels.variants import VARIANT_ORDER, Variant
 from repro.kernels.vecop import VecopVariant, build_vecop
+from repro.mem import timing
 from repro.mem.memory import Memory
 from repro.mem.tcdm import Tcdm
 from repro.ssr.address_gen import AffineGenerator
 from repro.ssr.config import SsrConfig, SsrMode
 from repro.ssr.streamer import SsrStreamer
 from repro.system import System
-from tests.test_core_scalar_v2 import machine_digest
+from tests.test_core_scalar_v2 import (PORT_LAYOUTS, apply_layout,
+                                      machine_digest)
 
 #: Grids just long enough for every variant to replay iterations
 #: (the memo records nothing in a cluster's first 32 loop heads, and a
@@ -420,21 +422,28 @@ def _element_addresses(cfg, mem) -> list[int]:
     return [gen.next() for _ in range(cfg.total_elements())]
 
 
-@pytest.mark.parametrize("num_banks", [4, 32])
-@pytest.mark.parametrize("seed", range(8))
-def test_memory_side_simulator_matches_streamers_and_tcdm(seed, num_banks):
+@pytest.mark.parametrize(
+    "seed,num_banks,layout",
+    [pytest.param(seed, banks, "default", id=f"{seed}-{banks}")
+     for seed in range(8) for banks in (4, 32)]
+    + [pytest.param(seed, banks, layout, id=f"{seed}-{banks}-{layout}")
+       for layout in PORT_LAYOUTS for seed in range(8) for banks in (4, 32)])
+def test_memory_side_simulator_matches_streamers_and_tcdm(seed, num_banks,
+                                                          layout):
     """The counters-only memory side a hit re-simulates must agree with
     the real streamers and TCDM arbiter driven by the same per-cycle
     schedule of register pops, pushes and LSU requests: same FIFO fills,
     positions, port flags and statistics, grants and round robin -- and
     every stream observation the schedule logs must come out as logged
-    (a flipped one makes the simulator refuse the iteration)."""
+    (a flipped one makes the simulator refuse the iteration).  Both
+    sides are generated for the port layout, default or not."""
     rng = np.random.default_rng(seed)
     mem = Memory(1 << 16)
     tcdm = Tcdm(mem, num_banks=num_banks)
     tcdm.port("core", priority=0)
     lsu = tcdm.port("fplsu", priority=1)
     streamers = [SsrStreamer(i, tcdm, fifo_depth=4) for i in range(3)]
+    apply_layout(layout, streamers, lsu)
     index = rng.integers(0, 256, size=96).astype(np.uint32)
     mem.write_array(0x8000, index)
     configs = [
@@ -448,8 +457,8 @@ def test_memory_side_simulator_matches_streamers_and_tcdm(seed, num_banks):
     ]
     for s, cfg in zip(streamers, configs):
         s._arm(cfg)
-    modes = ((0, fastpath._AFFINE_READ, bool(configs[0].repeat)),
-             (1, fastpath._INDIRECT_READ, False), (2, fastpath._WRITE, False))
+    modes = ((0, timing.AFFINE_READ, bool(configs[0].repeat)),
+             (1, timing.INDIRECT_READ, False), (2, timing.WRITE, False))
     bank = tcdm.bank_of
     banks = [[bank(a) for a in _element_addresses(cfg, mem)]
              for cfg in configs]
@@ -487,17 +496,14 @@ def test_memory_side_simulator_matches_streamers_and_tcdm(seed, num_banks):
             _post_read(lsu, addr)
         for s in streamers:
             s.step_v2()
-        tcdm.arbitrate_v2()
+        tcdm.arbiter()
         schedule.append((tuple(pops), tuple(pushes), lsu_index,
                          tuple(t[:2] for t in triples),
                          tuple(t[2] for t in triples), tuple(triples)))
 
-    factory = fastpath._simulator(modes, 3)
+    factory = fastpath._simulator(modes, streamers, lsu, tcdm)
     sim = factory(banks, ibanks, [c.total_elements() for c in configs],
-                  [s.data_port._rot_index for s in streamers],
-                  [s.idx_port._rot_index for s in streamers],
-                  [c.repeat + 1 for c in configs], 4,
-                  len(tcdm._streamer_ports))
+                  [c.repeat + 1 for c in configs])
     node = fastpath._Node(SimpleNamespace(dt=len(schedule),
                                           schedule=tuple(schedule)))
     out = sim([list(st) for st in state0], node, lsu_banks, 10**6, 0)
@@ -542,28 +548,50 @@ def _post_read(port, addr: int) -> None:
     port._pending = req
 
 
-@pytest.mark.parametrize("change", ["fifo_depth", "port_priority",
-                                    "lsu_priority"])
-def test_unmodelled_arbitration_declines(change):
-    """The memory-side simulator assumes the LSU outranks every stream,
-    equal stream priorities and one FIFO depth; a cluster built otherwise
-    must step every iteration (reason ``unproven``) and stay exact."""
+@pytest.mark.parametrize("change", PORT_LAYOUTS)
+def test_nondefault_port_layouts_replay_exactly(change):
+    """FIFO depths and port priorities are generation parameters of the
+    memory side a hit re-simulates: a cluster built with another stream
+    FIFO depth, stream port priority or LSU priority still replays, and
+    stays exact."""
     spec, _ = get_stencil("box3d1r")
     build = build_stencil(spec, SMALL["box3d1r"],
                           Variant.from_label("Chaining+"))
     clusters = [_cluster(build, engine) for engine in ("scalar", "auto")]
     for cluster in clusters:
-        s = cluster.fp.streamers[1]
-        if change == "fifo_depth":
-            s.fifo_depth = 2
-        elif change == "port_priority":
-            s.data_port.priority = 11
-        else:
-            cluster.fp.lsu.port.priority = 10
+        apply_layout(change, cluster.fp.streamers, cluster.fp.lsu.port)
     for cluster in clusters:
         cluster.run()
     ref, got = clusters
     assert machine_digest(got) == machine_digest(ref)
     stats = _loop_stats(got)
-    assert stats["loop_hits"] == 0, stats
-    assert stats["loop_reject_reasons"].get("unproven", 0) > 0, stats
+    assert stats["loop_hits"] > 0, stats
+
+
+#: Loops that arm no stream: integer only, FP compute only, FP loads and
+#: stores through the LSU.
+_STREAMLESS_LOOPS = {
+    "int": "    addi t1, t1, 3\n",
+    "fadd": "    fadd.d fa0, fa0, fa1\n",
+    "fld-fsd": "    fld fa1, 0(a0)\n    fadd.d fa0, fa0, fa1\n"
+               "    fsd fa0, 8(a0)\n",
+}
+
+
+@pytest.mark.parametrize("num_ssrs", [0, 3])
+@pytest.mark.parametrize("body", sorted(_STREAMLESS_LOOPS))
+def test_loops_without_streams_replay_exactly(body, num_ssrs):
+    """A loop with no armed stream replays -- with three streamers idle
+    or none at all -- and ends on the seed interpreter's machine."""
+    source = ("    li t0, 300\n    li a0, 4096\n    fcvt.d.w fa1, t0\n"
+              "loop:\n" + _STREAMLESS_LOOPS[body]
+              + "    addi t0, t0, -1\n    bnez t0, loop\n    ebreak\n")
+    clusters = [Cluster(source, cfg=CoreConfig(engine=engine,
+                                               num_ssrs=num_ssrs))
+                for engine in ("scalar", "auto")]
+    for cluster in clusters:
+        cluster.run()
+    ref, got = clusters
+    assert machine_digest(got) == machine_digest(ref)
+    stats = _loop_stats(got)
+    assert stats["loop_hits"] > 0, stats

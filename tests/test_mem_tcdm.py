@@ -127,3 +127,46 @@ def test_stats_accumulate():
     stats = tcdm.stats()
     assert stats["p_writes"] == 3
     assert stats["total_accesses"] == 3
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_generated_arbiter_matches_the_reference(seed):
+    """``Tcdm.arbiter`` (generated for the registered ports) grants what
+    ``Tcdm.arbitrate`` grants, cycle by cycle: on a layout with mixed
+    priorities, two streamer ports sharing a name and a plain port named
+    like a streamer (the name-keyed rotation), reads and writes of every
+    width, and a priority changed half way."""
+    import random
+
+    rng = random.Random(seed)
+    layout = [("core", 0, False), ("lsu", 1, False), ("s0", 10, True),
+              ("s1", 10, True), ("s0", 10, True), ("s1", 3, False),
+              ("s2", 10, True), ("dma", 10, False)]
+    tcdms = [make_tcdm(banks=4) for _ in range(2)]
+    ports = [[t.port(name, prio, streamer) for name, prio, streamer in layout]
+             for t in tcdms]
+    for cycle in range(600):
+        if cycle == 300:
+            for side in ports:
+                side[3].priority = 0
+        for i in range(len(layout)):
+            busy = ports[0][i]._pending is not None
+            if ports[0][i]._response_ready:
+                for side in ports:
+                    side[i].take_response()
+            elif not busy and rng.random() < 0.6:
+                width = rng.choice([1, 2, 4, 8])
+                addr = width * rng.randrange(64 // width * 8)
+                write = rng.random() < 0.4
+                data = rng.randrange(1 << 8 * width - 1) if write else None
+                for side in ports:
+                    side[i].request(addr, is_write=write, data=data,
+                                    width=width)
+        tcdms[0].arbitrate()
+        tcdms[1].arbiter()
+        assert tcdms[0].stats() == tcdms[1].stats(), cycle
+        assert tcdms[0]._rr_offset == tcdms[1]._rr_offset, cycle
+        for a, b in zip(*ports):
+            assert (a._pending is None, a._response_ready, a._response) \
+                == (b._pending is None, b._response_ready, b._response), cycle
+        assert tcdms[0].mem._data == tcdms[1].mem._data, cycle
