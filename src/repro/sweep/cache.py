@@ -41,6 +41,7 @@ import fcntl
 import hashlib
 import json
 import os
+import threading
 import time
 import warnings
 from dataclasses import fields as dataclass_fields
@@ -114,18 +115,33 @@ def append_jsonl(path: Path, record: dict) -> None:
     progress would otherwise look like a torn tail.  This is the one
     append path of the result store, its failure log and the job
     journal.
+
+    No process forks while an append holds its descriptor (see
+    :data:`_APPEND_LOCK`): a forked worker would inherit the locked
+    descriptor and keep the ``flock`` held after this close, and every
+    later append to the file would block for the worker's lifetime.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     line = (json.dumps(record, sort_keys=True) + "\n").encode()
-    fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
-    try:
-        fcntl.flock(fd, fcntl.LOCK_EX)  # released by the close below
-        size = os.fstat(fd).st_size
-        if size and os.pread(fd, 1, size - 1) != b"\n":
-            line = b"\n" + line
-        os.write(fd, line)
-    finally:
-        os.close(fd)
+    with _APPEND_LOCK:
+        fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)  # released by the close below
+            size = os.fstat(fd).st_size
+            if size and os.pread(fd, 1, size - 1) != b"\n":
+                line = b"\n" + line
+            os.write(fd, line)
+        finally:
+            os.close(fd)
+
+
+#: Held by :func:`append_jsonl` from open to close, and by ``os.fork``
+#: (the pool's worker start) around the fork, so a child never inherits
+#: an append's descriptor.
+_APPEND_LOCK = threading.Lock()
+os.register_at_fork(before=_APPEND_LOCK.acquire,
+                    after_in_parent=_APPEND_LOCK.release,
+                    after_in_child=_APPEND_LOCK.release)
 
 
 class SchemaError(ValueError):

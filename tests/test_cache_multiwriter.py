@@ -8,16 +8,22 @@ appends -- and the store must come out with no corrupt lines, a clean
 duplicates, never conflicts), and correct dedup-on-load.
 """
 
+import fcntl
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 from repro import __version__
 from repro.api import workload
 from repro.api.execute import execute_workload
-from repro.sweep.cache import ResultCache, point_key
+from repro.sweep import cache as cache_module
+from repro.sweep.cache import ResultCache, append_jsonl, point_key
 
 _WRITER = r"""
 import json, sys
@@ -127,3 +133,44 @@ def test_interleaved_lines_stay_line_atomic(tmp_path):
             assert record["key"][:2] == shard.stem
             total += 1
     assert total == 2 * 60 * 4
+
+
+def test_worker_forked_mid_append_leaves_the_lock_free(tmp_path,
+                                                        monkeypatch):
+    """A worker forked while another thread is inside an append must
+    not inherit the locked descriptor: it would keep the ``flock`` held
+    after the append closes it, and the next append would block for
+    as long as the worker lives (a resumed ``repro serve`` hung so)."""
+    path = tmp_path / "shard.jsonl"
+    inside, release = threading.Event(), threading.Event()
+
+    def flock(fd, op):  # the first append waits while holding the lock
+        fcntl.flock(fd, op)
+        if not inside.is_set():
+            inside.set()
+            release.wait(10)
+
+    monkeypatch.setattr(cache_module, "fcntl", SimpleNamespace(
+        flock=flock, LOCK_EX=fcntl.LOCK_EX))
+    first = threading.Thread(target=append_jsonl, args=(path, {"n": 1}))
+    first.start()
+    assert inside.wait(10)
+    worker = multiprocessing.get_context("fork").Process(
+        target=time.sleep, args=(60,))
+    forking = threading.Thread(target=worker.start)
+    forking.start()
+    time.sleep(0.2)         # the fork, unless it waits for the append
+    release.set()
+    first.join(10)
+    forking.join(10)
+    second = threading.Thread(target=append_jsonl, args=(path, {"n": 2}),
+                              daemon=True)
+    try:
+        second.start()
+        second.join(10)
+        assert not second.is_alive(), "append blocked by a worker's lock"
+    finally:
+        worker.kill()
+        worker.join(10)
+    assert [json.loads(line) for line in path.read_text().splitlines()] \
+        == [{"n": 1}, {"n": 2}]
