@@ -343,6 +343,12 @@ class FpSubsystem:
         if entry is None:
             self.perf.stall(StallReason.QUEUE_EMPTY)
             return
+        self._issue_entry(entry, cycle)
+
+    def _issue_entry(self, entry: DispatchedEntry, cycle: int) -> None:
+        """One issue attempt of ``entry``, the sequencer's head.  Its
+        signature is that of an issue micro-op, so the scalar-v2 engine
+        issues ``frep``, FP CSR and ``scfg`` entries through it."""
         instr = entry.instr
         iclass = instr.iclass
 

@@ -257,21 +257,14 @@ class IntCore:
         uop(cycle)
 
     def _fetch_uop(self):
-        """The lowered handler for the instruction at ``pc``, or None."""
+        """The lowered handler for the instruction at ``pc`` under
+        binary fetch, or None.
+
+        Binary fetch decodes at the (possibly unaligned) pc exactly as
+        the seed decode cache does, then lowers the decoded record.
+        """
         from repro.core.uops import lower_int  # deferred: mutual import
 
-        if not self.cfg.fetch_from_memory:
-            index = (self.pc - self._pc_base) // 4
-            uops = self._uops
-            if not 0 <= index < len(uops):
-                return None
-            uop = uops[index]
-            if uop is None:
-                uop = uops[index] = lower_int(
-                    self, self.program.instrs[index])
-            return uop
-        # Binary fetch decodes at the (possibly unaligned) pc exactly as
-        # the seed decode cache does, then lowers the decoded record.
         uop = self._uop_cache.get(self.pc)
         if uop is None:
             instr = self._fetch()
@@ -296,7 +289,9 @@ class IntCore:
 
     # -- FP dispatch ---------------------------------------------------------------
 
-    def _dispatch_fp(self, cycle: int, instr: Instr) -> None:
+    def _dispatch_fp(self, cycle: int, instr: Instr, uop=None) -> None:
+        """Dispatch ``instr`` into the FP queue; ``uop`` is the issue
+        micro-op the scalar-v2 engine attaches to the entry."""
         if self.fp.queue_space() <= 0:
             self.perf.bump("int_dispatch_stalls")
             return
@@ -347,7 +342,7 @@ class IntCore:
                 return
             vals["rs1"] = self.regs.read_signed(instr.rs1)
 
-        self.fp.dispatch(DispatchedEntry(instr, vals, sync))
+        self.fp.dispatch(DispatchedEntry(instr, vals, sync, uop))
         self.perf.bump("int_instrs")
         if self.trace is not None:
             self.trace.int_issue(cycle, instr, dispatched=True)

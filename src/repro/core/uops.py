@@ -5,27 +5,42 @@ every cycle it executes: its timing class (an enum property chain), its
 operand domains, the ALU/branch callable behind its mnemonic, the perf
 counter names it bumps.  This module lowers each decoded
 :class:`~repro.isa.instructions.Instr` *once* into a bound handler
-closure -- a micro-op -- with every per-cycle decision that is static
-resolved at lowering time:
+closure -- a micro-op.  Only the instructions that fill the stepped
+cycles get a specialised closure:
 
-* register indices, immediates and operator callables are captured as
-  closure cells;
-* perf counters are pre-interned to integer slots of the flat
-  :class:`~repro.core.perf.PerfCounters` storage, so a bump is a plain
-  list-index increment;
-* ``x0`` reads need no special case (the register file never writes
-  slot 0, so ``values[0]``/``ready_cycle[0]`` are constant) and ``x0``
-  writes are compiled out;
-* tracing is compiled in only when a recorder is attached;
-* an FP compute issue runs a body generated for its operand shape --
-  which sources and destination are stream, chaining or plain
-  registers under the current ``ssr_enable`` and chaining mask.
+* integer ALU/MUL/DIV ops and branches (a taken backward branch also
+  raises the loop memo's loop head);
+* the dispatch of plain FP compute ops and of ``fld``/``fsd``;
+* the issue of ``fld``/``fsd`` and of every FP compute op, the latter
+  through a body generated for its operand shape -- which sources and
+  destination are stream, chaining or plain registers under the current
+  ``ssr_enable`` and chaining mask.
+
+In these closures register indices, immediates and operator callables
+are closure cells, perf counters are pre-interned integer slots of the
+flat :class:`~repro.core.perf.PerfCounters` storage, and ``x0`` reads
+need no special case (the register file never writes slot 0, so
+``values[0]``/``ready_cycle[0]`` are constant) while ``x0`` writes are
+compiled out.
+
+Everything else is rare on the benchmark traffic and runs on the seed
+executor it would otherwise duplicate: jumps, integer loads and stores,
+CSR, Xdma and ``ebreak`` on :meth:`IntCore._execute_int`; ``frep``,
+``scfgw``/``scfgr``, FP CSRs and FP ops that read or return integer
+operands on :meth:`IntCore._dispatch_fp`; ``frep``, FP CSR and ``scfg``
+issue on :meth:`FpSubsystem._issue_entry`.  A traced core runs every
+integer-side instruction on the seed executors, which emit the trace
+events.  The seed executors are the lockstep oracle, so those paths are
+bit-identical by construction; ``docs/performance.md`` gives the
+measured instruction mix and the rule for specialising a class.
 
 Integer micro-ops are lowered per core (:func:`lower_int`) and capture
 the core's register file and perf slots directly.  FP micro-ops
 (:func:`lower_fp`) are attached to :class:`DispatchedEntry` objects and
 shared across FP subsystems (the SPMD program is shared), so they take
 the subsystem as an argument and use its pre-resolved slot attributes.
+Each instruction's issue micro-op is built once, when its dispatch is
+lowered, not once per dispatched entry.
 
 Behaviour contract: a micro-op performs *exactly* the state transitions
 and counter bumps of the seed interpreter for the same machine state --
@@ -38,6 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro.core.fp_subsystem import FpSubsystem
 from repro.core.fpu import EXECUTORS, UNPIPELINED_CLASSES, InFlightOp
 from repro.core.lsu import _PendingLoad
 from repro.core.perf import SLOT, StallReason
@@ -45,7 +61,6 @@ from repro.core.sequencer import DispatchedEntry
 from repro.isa.csr import is_fp_csr
 from repro.isa.instructions import Instr, InstrClass
 
-_NEVER = 1 << 60
 _MASK = 0xFFFFFFFF
 
 #: Shared empty operand dict for FP entries that capture no integer
@@ -61,32 +76,25 @@ def lower_int(core, instr: Instr):
     iclass = instr.iclass
     if instr.is_fp or (iclass is InstrClass.CSR and is_fp_csr(instr.csr)):
         return _lower_dispatch(core, instr)
-    if iclass in (InstrClass.INT_ALU, InstrClass.INT_MUL,
-                  InstrClass.INT_DIV):
-        return _lower_alu(core, instr)
-    if iclass is InstrClass.LOAD:
-        return _lower_load(core, instr)
-    if iclass is InstrClass.STORE:
-        return _lower_store(core, instr)
-    if iclass is InstrClass.BRANCH:
-        return _lower_branch(core, instr)
-    if iclass is InstrClass.JUMP:
-        return _lower_jump(core, instr)
-    if iclass in (InstrClass.CSR, InstrClass.DMA, InstrClass.SYS):
-        return _lower_slow(core, instr)
-    raise RuntimeError(f"integer core cannot execute {instr.mnemonic}")
+    if core.trace is None:
+        if iclass in (InstrClass.INT_ALU, InstrClass.INT_MUL,
+                      InstrClass.INT_DIV):
+            return _lower_alu(core, instr)
+        if iclass is InstrClass.BRANCH:
+            return _lower_branch(core, instr)
+    execute = core._execute_int
+
+    def uop(cycle):
+        execute(cycle, instr)
+    return uop
 
 
 _S_INT_INSTRS = SLOT["int_instrs"]
 _S_HAZ = SLOT["int_hazard_stalls"]
-_S_LSU = SLOT["int_lsu_stalls"]
 _S_DISP = SLOT["int_dispatch_stalls"]
 _S_TAKEN = SLOT["branches_taken"]
 _S_NOT_TAKEN = SLOT["branches_not_taken"]
 _S_FP_DISPATCHES = SLOT["fp_dispatches"]
-_S_FREP_OPS = SLOT["frep_ops"]
-_S_FP_CSR_OPS = SLOT["fp_csr_ops"]
-_S_SCFG_OPS = SLOT["scfg_ops"]
 _S_FP_LSU_OPS = SLOT["fp_lsu_ops"]
 _S_FP_LOADS = SLOT["fp_loads"]
 _S_FP_STORES = SLOT["fp_stores"]
@@ -94,21 +102,6 @@ _S_COMPUTE = SLOT["fpu_compute_ops"]
 _S_SSR_READS = SLOT["ssr_reg_reads"]
 _S_CHAIN_POPS = SLOT["chain_pops"]
 _S_RF_READS = SLOT["fp_rf_reads"]
-
-
-def _finish(core, instr, dispatched):
-    """Shared epilogue: instruction-count bump plus optional trace."""
-    vals = core.perf.values
-    s_instrs = _S_INT_INSTRS
-    trace = core.trace
-    if trace is None:
-        def finish(cycle):
-            vals[s_instrs] += 1
-    else:
-        def finish(cycle):
-            vals[s_instrs] += 1
-            trace.int_issue(cycle, instr, dispatched)
-    return finish
 
 
 def _lower_alu(core, instr: Instr):
@@ -120,7 +113,7 @@ def _lower_alu(core, instr: Instr):
     rd, rs1, rs2, imm = instr.rd, instr.rs1, instr.rs2, instr.imm
     vals = core.perf.values
     s_haz = _S_HAZ
-    finish = _finish(core, instr, False)
+    s_instrs = _S_INT_INSTRS
 
     if mn in ("lui", "auipc"):
         upper = (imm << 12) & _MASK
@@ -132,7 +125,7 @@ def _lower_alu(core, instr: Instr):
                 rvals[rd] = value
                 rready[rd] = cycle + 1
             core.pc += 4
-            finish(cycle)
+            vals[s_instrs] += 1
         return uop
 
     imm_form = mn in _IMM_TO_ALU
@@ -157,7 +150,7 @@ def _lower_alu(core, instr: Instr):
                 rvals[rd] = op(rvals[rs1], imm) & _MASK
                 rready[rd] = cycle + latency
             core.pc += 4
-            finish(cycle)
+            vals[s_instrs] += 1
     else:
         def uop(cycle):
             if rready[rs1] > cycle or rready[rs2] > cycle:
@@ -167,64 +160,7 @@ def _lower_alu(core, instr: Instr):
                 rvals[rd] = op(rvals[rs1], rvals[rs2]) & _MASK
                 rready[rd] = cycle + latency
             core.pc += 4
-            finish(cycle)
-    return uop
-
-
-def _lower_load(core, instr: Instr):
-    mn = instr.mnemonic
-    regs = core.regs
-    rvals, rready = regs.values, regs.ready_cycle
-    rd, rs1, imm = instr.rd, instr.rs1, instr.imm
-    width = {"lb": 1, "lbu": 1, "lh": 2, "lhu": 2, "lw": 4}[mn]
-    port = core.port
-    vals = core.perf.values
-    s_haz = _S_HAZ
-    s_lsu = _S_LSU
-    finish = _finish(core, instr, False)
-
-    def uop(cycle):
-        if rready[rs1] > cycle:
-            vals[s_haz] += 1
-            return
-        if port._pending is not None or port._response_ready \
-                or core._pending_load_rd is not None:
-            vals[s_lsu] += 1
-            return
-        port.request((rvals[rs1] + imm) & _MASK, width=width)
-        core._pending_load_rd = rd
-        core._pending_load_mn = mn
-        if rd:
-            rready[rd] = _NEVER
-        core.pc += 4
-        finish(cycle)
-    return uop
-
-
-def _lower_store(core, instr: Instr):
-    mn = instr.mnemonic
-    regs = core.regs
-    rvals, rready = regs.values, regs.ready_cycle
-    rs1, rs2, imm = instr.rs1, instr.rs2, instr.imm
-    width = {"sb": 1, "sh": 2, "sw": 4}[mn]
-    port = core.port
-    vals = core.perf.values
-    s_haz = _S_HAZ
-    s_lsu = _S_LSU
-    finish = _finish(core, instr, False)
-
-    def uop(cycle):
-        if rready[rs1] > cycle or rready[rs2] > cycle:
-            vals[s_haz] += 1
-            return
-        if port._pending is not None or port._response_ready \
-                or core._pending_load_rd is not None:
-            vals[s_lsu] += 1
-            return
-        port.request((rvals[rs1] + imm) & _MASK, is_write=True,
-                     data=rvals[rs2], width=width)
-        core.pc += 4
-        finish(cycle)
+            vals[s_instrs] += 1
     return uop
 
 
@@ -240,7 +176,7 @@ def _lower_branch(core, instr: Instr):
     s_haz = _S_HAZ
     s_taken = _S_TAKEN
     s_not = _S_NOT_TAKEN
-    finish = _finish(core, instr, False)
+    s_instrs = _S_INT_INSTRS
     # A taken backward branch closes a loop iteration; under the loop
     # memo it flags the loop head for the cluster's run loop.
     mark_head = core.memo_heads and imm < 0
@@ -258,84 +194,39 @@ def _lower_branch(core, instr: Instr):
         else:
             core.pc += 4
             vals[s_not] += 1
-        finish(cycle)
-    return uop
-
-
-def _lower_jump(core, instr: Instr):
-    regs = core.regs
-    rvals, rready = regs.values, regs.ready_cycle
-    rd, rs1, imm = instr.rd, instr.rs1, instr.imm
-    penalty_plus_one = 1 + core.cfg.jump_penalty
-    vals = core.perf.values
-    s_haz = _S_HAZ
-    finish = _finish(core, instr, False)
-
-    if instr.mnemonic == "jal":
-        def uop(cycle):
-            if rd:
-                rvals[rd] = (core.pc + 4) & _MASK
-                rready[rd] = cycle + 1
-            core.pc += imm
-            core.stall_until = cycle + penalty_plus_one
-            finish(cycle)
-    else:  # jalr
-        def uop(cycle):
-            if rready[rs1] > cycle:
-                vals[s_haz] += 1
-                return
-            target = (rvals[rs1] + imm) & ~1
-            if rd:
-                rvals[rd] = (core.pc + 4) & _MASK
-                rready[rd] = cycle + 1
-            core.pc = target
-            core.stall_until = cycle + penalty_plus_one
-            finish(cycle)
-    return uop
-
-
-def _lower_slow(core, instr: Instr):
-    """CSR / Xdma / SYS: rare enough to reuse the seed executors."""
-    iclass = instr.iclass
-    finish = _finish(core, instr, False)
-
-    if iclass is InstrClass.SYS:
-        def uop(cycle):
-            core.halted = True
-            core.pc += 4
-            finish(cycle)
-    elif iclass is InstrClass.CSR:
-        def uop(cycle):
-            core._execute_csr(cycle, instr)
-            core.pc += 4
-            finish(cycle)
-    else:  # DMA
-        def uop(cycle):
-            if not core._execute_dma(cycle, instr):
-                return
-            core.pc += 4
-            finish(cycle)
+        vals[s_instrs] += 1
     return uop
 
 
 def _lower_dispatch(core, instr: Instr):
     """FP-subsystem instructions: resolve operands, enqueue, move on."""
-    fp = core.fp
-    queue = fp.sequencer.queue
+    fp_uop = lower_fp(instr, core.cfg)
+    spec = instr.spec
+    fp_access = instr.iclass in (InstrClass.FP_LOAD, InstrClass.FP_STORE)
+    # Only plain FP compute ops exchange no operand with the integer
+    # core: frep, scfg and CSR instructions all read or return one.
+    plain_compute = spec.rd_domain != "x" and spec.rs1_domain != "x"
+    if core.trace is not None or not (fp_access or plain_compute):
+        # The seed dispatch attaches the issue micro-op built above.
+        dispatch = core._dispatch_fp
+
+        def uop(cycle):
+            dispatch(cycle, instr, fp_uop)
+        return uop
+
+    queue = core.fp.sequencer.queue
     qdepth = core.cfg.fp_queue_depth
-    regs = core.regs
-    rvals, rready = regs.values, regs.ready_cycle
-    rs1, rs2, imm = instr.rs1, instr.rs2, instr.imm
     vals = core.perf.values
-    s_haz = _S_HAZ
     s_disp = _S_DISP
     s_fpdisp = _S_FP_DISPATCHES
-    finish = _finish(core, instr, True)
-    fp_uop = lower_fp(instr, core.cfg)
-    iclass = instr.iclass
-    spec = instr.spec
+    s_instrs = _S_INT_INSTRS
 
-    if iclass in (InstrClass.FP_LOAD, InstrClass.FP_STORE):
+    if fp_access:
+        regs = core.regs
+        rvals, rready = regs.values, regs.ready_cycle
+        rs1, imm = instr.rs1, instr.imm
+        s_haz = _S_HAZ
+
         def uop(cycle):
             if len(queue) >= qdepth:
                 vals[s_disp] += 1
@@ -349,135 +240,13 @@ def _lower_dispatch(core, instr: Instr):
             queue.append(entry)
             vals[s_fpdisp] += 1
             core.pc += 4
-            finish(cycle)
-        return uop
-
-    if iclass is InstrClass.FREP:
-        def uop(cycle):
-            if len(queue) >= qdepth:
-                vals[s_disp] += 1
-                return
-            if rready[rs1] > cycle:
-                vals[s_haz] += 1
-                return
-            entry = DispatchedEntry(instr, {"rs1": rvals[rs1]}, False)
-            entry.uop = fp_uop
-            queue.append(entry)
-            vals[s_fpdisp] += 1
-            core.pc += 4
-            finish(cycle)
-        return uop
-
-    if iclass is InstrClass.SCFG:
-        if instr.mnemonic == "scfgw":
-            def uop(cycle):
-                if len(queue) >= qdepth:
-                    vals[s_disp] += 1
-                    return
-                if rready[rs1] > cycle or rready[rs2] > cycle:
-                    vals[s_haz] += 1
-                    return
-                entry = DispatchedEntry(
-                    instr, {"rs1": rvals[rs1], "rs2": rvals[rs2]}, False)
-                entry.uop = fp_uop
-                queue.append(entry)
-                vals[s_fpdisp] += 1
-                core.pc += 4
-                finish(cycle)
-        else:  # scfgr: result returns to the integer core
-            def uop(cycle):
-                if len(queue) >= qdepth:
-                    vals[s_disp] += 1
-                    return
-                if rready[rs1] > cycle:
-                    vals[s_haz] += 1
-                    return
-                entry = DispatchedEntry(instr, {"rs1": rvals[rs1]}, True)
-                entry.uop = fp_uop
-                queue.append(entry)
-                vals[s_fpdisp] += 1
-                core.pc += 4
-                finish(cycle)
-                core.waiting_sync = instr
-        return uop
-
-    if iclass is InstrClass.CSR:
-        reads_rs1 = spec.rs1_domain == "x" and instr.mnemonic in (
-            "csrrw", "csrrs", "csrrc")
-        sync = instr.rd != 0
-
-        def uop(cycle):
-            if len(queue) >= qdepth:
-                vals[s_disp] += 1
-                return
-            if reads_rs1:
-                if rready[rs1] > cycle:
-                    vals[s_haz] += 1
-                    return
-                entry = DispatchedEntry(instr, {"rs1": rvals[rs1]}, sync)
-            else:
-                entry = DispatchedEntry(instr, _NO_VALS, sync)
-            entry.uop = fp_uop
-            queue.append(entry)
-            vals[s_fpdisp] += 1
-            core.pc += 4
-            finish(cycle)
-            if sync:
-                core.waiting_sync = instr
-        return uop
-
-    if spec.rd_domain == "x":
-        # FP compare / fcvt.w.d: result returns to the integer core.
-        def uop(cycle):
-            if len(queue) >= qdepth:
-                vals[s_disp] += 1
-                return
-            entry = DispatchedEntry(instr, _NO_VALS, True)
-            entry.uop = fp_uop
-            queue.append(entry)
-            vals[s_fpdisp] += 1
-            core.pc += 4
-            finish(cycle)
-            core.waiting_sync = instr
-        return uop
-
-    if spec.rs1_domain == "x":
-        # fcvt.d.w: signed integer operand captured at dispatch.
-        def uop(cycle):
-            if len(queue) >= qdepth:
-                vals[s_disp] += 1
-                return
-            if rready[rs1] > cycle:
-                vals[s_haz] += 1
-                return
-            value = rvals[rs1]
-            if value & 0x80000000:
-                value -= 1 << 32
-            entry = DispatchedEntry(instr, {"rs1": value}, False)
-            entry.uop = fp_uop
-            queue.append(entry)
-            vals[s_fpdisp] += 1
-            core.pc += 4
-            finish(cycle)
+            vals[s_instrs] += 1
         return uop
 
     # Plain FP compute: no integer operands, so one immutable entry
-    # serves every dispatch of this instruction.  The hottest dispatch
-    # of the stencils, so the untraced epilogue is inlined.
+    # serves every dispatch of this instruction.
     shared_entry = DispatchedEntry(instr, _NO_VALS, False)
     shared_entry.uop = fp_uop
-    if core.trace is None:
-        s_instrs = _S_INT_INSTRS
-
-        def uop(cycle):
-            if len(queue) >= qdepth:
-                vals[s_disp] += 1
-                return
-            queue.append(shared_entry)
-            vals[s_fpdisp] += 1
-            core.pc += 4
-            vals[s_instrs] += 1
-        return uop
 
     def uop(cycle):
         if len(queue) >= qdepth:
@@ -486,7 +255,7 @@ def _lower_dispatch(core, instr: Instr):
         queue.append(shared_entry)
         vals[s_fpdisp] += 1
         core.pc += 4
-        finish(cycle)
+        vals[s_instrs] += 1
     return uop
 
 
@@ -499,42 +268,16 @@ def lower_fp(instr: Instr, cfg):
     accounting included -- exactly as the seed
     :meth:`FpSubsystem._issue` would.  It is shared across FP
     subsystems, so per-cluster state (perf slots, streamers, chaining)
-    is reached through pre-resolved attributes on ``fp``.
+    is reached through pre-resolved attributes on ``fp``.  ``frep``,
+    FP CSR and ``scfg`` issue is the seed's own.
     """
     iclass = instr.iclass
-
-    if iclass is InstrClass.FREP:
-        def issue(fp, entry, cycle):
-            seq = fp.sequencer
-            seq.begin_frep(entry)
-            seq.queue.popleft()
-            fp._pvals[_S_FREP_OPS] += 1
-            if fp.trace is not None:
-                fp.trace.fp_issue(cycle, instr, "frep")
-        return issue
-
-    if iclass is InstrClass.CSR:
-        def issue(fp, entry, cycle):
-            fp._apply_csr(entry)
-            fp.sequencer.advance()
-            fp._pvals[_S_FP_CSR_OPS] += 1
-            if fp.trace is not None:
-                fp.trace.fp_issue(cycle, instr, "csr")
-        return issue
-
-    if iclass is InstrClass.SCFG:
-        def issue(fp, entry, cycle):
-            fp._apply_scfg(entry)
-            fp.sequencer.advance()
-            fp._pvals[_S_SCFG_OPS] += 1
-            if fp.trace is not None:
-                fp.trace.fp_issue(cycle, instr, "scfg")
-        return issue
-
     if iclass is InstrClass.FP_LOAD:
         return _lower_fp_load(instr)
     if iclass is InstrClass.FP_STORE:
         return _lower_fp_store(instr)
+    if iclass in (InstrClass.FREP, InstrClass.CSR, InstrClass.SCFG):
+        return FpSubsystem._issue_entry
     return _lower_fp_compute(instr, cfg)
 
 

@@ -21,6 +21,11 @@ from typing import Any, Callable
 #: declines indirect writes).
 AFFINE_READ, INDIRECT_READ, WRITE = range(3)
 
+_RETIRE_INDEX = """\
+if {index_ready}:
+    {take_index}
+    wk = True
+"""
 #: A read retires a granted data fetch, then a granted index fetch (an
 #: affine read may hold one from an earlier arming).
 _RETIRE_READ = """\
@@ -30,14 +35,26 @@ if {data_ready}:
     {requested} = False
     {moved} += 1
     wk = True
-if {index_ready}:
-    {take_index}
-    wk = True
-"""
+""" + _RETIRE_INDEX
 
 _FETCH_INDEX = """\
 if {more_index} and {index_idle} and {index_fill} < {depth}:
     {fetch_index}
+    wk = True
+"""
+
+_RETIRE_WRITE = """\
+wk = False
+if {data_ready}:
+    {retire_write}
+    {moved} += 1
+    wk = True
+"""
+_WRITE = """\
+if {fill} and {data_idle} and ({held} or {more}):
+    if not {held}:
+        {hold}
+    {write}
     wk = True
 """
 
@@ -54,26 +71,13 @@ if {index_fill} and {data_idle} and {depth} - {fill} - {requested} > 0:
     {requested} = True
     wk = True
 """ + _FETCH_INDEX,
-    WRITE: """\
-wk = False
-if {data_ready}:
-    {retire_write}
-    {moved} += 1
-    wk = True
-if {fill} and {data_idle} and ({held} or {more}):
-    if not {held}:
-        {hold}
-    {write}
-    wk = True
-""",
+    WRITE: _RETIRE_WRITE + _WRITE,
 }
 
-#: An indirect write takes its address from the index FIFO: data left
-#: at an idle port found none, and then no index fetch starts.  A write
-#: never retires an index response, which keeps its index port busy.
-_WRITE_FETCH_INDEX = """\
-if not ({fill} and {data_idle}) and not {index_ready}:
-""" + "".join(f"    {line}\n" for line in _FETCH_INDEX.splitlines())
+#: An indirect write retires index responses into its index FIFO, takes
+#: each address from it (:data:`_INDIRECT_VERBS`) and keeps fetching
+#: indices, as the indirect read does.
+_INDIRECT_WRITE = _RETIRE_WRITE + _RETIRE_INDEX + _WRITE + _FETCH_INDEX
 
 _ACTIVE = "if wk:\n    {active} += 1\n"
 
@@ -234,8 +238,8 @@ def stream_step(s, mode: int) -> Callable[[], None]:
     if factory is None:
         verbs = {verb: pair[0] for verb, pair in _VERBS.items()}
         verbs.update(_INDIRECT_VERBS if key[1] else {}, depth=key[2])
-        rule = RULES[mode] + (_WRITE_FETCH_INDEX if mode == WRITE and key[1]
-                              else "") + _ACTIVE
+        rule = (_INDIRECT_WRITE if mode == WRITE and key[1]
+                else RULES[mode]) + _ACTIVE
         body = "\n".join(" " * 8 + line for line in _expand(rule, verbs))
         factory = _STEP_FACTORIES[key] = compile_factory(
             _STEP_TEMPLATE.format(body=body), f"<stream step {key}>")

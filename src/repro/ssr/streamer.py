@@ -217,16 +217,18 @@ class SsrStreamer:
             self._pending_write_addr = None
             self.elements_moved += 1
             worked = True
-        # Launch the next write.
+        # Indirect scatter: retire a granted index fetch.
+        if self._igen is not None and self.idx_port.response_ready():
+            self._idx_fifo.append(int(self.idx_port.take_response()))
+            worked = True
+        # Launch the next write once its address is known.
         if self._fifo and not self.data_port.busy:
             if self._pending_write_addr is None:
-                addr = self._next_data_addr()
-                if addr is None:
-                    return worked
-                self._pending_write_addr = addr
-            self.data_port.request(self._pending_write_addr, is_write=True,
-                                   data=self._fifo[0])
-            worked = True
+                self._pending_write_addr = self._next_data_addr()
+            if self._pending_write_addr is not None:
+                self.data_port.request(self._pending_write_addr,
+                                       is_write=True, data=self._fifo[0])
+                worked = True
         # Indirect scatter: keep the index FIFO fed.
         if (self._igen is not None and not self._igen.exhausted
                 and not self.idx_port.busy

@@ -27,10 +27,12 @@ from repro.kernels.ssrgen import SsrPatternAsm
 from repro.kernels.stencil_codegen import build_stencil
 from repro.kernels.variants import VARIANT_ORDER, Variant
 from repro.kernels.vecop import VecopVariant, build_vecop
+from repro.ssr.config import CfgField, cfg_addr
 from repro.trace import TraceRecorder
 
 DATA = 0x2000
 IDX = 0x3000
+SCATTER_IDX = 0x3400
 OUT = 0x6000
 
 
@@ -233,6 +235,33 @@ def test_vecop_frep_traced_equivalent():
     assert_equivalent(build, trace=True, engines=("scalar-v2", "auto"))
 
 
+def test_indirect_scatter_writes_every_element():
+    """An indirect write stream scatters ``out[idx[i]] = src[i]``: the
+    streamer retires every index response into its index FIFO."""
+    idx = np.array([5, 2, 7, 0, 3, 6, 1, 4], dtype=np.uint32)
+    src = np.arange(1.0, 9.0)
+    streams = [
+        # fmv.d names ft0 twice: repeat serves each element to both.
+        SsrPatternAsm(ssr=0, base=DATA, bounds=[8], strides=[8], repeat=1),
+        SsrPatternAsm(ssr=2, base=OUT, bounds=[8], strides=[8], write=True,
+                      indirect=True, idx_base=IDX, idx_size=4, idx_shift=3),
+    ]
+    source = "\n".join([p.emit() for p in streams] + [
+        "csrrsi x0, 0x7C0, 1", "li t0, 8", "loop:", "fmv.d ft2, ft0",
+        "addi t0, t0, -1", "bne t0, x0, loop", "csrrci x0, 0x7C0, 1",
+        "ebreak"])
+
+    def load(cluster):
+        cluster.load_f64(DATA, src)
+        cluster.mem.write_array(IDX, idx)
+
+    ref = assert_equivalent(source, loader=load)
+    expected = np.zeros(8)
+    expected[idx] = src
+    assert list(ref.read_f64(OUT, (8,))) == list(expected)
+    assert ref.fp.streamers[2].elements_moved == 8
+
+
 def test_binary_fetch_equivalent():
     spec, _ = get_stencil("j2d5pt")
     from repro.kernels.layout import Grid3d
@@ -264,12 +293,49 @@ _IMM_OPS = ("addi", "andi", "ori", "xori", "slti", "slli", "srli", "srai")
 _BRANCHES = ("beq", "bne", "blt", "bge", "bltu", "bgeu")
 
 
-def _random_program(rng: random.Random) -> str:
+def _boundary_instrs(rng: random.Random, tag: str) -> list[str]:
+    """One instruction (with its setup) of a class the micro-op engine
+    runs on the seed executors: jumps, byte and halfword loads and
+    stores, FP compares and conversions with integer operands, SSR
+    config access and FP CSR reads.  Jumps skip one instruction
+    forward; config access touches only unarmed lanes."""
+    r = lambda: rng.randrange(1, 8)              # noqa: E731
+    f = lambda: rng.randrange(3, 10)             # noqa: E731
+    kind = rng.randrange(8)
+    if kind == 0:
+        return [f"jal x{r()}, {tag}", f"addi x{r()}, x{r()}, 1", f"{tag}:"]
+    if kind == 1:
+        # auipc gives jalr its base: the target is two instructions on.
+        return ["auipc x5, 0", f"jalr x{r()}, x5, 12",
+                f"addi x{r()}, x{r()}, 1"]
+    if kind == 2:
+        mn = rng.choice(("lb", "lbu", "lh", "lhu"))
+        width = 1 if mn in ("lb", "lbu") else 2
+        return [f"{mn} x{r()}, {width * rng.randrange(0, 64)}(x8)"]
+    if kind == 3:
+        mn = rng.choice(("sb", "sh"))
+        width = 1 if mn == "sb" else 2
+        return [f"{mn} x{r()}, {width * rng.randrange(0, 64)}(x8)"]
+    if kind == 4:
+        return [f"{rng.choice(('flt.d', 'fle.d'))} x{r()}, f{f()}, f{f()}"]
+    if kind == 5:
+        return [rng.choice((f"fcvt.w.d x{r()}, f{f()}",
+                            f"fcvt.d.w f{f()}, x{r()}"))]
+    if kind == 6:
+        return [f"csrr x{r()}, 0x7C3"]
+    addr = cfg_addr(rng.randrange(3), CfgField.BOUND0 + rng.randrange(2))
+    access = rng.choice((f"scfgw x{r()}, x6", f"scfgr x{r()}, x6"))
+    return [f"li x6, {addr}", access]
+
+
+def _random_program(rng: random.Random, boundary: bool = False) -> str:
     """A random terminating program over a safe instruction subset.
 
     Integer regs x1..x7 compute, x8/x9 hold data bases, FP regs f3..f9
     compute with f20..f23 optionally chain-enabled; branches only jump
-    forward, so the program always reaches ``ebreak``.
+    forward, so the program always reaches ``ebreak``.  With
+    ``boundary`` about a third of the steps are
+    :func:`_boundary_instrs`; the other steps draw as without it.
     """
     lines = [f"li x8, {DATA}", f"li x9, {OUT}"]
     if rng.random() < 0.6:
@@ -285,6 +351,9 @@ def _random_program(rng: random.Random) -> str:
         if pending_label is not None and rng.random() < 0.7:
             lines.append(f"{pending_label}:")
             pending_label = None
+        if boundary and rng.random() < 0.35:
+            lines += _boundary_instrs(rng, f"skip{len(lines)}")
+            continue
         kind = rng.random()
         r = lambda: rng.randrange(1, 8)          # noqa: E731
         f = lambda: rng.randrange(3, 10)         # noqa: E731
@@ -340,14 +409,17 @@ def _random_program(rng: random.Random) -> str:
     return "\n".join(lines)
 
 
-def _random_ssr_program(rng: random.Random) -> tuple[str, np.ndarray]:
-    """A random stream program and the index array it gathers through.
+def _random_ssr_program(rng: random.Random, scatter: bool = False
+                        ) -> tuple[str, dict[int, np.ndarray]]:
+    """A random stream program and its index arrays, by address.
 
     SSR0 gathers ``DATA`` through the index array at ``IDX``, SSR1 reads
     ``DATA`` affinely (2-D, optionally repeating) and SSR2 writes to
-    ``OUT``; a random body of plain and chained FMAs, some inside an
-    ``frep.o``, pops and pushes exactly as many elements as the streams
-    hold, with ``fsd`` of plain and stream registers between steps.
+    ``OUT`` -- affinely, or with ``scatter`` through the index array at
+    ``SCATTER_IDX``; a random body of plain and chained FMAs, some
+    inside an ``frep.o``, pops and pushes exactly as many elements as
+    the streams hold, with ``fsd`` of plain and stream registers between
+    steps.  ``scatter`` draws only after everything else.
     """
     frep = rng.random() < 0.5
     iters = rng.randrange(1, 4)
@@ -420,6 +492,16 @@ def _random_ssr_program(rng: random.Random) -> tuple[str, np.ndarray]:
         SsrPatternAsm(ssr=2, base=OUT, bounds=[pushes * iters],
                       strides=[8], write=True),
     ]
+    dtype = np.uint16 if idx_size == 2 else np.uint32
+    indices = {IDX: np.array([rng.randrange(128) for _ in range(e0)],
+                             dtype=dtype)}
+    if scatter:
+        streams[2].indirect = True
+        streams[2].idx_base = SCATTER_IDX
+        streams[2].idx_size = rng.choice((2, 4))
+        indices[SCATTER_IDX] = np.array(
+            [rng.randrange(64) for _ in range(pushes * iters)],
+            dtype=np.uint16 if streams[2].idx_size == 2 else np.uint32)
     lines = [f"li x8, {DATA}", f"li x9, {OUT + 0x200}"]
     lines += [p.emit() for p in streams]
     lines += [f"li x7, {(1 << 20) | (1 << 21)}", "csrrw x0, 0x7C3, x7",
@@ -434,9 +516,7 @@ def _random_ssr_program(rng: random.Random) -> tuple[str, np.ndarray]:
         lines += first + body * (iters - 1)
     lines += ["csrrci x0, 0x7C0, 1", "csrrwi x0, 0x7C3, 0",
               "fsd f3, 0(x9)", "ebreak"]
-    dtype = np.uint16 if idx_size == 2 else np.uint32
-    idx = np.array([rng.randrange(128) for _ in range(e0)], dtype=dtype)
-    return "\n".join(lines), idx
+    return "\n".join(lines), indices
 
 
 def _lockstep_state(cluster: Cluster) -> tuple:
@@ -470,10 +550,16 @@ def _lockstep_state(cluster: Cluster) -> tuple:
     )
 
 
-@pytest.mark.parametrize("seed", range(25))
-def test_fuzz_lockstep_per_cycle(seed):
+@pytest.mark.parametrize(
+    "seed,boundary",
+    [pytest.param(seed, False, id=str(seed)) for seed in range(25)]
+    + [pytest.param(seed, True, id=f"{seed}-boundary")
+       for seed in range(25)])
+def test_fuzz_lockstep_per_cycle(seed, boundary):
+    """Random programs, cycle by cycle; the ``boundary`` family also
+    runs every class the micro-op engine hands to the seed executors."""
     rng = random.Random(1234 + seed)
-    source = _random_program(rng)
+    source = _random_program(rng, boundary)
     data = np.array([rng.uniform(-4, 4) for _ in range(128)])
 
     clusters = []
@@ -507,23 +593,27 @@ def apply_layout(layout: str, streamers, lsu_port) -> None:
 
 
 @pytest.mark.parametrize(
-    "seed,layout",
-    [pytest.param(seed, "default", id=str(seed)) for seed in range(25)]
-    + [pytest.param(seed, layout, id=f"{seed}-{layout}")
-       for layout in PORT_LAYOUTS for seed in range(25)])
-def test_fuzz_lockstep_streams_per_cycle(seed, layout):
+    "seed,layout,scatter",
+    [pytest.param(seed, layout, scatter,
+                  id="-".join([str(seed)] + [layout] * (layout != "default")
+                              + ["scatter"] * scatter))
+     for scatter in (False, True)
+     for layout in ("default",) + PORT_LAYOUTS for seed in range(25)])
+def test_fuzz_lockstep_streams_per_cycle(seed, layout, scatter):
     """Stream-heavy programs: every streamer's FIFOs and counters and
     every TCDM port's pending request and response, cycle by cycle --
-    on the default port layout and on each of :data:`PORT_LAYOUTS`."""
+    on the default port layout and on each of :data:`PORT_LAYOUTS`,
+    with SSR2 an affine or (``scatter``) an indirect write."""
     rng = random.Random(4321 + seed)
-    source, idx = _random_ssr_program(rng)
+    source, indices = _random_ssr_program(rng, scatter)
     data = np.array([rng.uniform(-4, 4) for _ in range(128)])
 
     clusters = []
     for engine in ("scalar", "scalar-v2"):
         cluster = Cluster(source, cfg=CoreConfig(engine=engine))
         cluster.load_f64(DATA, data)
-        cluster.mem.write_array(IDX, idx)
+        for addr, idx in indices.items():
+            cluster.mem.write_array(addr, idx)
         apply_layout(layout, cluster.fp.streamers, cluster.fp.lsu.port)
         clusters.append(cluster)
     # An issue reading stream 1 in three operand positions needs three
