@@ -81,7 +81,17 @@ def _normalize_grid(grid) -> tuple[int, ...] | None:
     dims = tuple(int(d) for d in grid)
     if len(dims) not in (3, 4):
         raise ValueError(f"grid must be (nz, ny, nx[, radius]), got {grid!r}")
+    if min(dims) < 1:
+        raise ValueError(f"every grid dimension must be >= 1, got {grid!r}")
     return dims
+
+
+def _positive(field: str, value) -> int:
+    """``value`` as an integer of at least 1 (a bool is no count)."""
+    count = None if isinstance(value, bool) else int(value)
+    if count is None or count < 1:
+        raise ValueError(f"{field} must be an integer >= 1, got {value!r}")
+    return count
 
 
 def _normalize_overrides(overrides) -> tuple[tuple[str, object], ...]:
@@ -272,6 +282,9 @@ def workload(kernel: str, variant, grid=None, n=None, loop_mode=None,
         raise FieldError(
             "n" if n is not None else "loop_mode",
             f"kernel {kernel!r} takes grid/unroll, not n/loop_mode")
+    if loop_mode is not None and str(loop_mode) not in ("bne", "frep"):
+        raise FieldError("loop_mode", f"loop_mode must be 'bne' or 'frep', "
+                                      f"got {loop_mode!r}")
     if is_vecop and system:
         raise FieldError(
             "system", f"kernel {kernel!r} cannot take system axes; "
@@ -280,9 +293,9 @@ def workload(kernel: str, variant, grid=None, n=None, loop_mode=None,
         kernel=kernel,
         variant=label,
         grid=_checked("grid", _normalize_grid, grid),
-        n=_checked("n", int, n) if n is not None else None,
+        n=_checked("n", _positive, "n", n) if n is not None else None,
         loop_mode=str(loop_mode) if loop_mode is not None else None,
-        unroll=_checked("unroll", int, unroll)
+        unroll=_checked("unroll", _positive, "unroll", unroll)
         if unroll is not None else None,
         overrides=_checked("overrides", _normalize_overrides, overrides),
         system=_checked("system", _normalize_system, system),

@@ -5,6 +5,13 @@ compute core).  :func:`run_clusters` steps clusters cycle by cycle until
 the program halts (``ebreak``) and all decoupled work -- the FP queue,
 the FPU pipe, the LSUs and the SSR write streamers -- has drained.
 
+The micro-op engine and, under ``auto``, the FREP batch and the loop
+memo drive only the shape every workload builds: one core, no trace
+recorder, no ``fetch_from_memory``.  Any other cluster (several cores,
+a trace, binary fetch) steps on the seed interpreter whatever
+``CoreConfig.engine`` says; the engines are bit-identical, so only the
+wall time differs.
+
 Per-cycle component order (rationale in :mod:`repro.core.fp_subsystem`):
 
 1. FP subsystem (issue, then writeback),
@@ -81,25 +88,23 @@ class Cluster:
         if trace is not None and hasattr(trace, "attach"):
             trace.attach(self.fp)
         self.cycle = 0
-        self._single = num_cores == 1
-        #: Micro-op engine selection (pre-decoded dispatch);
-        #: bit-identical to the seed interpreter and trace-safe, so it
-        #: stays on under a trace recorder.
-        self._v2 = self.cfg.uses_uops
+        plain = num_cores == 1 and trace is None \
+            and not self.cfg.fetch_from_memory
+        #: Micro-op engine selection (pre-decoded dispatch).
+        self._v2 = plain and self.cfg.uses_uops
         #: Always zero (no idle-cycle skipping); perfbench reads it.
         self.ff_stats = {"spans": 0, "cycles": 0}
         #: Track name for this cluster's simulated-cycle obs events;
         #: a surrounding System renames it per cluster index.
         self.obs_lane = "cluster"
-        # Vectorized FREP/SSR fast path (repro.core.fastpath): attached
-        # to core 0 under "auto", engaged only when the detector proves
-        # a hardware loop safe.  Tracing needs every per-issue event, so
-        # "auto" silently runs without it under a trace.
+        # Vectorized FREP/SSR fast path and loop memo
+        # (repro.core.fastpath) under "auto", engaged only when the
+        # detector proves a region safe.
         self.fastpath = None
         #: Called after each micro-op cycle's arbitration while the loop
         #: memo records an iteration (None otherwise).
         self.cycle_observer = None
-        if self.cfg.engine == "auto" and trace is None:
+        if plain and self.cfg.engine == "auto":
             from repro.core.fastpath import FastPathEngine
 
             self.fastpath = FastPathEngine(self)
@@ -239,25 +244,15 @@ class Cluster:
         :meth:`_step_seed`, with idle components skipped by cheap state
         tests (each skipped call is a proven no-op)."""
         cycle = self.cycle
-        if self._single:
-            fp = self.fp
-            core = self.core
-            fp.step_v2(cycle)
-            core.step_v2(cycle)
-            for streamer in fp.streamers:
-                step = streamer.step_v2
-                if step is not None:
-                    step()
-            if core.barrier_wait:
-                self._release_barrier()
-        else:
-            for fp, core in zip(self.fps, self.cores):
-                fp.step_v2(cycle)
-                core.step_v2(cycle)
-                for streamer in fp.streamers:
-                    step = streamer.step_v2
-                    if step is not None:
-                        step()
+        fp = self.fp
+        core = self.core
+        fp.step_v2(cycle)
+        core.step_v2(cycle)
+        for streamer in fp.streamers:
+            step = streamer.step_v2
+            if step is not None:
+                step()
+        if core.barrier_wait:
             self._release_barrier()
         dma = self.dma
         if dma._queue:
@@ -271,7 +266,7 @@ class Cluster:
         # Outside an FREP region an idle fast-path engine has nothing to
         # observe, so the call is skipped (observe would return at once).
         if fastpath is not None and (fastpath._state
-                                     or self.fp.sequencer._active):
+                                     or fp.sequencer._active):
             fastpath.observe()
 
     def run(self, max_cycles: int = 5_000_000) -> PerfCounters:

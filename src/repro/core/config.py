@@ -94,10 +94,7 @@ class CoreConfig:
     #:   eligible hardware-loop regions, with the loop memo replaying
     #:   recorded integer-loop iterations, and the scalar-v2 micro-op
     #:   engine (pre-decoded dispatch, :mod:`repro.core.uops`)
-    #:   everywhere else.  With a trace recorder attached the fast path
-    #:   silently stands down (it skips per-issue events) while the
-    #:   micro-op engine keeps running -- it emits every trace event
-    #:   exactly like the seed interpreter;
+    #:   everywhere else;
     #: * ``"scalar-v2"`` -- the micro-op engine alone, stepping every
     #:   cycle: never the vectorized fast path or the loop memo;
     #: * ``"scalar"`` -- the seed cycle-by-cycle interpreter (the
@@ -109,10 +106,13 @@ class CoreConfig:
     #:   (see ``docs/fidelity.md``); a :class:`~repro.core.cluster.
     #:   Cluster` never sees this engine.
     #:
-    #: All cycle-accurate engines (everything except ``"analytical"``)
-    #: are bit-identical in every architecturally visible quantity:
-    #: results, cycle counts, perf counters, stall breakdowns, SSR/TCDM
-    #: traffic statistics, trace events and therefore energy.
+    #: ``"auto"`` and ``"scalar-v2"`` apply to a single-core cluster
+    #: without a trace recorder or ``fetch_from_memory``; any other
+    #: cluster steps on the seed interpreter.  All cycle-accurate
+    #: engines (everything except ``"analytical"``) are bit-identical in
+    #: every architecturally visible quantity: results, cycle counts,
+    #: perf counters, stall breakdowns, SSR/TCDM traffic statistics,
+    #: trace events and therefore energy.
     engine: str = "auto"
 
     #: Clock frequency used to convert cycles to time and energy to power.

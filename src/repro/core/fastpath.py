@@ -44,9 +44,9 @@ fidelity:
    TCDM traffic all land exactly where the scalar model would have put
    them -- the loop tail then drains through the scalar path.
 
-The engine is attached per cluster to compute core 0 under
-``CoreConfig.engine == "auto"`` (over the scalar-v2 micro-op engine); it
-only engages while every other core is halted and drained.
+The engine is attached to a single-core, untraced cluster without
+binary fetch under ``CoreConfig.engine == "auto"`` (over the scalar-v2
+micro-op engine); every other cluster steps on the seed interpreter.
 
 Integer-core loops, which never reach the FREP sequencer, are the loop
 memo's (:class:`LoopMemo`, in the second half of this module): it
@@ -268,21 +268,6 @@ def _prefix(where: list[int], body_len: int) -> list[int]:
     return prefix
 
 
-def _cluster_busy(cl, core) -> str | None:
-    """Why the cluster around ``core`` is not quiet -- another core not
-    halted and drained, or the DMA moving data -- or None when it is:
-    the precondition of every replay."""
-    for other, ofp in zip(cl.cores, cl.fps):
-        if other is not core and (
-                not other.halted or other.port.busy
-                or other._pending_load_rd is not None
-                or not ofp.idle or not ofp.streamers_done()):
-            return "other-core-busy"
-    if cl.dma._queue:
-        return "dma-busy"
-    return None
-
-
 def _prefix_f(pos: int, per_iter: int, prefix: list[int], body_len: int
               ) -> int:
     """Events in instruction instances ``[0, pos)`` given per-slot
@@ -303,13 +288,54 @@ def _last_instance(slots: list[int], bound: int, body_len: int) -> int:
     return best
 
 
+def _snapshot(cl) -> dict:
+    """Every counter of the machine, the start of a measured window
+    (the performance counters as a :meth:`PerfCounters.window`)."""
+    fp = cl.fp
+    streamers = []
+    for s in fp.streamers:
+        gen, igen = s._gen, s._igen
+        streamers.append((
+            s.active_cycles, s.elements_moved, s._to_consume, s._to_produce,
+            gen.position if gen is not None
+            else igen._pos if igen is not None else 0))
+    return {
+        "perf": cl.perf.window(),
+        "pos": fp.sequencer.position,
+        "replayed": fp.sequencer.replayed_instrs,
+        "chain": (fp.chain.pushes, fp.chain.pops,
+                  fp.chain.backpressure_events),
+        "tcdm": (cl.tcdm.total_accesses, cl.tcdm.total_conflicts,
+                 cl.tcdm.busy_bank_cycles),
+        "ports": [(p.reads, p.writes, p.conflicts) for p in cl.tcdm.ports],
+        "streamers": streamers,
+        "lsu": (fp.lsu.loads, fp.lsu.stores),
+        "dma": cl.dma.bytes_moved,
+    }
+
+
+def _since(cl, a: dict) -> dict:
+    """What changed since snapshot ``a``, entry by entry."""
+    b = _snapshot(cl)
+    delta: dict = {"perf": cl.perf.since(a["perf"])}
+    delta["ports"] = [tuple(y - x for x, y in zip(pa, pb))
+                      for pa, pb in zip(a["ports"], b["ports"])]
+    delta["streamers"] = [tuple(y - x for x, y in zip(sa, sb))
+                          for sa, sb in zip(a["streamers"], b["streamers"])]
+    for key in ("pos", "replayed", "dma"):
+        delta[key] = b[key] - a[key]
+    for key in ("chain", "tcdm", "lsu"):
+        delta[key] = tuple(y - x for x, y in zip(a[key], b[key]))
+    return delta
+
+
 def _apply_delta(cl, delta: dict, n: int) -> None:
     """Advance every counter of ``cl`` by ``n`` times a measured
-    :meth:`FastPathEngine._since` delta (the shared applier of the FREP
-    batch and the loop memo; stream data and positions are the
-    caller's)."""
+    :func:`_since` delta (the shared applier of the FREP batch and the
+    loop memo; stream data and positions are the caller's)."""
     cl.perf.replay(delta["perf"], n)
-    chain = cl.fp.chain
+    fp = cl.fp
+    chain = fp.chain
     cp, cpop, cbp = delta["chain"]
     chain.pushes += n * cp
     chain.pops += n * cpop
@@ -323,12 +349,11 @@ def _apply_delta(cl, delta: dict, n: int) -> None:
         port.reads += n * dr
         port.writes += n * dw
         port.conflicts += n * dc
-    for fp, (dl, dst) in zip(cl.fps, delta["lsu"]):
-        fp.lsu.loads += n * dl
-        fp.lsu.stores += n * dst
-    for (fi, si), (dact, dmov, dcons, dprod, _) in \
-            delta["streamers"].items():
-        s = cl.fps[fi].streamers[si]
+    dl, dst = delta["lsu"]
+    fp.lsu.loads += n * dl
+    fp.lsu.stores += n * dst
+    for s, (dact, dmov, dcons, dprod, _) in zip(fp.streamers,
+                                                delta["streamers"]):
         s.active_cycles += n * dact
         s.elements_moved += n * dmov
         s._to_consume += n * dcons
@@ -412,7 +437,7 @@ class FastPathEngine:
         prev = self._history.get(fingerprint)
         if prev is not None and pos > prev[1]:
             period, dpos = cycle - prev[0], pos - prev[1]
-            delta = self._since(prev[2])
+            delta = _since(self.cluster, prev[2])
             if not self._delta_ok(delta):
                 self._state = _REJECTED
                 return
@@ -428,7 +453,7 @@ class FastPathEngine:
             self._state = _REJECTED
             self._history.clear()
             return
-        self._history[fingerprint] = (cycle, pos, self._snapshot())
+        self._history[fingerprint] = (cycle, pos, _snapshot(self.cluster))
 
     def _reset(self) -> None:
         self._state = _IDLE
@@ -453,7 +478,7 @@ class FastPathEngine:
         if not core.halted and core.waiting_sync is None \
                 and core.stall_until > cl.cycle:
             return False
-        return not fp.lsu.busy and _cluster_busy(cl, core) is None
+        return not fp.lsu.busy and not cl.dma._queue
 
     # -- eligibility ---------------------------------------------------------
 
@@ -607,56 +632,9 @@ class FastPathEngine:
 
     # -- counter windows -----------------------------------------------------
 
-    def _snapshot(self) -> dict:
-        """Every counter of the machine, the start of a measured window
-        (the performance counters as a :meth:`PerfCounters.window`)."""
-        cl, fp = self.cluster, self.fp
-        streamers = {}
-        for fi, ofp in enumerate(cl.fps):
-            for si, s in enumerate(ofp.streamers):
-                gen, igen = s._gen, s._igen
-                streamers[(fi, si)] = (
-                    s.active_cycles, s.elements_moved,
-                    s._to_consume, s._to_produce,
-                    gen.position if gen is not None
-                    else igen._pos if igen is not None else 0)
-        return {
-            "perf": cl.perf.window(),
-            "pos": fp.sequencer.position,
-            "replayed": fp.sequencer.replayed_instrs,
-            "chain": (fp.chain.pushes, fp.chain.pops,
-                      fp.chain.backpressure_events),
-            "tcdm": (cl.tcdm.total_accesses, cl.tcdm.total_conflicts,
-                     cl.tcdm.busy_bank_cycles),
-            "ports": [(p.reads, p.writes, p.conflicts)
-                      for p in cl.tcdm.ports],
-            "streamers": streamers,
-            "lsu": tuple((ofp.lsu.loads, ofp.lsu.stores)
-                         for ofp in cl.fps),
-            "dma": cl.dma.bytes_moved,
-        }
-
-    def _since(self, a: dict) -> dict:
-        """What changed since snapshot ``a``, entry by entry."""
-        b = self._snapshot()
-        delta: dict = {"perf": self.cluster.perf.since(a["perf"])}
-        delta["ports"] = [tuple(y - x for x, y in zip(pa, pb))
-                          for pa, pb in zip(a["ports"], b["ports"])]
-        delta["streamers"] = {
-            key: tuple(y - x for x, y in zip(a["streamers"][key], value))
-            for key, value in b["streamers"].items()}
-        for key in ("pos", "replayed", "dma"):
-            delta[key] = b[key] - a[key]
-        for key in ("chain", "tcdm"):
-            delta[key] = tuple(y - x for x, y in zip(a[key], b[key]))
-        delta["lsu"] = tuple(
-            tuple(y - x for x, y in zip(la, lb))
-            for la, lb in zip(a["lsu"], b["lsu"]))
-        return delta
-
     def _delta_ok(self, delta: dict) -> bool:
         """Refuse windows containing any non-periodic (one-shot) event."""
-        if delta["dma"] or any(any(pair) for pair in delta["lsu"]):
+        if delta["dma"] or any(delta["lsu"]):
             return False
         if any(slot not in _PERIODIC_SLOTS for slot, _ in delta["perf"][0]):
             return False
@@ -667,10 +645,9 @@ class FastPathEngine:
         for index, d in enumerate(delta["ports"]):
             if ports[index] not in used_ports and any(d):
                 return False
-        core_index = self.cluster.cores.index(self.core)
         used_idx = set(plan.read_ppi) | set(plan.write_slots)
-        for (fi, si), d in delta["streamers"].items():
-            if (fi != core_index or si not in used_idx) and any(d):
+        for si, d in enumerate(delta["streamers"]):
+            if si not in used_idx and any(d):
                 return False
         return True
 
@@ -681,10 +658,8 @@ class FastPathEngine:
             return 0
         total_pos = seq.body_len * seq.iters
         n = (total_pos - seq.position - 1) // dpos
-        core_index = self.cluster.cores.index(self.core)
-        for si, s in enumerate(self.fp.streamers):
-            d = delta["streamers"].get((core_index, si))
-            if d is None or s._gen is None:
+        for s, d in zip(self.fp.streamers, delta["streamers"]):
+            if s._gen is None:
                 continue
             dact, dmov, dcons, dprod, dgen = d
             if dgen > 0:
@@ -707,7 +682,6 @@ class FastPathEngine:
         mem = cl.mem
         L = seq.body_len
         pipe_ops = fp.pipe.in_flight
-        core_index = cl.cores.index(self.core)
 
         pos0 = seq.position
         pos1 = pos0 + n * delta["pos"]
@@ -726,9 +700,7 @@ class FastPathEngine:
                 return False
 
         # Per-stream alignment of pop/push indices with iteration count.
-        sdelta = {si: delta["streamers"][(core_index, si)]
-                  for si in range(len(fp.streamers))
-                  if (core_index, si) in delta["streamers"]}
+        sdelta = delta["streamers"]
         pre_pops: dict[int, int] = {}
         for r, ppi in plan.read_ppi.items():
             s = fp.streamers[r]
@@ -771,8 +743,8 @@ class FastPathEngine:
         for r, ppi in plan.read_ppi.items():
             s = fp.streamers[r]
             rep = s.cfg.repeat
-            dgen = sdelta.get(r, (0,) * 5)[4]
-            dmov = sdelta.get(r, (0,) * 5)[1]
+            dgen = sdelta[r][4]
+            dmov = sdelta[r][1]
             total_r = s.cfg.total_elements()
             needed = max(
                 (pre_pops[r] + eval_iters * ppi + rep) // (rep + 1) + 1,
@@ -838,9 +810,8 @@ class FastPathEngine:
             if g >= 0:
                 fp.fpregs.values[reg] = value(g)
 
-        for si, d in sdelta.items():
+        for si, (dact, dmov, dcons, dprod, dgen) in enumerate(sdelta):
             s = fp.streamers[si]
-            dact, dmov, dcons, dprod, dgen = d
             if s._gen is None or (not dgen and not dmov
                                   and not dcons and not dprod):
                 continue
@@ -928,7 +899,7 @@ class FastPathEngine:
 #
 # Anything outside that model declines with a counted reason and steps:
 # SCFG/CSR/FREP/DMA/barrier/integer memory/FP-to-integer instructions, a
-# busy DMA or second core, a store that can reach the run's reads, an
+# busy DMA, a store that can reach the run's reads, an
 # address out of range, or an iteration longer than the record cap.
 
 #: Recorded iterations kept per control key (one per stream behaviour
@@ -1177,7 +1148,7 @@ class _Iter:
     """One recorded iteration: the memo value for a control key."""
 
     dt: int
-    delta: dict                 # core-side FastPathEngine._since
+    delta: dict                 # core-side _since
     exit_key: tuple | None      # None: the next loop head is declined
     exit: dict                  # exit control state for materialising
     shape: Any                  # _Shape, or its inputs until first hit
@@ -1285,7 +1256,7 @@ class _Run:
 
 
 class LoopMemo:
-    """Iteration memo for the integer-core loops of compute core 0."""
+    """Iteration memo for the integer-core loops of the cluster's core."""
 
     def __init__(self, cluster, engine: FastPathEngine):
         self.cluster = engine.cluster
@@ -1296,7 +1267,6 @@ class LoopMemo:
         stats.update(loop_regions_seen=0, loop_hits=0, loop_misses=0,
                      loop_cycles=0, loop_recordings=0,
                      loop_recorded_cycles=0, loop_reject_reasons={})
-        self._engine = engine
         #: key -> {id(integer path): [path ops, decision tree, ways]}
         self._table: dict[tuple, dict] = {}
         #: Keys whose recording declined, with the reason.
@@ -1394,11 +1364,8 @@ class LoopMemo:
         """The core-side control key at a loop head, or why the memo
         declines it."""
         cl, core, fp = self.cluster, self.core, self.fp
-        if cl.cfg.fetch_from_memory:
-            return "binary-fetch"
-        busy = _cluster_busy(cl, core)
-        if busy is not None:
-            return busy
+        if cl.dma._queue:
+            return "dma-busy"
         if core.waiting_sync is not None or fp.sync_ready:
             return "fp-to-int"
         if core.barrier_wait or core.halted:
@@ -1471,7 +1438,7 @@ class LoopMemo:
         rec = _Recording()
         rec.key = key
         rec.cycle = cl.cycle
-        rec.snap = self._engine._snapshot()
+        rec.snap = _snapshot(cl)
         rec.iregs = list(core.regs.values)
         rec.pc = core.pc
         rec.queue = list(fp.sequencer.queue)
@@ -1622,7 +1589,7 @@ class LoopMemo:
         lsu = fp.lsu
         if lsu.port._pending is not None:
             return "unproven"
-        delta = self._engine._since(rec.snap)
+        delta = _since(cl, rec.snap)
         counters = dict(delta["perf"][0])
         # The last two counters are interned on first use, not in SLOT.
         slot_of = cl.perf._slot_of
@@ -1656,8 +1623,7 @@ class LoopMemo:
         # third of the recordings never replay.
         shape = self._shapes.get(signature) or (
             signature, rec.key, len(rec.pipe), stream, n_issue,
-            [delta["streamers"].get((0, si), (0,) * 5)
-             for si in range(len(fp.streamers))],
+            delta["streamers"],
             len(fp.pipe.in_flight), lsu.busy)
 
         schedule = self._schedule(rec, fp._num_streamers if key[7] else 0)
@@ -1671,8 +1637,8 @@ class LoopMemo:
         delta["ports"] = [(0, 0, 0) if id(port) in stream_ports else d
                           for port, d in zip(cl.tcdm.ports, delta["ports"])]
         delta["tcdm"] = (0, 0, 0)
-        delta["streamers"] = {
-            k: (0, 0, d[2], d[3], 0) for k, d in delta["streamers"].items()}
+        delta["streamers"] = [(0, 0, d[2], d[3], 0)
+                              for d in delta["streamers"]]
 
         ready = core.regs.ready_cycle
         pipe1 = fp.pipe.in_flight

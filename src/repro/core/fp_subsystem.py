@@ -256,15 +256,15 @@ class FpSubsystem:
             uop(self, entry, cycle)
         # Writeback phase: a plain register and a chaining push in the
         # concurrent push/pop mode are inlined; sync results, stream
-        # registers and the conservative chaining mode take
-        # :meth:`_writeback_v2`.
+        # registers and the conservative chaining mode take the seed
+        # :meth:`_writeback`.
         in_flight = self.pipe.in_flight
         if in_flight:
             op = in_flight[0]
             if op.completes_at <= cycle:
                 dest = op.dest
                 if op.sync or op.dest_is_ssr:
-                    self._writeback_v2(cycle)
+                    self._writeback(cycle)
                 elif not chain.mask >> dest & 1:
                     self.fpregs.values[dest] = float(op.value)
                     self.fpregs.busy[dest] = False
@@ -273,7 +273,7 @@ class FpSubsystem:
                     if op.unpipelined:
                         self.pipe._unpipelined -= 1
                 elif not chain.concurrent_push_pop:
-                    self._writeback_v2(cycle)
+                    self._writeback(cycle)
                 elif chain.valid[dest] \
                         and dest not in chain._popped_this_cycle:
                     chain.backpressure_events += 1  # the pipe stalls
@@ -299,42 +299,6 @@ class FpSubsystem:
             seq.advance()
         else:
             seq.queue.popleft()
-
-    def _writeback_v2(self, cycle: int) -> None:
-        """Micro-op writeback of the cases :meth:`step_v2` does not
-        inline: the caller has established a complete pipe head that is
-        a sync result, a stream register, or a chaining register in the
-        conservative push/pop mode.  Semantics are identical to
-        :meth:`_writeback`."""
-        pipe = self.pipe
-        in_flight = pipe.in_flight
-        op = in_flight[0]
-        if op.sync:
-            if self.sync_ready:
-                return  # previous sync result not consumed yet
-            self._deliver_sync(op.value)
-        else:
-            dest = op.dest
-            if op.dest_is_ssr:
-                streamer = self.streamers[dest]
-                fifo = streamer._fifo
-                if len(fifo) >= streamer.fifo_depth:
-                    return  # write FIFO full: pipe stalls
-                fifo.append(float(op.value))
-                streamer._to_produce -= 1
-                self._pvals[_S_SSR_WRITES] += 1
-            else:
-                chain = self.chain
-                if chain.valid[dest] or chain._valid_at_start[dest]:
-                    chain.backpressure_events += 1
-                    return  # chaining backpressure: pipe stalls
-                self.fpregs.values[dest] = float(op.value)
-                chain.valid[dest] = True
-                chain.pushes += 1
-                self._pvals[_S_CHAIN_PUSHES] += 1
-        in_flight.popleft()
-        if op.unpipelined:
-            pipe._unpipelined -= 1
 
     # -- issue phase -------------------------------------------------------------
 

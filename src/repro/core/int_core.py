@@ -17,8 +17,6 @@ memory access).
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.core.config import CoreConfig
 from repro.core.fp_subsystem import FpSubsystem
 from repro.core.perf import PerfCounters
@@ -106,13 +104,10 @@ class IntCore:
         self._pending_load_mn: str = "lw"
         self._mem = tcdm.mem
         self._decode_cache: dict[int, Instr] = {}
-        # Micro-op (scalar-v2) state: per-index lowered handlers for
-        # direct fetch, a pc-keyed cache for binary fetch, and
+        # Micro-op (scalar-v2) state: per-index lowered handlers and
         # pre-resolved perf slots for the blocked-state bumps.
         self._uops: list = [None] * len(program.instrs)
-        self._uop_cache: dict[int, Any] = {}
         self._pc_base = program.base
-        self._fetch_direct = not cfg.fetch_from_memory
         self._pvals = perf.values
         self._s_barrier = perf.slot("int_barrier_stalls")
         self._s_sync = perf.slot("int_sync_stalls")
@@ -146,7 +141,6 @@ class IntCore:
         # the program image exactly like the decode cache and must be
         # dropped with it.
         self._uops = [None] * len(program.instrs)
-        self._uop_cache.clear()
         self._pc_base = program.base
 
     def drop_lowered(self) -> None:
@@ -157,7 +151,6 @@ class IntCore:
         instead of waiting for a full garbage collection.
         """
         self._uops = [None] * len(self._uops)
-        self._uop_cache.clear()
 
     def _fetch(self) -> Instr | None:
         index = (self.pc - self.program.base) // 4
@@ -234,44 +227,19 @@ class IntCore:
             return
         if cycle < self.stall_until:
             return
-        if self._fetch_direct:
-            index = (self.pc - self._pc_base) // 4
-            uops = self._uops
-            if 0 <= index < len(uops):
-                uop = uops[index]
-                if uop is None:
-                    from repro.core.uops import lower_int
-
-                    uop = uops[index] = lower_int(
-                        self, self.program.instrs[index])
-                uop(cycle)
-                return
-            uop = None
-        else:
-            uop = self._fetch_uop()
-        if uop is None:
+        index = (self.pc - self._pc_base) // 4
+        uops = self._uops
+        if not 0 <= index < len(uops):
             raise RuntimeError(
                 f"integer core fell off the program at pc={self.pc:#x}; "
                 f"terminate programs with ebreak"
             )
-        uop(cycle)
-
-    def _fetch_uop(self):
-        """The lowered handler for the instruction at ``pc`` under
-        binary fetch, or None.
-
-        Binary fetch decodes at the (possibly unaligned) pc exactly as
-        the seed decode cache does, then lowers the decoded record.
-        """
-        from repro.core.uops import lower_int  # deferred: mutual import
-
-        uop = self._uop_cache.get(self.pc)
+        uop = uops[index]
         if uop is None:
-            instr = self._fetch()
-            if instr is None:
-                return None
-            uop = self._uop_cache[self.pc] = lower_int(self, instr)
-        return uop
+            from repro.core.uops import lower_int  # deferred: mutual import
+
+            uop = uops[index] = lower_int(self, self.program.instrs[index])
+        uop(cycle)
 
     def _collect_load(self, cycle: int) -> None:
         if self.port.response_ready():

@@ -28,19 +28,20 @@ executor it would otherwise duplicate: jumps, integer loads and stores,
 CSR, Xdma and ``ebreak`` on :meth:`IntCore._execute_int`; ``frep``,
 ``scfgw``/``scfgr``, FP CSRs and FP ops that read or return integer
 operands on :meth:`IntCore._dispatch_fp`; ``frep``, FP CSR and ``scfg``
-issue on :meth:`FpSubsystem._issue_entry`.  A traced core runs every
-integer-side instruction on the seed executors, which emit the trace
-events.  The seed executors are the lockstep oracle, so those paths are
-bit-identical by construction; ``docs/performance.md`` gives the
-measured instruction mix and the rule for specialising a class.
+issue on :meth:`FpSubsystem._issue_entry`.  The seed executors are the
+lockstep oracle, so those paths are bit-identical by construction;
+``docs/performance.md`` gives the measured instruction mix and the rule
+for specialising a class.
 
+Micro-ops only ever run in a single-core cluster without a trace
+recorder or binary fetch (:class:`~repro.core.cluster.Cluster` steps any
+other cluster on the seed interpreter), so no closure tests for a trace.
 Integer micro-ops are lowered per core (:func:`lower_int`) and capture
 the core's register file and perf slots directly.  FP micro-ops
-(:func:`lower_fp`) are attached to :class:`DispatchedEntry` objects and
-shared across FP subsystems (the SPMD program is shared), so they take
-the subsystem as an argument and use its pre-resolved slot attributes.
-Each instruction's issue micro-op is built once, when its dispatch is
-lowered, not once per dispatched entry.
+(:func:`lower_fp`) are attached to :class:`DispatchedEntry` objects;
+they take the subsystem as an argument and use its pre-resolved slot
+attributes.  Each instruction's issue micro-op is built once, when its
+dispatch is lowered, not once per dispatched entry.
 
 Behaviour contract: a micro-op performs *exactly* the state transitions
 and counter bumps of the seed interpreter for the same machine state --
@@ -76,12 +77,10 @@ def lower_int(core, instr: Instr):
     iclass = instr.iclass
     if instr.is_fp or (iclass is InstrClass.CSR and is_fp_csr(instr.csr)):
         return _lower_dispatch(core, instr)
-    if core.trace is None:
-        if iclass in (InstrClass.INT_ALU, InstrClass.INT_MUL,
-                      InstrClass.INT_DIV):
-            return _lower_alu(core, instr)
-        if iclass is InstrClass.BRANCH:
-            return _lower_branch(core, instr)
+    if iclass in (InstrClass.INT_ALU, InstrClass.INT_MUL, InstrClass.INT_DIV):
+        return _lower_alu(core, instr)
+    if iclass is InstrClass.BRANCH:
+        return _lower_branch(core, instr)
     execute = core._execute_int
 
     def uop(cycle):
@@ -206,7 +205,7 @@ def _lower_dispatch(core, instr: Instr):
     # Only plain FP compute ops exchange no operand with the integer
     # core: frep, scfg and CSR instructions all read or return one.
     plain_compute = spec.rd_domain != "x" and spec.rs1_domain != "x"
-    if core.trace is not None or not (fp_access or plain_compute):
+    if not (fp_access or plain_compute):
         # The seed dispatch attaches the issue micro-op built above.
         dispatch = core._dispatch_fp
 
@@ -266,10 +265,10 @@ def lower_fp(instr: Instr, cfg):
 
     The closure performs one issue attempt -- stall classification and
     accounting included -- exactly as the seed
-    :meth:`FpSubsystem._issue` would.  It is shared across FP
-    subsystems, so per-cluster state (perf slots, streamers, chaining)
-    is reached through pre-resolved attributes on ``fp``.  ``frep``,
-    FP CSR and ``scfg`` issue is the seed's own.
+    :meth:`FpSubsystem._issue` would.  Per-cluster state (perf slots,
+    streamers, chaining) is reached through pre-resolved attributes on
+    the ``fp`` argument.  ``frep``, FP CSR and ``scfg`` issue is the
+    seed's own.
     """
     iclass = instr.iclass
     if iclass is InstrClass.FP_LOAD:
@@ -315,8 +314,6 @@ def _lower_fp_load(instr: Instr):
         pvals = fp._pvals
         pvals[_S_FP_LSU_OPS] += 1
         pvals[_S_FP_LOADS] += 1
-        if fp.trace is not None:
-            fp.trace.fp_issue(cycle, instr, "load")
     return issue
 
 
@@ -364,8 +361,6 @@ def _lower_fp_store(instr: Instr):
         fp._advance()
         pvals[_S_FP_LSU_OPS] += 1
         pvals[_S_FP_STORES] += 1
-        if fp.trace is not None:
-            fp.trace.fp_issue(cycle, instr, "store")
     return issue
 
 
@@ -375,8 +370,9 @@ def _lower_fp_compute(instr: Instr, cfg):
     Which operands are stream, chaining or plain registers depends on
     the FP subsystem's ``ssr_enable`` and chaining mask, which change
     only at CSR writes.  The closure keeps the body specialised for the
-    last-seen ``(fp, ssr_enable, chain.mask)`` and builds another (see
-    :func:`_compute_body`) when that key changes.
+    last-seen ``(ssr_enable, chain.mask)`` and builds another (see
+    :func:`_compute_body`) when that key changes; it serves the one FP
+    subsystem of the core that lowered it.
     """
     spec = instr.spec
     arity, fn = EXECUTORS[instr.mnemonic]
@@ -395,17 +391,15 @@ def _lower_fp_compute(instr: Instr, cfg):
         unpipelined=iclass in UNPIPELINED_CLASSES,
         s_class=SLOT[f"fpu_{iclass.name.lower()}"])
     bodies: dict[tuple, Callable] = {}
-    last_fp: Any = None
     last_ssr: Any = None
     last_mask: Any = None
     body: Any = None
 
     def issue(fp, entry, cycle):
-        nonlocal last_fp, last_ssr, last_mask, body
-        if fp is not last_fp or fp.ssr_enable is not last_ssr \
-                or fp.chain.mask != last_mask:
-            last_fp, last_ssr, last_mask = fp, fp.ssr_enable, fp.chain.mask
-            key = (fp, last_ssr, last_mask)
+        nonlocal last_ssr, last_mask, body
+        if fp.ssr_enable is not last_ssr or fp.chain.mask != last_mask:
+            last_ssr, last_mask = fp.ssr_enable, fp.chain.mask
+            key = (last_ssr, last_mask)
             body = bodies.get(key)
             if body is None:
                 body = bodies[key] = _compute_body(static, fp)
@@ -558,8 +552,6 @@ def factory(fp, static, chain_srcs):
             seq.queue.popleft()
         pvals[_S_COMPUTE] += 1
         pvals[s_class] += 1
-        if fp.trace is not None:
-            fp.trace.fp_issue(cycle, instr, "compute")
     return body
 """
 

@@ -27,6 +27,7 @@ Output format (the "JSON Array Format with metadata" flavor)::
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 from repro.obs.spans import Tracer
@@ -131,15 +132,29 @@ def recorder_events(trace, label: str = "core") -> list[dict]:
     return events
 
 
-def load_segments(obs_dir: str | Path) -> list[dict]:
-    """Read every per-process ``spans-*.jsonl`` segment in a directory."""
+def _read_segments(obs_dir: str | Path) -> tuple[list[dict], int]:
+    """Every event of the per-process ``spans-*.jsonl`` segments in a
+    directory, and how many malformed lines were skipped: a worker
+    killed mid-write leaves a torn last line."""
     events: list[dict] = []
+    skipped = 0
     for segment in sorted(Path(obs_dir).glob("spans-*.jsonl")):
-        with open(segment) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
+        with open(segment, errors="replace") as fh:
+            for line in filter(None, map(str.strip, fh)):
+                try:
                     events.append(json.loads(line))
+                except json.JSONDecodeError:
+                    skipped += 1
+    return events, skipped
+
+
+def load_segments(obs_dir: str | Path) -> list[dict]:
+    """Read every per-process ``spans-*.jsonl`` segment in a directory,
+    skipping (with a warning that counts them) malformed lines."""
+    events, skipped = _read_segments(obs_dir)
+    if skipped:
+        warnings.warn(f"span segments in {obs_dir}: skipped {skipped} "
+                      f"malformed line(s)", stacklevel=2)
     return events
 
 
@@ -162,12 +177,15 @@ def export_dir(obs_dir: str | Path, tracer: Tracer | None = None,
     """Merge all span segments under ``obs_dir`` into ``trace.json``.
 
     Flushes/closes the given tracer first so its own segment is
-    complete on disk before the merge.
+    complete on disk before the merge.  Malformed segment lines are
+    skipped; the trace metadata counts them as
+    ``malformed_span_lines``.
     """
     obs_dir = Path(obs_dir)
     if tracer is not None:
         tracer.close()
-    events = load_segments(obs_dir)
+    events, skipped = _read_segments(obs_dir)
     if tracer is not None and tracer.keep_in_memory:
         events.extend(tracer.events)
-    return write_trace(obs_dir / "trace.json", events, extra=extra)
+    return write_trace(obs_dir / "trace.json", events,
+                       extra={**(extra or {}), "malformed_span_lines": skipped})

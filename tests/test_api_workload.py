@@ -206,3 +206,30 @@ def test_from_canonical_requires_kernel_and_variant(missing):
     with pytest.raises(FieldError, match="missing") as err:
         Workload.from_canonical(data)
     assert err.value.field == missing
+
+
+@pytest.mark.parametrize("kernel, field, kwargs", [
+    ("box3d1r", "unroll", {"unroll": 0}),
+    ("box3d1r", "unroll", {"unroll": -1}),
+    ("box3d1r", "grid", {"grid": (0, 4, 8)}),
+    ("box3d1r", "grid", {"grid": (2, 3, 8, 0)}),
+    ("vecop", "n", {"n": 0}),
+    ("vecop", "n", {"n": True}),
+    ("vecop", "loop_mode", {"loop_mode": "foo"}),
+], ids=["unroll=0", "unroll=-1", "grid-nz=0", "radius=0", "n=0", "n=True",
+        "loop_mode=foo"])
+def test_impossible_shapes_are_rejected_at_the_boundary(kernel, field,
+                                                        kwargs):
+    """Shapes no builder can run fail when the workload is made, not
+    inside a worker; a sweep spec carrying one fails at load."""
+    from repro.sweep.spec import SweepSpec
+
+    variant = "chaining" if kernel == "vecop" else "Base"
+    with pytest.raises(FieldError) as err:
+        workload(kernel, variant, **kwargs)
+    assert err.value.field == field
+    axis = {"unroll": "unrolls", "grid": "grids", "n": "ns",
+            "loop_mode": "loop_modes"}[field]
+    with pytest.raises(FieldError):
+        SweepSpec.from_dict({"kernels": [kernel], "variants": [variant],
+                             axis: [kwargs[field]]})

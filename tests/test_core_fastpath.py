@@ -444,22 +444,6 @@ def test_reject_indirect_stream():
 # -- configuration & environment -----------------------------------------
 
 
-def test_multicore_fast_path_engages_when_others_halt():
-    rng = np.random.default_rng(20)
-    n = 256
-    body = ["fadd.d ft3, ft0, ft1"] * 4 + ["fmul.d ft2, ft3, fa0"] * 4
-    inner = frep_program(body, n // 4, streams_asm(n), chain_mask=8)
-    asm = f"""
-    csrr t0, mhartid
-    bne t0, x0, other
-{inner}
-other:
-    ebreak
-"""
-    fast = run_both(asm, vec_arrays(rng, n), num_cores=2)
-    assert fast.fastpath.stats["applications"] >= 1
-
-
 def test_engine_auto_with_trace_falls_back_scalar():
     from repro.trace import TraceRecorder
 

@@ -264,18 +264,13 @@ def test_recorded_schedules_match_the_reference_observation(
     assert cluster.fastpath.stats["loop_recordings"] >= len(checked)
 
 
-@pytest.mark.parametrize("num_cores", [1, 2], ids=["2x4x16", "two-core"])
+@pytest.mark.parametrize("num_cores", [1], ids=["2x4x16"])
 def test_recorded_schedules_match_on_small_and_two_core_clusters(
         num_cores, monkeypatch):
-    """The same on a small campaign point, and on a 2-core cluster whose
-    hart 1 halts at once (the memo records only on a quiet cluster)."""
+    """The same on a small campaign point."""
     spec, _ = get_stencil("box3d1r")
     build = build_stencil(spec, Grid3d(nz=2, ny=4, nx=16),
                           Variant.from_label("Chaining+"))
-    if num_cores == 2:
-        build = dataclasses.replace(
-            build, asm="    csrr t0, mhartid\n    beqz t0, hart0\n"
-            "    ebreak\nhart0:\n" + build.asm)
     # Short runs: record from the first loop heads on.
     monkeypatch.setattr(fastpath, "_MEMO_WARMUP", 0)
     checked = _check_recordings(monkeypatch)
@@ -314,15 +309,6 @@ def test_store_into_the_input_window_declines_with_aliasing():
     got = _compare(aliased, "scalar")
     reasons = got.fastpath.stats["loop_reject_reasons"]
     assert reasons.get("aliasing", 0) > 0, reasons
-
-
-def test_two_core_cluster_declines_while_the_other_core_runs():
-    spec, _ = get_stencil("box3d1r")
-    build = build_stencil(spec, SMALL["box3d1r"],
-                          Variant.from_label("Chaining+"))
-    got = _compare(build, "scalar", num_cores=2)
-    reasons = got.fastpath.stats["loop_reject_reasons"]
-    assert reasons.get("other-core-busy", 0) > 0, reasons
 
 
 def test_bne_vecop_loop_matches_the_seed_interpreter():
@@ -595,3 +581,29 @@ def test_loops_without_streams_replay_exactly(body, num_ssrs):
     assert machine_digest(got) == machine_digest(ref)
     stats = _loop_stats(got)
     assert stats["loop_hits"] > 0, stats
+
+
+@pytest.mark.parametrize("engine", ["auto", "scalar-v2", "scalar"])
+def test_a_finished_cluster_is_freed_without_the_cycle_collector(engine):
+    """No reference cycle outlives a run: with the cyclic collector off,
+    a finished cluster's FP subsystem and core are freed by reference
+    counting, and its fast-path stats stay readable after the run."""
+    import gc
+    import weakref
+
+    spec, _ = get_stencil("box3d1r")
+    build = build_stencil(spec, Grid3d(nz=2, ny=4, nx=16),
+                          Variant.from_label("Chaining+"))
+    gc.collect()
+    gc.disable()
+    try:
+        cluster = _cluster(build, engine)
+        cluster.run()
+        if engine == "auto":
+            assert cluster.fastpath.stats["loop_regions_seen"] > 0
+        refs = [weakref.ref(obj) for obj in (cluster, cluster.fp,
+                                             cluster.core)]
+        del cluster
+        assert [ref() for ref in refs] == [None] * 3
+    finally:
+        gc.enable()

@@ -283,6 +283,40 @@ def test_engine_composition_and_validation():
         CoreConfig(engine="scalar-v3").validate()
 
 
+#: Cluster shapes: the ``Cluster`` and ``CoreConfig`` keywords of each.
+_SHAPES = {
+    "single-core": lambda: ({}, {}),
+    "two-core": lambda: ({"num_cores": 2}, {}),
+    "traced": lambda: ({"trace": TraceRecorder()}, {}),
+    "binary-fetch": lambda: ({}, {"fetch_from_memory": True}),
+}
+
+
+@pytest.mark.parametrize("engine", ["auto", "scalar-v2", "scalar"])
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_only_single_core_untraced_clusters_leave_the_seed_interpreter(
+        shape, engine, monkeypatch):
+    """A 2-core, a traced and a binary-fetch cluster step on the seed
+    interpreter without fast paths whatever the engine; a single-core,
+    untraced cluster keeps the micro-op engine and, under ``auto``, the
+    fast paths."""
+    stepped = set()
+    for name in ("_step_seed", "_step_v2"):
+        def spy(self, _step=getattr(Cluster, name), _name=name):
+            stepped.add(_name)
+            _step(self)
+        monkeypatch.setattr(Cluster, name, spy)
+    cluster_kw, cfg_kw = _SHAPES[shape]()
+    build = build_vecop(n=64, variant=VecopVariant.CHAINING)
+    cluster = Cluster(build.asm, cfg=CoreConfig(engine=engine, **cfg_kw),
+                      **cluster_kw)
+    build.load_into(cluster)
+    cluster.run()
+    micro_ops = shape == "single-core" and engine != "scalar"
+    assert stepped == {"_step_v2" if micro_ops else "_step_seed"}
+    assert (cluster.fastpath is not None) == (micro_ops and engine == "auto")
+
+
 # -- lockstep fuzz -----------------------------------------------------------
 
 _FP_OPS2 = ("fadd.d", "fsub.d", "fmul.d", "fmin.d", "fmax.d", "fsgnj.d")

@@ -129,6 +129,24 @@ def test_load_segments_merges_sorted_files(tmp_path):
     assert [e["name"] for e in events] == ["a", "b"]
 
 
+def test_torn_segment_line_is_skipped_and_counted(tmp_path):
+    """A worker killed mid-write leaves a torn last line: the merge keeps
+    every whole event and counts the torn one in the trace metadata."""
+    good = json.dumps(dict(WALL_SPAN, pid=1, name="a"))
+    with open(tmp_path / "spans-1.jsonl", "w") as fh:
+        fh.write(good + "\n" + good[:-7])
+    (tmp_path / "spans-2.jsonl").write_bytes(
+        json.dumps(dict(WALL_SPAN, pid=2, name="b")).encode() + b"\n"
+        + b'{"name": "\xc3')
+    with pytest.warns(UserWarning, match="skipped 2 malformed"):
+        events = obs.load_segments(tmp_path)
+    assert [e["name"] for e in events] == ["a", "b"]
+    path = obs.export_dir(tmp_path)
+    doc = json.loads(path.read_text())
+    assert doc["metadata"]["malformed_span_lines"] == 2
+    assert check_trace_schema.validate_trace(str(path)) == []
+
+
 def test_export_dir_closes_tracer_and_merges(tmp_path):
     tracer = obs.enable(jsonl_dir=tmp_path, keep_in_memory=False)
     tracer.instant("tick")
