@@ -10,7 +10,7 @@ instead of silently poisoning later cache hits.  Checks (via
   through the canonical :class:`repro.api.Result` schema;
 * no key appears twice with *conflicting* payloads (identical
   duplicates -- racing cooperating writers -- are reported but benign,
-  and fail only under ``--strict``);
+  and fail only under ``--strict``, as does a torn last line);
 * every sharded record lives in the shard file matching its key
   prefix (no orphans);
 * failure-log records carry a key and a status.
@@ -48,6 +48,8 @@ def check_store(root: str, strict: bool = False) -> list[str]:
     if strict:
         for entry in report["duplicates"]:
             problems.append(f"{root}: duplicate key (strict): {entry}")
+        for entry in report["torn_tail"]:
+            problems.append(f"{root}: torn tail (strict): {entry}")
     print(f"{root}: {report['records']} record(s) in "
           f"{report['files']} shard file(s), "
           f"{report['failure_records']} failure record(s), "

@@ -652,7 +652,7 @@ def _print_verify(cache_dir: str, report: dict) -> None:
           f"{report['files']} file(s), {report['failure_records']} "
           f"failure record(s)")
     for bucket in ("corrupt", "invalid", "conflicts", "orphans",
-                   "duplicates"):
+                   "duplicates", "torn_tail"):
         entries = report[bucket]
         if entries:
             print(f"  {bucket}: {len(entries)}")

@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import CoreConfig
+from repro.core.cycle import build_cycle
 from repro.core.fp_subsystem import FpSubsystem
 from repro.core.int_core import IntCore
 from repro.core.perf import SLOT, PerfCounters
@@ -101,9 +102,13 @@ class Cluster:
         # (repro.core.fastpath) under "auto", engaged only when the
         # detector proves a region safe.
         self.fastpath = None
-        #: Called after each micro-op cycle's arbitration while the loop
-        #: memo records an iteration (None otherwise).
-        self.cycle_observer = None
+        #: The bound stepped-cycle closure (:mod:`repro.core.cycle`);
+        #: None until the next micro-op step binds one for the
+        #: configuration then current.
+        self._loop = None
+        #: Issue bodies by (ssr_enable, chaining mask) and micro-op, for
+        #: the closure (see :func:`repro.core.uops.issue_body`).
+        self._bodies: dict = {}
         if plain and self.cfg.engine == "auto":
             from repro.core.fastpath import FastPathEngine
 
@@ -139,6 +144,8 @@ class Cluster:
             self._install_program_image()
         for core in self.cores:
             core.load_program(program)
+        self._loop = None
+        self._bodies.clear()
         if self.fastpath is not None:
             self.fastpath._reset()
             self.fastpath.loop.reset()
@@ -222,7 +229,7 @@ class Cluster:
     def step(self) -> None:
         """Advance the whole cluster by one cycle."""
         if self._v2:
-            self._step_v2()
+            self._advance(self.cycle + 1)
         else:
             self._step_seed()
 
@@ -239,34 +246,25 @@ class Cluster:
         self.cycle += 1
         self.perf.cycles = self.cycle
 
-    def _step_v2(self) -> None:
-        """Micro-op per-cycle loop: same component order and semantics as
-        :meth:`_step_seed`, with idle components skipped by cheap state
-        tests (each skipped call is a proven no-op)."""
-        cycle = self.cycle
-        fp = self.fp
-        core = self.core
-        fp.step_v2(cycle)
-        core.step_v2(cycle)
-        for streamer in fp.streamers:
-            step = streamer.step_v2
-            if step is not None:
-                step()
-        if core.barrier_wait:
-            self._release_barrier()
-        dma = self.dma
-        if dma._queue:
-            dma.step()
-        self.tcdm.arbiter()
-        if self.cycle_observer is not None:
-            self.cycle_observer()
-        self.cycle = cycle + 1
-        self.perf.cycles = cycle + 1
+    def _advance(self, limit: int) -> None:
+        """Micro-op cycles on the generated closure, with the semantics of
+        :meth:`_step_seed`, until ``limit`` or an event the run loop
+        handles (:mod:`repro.core.cycle`); then the fast path observes
+        an FREP region."""
+        resume = None
+        while True:
+            loop = self._loop
+            if loop is None:
+                loop = self._loop = build_cycle(self)
+            resume = loop(limit, resume)
+            if resume is None:
+                break
+            self._loop = None    # its configuration changed mid-cycle
         fastpath = self.fastpath
         # Outside an FREP region an idle fast-path engine has nothing to
         # observe, so the call is skipped (observe would return at once).
         if fastpath is not None and (fastpath._state
-                                     or fp.sequencer._active):
+                                     or self.fp.sequencer._active):
             fastpath.observe()
 
     def run(self, max_cycles: int = 5_000_000) -> PerfCounters:
@@ -277,6 +275,8 @@ class Cluster:
     def release(self) -> None:
         """Drop the per-run caches (memo tables, lowered micro-ops) of a
         finished run; they are rebuilt if the cluster runs again."""
+        self._loop = None
+        self._bodies.clear()
         if self.fastpath is not None:
             self.fastpath.loop.reset()
         for core in self.cores:
@@ -368,8 +368,14 @@ def run_clusters(clusters: list[Cluster], max_cycles: int, system=None,
         halted = False
         for cl in batch:
             core = cl.core
+            v2 = cl._v2
             while True:
-                cl.step()
+                if not v2:
+                    cl._step_seed()
+                elif solo:
+                    cl._advance(max_cycles)
+                else:
+                    cl._advance(now + 1)
                 if core.loop_head:
                     cl.fastpath.loop.at_head(max_cycles)
                 if core.halted:

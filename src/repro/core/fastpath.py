@@ -66,10 +66,10 @@ from typing import Any
 import numpy as np
 
 from repro.core.fpu import InFlightOp
-from repro.core.perf import SLOT, StallReason
+from repro.core.perf import SLOT
 from repro.core.sequencer import DispatchedEntry
 from repro.isa.instructions import InstrClass
-from repro.mem.timing import (AFFINE_READ, INDIRECT_READ, WRITE,
+from repro.mem.timing import (AFFINE_READ, INDIRECT_READ, WRITE, block,
                                compile_factory, counters_rules,
                                port_layouts)
 from repro.obs import spans as _obs
@@ -995,58 +995,6 @@ def _post(port, addr: int, is_write: bool, data, width: int) -> None:
     port._pending = req
 
 
-#: Stall reasons the FP step can take before its stream operand test.
-_EARLY = (StallReason.RAW, StallReason.CHAIN_EMPTY, StallReason.LSU_BUSY)
-
-#: Compiled per-cycle recorders keyed by the streamer count.
-_RECORDERS: dict[int, Any] = {}
-
-_RECORDER_TEMPLATE = """\
-def factory(S, lsu, stalls, queue, in_flight, perf, deadline, log,
-            overrun, RAW, EMPTY, BUSY):
-{bind}
-    get = stalls.get
-    append = log.append
-
-    def record():
-        if perf.cycles >= deadline:
-            overrun()
-            return
-        append(({row}lsu.loads + lsu.stores,
-                get(RAW, 0) + get(EMPTY, 0) + get(BUSY, 0),
-                queue[0].instr if queue else None,
-                in_flight[0] if in_flight else None))
-    return record
-"""
-
-
-def _recorder(nstreams: int):
-    """The cycle observer of one recording, generated per streamer count
-    so that every stream is a local variable.  At each cycle boundary it
-    appends one flat row of raw facts to the log: the reads and writes
-    each stream is still owed, each stream's FIFO fill and repeat phase,
-    the FP LSU's access count, the early-stall count (:data:`_EARLY`),
-    the FP queue head's instruction and the FPU pipe head op (rows
-    are decoded by :meth:`LoopMemo._schedule`).  After
-    :data:`_MEMO_MAX_CYCLES` cycles it calls ``overrun`` instead."""
-    factory = _RECORDERS.get(nstreams)
-    if factory is not None:
-        return factory
-    streams = range(nstreams)
-    bind = [f"s{i} = S[{i}]" for i in streams] \
-        + [f"f{i} = s{i}._fifo" for i in streams]
-    row = [f"s{i}._to_consume" for i in streams] \
-        + [f"s{i}._to_produce" for i in streams] \
-        + [f"len(f{i})" for i in streams] \
-        + [f"s{i}._rep_count" for i in streams]
-    source = _RECORDER_TEMPLATE.format(
-        bind="\n".join("    " + line for line in bind) or "    pass",
-        row="".join(f"{field}, " for field in row))
-    factory = _RECORDERS[nstreams] = compile_factory(
-        source, f"<loop recorder {nstreams}>")
-    return factory
-
-
 #: Schedule entries by stream context (nstream, repeat counts, FIFO
 #: depths) and cycle situation (see LoopMemo._schedule), shared by
 #: every cluster of the process; a context is dropped past the cap.
@@ -1092,10 +1040,11 @@ def _situation(k: tuple, context: tuple, cache: dict) -> tuple:
 
 class _Recording:
     """Loop-head state of an iteration being recorded, and its per-cycle
-    log (one row per cycle boundary, see :func:`_recorder`)."""
+    log (one row per cycle boundary, see :data:`repro.core.cycle.ROW`)
+    up to the ``deadline`` cycle."""
 
     __slots__ = ("key", "cycle", "snap", "iregs", "pc", "queue", "pipe",
-                 "log")
+                 "log", "deadline")
     key: tuple
     cycle: int
     snap: dict
@@ -1104,6 +1053,7 @@ class _Recording:
     queue: list
     pipe: list
     log: list
+    deadline: int
 
 
 @dataclass(slots=True)
@@ -1445,25 +1395,20 @@ class LoopMemo:
         rec.pipe = [(op.instr, op.dest, op.dest_is_ssr)
                     for op in fp.pipe.in_flight]
         rec.log = []
+        rec.deadline = cl.cycle + _MEMO_MAX_CYCLES
         self._rec = rec
         self.stats["loop_recordings"] += 1
-        record = _recorder(len(fp.streamers))(
-            fp.streamers, fp.lsu, fp.perf.stalls, fp.sequencer.queue,
-            fp.pipe.in_flight, cl.perf, cl.cycle + _MEMO_MAX_CYCLES,
-            rec.log, self._overrun, *_EARLY)
-        record()
-        # An attribute the cluster already has: overriding a method on
-        # the instance instead would slow every later attribute access
-        # of that object.
-        cl.cycle_observer = record
+        # The cluster steps on the recording variant of its cycle from now.
+        cl._loop = None
 
     def _stop_recording(self) -> None:
         rec = self._rec
         if rec is not None:
             self._rec = None
-            self.cluster.cycle_observer = None
-            self.stats["loop_recorded_cycles"] += self.cluster.cycle \
-                - rec.cycle
+            cl = self.cluster
+            cl._loop = None
+            # perf.cycles: the clock also inside a stepped-cycle loop.
+            self.stats["loop_recorded_cycles"] += cl.perf.cycles - rec.cycle
 
     def _overrun(self) -> None:
         """The recorder reached :data:`_MEMO_MAX_CYCLES`."""
@@ -2427,10 +2372,6 @@ def _simulator(modes: tuple, streamers: list, lsu, tcdm):
     if factory is not None:
         return factory
     names = "f r q dp dr g ip ir p m w e a xr xw xc yr yc".split()
-
-    def block(lines, depth):
-        return "\n".join(" " * depth + line for line in lines)
-
     bind, unpack, probe, flow = [], [], [], []
     for index, ((si, mode, repeats), stream) in enumerate(
             zip(modes, streams)):

@@ -37,8 +37,6 @@ from repro.ssr.config import split_cfg_addr
 from repro.ssr.streamer import SsrStreamer
 
 
-_S_RF_WRITES = SLOT["fp_rf_writes"]
-_S_CHAIN_PUSHES = SLOT["chain_pushes"]
 _S_SSR_WRITES = SLOT["ssr_reg_writes"]
 
 
@@ -195,110 +193,6 @@ class FpSubsystem:
                 self.lsu.block(dest, value)
             else:
                 self.perf.bump("fp_rf_writes")
-
-    def step_v2(self, cycle: int) -> None:
-        """Micro-op variant of :meth:`step`: same phases, same semantics,
-        with the per-cycle no-op calls compiled down to attribute tests."""
-        chain = self.chain
-        if chain._popped_this_cycle:
-            chain._popped_this_cycle.clear()
-        if not chain.concurrent_push_pop:
-            chain._valid_at_start = list(chain.valid)
-        lsu = self.lsu
-        lsu_port = lsu.port
-        if lsu._pending_load is not None or lsu._pending_store \
-                or lsu._blocked_value is not None \
-                or lsu_port._pending is not None \
-                or lsu_port._response_ready:
-            lsu_commits = lsu.step()
-        else:
-            lsu_commits = None
-        # Issue phase: dispatch through the entry's lowered closure
-        # (with the sequencer's FREP peek inlined, so replay cycles
-        # skip the property/tuple traffic).
-        seq = self.sequencer
-        if not seq._active:
-            queue = seq.queue
-            entry = queue[0] if queue else None
-        else:
-            pos = seq._pos
-            if seq._inner:
-                body_idx = pos // seq._iters
-                iter_idx = pos % seq._iters
-            else:
-                body_idx = pos % seq._body_len
-                iter_idx = pos // seq._body_len
-            buffer = seq._buffer
-            if body_idx < len(buffer):
-                entry = buffer[body_idx]
-            elif seq.queue:
-                entry = seq.queue[0]
-            else:
-                entry = None
-            if entry is not None and iter_idx \
-                    and seq._stagger_mask and seq._stagger_max:
-                offset = iter_idx % (seq._stagger_max + 1)
-                if offset:
-                    key = (body_idx, offset)
-                    staggered = seq._stagger_cache.get(key)
-                    if staggered is None:
-                        staggered = seq._staggered(entry, iter_idx)
-                        seq._stagger_cache[key] = staggered
-                    entry = staggered
-        if entry is None:
-            self.perf.stall(StallReason.QUEUE_EMPTY)
-        else:
-            uop = entry.uop
-            if uop is None:
-                from repro.core.uops import lower_fp
-
-                uop = entry.uop = lower_fp(entry.instr, self.cfg)
-            uop(self, entry, cycle)
-        # Writeback phase: a plain register and a chaining push in the
-        # concurrent push/pop mode are inlined; sync results, stream
-        # registers and the conservative chaining mode take the seed
-        # :meth:`_writeback`.
-        in_flight = self.pipe.in_flight
-        if in_flight:
-            op = in_flight[0]
-            if op.completes_at <= cycle:
-                dest = op.dest
-                if op.sync or op.dest_is_ssr:
-                    self._writeback(cycle)
-                elif not chain.mask >> dest & 1:
-                    self.fpregs.values[dest] = float(op.value)
-                    self.fpregs.busy[dest] = False
-                    self._pvals[_S_RF_WRITES] += 1
-                    in_flight.popleft()
-                    if op.unpipelined:
-                        self.pipe._unpipelined -= 1
-                elif not chain.concurrent_push_pop:
-                    self._writeback(cycle)
-                elif chain.valid[dest] \
-                        and dest not in chain._popped_this_cycle:
-                    chain.backpressure_events += 1  # the pipe stalls
-                else:
-                    self.fpregs.values[dest] = float(op.value)
-                    chain.valid[dest] = True
-                    chain.pushes += 1
-                    self._pvals[_S_CHAIN_PUSHES] += 1
-                    in_flight.popleft()
-                    if op.unpipelined:
-                        self.pipe._unpipelined -= 1
-        if lsu_commits:
-            for dest, value in lsu_commits:
-                if not self.fpregs.try_writeback(dest, value):
-                    self.lsu.block(dest, value)
-                else:
-                    self._pvals[_S_RF_WRITES] += 1
-
-    def _advance(self) -> None:
-        """Consume the entry issued by a micro-op (fast non-FREP path)."""
-        seq = self.sequencer
-        if seq._active:
-            seq.advance()
-        else:
-            seq.queue.popleft()
 
     # -- issue phase -------------------------------------------------------------
 

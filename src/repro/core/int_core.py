@@ -104,13 +104,9 @@ class IntCore:
         self._pending_load_mn: str = "lw"
         self._mem = tcdm.mem
         self._decode_cache: dict[int, Instr] = {}
-        # Micro-op (scalar-v2) state: per-index lowered handlers and
-        # pre-resolved perf slots for the blocked-state bumps.
+        # Micro-op (scalar-v2) state: per-index lowered handlers.
         self._uops: list = [None] * len(program.instrs)
         self._pc_base = program.base
-        self._pvals = perf.values
-        self._s_barrier = perf.slot("int_barrier_stalls")
-        self._s_sync = perf.slot("int_sync_stalls")
         #: Loop-memo hooks (:mod:`repro.core.fastpath`): with
         #: ``memo_heads`` set before lowering, a taken backward branch
         #: raises ``loop_head`` for the cluster's run loop to clear.
@@ -203,43 +199,6 @@ class IntCore:
             self._dispatch_fp(cycle, instr)
             return
         self._execute_int(cycle, instr)
-
-    def step_v2(self, cycle: int) -> None:
-        """Micro-op variant of :meth:`step`: pre-decoded dispatch through
-        a per-index handler table instead of per-cycle class tests."""
-        if self.port._response_ready:
-            self._collect_load(cycle)
-        if self.halted:
-            return
-        if self.barrier_wait:
-            self._pvals[self._s_barrier] += 1
-            return
-        if self.waiting_sync is not None:
-            fp = self.fp
-            if fp.sync_ready:
-                value = fp.take_sync()
-                instr = self.waiting_sync
-                if instr.rd:
-                    self.regs.write(instr.rd, value, ready_cycle=cycle + 1)
-                self.waiting_sync = None
-            else:
-                self._pvals[self._s_sync] += 1
-            return
-        if cycle < self.stall_until:
-            return
-        index = (self.pc - self._pc_base) // 4
-        uops = self._uops
-        if not 0 <= index < len(uops):
-            raise RuntimeError(
-                f"integer core fell off the program at pc={self.pc:#x}; "
-                f"terminate programs with ebreak"
-            )
-        uop = uops[index]
-        if uop is None:
-            from repro.core.uops import lower_int  # deferred: mutual import
-
-            uop = uops[index] = lower_int(self, self.program.instrs[index])
-        uop(cycle)
 
     def _collect_load(self, cycle: int) -> None:
         if self.port.response_ready():

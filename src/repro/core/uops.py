@@ -38,10 +38,10 @@ recorder or binary fetch (:class:`~repro.core.cluster.Cluster` steps any
 other cluster on the seed interpreter), so no closure tests for a trace.
 Integer micro-ops are lowered per core (:func:`lower_int`) and capture
 the core's register file and perf slots directly.  FP micro-ops
-(:func:`lower_fp`) are attached to :class:`DispatchedEntry` objects;
-they take the subsystem as an argument and use its pre-resolved slot
-attributes.  Each instruction's issue micro-op is built once, when its
-dispatch is lowered, not once per dispatched entry.
+(:func:`lower_fp`) are attached to :class:`DispatchedEntry` objects
+and bound to the subsystem by :func:`issue_body`, once per instruction
+and operand modes.  Each instruction's issue micro-op is built once,
+when its dispatch is lowered, not once per dispatched entry.
 
 Behaviour contract: a micro-op performs *exactly* the state transitions
 and counter bumps of the seed interpreter for the same machine state --
@@ -52,6 +52,7 @@ this.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable
 
 from repro.core.fp_subsystem import FpSubsystem
@@ -61,6 +62,7 @@ from repro.core.perf import SLOT, StallReason
 from repro.core.sequencer import DispatchedEntry
 from repro.isa.csr import is_fp_csr
 from repro.isa.instructions import Instr, InstrClass
+from repro.mem.timing import block
 
 _MASK = 0xFFFFFFFF
 
@@ -261,14 +263,17 @@ def _lower_dispatch(core, instr: Instr):
 # -- FP-side lowering --------------------------------------------------------
 
 def lower_fp(instr: Instr, cfg):
-    """Lower ``instr`` into an ``issue(fp, entry, cycle)`` closure.
+    """Lower ``instr`` into its issue micro-op: an ``issue(fp, entry,
+    cycle)`` closure for ``fld``/``fsd``, the seed's own
+    :meth:`FpSubsystem._issue_entry` for ``frep``, FP CSR and ``scfg``,
+    and for an FP compute op what lowering knows about it
+    (:class:`_ComputeStatic`), whose body depends on the operand modes.
+    :func:`issue_body` turns each into the ``body(entry, cycle)`` the
+    stepped cycle calls.
 
-    The closure performs one issue attempt -- stall classification and
+    An issue performs one issue attempt -- stall classification and
     accounting included -- exactly as the seed
-    :meth:`FpSubsystem._issue` would.  Per-cluster state (perf slots,
-    streamers, chaining) is reached through pre-resolved attributes on
-    the ``fp`` argument.  ``frep``, FP CSR and ``scfg`` issue is the
-    seed's own.
+    :meth:`FpSubsystem._issue` would.
     """
     iclass = instr.iclass
     if iclass is InstrClass.FP_LOAD:
@@ -278,6 +283,17 @@ def lower_fp(instr: Instr, cfg):
     if iclass in (InstrClass.FREP, InstrClass.CSR, InstrClass.SCFG):
         return FpSubsystem._issue_entry
     return _lower_fp_compute(instr, cfg)
+
+
+def issue_body(uop, fp):
+    """The ``body(entry, cycle)`` of issue micro-op ``uop`` on ``fp``
+    under its current ``ssr_enable`` and chaining mask: which operands
+    of an FP compute op are stream, chaining or plain registers is fixed
+    until a CSR write changes them, so its body is generated for that
+    operand shape (:func:`_compute_body`)."""
+    if isinstance(uop, _ComputeStatic):
+        return _compute_body(uop, fp)
+    return partial(uop, fp)
 
 
 def _lower_fp_load(instr: Instr):
@@ -310,7 +326,7 @@ def _lower_fp_load(instr: Instr):
         port._pending = req
         lsu._pending_load = pending_load
         lsu.loads += 1
-        fp._advance()
+        fp.sequencer.advance()
         pvals = fp._pvals
         pvals[_S_FP_LSU_OPS] += 1
         pvals[_S_FP_LOADS] += 1
@@ -358,22 +374,15 @@ def _lower_fp_store(instr: Instr):
         port._pending = req
         lsu._pending_store = True
         lsu.stores += 1
-        fp._advance()
+        fp.sequencer.advance()
         pvals[_S_FP_LSU_OPS] += 1
         pvals[_S_FP_STORES] += 1
     return issue
 
 
 def _lower_fp_compute(instr: Instr, cfg):
-    """FP compute issue: a dispatcher over operand-specialised bodies.
-
-    Which operands are stream, chaining or plain registers depends on
-    the FP subsystem's ``ssr_enable`` and chaining mask, which change
-    only at CSR writes.  The closure keeps the body specialised for the
-    last-seen ``(ssr_enable, chain.mask)`` and builds another (see
-    :func:`_compute_body`) when that key changes; it serves the one FP
-    subsystem of the core that lowered it.
-    """
+    """FP compute issue: the instruction's static facts, from which
+    :func:`issue_body` builds the body for each operand shape."""
     spec = instr.spec
     arity, fn = EXECUTORS[instr.mnemonic]
     iclass = instr.iclass
@@ -385,31 +394,17 @@ def _lower_fp_compute(instr: Instr, cfg):
     if len(srcs) + rs1_is_x != arity:  # pragma: no cover - spec table
         raise ValueError(f"{instr.mnemonic} expects {arity} operands, got "
                          f"{len(srcs) + rs1_is_x}")
-    static = _ComputeStatic(
+    return _ComputeStatic(
         instr=instr, fn=fn, srcs=srcs, dest=None if sync else instr.rd,
         sync=sync, rs1_is_x=rs1_is_x, latency=cfg.fpu_latency[iclass],
         unpipelined=iclass in UNPIPELINED_CLASSES,
         s_class=SLOT[f"fpu_{iclass.name.lower()}"])
-    bodies: dict[tuple, Callable] = {}
-    last_ssr: Any = None
-    last_mask: Any = None
-    body: Any = None
-
-    def issue(fp, entry, cycle):
-        nonlocal last_ssr, last_mask, body
-        if fp.ssr_enable is not last_ssr or fp.chain.mask != last_mask:
-            last_ssr, last_mask = fp.ssr_enable, fp.chain.mask
-            key = (last_ssr, last_mask)
-            body = bodies.get(key)
-            if body is None:
-                body = bodies[key] = _compute_body(static, fp)
-        body(entry, cycle)
-    return issue
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class _ComputeStatic:
-    """What lowering knows about an FP compute instruction."""
+    """What lowering knows about an FP compute instruction (hashed by
+    identity: it keys the stepped cycle's issue bodies)."""
 
     instr: Instr
     fn: Callable
@@ -530,24 +525,7 @@ def factory(fp, static, chain_srcs):
         in_flight.append(InFlightOp(instr, dest, {dest_is_ssr}, result,
                                     completes, sync, unpipelined))
         if seq._active:
-            pos = seq._pos
-            if seq._inner:
-                body_idx = pos // seq._iters
-                iter_idx = pos % seq._iters
-            else:
-                body_idx = pos % seq._body_len
-                iter_idx = pos // seq._body_len
-            buffer = seq._buffer
-            if body_idx == len(buffer):
-                buffer.append(seq.queue.popleft())
-            if iter_idx > 0:
-                seq.replayed_instrs += 1
-            pos += 1
-            seq._pos = pos
-            if pos >= seq._body_len * seq._iters:
-                seq._active = False
-                seq._buffer = []
-                seq._stagger_cache = {{}}
+            seq.advance()
         else:
             seq.queue.popleft()
         pvals[_S_COMPUTE] += 1
@@ -621,9 +599,6 @@ def _body_source(kinds, dest_kind, rs1_is_x) -> str:
     args = [f"a{i}" for i in range(len(kinds))]
     if rs1_is_x:
         args.insert(0, 'float(entry.vals.get("rs1", 0))')
-
-    def block(lines, depth):
-        return "\n".join(" " * depth + line for line in lines)
 
     return _BODY_TEMPLATE.format(
         bind=block(bind, 4), ready=block(ready, 8), reads=block(reads, 8),

@@ -26,9 +26,7 @@ streamers).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from repro.mem import timing
 from repro.mem.memory import Memory
 
 
@@ -144,10 +142,6 @@ class Tcdm:
         self.total_accesses = 0
         self.total_conflicts = 0
         self.busy_bank_cycles = 0
-        #: The scalar-v2 arbitration, grant for grant :meth:`arbitrate`:
-        #: generated for the registered ports on its first call after a
-        #: registration (:func:`repro.mem.timing.arbiter`).
-        self.arbiter: Callable[[], None] = self._relayout
 
     def port(self, name: str, priority: int,
              is_streamer: bool = False) -> TcdmPort:
@@ -156,12 +150,7 @@ class Tcdm:
         self._ports.append(p)
         if is_streamer:
             self._streamer_ports.append(p)
-        self.arbiter = self._relayout
         return p
-
-    def _relayout(self) -> None:
-        self.arbiter = timing.arbiter(self)
-        self.arbiter()
 
     @property
     def ports(self) -> tuple[TcdmPort, ...]:
@@ -180,9 +169,9 @@ class Tcdm:
     def arbitrate(self) -> None:
         """Resolve this cycle's requests (call once per cycle).
 
-        This is the seed reference arbiter; :attr:`arbiter` is the
-        grant-for-grant identical generated variant the micro-op engine
-        calls.
+        This is the seed reference arbiter; the micro-op engine's
+        stepped cycle inlines the grant-for-grant identical rule of
+        :data:`repro.mem.timing.ARBITRATION`.
         """
         pending = [p for p in self._ports if p._pending is not None]
         if not pending:

@@ -3,19 +3,19 @@
 How an armed stream moves data through its ports in a cycle (:data:`RULES`,
 one per mode) and how the TCDM grants a cycle's requests
 (:data:`ARBITRATION`) is written once, as Python source over named verbs,
-for two targets: with data (the scalar-v2 bodies :func:`stream_step`,
-bound on every arming, and :func:`arbiter`, bound anew after a port
-registers; no ``_pending`` is held across a grant) and on counters only
-(the loop memo's memory side, :func:`counters_rules`).  The generation
-parameters are each stream's mode and FIFO depth and the port layout
-(:func:`port_layouts`).  Both targets do exactly what the reference
-``SsrStreamer.step`` and ``Tcdm.arbitrate`` do.
+for two targets: with data (:func:`stream_lines` and
+:func:`arbitration_lines`, inlined into the scalar-v2 stepped cycle of
+:mod:`repro.core.cycle`; no ``_pending`` is held across a grant) and on
+counters only (the loop memo's memory side, :func:`counters_rules`).
+The generation parameters are each stream's mode and FIFO depth and the
+port layout (:func:`port_layouts`).  Both targets do exactly what the
+reference ``SsrStreamer.step`` and ``Tcdm.arbitrate`` do, a faulting
+grant included.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any, Callable
 
 #: Stream modes; a write may be indirect (with data only: the memo
 #: declines indirect writes).
@@ -85,28 +85,35 @@ _ACTIVE = "if wk:\n    {active} += 1\n"
 #: granted.  The round-robin offset advances when two or more streamer
 #: ports request.  On a clash the requests go in (priority, rotation,
 #: registration) order -- the reference's stable sort -- one per bank;
-#: the others count a conflict and stay pending.
+#: the others count a conflict and stay pending.  A request whose grant
+#: could fault (``check``) takes the ordered path too, so a fault leaves
+#: the reference's partial grants and counts.
 ARBITRATION = """\
 occ = clash = ns = 0
 {requests}
 if occ:
-    {head}
     old = {rr}
     if ns > 1:
         {rr} = (old + 1) % {n}
     if clash:
+        {head}
         pend = []
         {pend}
         pend.sort()
         taken = 0
-        for _, _, _, bit, code in pend:
-            if taken & bit:
-                conf += 1
-                {conflict}
-                continue
-            taken |= bit
-            acc += 1
-            {grant}
+        try:
+            for _, _, _, bit, code in pend:
+                if taken & bit:
+                    conf += 1
+                    {conflict}
+                    continue
+                taken |= bit
+                {grant}
+                acc += 1
+        except BaseException:
+            {fault}
+            raise
+        {settle}
     else:
         {grant_all}
 """
@@ -119,45 +126,49 @@ def _post(port: str, addr: str, is_write: bool, data: str,
             f"req.width = {width}\n{port}._pending = req")
 
 
-#: Stream verbs as (with data: over streamer ``s`` and the locals of
-#: ``_STEP_TEMPLATE``; counters only: over the state of stream ``{si}``
-#: in the memo simulator, see ``repro.core.fastpath._simulator``).
+#: Stream verbs as (with data: over the locals of stream ``{si}`` that
+#: :func:`stream_bind` names; counters only: over the state of stream
+#: ``{si}`` in the memo simulator, see ``repro.core.fastpath._simulator``).
 _VERBS = {
-    "data_ready": ("port._response_ready", "dr{si}"),
-    "take_data": ("port._response_ready = False\n"
-                  "fifo.append(float(port._response))\n"
-                  "port._response = None", "dr{si} = False\nf{si} += 1"),
-    "requested": ("s._data_requested", "q{si}"),
-    "moved": ("s.elements_moved", "m{si}"),
-    "active": ("s.active_cycles", "a{si}"),
-    "index_ready": ("iport._response_ready", "ir{si}"),
-    "take_index": ("iport._response_ready = False\n"
-                   "ififo.append(int(iport._response))\n"
-                   "iport._response = None", "ir{si} = False\ng{si} += 1"),
-    "data_idle": ("port._pending is None", "not dp{si}"),
-    "index_idle": ("iport._pending is None", "not ip{si}"),
-    "fill": ("len(fifo)", "f{si}"),
-    "index_fill": ("len(ififo)", "g{si}"),
-    "more_index": ("igen._pos < igen._count", "p{si} < T{si}"),
-    "fetch": (_post("port", "gen.next()", False, "None", "8"),
+    "data_ready": ("port{si}._response_ready", "dr{si}"),
+    "take_data": ("port{si}._response_ready = False\n"
+                  "fifo{si}.append(float(port{si}._response))\n"
+                  "port{si}._response = None", "dr{si} = False\nf{si} += 1"),
+    "requested": ("s{si}._data_requested", "q{si}"),
+    "moved": ("s{si}.elements_moved", "m{si}"),
+    "active": ("s{si}.active_cycles", "a{si}"),
+    "index_ready": ("iport{si}._response_ready", "ir{si}"),
+    "take_index": ("iport{si}._response_ready = False\n"
+                   "ififo{si}.append(int(iport{si}._response))\n"
+                   "iport{si}._response = None", "ir{si} = False\ng{si} += 1"),
+    "data_idle": ("port{si}._pending is None", "not dp{si}"),
+    "index_idle": ("iport{si}._pending is None", "not ip{si}"),
+    "fill": ("len(fifo{si})", "f{si}"),
+    "index_fill": ("len(ififo{si})", "g{si}"),
+    "more_index": ("igen{si}._pos < igen{si}._count", "p{si} < T{si}"),
+    "fetch": (_post("port{si}", "gen{si}.next()", False, "None", "8"),
               "dp{si} = True\np{si} += 1"),
     "fetch_indexed": (_post(
-        "port", "cfg.base + (ififo.popleft() << cfg.idx_shift)", False,
-        "None", "8"), "g{si} -= 1\ndp{si} = True"),
-    "fetch_index": (_post("iport", "cfg.idx_base + igen._pos * cfg.idx_size",
-                          False, "None", "cfg.idx_size") + "\nigen._pos += 1",
-                    "ip{si} = True\ne{si} = p{si}\np{si} += 1"),
-    "retire_write": ("port._response_ready = False\nport._response = None\n"
-                     "fifo.popleft()\ns._pending_write_addr = None",
+        "port{si}",
+        "cfg{si}.base + (ififo{si}.popleft() << cfg{si}.idx_shift)",
+        False, "None", "8"), "g{si} -= 1\ndp{si} = True"),
+    "fetch_index": (_post(
+        "iport{si}", "cfg{si}.idx_base + igen{si}._pos * cfg{si}.idx_size",
+        False, "None", "cfg{si}.idx_size") + "\nigen{si}._pos += 1",
+        "ip{si} = True\ne{si} = p{si}\np{si} += 1"),
+    "retire_write": ("port{si}._response_ready = False\n"
+                     "port{si}._response = None\nfifo{si}.popleft()\n"
+                     "s{si}._pending_write_addr = None",
                      "dr{si} = False\nf{si} -= 1\nw{si} = False"),
-    "held": ("s._pending_write_addr is not None", "w{si}"),
-    "write": (_post("port", "s._pending_write_addr", True, "fifo[0]", "8"),
-              "dp{si} = True"),
-    "more": ("gen._remaining", "p{si} < T{si}"),
-    "hold": ("s._pending_write_addr = gen.next()", "w{si} = True\np{si} += 1"),
+    "held": ("s{si}._pending_write_addr is not None", "w{si}"),
+    "write": (_post("port{si}", "s{si}._pending_write_addr", True,
+                    "fifo{si}[0]", "8"), "dp{si} = True"),
+    "more": ("gen{si}._remaining", "p{si} < T{si}"),
+    "hold": ("s{si}._pending_write_addr = gen{si}.next()",
+             "w{si} = True\np{si} += 1"),
 }
-_INDIRECT_VERBS = {"more": "ififo", "hold": "s._pending_write_addr = "
-                   "cfg.base + (ififo.popleft() << cfg.idx_shift)"}
+_INDIRECT_VERBS = {"more": "ififo{si}", "hold": "s{si}._pending_write_addr = "
+                   "cfg{si}.base + (ififo{si}.popleft() << cfg{si}.idx_shift)"}
 
 
 def _expand(rule: str, verbs: dict) -> list[str]:
@@ -192,118 +203,147 @@ def port_layouts(tcdm) -> dict:
             for i, p in enumerate(tcdm._ports)}
 
 
-def _arbitration(reqs: list, rr: str, n: int, head: str) -> list[str]:
+def _arbitration(reqs: list, rr: str, n: int, target: dict) -> list[str]:
     """:data:`ARBITRATION` over ``reqs``, one ``(layout, pending, bank,
-    grant, conflict)`` per requester, and the round-robin offset ``rr``
-    over ``n`` streamer ports; ``acc`` and ``conf`` count the outcomes."""
+    grant, conflict, check, fast)`` per requester, and the round-robin
+    offset ``rr`` over ``n`` streamer ports.  On a clash ``acc`` and
+    ``conf`` count the outcomes and ``target`` says how to start
+    (``head``) and settle (``settle``) them, and what to do if a grant
+    raises (``fault``; the error then propagates).  A request with a
+    true ``check`` goes the ordered way too; without a clash every
+    request is granted by ``fast`` and counted by ``count``."""
     parts: dict = {"requests": [], "pend": [], "grant": [], "conflict": [],
                    "grant_all": []}
-    for i, (layout, pending, bank, grant, conflict) in enumerate(reqs):
+    for i, (layout, pending, bank, grant, conflict, check, fast) \
+            in enumerate(reqs):
         priority, rot, order, streamer = layout
         test = f"if {pending}:"
         parts["requests"].append(_under(test, f"b{i} = 1 << {bank}\n" + (
             f"clash |= occ & b{i}\nocc |= b{i}" if i else f"occ = b{i}")
-            + "\nns += 1" * streamer))
+            + "\nns += 1" * streamer
+            + (_under(f"\nif {check}:", "clash = 1") if check else "")))
         key = "0" if rot is None else f"({rot} - old) % {n}"
         parts["pend"].append(_under(
             test, f"pend.append(({priority}, {key}, {order}, b{i}, {i}))"))
         case = f"{'elif' if i else 'if'} code == {i}:"
         parts["grant"].append(_under(case, grant or "pass"))
         parts["conflict"].append(_under(case, conflict))
-        parts["grant_all"].append(_under(test, "acc += 1\n" + grant))
+        parts["grant_all"].append(_under(test, target["count"] + "\n"
+                                         + fast))
     return _expand(ARBITRATION, dict(
-        {part: "\n".join(code) for part, code in parts.items()},
-        head=head, rr=rr, n=n))
+        {part: "\n".join(code) for part, code in parts.items()}, **target,
+        rr=rr, n=n))
 
 
 # -- with data: the scalar-v2 bodies ------------------------------------------
 
-_STEP_TEMPLATE = """\
-def factory(s):
-    port, iport, fifo, ififo = s.data_port, s.idx_port, s._fifo, s._idx_fifo
-    gen, igen, cfg = s._gen, s._igen, s.cfg
+def stream_bind(si, streamer: str) -> list[str]:
+    """The locals the with-data rules of stream ``si`` use, bound from
+    ``streamer`` as armed."""
+    return [f"s{si} = {streamer}",
+            f"port{si}, iport{si} = s{si}.data_port, s{si}.idx_port",
+            f"fifo{si}, ififo{si} = s{si}._fifo, s{si}._idx_fifo",
+            f"gen{si}, igen{si}, cfg{si} = s{si}._gen, s{si}._igen, s{si}.cfg"]
 
-    def step():
-{body}
-    return step
+
+def stream_lines(si, mode: int, indirect: bool, depth: int) -> list[str]:
+    """The with-data step of stream ``si`` armed in ``mode`` (``indirect``
+    makes :data:`WRITE` an indirect write) with a FIFO of ``depth``."""
+    verbs = {verb: pair[0].format(si=si) for verb, pair in _VERBS.items()}
+    if indirect:
+        verbs.update({verb: text.format(si=si)
+                      for verb, text in _INDIRECT_VERBS.items()})
+    rule = (_INDIRECT_WRITE if mode == WRITE and indirect
+            else RULES[mode]) + _ACTIVE
+    return _expand(rule, dict(verbs, depth=depth))
+
+
+def block(lines: list[str], depth: int) -> str:
+    """``lines`` indented by ``depth`` spaces, one per line."""
+    return "\n".join(" " * depth + line for line in lines)
+
+
+#: What an arbitration needs bound, over the TCDM ``T``, its memory
+#: ``mem`` and the unpackers ``f64``/``u32``.  ``grant`` performs a
+#: request with the errors of :class:`~repro.mem.memory.Memory`: 8- and
+#: 4-byte reads straight from the backing store, the rest by
+#: ``TcdmPort._grant``.
+GRANT_BIND = """\
+data, size = mem._data, mem.size
+bw, nb = T.bank_width, T.num_banks
+
+def grant(P, r):
+    addr, w = r.addr, r.width
+    if r.is_write or w != 8 and w != 4:
+        P._grant(mem)
+        return
+    if addr < 0 or addr + w > size or addr & w - 1:
+        mem._check(addr, w)
+    P._response = (f64 if w == 8 else u32)(data, addr)[0]
+    P.reads += 1
+    P._pending = None
+    P._response_ready = True
 """
-_STEP_FACTORIES: dict[tuple, Any] = {}
+
+#: A granted read of 8 (``f64``) or 4 (``u32``) bytes, inlined for a
+#: port that only ever reads that width (a read stream's data port, an
+#: indirect stream's index port) once its address ``a{i}`` passed the
+#: range check.
+_READ = """\
+P{i}._response = {unpack}(data, a{i})[0]
+P{i}.reads += 1
+P{i}._pending = None
+P{i}._response_ready = True"""
 
 
-def stream_step(s, mode: int) -> Callable[[], None]:
-    """The with-data step of streamer ``s`` armed in ``mode`` (an
-    indirect configuration makes :data:`WRITE` an indirect write)."""
-    key = (mode, bool(s.cfg.indirect), s.fifo_depth)
-    factory = _STEP_FACTORIES.get(key)
-    if factory is None:
-        verbs = {verb: pair[0] for verb, pair in _VERBS.items()}
-        verbs.update(_INDIRECT_VERBS if key[1] else {}, depth=key[2])
-        rule = (_INDIRECT_WRITE if mode == WRITE and key[1]
-                else RULES[mode]) + _ACTIVE
-        body = "\n".join(" " * 8 + line for line in _expand(rule, verbs))
-        factory = _STEP_FACTORIES[key] = compile_factory(
-            _STEP_TEMPLATE.format(body=body), f"<stream step {key}>")
-    return factory(s)
+#: The with-data arbitration's accounting: the grants of the cycles
+#: since ``granted = 0`` accumulate in ``granted`` (for the TCDM's
+#: ``total_accesses`` and ``busy_bank_cycles``, see :data:`FLUSH`); a
+#: faulting grant leaves the reference's partial counts.
+_WITH_DATA = {
+    "count": "granted += 1", "head": "acc = conf = 0",
+    "settle": "T.total_conflicts += conf\ngranted += acc",
+    "fault": "T.total_accesses += acc\nT.total_conflicts += conf"}
+FLUSH = ["T.total_accesses += granted", "T.busy_bank_cycles += granted"]
 
 
-#: The arbiter of one port layout.  ``grant`` serves 8- and 4-byte reads
-#: straight from the backing store (with the errors of
-#: :class:`~repro.mem.memory.Memory`), the rest by ``TcdmPort._grant``.
-_ARBITER_TEMPLATE = """\
-def factory(T, ports, mem, f64, u32):
-    data, size = mem._data, mem.size
-    bw, nb = T.bank_width, T.num_banks
-{bind}
-    def grant(P, r):
-        w = r.width
-        if r.is_write or w != 8 and w != 4:
-            P._grant(mem)
-            return
-        addr = r.addr
-        if addr < 0 or addr + w > size or addr & w - 1:
-            mem._check(addr, w)
-        P._response = (f64 if w == 8 else u32)(data, addr)[0]
-        P.reads += 1
-        P._pending = None
-        P._response_ready = True
-
-    def arbitrate():
-{body}
-    return arbitrate
-"""
-_ARBITER_FACTORIES: dict[tuple, Any] = {}
+def arbitration_lines(ports: list, n: int, rr: str,
+                      pow2: bool) -> list[str]:
+    """The with-data arbitration of the ports ``P{i}``: ``ports`` holds
+    each one's ``(index, priority, rotation, streamer, read)``, in
+    registration order, where ``read`` is the width of every request of
+    a read-only port (else 0), and ``n`` is the TCDM's streamer port
+    count.  Each ``P{i}`` must be bound, ``r{i}`` hold its pending
+    request and ``rr`` the round-robin offset.  The range check of
+    every request, made before any grant, sends a request that would
+    fault the ordered way, so grants happen in the reference's order up
+    to the fault; with a memory of a power-of-two size (``pow2``) a
+    read's check is one mask test (``m8``/``m4`` bound to
+    ``~(size - width)``)."""
+    reqs = []
+    for i, priority, rot, streamer, read in ports:
+        width = read or f"r{i}.width"
+        check = f"a{i} & m{read}" if read and pow2 else \
+            f"a{i} < 0 or a{i} + {width} > size or a{i} % {width}"
+        reqs.append(((priority, rot, i, streamer), f"r{i} is not None",
+                     f"((a{i} := r{i}.addr) // bw % nb)",
+                     f"grant(P{i}, r{i})", f"P{i}.conflicts += 1", check,
+                     _READ.format(i=i, unpack="f64" if read == 8 else "u32")
+                     if read else f"grant(P{i}, r{i})"))
+    return _arbitration(reqs, rr, n, _WITH_DATA) if reqs else []
 
 
-def arbiter(tcdm) -> Callable[[], None]:
-    """The with-data arbitration of ``tcdm``'s registered ports.  It
-    reads the priorities when it sorts a clash, so a priority set after
-    registration holds at once."""
-    ports = tcdm.ports
-    key = (tuple((rot, streamer) for _, rot, _, streamer
-                 in port_layouts(tcdm).values()), len(tcdm._streamer_ports))
-    factory = _ARBITER_FACTORIES.get(key)
-    if factory is None:
-        body = [f"r{i} = P{i}._pending" for i in range(len(ports))]
-        if ports:
-            body += _arbitration([
-                ((f"P{i}.priority", rot, i, streamer), f"r{i} is not None",
-                 f"(r{i}.addr // bw % nb)", f"grant(P{i}, r{i})",
-                 f"P{i}.conflicts += 1")
-                for i, (rot, streamer) in enumerate(key[0])],
-                "T._rr_offset", key[1], "acc = conf = 0") + [
-                "    T.total_accesses += acc", "    T.busy_bank_cycles += acc",
-                "    T.total_conflicts += conf"]
-        factory = _ARBITER_FACTORIES[key] = compile_factory(
-            _ARBITER_TEMPLATE.format(
-                bind="".join(f"    P{i} = ports[{i}]\n"
-                             for i in range(len(ports))),
-                body="\n".join(" " * 8 + x for x in body or ["pass"])),
-            f"<tcdm arbiter {key}>")
-    return factory(tcdm, ports, tcdm.mem, struct.Struct("<d").unpack_from,
-                   struct.Struct("<I").unpack_from)
+def unpackers() -> tuple:
+    """The ``f64`` and ``u32`` a with-data arbitration reads with."""
+    return struct.Struct("<d").unpack_from, struct.Struct("<I").unpack_from
 
 
 # -- counters only: the loop memo's memory side -------------------------------
+
+#: The counters' accounting: ``acc`` and ``conf`` run over a whole
+#: replay.
+_COUNTERS = {"count": "acc += 1", "head": "", "settle": "", "fault": ""}
+
 
 def counters_rules(streams: tuple, lsu: tuple, n: int) -> list[str]:
     """One cycle's stream steps and arbitration on counters, for the
@@ -314,16 +354,17 @@ def counters_rules(streams: tuple, lsu: tuple, n: int) -> list[str]:
     as the recorded core timing has it granted.  Write grants are
     logged in ``grants`` as ``(si, element)``."""
     lines: list[str] = []
-    reqs = [(lsu, "lsu >= 0", "LB[lsu]", "", "return None")]
+    reqs = [(lsu, "lsu >= 0", "LB[lsu]", "", "return None", "", "")]
     for si, mode, depth, data, index in streams:
         verbs = {verb: pair[1].format(si=si) for verb, pair in _VERBS.items()}
         lines += _expand(RULES[mode] + _ACTIVE, dict(verbs, depth=depth))
         done = f"xw{si} += 1\ngrants.append(({si}, m{si}))" \
             if mode == WRITE else f"xr{si} += 1"
-        reqs.append((data, f"dp{si}", f"B{si}[m{si}]",
-                     f"dp{si} = False\ndr{si} = True\n{done}", f"xc{si} += 1"))
+        grant = f"dp{si} = False\ndr{si} = True\n{done}"
+        reqs.append((data, f"dp{si}", f"B{si}[m{si}]", grant, f"xc{si} += 1",
+                     "", grant))
         if mode == INDIRECT_READ:
-            reqs.append((index, f"ip{si}", f"IB{si}[e{si}]",
-                         f"ip{si} = False\nir{si} = True\nyr{si} += 1",
-                         f"yc{si} += 1"))
-    return lines + _arbitration(reqs, "rr", n, "")
+            grant = f"ip{si} = False\nir{si} = True\nyr{si} += 1"
+            reqs.append((index, f"ip{si}", f"IB{si}[e{si}]", grant,
+                         f"yc{si} += 1", "", grant))
+    return lines + _arbitration(reqs, "rr", n, _COUNTERS)

@@ -15,10 +15,7 @@ full, for writes) is exactly the stall condition the core observes.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable
-
 from repro.mem.tcdm import Tcdm, TcdmPort
-from repro.mem.timing import AFFINE_READ, INDIRECT_READ, WRITE, stream_step
 from repro.ssr.address_gen import AffineGenerator, IndirectGenerator
 from repro.ssr.config import SsrConfig, SsrConfigSpace, SsrMode
 
@@ -50,11 +47,6 @@ class SsrStreamer:
         self._to_produce = 0     # writes the FPU still owes us
         self._data_requested = False
         self._pending_write_addr: int | None = None
-        #: Micro-op engine per-cycle step generated for the armed mode
-        #: and FIFO depth (:func:`repro.mem.timing.stream_step`; None
-        #: while unarmed).  Every arming re-binds it, so callers look it
-        #: up every cycle.
-        self.step_v2: Callable[[], None] | None = None
         # Statistics (energy model inputs).
         self.active_cycles = 0
         self.elements_moved = 0
@@ -107,12 +99,9 @@ class SsrStreamer:
         if cfg.mode == SsrMode.READ:
             self._to_consume = total * (cfg.repeat + 1)
             self._to_produce = 0
-            mode = INDIRECT_READ if cfg.indirect else AFFINE_READ
         else:
             self._to_produce = total
             self._to_consume = 0
-            mode = WRITE
-        self.step_v2 = stream_step(self, mode)
 
     # -- register-port interface (used at FP instruction issue) -----------
 

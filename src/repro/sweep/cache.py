@@ -172,21 +172,24 @@ def record_result(record: dict) -> Result:
             f"unparseable result: {type(exc).__name__}: {exc}") from exc
 
 
-def _jsonl_lines(path: Path) -> Iterator[tuple[int, str, dict | None]]:
+def _jsonl_lines(path: Path
+                 ) -> Iterator[tuple[int, str, dict | bool | None]]:
     """``(line number, line, record)`` for every non-blank line of one
     JSONL file of the store: the one reader of loading and
-    :meth:`ResultCache.verify`.  ``record`` is None when the line is not
-    a JSON object with a ``key`` (a torn write, bit rot)."""
+    :meth:`ResultCache.verify`.  ``record`` is falsy when the line is
+    not a JSON object with a ``key``: False for the file's last line
+    without its newline (a torn append, which the next append steps
+    over), None otherwise (a torn write stepped over, bit rot)."""
     with open(path) as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
+        for lineno, raw in enumerate(handle, 1):
+            line = raw.strip()
             if not line:
                 continue
             try:
                 record = json.loads(line)
                 record["key"]
             except (json.JSONDecodeError, TypeError, KeyError):
-                record = None
+                record = None if raw.endswith("\n") else False
             yield lineno, line, record
 
 
@@ -243,7 +246,7 @@ class ResultCache:
         """Yield well-formed records of one JSONL file, counting (not
         silently dropping) every malformed line."""
         for _, _, record in _jsonl_lines(path):
-            if record is None:
+            if not record:
                 self.corrupt_lines += 1
             else:
                 yield record
@@ -430,11 +433,14 @@ class ResultCache:
 
         Returns a report::
 
-            {"files", "records", "corrupt": [...], "invalid": [...],
-             "duplicates": [...], "conflicts": [...], "orphans": [...],
-             "failure_records", "ok": bool}
+            {"files", "records", "corrupt": [...], "torn_tail": [...],
+             "invalid": [...], "duplicates": [...], "conflicts": [...],
+             "orphans": [...], "failure_records", "ok": bool}
 
         * **corrupt** -- lines that are not JSON (file, line number);
+        * **torn_tail** -- a malformed last line without its newline
+          (an append cut short; benign: loading skips it and the next
+          append starts on a fresh line);
         * **invalid** -- records that fail :func:`record_result`;
         * **duplicates** -- keys appearing more than once with
           *identical* payloads (benign: racing cooperating writers);
@@ -443,19 +449,21 @@ class ResultCache:
         * **orphans** -- records filed in a shard whose name does not
           match their key prefix (a mis-filed append).
 
-        ``ok`` is true when nothing but benign duplicates was found.
+        ``ok`` is true when nothing but benign duplicates and torn tails
+        was found.
         """
         seen: dict[str, str] = {}
         report: dict = {"files": 0, "records": 0, "corrupt": [],
-                        "invalid": [], "duplicates": [], "conflicts": [],
-                        "orphans": [], "failure_records": 0}
+                        "torn_tail": [], "invalid": [], "duplicates": [],
+                        "conflicts": [], "orphans": [], "failure_records": 0}
         for path in self._record_files():
             report["files"] += 1
             name = str(path.relative_to(self.root))
             for lineno, line, record in _jsonl_lines(path):
                 where = {"file": name, "line": lineno}
-                if record is None:
-                    report["corrupt"].append(where)
+                if not record:
+                    report["corrupt" if record is None
+                           else "torn_tail"].append(where)
                     continue
                 key = where["key"] = record["key"]
                 report["records"] += 1
@@ -473,7 +481,10 @@ class ResultCache:
                     seen[key] = line
         if self.failures_path.exists():
             for lineno, _, record in _jsonl_lines(self.failures_path):
-                if record is None or "status" not in record:
+                if record is False:
+                    report["torn_tail"].append(
+                        {"file": FAILURES_FILE, "line": lineno})
+                elif record is None or "status" not in record:
                     report["corrupt"].append(
                         {"file": FAILURES_FILE, "line": lineno})
                 else:

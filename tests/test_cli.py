@@ -353,6 +353,29 @@ def test_audit_verify_store_only_mode(tmp_path, capsys):
     assert report["ok"] and report["records"] == 4
 
 
+@pytest.mark.parametrize("torn", [True, False])
+def test_audit_verify_store_torn_tail_and_corruption(tmp_path, capsys, torn):
+    """A torn last line is reported as ``torn_tail`` with integrity ok
+    (exit 0); a malformed line mid-file is ``corrupt`` and exits 1."""
+    spec = _write_audit_spec(tmp_path)
+    cache = tmp_path / "cache"
+    assert main(["sweep", "--spec", str(spec), "--cache-dir", str(cache),
+                 "--workers", "0", "--quiet"]) == 0
+    capsys.readouterr()
+    shard = sorted((cache / "shards").glob("*.jsonl"))[0]
+    text = shard.read_text()
+    shard.write_text(text + '{"key": "torn' if torn
+                     else "not json\n" + text)
+    rc = main(["audit", "--verify-store", "--cache-dir", str(cache)])
+    out = capsys.readouterr().out
+    if torn:
+        assert rc == 0 and "torn_tail: 1" in out and "corrupt" not in out
+        assert "store integrity: ok" in out
+    else:
+        assert rc == 1 and "corrupt: 1" in out and "torn_tail" not in out
+        assert "store integrity: FAILED" in out
+
+
 def test_audit_argument_validation(tmp_path):
     with pytest.raises(SystemExit, match="exactly one"):
         main(["audit"])

@@ -535,17 +535,19 @@ def test_observe_gate_keeps_fastpath_stats(kind, monkeypatch):
     gated = make()
     gated.run()
 
-    step_v2 = Cluster._step_v2
+    advance = Cluster._advance
 
-    def ungated_step_v2(self):
-        fastpath, self.fastpath = self.fastpath, None
+    def ungated_advance(self, limit):
+        # One cycle at a time, with the gated call silenced.
+        fastpath = self.fastpath
+        fastpath.observe = lambda: None
         try:
-            step_v2(self)
+            advance(self, min(limit, self.cycle + 1))
         finally:
-            self.fastpath = fastpath
+            del fastpath.observe
         fastpath.observe()
 
-    monkeypatch.setattr(Cluster, "_step_v2", ungated_step_v2)
+    monkeypatch.setattr(Cluster, "_advance", ungated_advance)
     ungated = make()
     ungated.run()
 

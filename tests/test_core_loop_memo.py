@@ -216,16 +216,19 @@ def _check_recordings(monkeypatch) -> list:
         start(memo, key)
         rec, cl = memo._rec, memo.cluster
         log = logs[id(rec)] = [_reference_observe(memo, cl.cycle)]
-        record = cl.cycle_observer
 
-        def both():
-            cycle = cl.cycle
-            if cycle < rec.cycle + fastpath._MEMO_MAX_CYCLES:
-                log.extend([log[-1]] * (cycle - rec.cycle - len(log) + 1))
-                log.append(_reference_observe(memo, cycle + 1))
-            record()
+        class Both(list):
+            """The recording's row log, taking the reference observation
+            with every row the stepped cycle appends after a cycle."""
 
-        cl.cycle_observer = both
+            def append(self, row):
+                cycle = cl.perf.cycles
+                if self and cycle < rec.cycle + fastpath._MEMO_MAX_CYCLES:
+                    log.extend([log[-1]] * (cycle - rec.cycle - len(log) + 1))
+                    log.append(_reference_observe(memo, cycle + 1))
+                super().append(row)
+
+        rec.log = Both(rec.log)
 
     def checked_build(memo, rec, exit_key):
         got = build(memo, rec, exit_key)
@@ -421,8 +424,10 @@ def test_memory_side_simulator_matches_streamers_and_tcdm(seed, num_banks,
     schedule of register pops, pushes and LSU requests: same FIFO fills,
     positions, port flags and statistics, grants and round robin -- and
     every stream observation the schedule logs must come out as logged
-    (a flipped one makes the simulator refuse the iteration).  Both
-    sides are generated for the port layout, default or not."""
+    (a flipped one makes the simulator refuse the iteration).  The
+    simulator is generated for the port layout, default or not; the
+    streamers and the TCDM step on the seed's ``step`` and
+    ``arbitrate``."""
     rng = np.random.default_rng(seed)
     mem = Memory(1 << 16)
     tcdm = Tcdm(mem, num_banks=num_banks)
@@ -481,8 +486,8 @@ def test_memory_side_simulator_matches_streamers_and_tcdm(seed, num_banks,
             lsu_banks.append(bank(addr))
             _post_read(lsu, addr)
         for s in streamers:
-            s.step_v2()
-        tcdm.arbiter()
+            s.step()
+        tcdm.arbitrate()
         schedule.append((tuple(pops), tuple(pushes), lsu_index,
                          tuple(t[:2] for t in triples),
                          tuple(t[2] for t in triples), tuple(triples)))

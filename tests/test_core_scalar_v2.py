@@ -20,6 +20,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.core import fastpath
 from repro.core.cluster import Cluster
 from repro.core.config import CoreConfig
 from repro.kernels.registry import get_stencil
@@ -27,6 +28,7 @@ from repro.kernels.ssrgen import SsrPatternAsm
 from repro.kernels.stencil_codegen import build_stencil
 from repro.kernels.variants import VARIANT_ORDER, Variant
 from repro.kernels.vecop import VecopVariant, build_vecop
+from repro.mem.memory import MemoryError_
 from repro.ssr.config import CfgField, cfg_addr
 from repro.trace import TraceRecorder
 
@@ -301,10 +303,10 @@ def test_only_single_core_untraced_clusters_leave_the_seed_interpreter(
     untraced cluster keeps the micro-op engine and, under ``auto``, the
     fast paths."""
     stepped = set()
-    for name in ("_step_seed", "_step_v2"):
-        def spy(self, _step=getattr(Cluster, name), _name=name):
+    for name in ("_step_seed", "_advance"):
+        def spy(self, *limit, _step=getattr(Cluster, name), _name=name):
             stepped.add(_name)
-            _step(self)
+            _step(self, *limit)
         monkeypatch.setattr(Cluster, name, spy)
     cluster_kw, cfg_kw = _SHAPES[shape]()
     build = build_vecop(n=64, variant=VecopVariant.CHAINING)
@@ -313,7 +315,7 @@ def test_only_single_core_untraced_clusters_leave_the_seed_interpreter(
     build.load_into(cluster)
     cluster.run()
     micro_ops = shape == "single-core" and engine != "scalar"
-    assert stepped == {"_step_v2" if micro_ops else "_step_seed"}
+    assert stepped == {"_advance" if micro_ops else "_step_seed"}
     assert (cluster.fastpath is not None) == (micro_ops and engine == "auto")
 
 
@@ -665,6 +667,138 @@ def test_fuzz_lockstep_streams_per_cycle(seed, layout, scatter):
         assert ref.cycle < 2_000, f"seed {seed} did not finish\n{source}"
     assert v2.done
     assert all(s.elements_moved for s in ref.fp.streamers)
+
+
+def _rebind_program() -> str:
+    """A program that changes what the stepped cycle is specialised on
+    while a DMA copies: an integer loop over an indirect SSR0 gather and
+    an affine SSR1 read, a chained ``frep.o`` region, then SSR0 re-armed
+    as an affine read and SSR1 as a write next to a first SSR2 write."""
+    first = [
+        SsrPatternAsm(ssr=0, base=DATA, bounds=[24], strides=[8],
+                      indirect=True, idx_base=IDX, idx_size=4, idx_shift=3),
+        SsrPatternAsm(ssr=1, base=DATA + 8, bounds=[24], strides=[8])]
+    second = [
+        SsrPatternAsm(ssr=0, base=DATA + 16, bounds=[16], strides=[8]),
+        SsrPatternAsm(ssr=1, base=OUT, bounds=[8], strides=[8], write=True),
+        SsrPatternAsm(ssr=2, base=OUT + 0x100, bounds=[8], strides=[8],
+                      write=True)]
+    lines = [f"li x1, {DATA}", "li x2, 0x8000", "li x3, 4096",
+             "dmsrc x1", "dmdst x2", "dmcpy x4, x3", f"li x9, {OUT + 0x200}"]
+    lines += [p.emit() for p in first]
+    lines += ["csrrsi x0, 0x7C0, 1", "li x5, 12", "first:",
+              "fmadd.d f3, f0, f1, f3", "fadd.d f4, f0, f1",
+              "addi x5, x5, -1", "bne x5, x0, first", "csrrci x0, 0x7C0, 1",
+              f"li x7, {(1 << 20) | (1 << 21)}", "csrrw x0, 0x7C3, x7",
+              "li x6, 5", "frep.o x6, 1", "fmadd.d f20, f3, f4, f5",
+              "fadd.d f6, f20, f6", "csrrwi x0, 0x7C3, 0"]
+    lines += [p.emit() for p in second]
+    lines += ["csrrsi x0, 0x7C0, 1", "li x5, 8", "second:",
+              "fadd.d f1, f0, f3", "fmul.d f2, f0, f4", "addi x5, x5, -1",
+              "bne x5, x0, second", "csrrci x0, 0x7C0, 1", "fsd f6, 0(x9)",
+              "ebreak"]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("engine", ["scalar-v2", "auto"])
+def test_generated_cycle_lockstep_across_rebinds(engine, seed, monkeypatch):
+    """The generated cycle against the seed interpreter while the program
+    re-arms streams to other modes and FIFO depths, toggles the chaining
+    mask and enters and leaves FREP next to a busy DMA: the micro-op
+    cluster runs its multi-cycle loop in short random budgets, so every
+    exit (budget, loop head, FREP observation, halt) and every rebind,
+    mid-cycle ones included, is compared with the seed's machine.  Under
+    ``auto`` the memo records and replays from the first loop head."""
+    monkeypatch.setattr(fastpath, "_MEMO_WARMUP", 0)
+    rng = random.Random(seed)
+    clusters = []
+    for name in ("scalar", engine):
+        cluster = Cluster(_rebind_program(), cfg=CoreConfig(engine=name))
+        cluster.load_f64(DATA, np.linspace(-2.0, 3.0, 128))
+        cluster.mem.write_array(IDX, np.array(
+            [(7 * k) % 64 for k in range(24)], dtype=np.uint32))
+        streamers = cluster.fp.streamers
+        streamers[1].fifo_depth = 2
+        streamers[2].fifo_depth = 3
+        clusters.append(cluster)
+    ref, got = clusters
+    core = got.core
+    while not (core.halted and got.done):
+        got._advance(got.cycle + rng.randrange(1, 8))
+        if core.loop_head:
+            got.fastpath.loop.at_head(10_000)
+        while ref.cycle < got.cycle:
+            ref.step()
+        assert _lockstep_state(ref) == _lockstep_state(got), ref.cycle
+        assert got.cycle < 5_000
+    assert ref.done
+    assert machine_digest(ref) == machine_digest(got)
+    assert got.dma.bytes_moved == 4096
+    if engine == "auto":
+        assert got.fastpath.stats["loop_hits"] > 0
+
+
+def _fault_program(start: int) -> str:
+    """SSR0 gathers through an index array while SSR1 reads downwards
+    from ``start`` until it walks below address 0."""
+    streams = [
+        SsrPatternAsm(ssr=0, base=DATA, bounds=[400], strides=[8],
+                      indirect=True, idx_base=IDX, idx_size=4, idx_shift=3),
+        SsrPatternAsm(ssr=1, base=start, bounds=[400], strides=[-8])]
+    lines = [p.emit() for p in streams]
+    lines += ["csrrsi x0, 0x7C0, 1", "li x5, 100", "loop:"]
+    lines += ["fadd.d f3, f0, f1"] * 4
+    lines += ["addi x5, x5, -1", "bne x5, x0, loop", "ebreak"]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("start", [0x40 + 8 * k for k in range(8)])
+def test_faulting_grant_leaves_the_seed_counters(start):
+    """A grant that raises ``MemoryError_`` leaves the clock, every TCDM
+    and port counter and the round-robin offset as the seed leaves them:
+    the seed grants in (priority, rotation) order up to the fault, so
+    which other ports got their grant in that cycle depends on the
+    rotation (the starts cover both parities)."""
+    outcomes = []
+    for engine in ("scalar", "scalar-v2", "auto"):
+        cluster = Cluster(_fault_program(start), cfg=CoreConfig(engine=engine))
+        cluster.mem.write_array(IDX, np.arange(400, dtype=np.uint32) % 128)
+        with pytest.raises(MemoryError_):
+            cluster.run()
+        tcdm = cluster.tcdm
+        outcomes.append((cluster.cycle, tcdm.stats(), tcdm.busy_bank_cycles,
+                         tcdm._rr_offset))
+    assert outcomes[1] == outcomes[0]
+    assert outcomes[2] == outcomes[0]
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("cfg_kw", [
+    {"chain_concurrent_push_pop": False},
+    {"mem_size": (1 << 21) - 8 * 1000}], ids=["conservative", "odd-memory"])
+def test_fuzz_lockstep_generated_cycle_variants(seed, cfg_kw):
+    """The stream programs cycle by cycle under the other texts the
+    stepped cycle is generated as: the conservative chaining mode (its
+    writeback on the seed's) and a memory whose size is no power of two
+    (range checks by comparison instead of by mask)."""
+    rng = random.Random(4321 + seed)
+    source, indices = _random_ssr_program(rng, seed % 2 == 1)
+    data = np.array([rng.uniform(-4, 4) for _ in range(128)])
+    clusters = []
+    for engine in ("scalar", "scalar-v2"):
+        cluster = Cluster(source, cfg=CoreConfig(engine=engine, **cfg_kw))
+        cluster.load_f64(DATA, data)
+        for addr, idx in indices.items():
+            cluster.mem.write_array(addr, idx)
+        clusters.append(cluster)
+    ref, v2 = clusters
+    while not ref.done:
+        ref.step()
+        v2.step()
+        assert _lockstep_state(ref) == _lockstep_state(v2), ref.cycle
+        assert ref.cycle < 2_000
+    assert v2.done
 
 
 @pytest.mark.parametrize("seed", range(8))

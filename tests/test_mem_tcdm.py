@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.mem import timing
 from repro.mem.memory import Memory
 from repro.mem.tcdm import Tcdm
 
@@ -129,9 +130,28 @@ def test_stats_accumulate():
     assert stats["total_accesses"] == 3
 
 
+def generated_arbiter(tcdm: Tcdm):
+    """:data:`repro.mem.timing.ARBITRATION` with data over every port of
+    ``tcdm``, on its own (the stepped cycle inlines it)."""
+    layouts = list(timing.port_layouts(tcdm).values())
+    body = ["granted = 0"] + [f"r{i} = P{i}._pending"
+                              for i in range(len(layouts))]
+    body += timing.arbitration_lines(
+        [(i, f"P{i}.priority", rot, streamer, 0)
+         for i, (_, rot, _, streamer) in enumerate(layouts)],
+        len(tcdm._streamer_ports), "T._rr_offset", False) + timing.FLUSH
+    source = "def factory(T, ports, mem, f64, u32):\n" + timing.block(
+        timing.GRANT_BIND.splitlines()
+        + [f"P{i} = ports[{i}]" for i in range(len(layouts))]
+        + ["def arbitrate():"] + ["    " + line for line in body]
+        + ["return arbitrate"], 4) + "\n"
+    factory = timing.compile_factory(source, "<tcdm arbiter>")
+    return factory(tcdm, tcdm.ports, tcdm.mem, *timing.unpackers())
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_generated_arbiter_matches_the_reference(seed):
-    """``Tcdm.arbiter`` (generated for the registered ports) grants what
+    """The generated arbitration (:func:`generated_arbiter`) grants what
     ``Tcdm.arbitrate`` grants, cycle by cycle: on a layout with mixed
     priorities, two streamer ports sharing a name and a plain port named
     like a streamer (the name-keyed rotation), reads and writes of every
@@ -145,6 +165,7 @@ def test_generated_arbiter_matches_the_reference(seed):
     tcdms = [make_tcdm(banks=4) for _ in range(2)]
     ports = [[t.port(name, prio, streamer) for name, prio, streamer in layout]
              for t in tcdms]
+    arbitrate = generated_arbiter(tcdms[1])
     for cycle in range(600):
         if cycle == 300:
             for side in ports:
@@ -163,7 +184,7 @@ def test_generated_arbiter_matches_the_reference(seed):
                     side[i].request(addr, is_write=write, data=data,
                                     width=width)
         tcdms[0].arbitrate()
-        tcdms[1].arbiter()
+        arbitrate()
         assert tcdms[0].stats() == tcdms[1].stats(), cycle
         assert tcdms[0]._rr_offset == tcdms[1]._rr_offset, cycle
         for a, b in zip(*ports):

@@ -338,6 +338,27 @@ def test_mid_shard_corrupt_line_keeps_both_neighbours(tmp_path):
     assert report["records"] == 2 and not report["ok"]
 
 
+def test_verify_reports_a_torn_tail_apart_from_corruption(tmp_path):
+    """A malformed last line without its newline (a torn append) goes in
+    its own bucket and leaves integrity ok; loading skips it and the
+    next append steps over it, after which it is mid-file corruption."""
+    cache = ResultCache(tmp_path / "c")
+    key = point_key(POINT, __version__)
+    cache.put(key, POINT, execute_workload(POINT), 0.0, __version__)
+    shard = cache._shard_path(key)
+    with open(shard, "a") as handle:
+        handle.write('{"key": "' + key[:8] + '", "res')      # torn tail
+    report = ResultCache(tmp_path / "c").verify()
+    where = {"file": str(shard.relative_to(tmp_path / "c")), "line": 2}
+    assert report["torn_tail"] == [where]
+    assert report["corrupt"] == [] and report["ok"]
+    record = json.loads(shard.read_text().splitlines()[0])
+    cache._append(shard, dict(record, key=key[:-1] + "0"))
+    report = ResultCache(tmp_path / "c").verify()
+    assert report["corrupt"] == [where] and report["torn_tail"] == []
+    assert not report["ok"]
+
+
 # -- failure log ----------------------------------------------------------
 
 
