@@ -7,8 +7,8 @@ the FPU pipe, the LSUs and the SSR write streamers -- has drained.
 
 The micro-op engine and, under ``auto``, the FREP batch and the loop
 memo drive only the shape every workload builds: one core, no trace
-recorder, no ``fetch_from_memory``.  Any other cluster (several cores,
-a trace, binary fetch) steps on the seed interpreter whatever
+recorder or ``fetch_from_memory``, concurrent chaining, a power-of-two
+memory.  Any other cluster steps on the seed interpreter whatever
 ``CoreConfig.engine`` says; the engines are bit-identical, so only the
 wall time differs.
 
@@ -89,8 +89,10 @@ class Cluster:
         if trace is not None and hasattr(trace, "attach"):
             trace.attach(self.fp)
         self.cycle = 0
+        size = self.cfg.mem_size
         plain = num_cores == 1 and trace is None \
-            and not self.cfg.fetch_from_memory
+            and not self.cfg.fetch_from_memory \
+            and self.cfg.chain_concurrent_push_pop and not size & size - 1
         #: Micro-op engine selection (pre-decoded dispatch).
         self._v2 = plain and self.cfg.uses_uops
         #: Always zero (no idle-cycle skipping); perfbench reads it.
@@ -227,7 +229,8 @@ class Cluster:
             self.perf.bump("barriers")
 
     def step(self) -> None:
-        """Advance the whole cluster by one cycle."""
+        """Advance the whole cluster by exactly one cycle (the fast
+        paths engage only in :func:`run_clusters`)."""
         if self._v2:
             self._advance(self.cycle + 1)
         else:
@@ -249,8 +252,7 @@ class Cluster:
     def _advance(self, limit: int) -> None:
         """Micro-op cycles on the generated closure, with the semantics of
         :meth:`_step_seed`, until ``limit`` or an event the run loop
-        handles (:mod:`repro.core.cycle`); then the fast path observes
-        an FREP region."""
+        handles (:mod:`repro.core.cycle`)."""
         resume = None
         while True:
             loop = self._loop
@@ -260,12 +262,6 @@ class Cluster:
             if resume is None:
                 break
             self._loop = None    # its configuration changed mid-cycle
-        fastpath = self.fastpath
-        # Outside an FREP region an idle fast-path engine has nothing to
-        # observe, so the call is skipped (observe would return at once).
-        if fastpath is not None and (fastpath._state
-                                     or self.fp.sequencer._active):
-            fastpath.observe()
 
     def run(self, max_cycles: int = 5_000_000) -> PerfCounters:
         """Run to completion; returns the performance counters."""
@@ -342,11 +338,13 @@ def run_clusters(clusters: list[Cluster], max_cycles: int, system=None,
                  errors=(SimulationTimeout, SimulationDeadlock)) -> None:
     """The one run loop: step the unfinished clusters whose clock is
     lowest until every cluster is :attr:`~Cluster.done`, then release
-    them.  Once every core of every unfinished cluster has halted, 64
-    iterations without progress are a deadlock.  A ``system``
-    (:class:`repro.system.System`) opens its barrier before each batch
-    is chosen and arbitrates its interconnect before the batch steps; a
-    bare cluster never opens a system barrier.
+    them; the one place the fast paths engage (the FREP batch observes
+    a step in an FREP region, the memo runs at a loop head).  Once every
+    core of every unfinished cluster has halted, 64 iterations without
+    progress are a deadlock.  A ``system`` (:class:`repro.system.System`)
+    opens its barrier before each batch is chosen and arbitrates its
+    interconnect before the batch steps; a bare cluster never opens a
+    system barrier.
     """
     timeout, deadlock = errors
     active = [cl for cl in clusters if not cl.done]
@@ -369,6 +367,8 @@ def run_clusters(clusters: list[Cluster], max_cycles: int, system=None,
         for cl in batch:
             core = cl.core
             v2 = cl._v2
+            fastpath = cl.fastpath
+            seq = cl.fp.sequencer
             while True:
                 if not v2:
                     cl._step_seed()
@@ -376,8 +376,11 @@ def run_clusters(clusters: list[Cluster], max_cycles: int, system=None,
                     cl._advance(max_cycles)
                 else:
                     cl._advance(now + 1)
-                if core.loop_head:
-                    cl.fastpath.loop.at_head(max_cycles)
+                if fastpath is not None:
+                    if fastpath._state or seq._active:  # else a no-op
+                        fastpath.observe()
+                    if core.loop_head:
+                        fastpath.loop.at_head(max_cycles)
                 if core.halted:
                     halted = True
                     break

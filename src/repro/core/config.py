@@ -61,6 +61,7 @@ class CoreConfig:
     #: TCDM banking.
     tcdm_banks: int = 32
     tcdm_bank_width: int = 8
+    #: Memory size; one that is no power of two steps on the seed.
     mem_size: int = 1 << 21
 
     #: DMA engine bandwidth (bytes per cycle; Snitch's is 512-bit wide).
@@ -84,7 +85,8 @@ class CoreConfig:
     #: When True (default, matching our reading of the paper's Fig. 1c
     #: steady state), the chaining FIFO supports a pop and a push to the
     #: same register in the same cycle.  When False the writeback is
-    #: conservatively delayed, costing a bubble per wrap-around.
+    #: conservatively delayed, costing a bubble per wrap-around, and the
+    #: cluster steps on the seed interpreter whatever ``engine`` says.
     chain_concurrent_push_pop: bool = True
 
     #: Execution engine:
@@ -107,12 +109,12 @@ class CoreConfig:
     #:   Cluster` never sees this engine.
     #:
     #: ``"auto"`` and ``"scalar-v2"`` apply to a single-core cluster
-    #: without a trace recorder or ``fetch_from_memory``; any other
-    #: cluster steps on the seed interpreter.  All cycle-accurate
-    #: engines (everything except ``"analytical"``) are bit-identical in
-    #: every architecturally visible quantity: results, cycle counts,
-    #: perf counters, stall breakdowns, SSR/TCDM traffic statistics,
-    #: trace events and therefore energy.
+    #: without a trace recorder or ``fetch_from_memory``, with default
+    #: chaining and a power-of-two ``mem_size``; any other steps on the
+    #: seed interpreter.  All cycle-accurate engines (all but
+    #: ``"analytical"``) are bit-identical in every visible quantity:
+    #: results, cycles, perf counters, stall breakdowns, SSR/TCDM
+    #: traffic statistics, trace events and therefore energy.
     engine: str = "auto"
 
     #: Clock frequency used to convert cycles to time and energy to power.

@@ -8,17 +8,19 @@ FP issue and writeback phases (rationale in
 :mod:`repro.core.fp_subsystem`), the integer core's dispatch, each armed
 stream's rule and the TCDM arbitration of :mod:`repro.mem.timing`, with
 the barrier and the DMA in between.  Its key (:func:`_key`) is each
-stream's mode, indirection and FIFO depth, the ports that can post, the
-chaining mode and, under ``auto``, the loop memo's recording; each text
-is compiled once per process, and every cluster binds its own objects
-into it as locals.
+stream's mode, indirection and FIFO depth, the ports that can post,
+whether a chaining mask is set and, under ``auto``, the loop memo's
+recording (chaining is concurrent and the memory a power of two: the
+seed interpreter steps any other cluster); each text is compiled once
+per process, and every cluster binds its own objects into it.
 
 ``run(limit, resume)`` returns after the cycle in which the clock
 reaches ``limit``, core 0 is halted or, under ``auto``, a loop head or
-an FREP region calls for the memo or the fast path.  An ``scfg`` or FP
-CSR issue that re-arms a stream, switches the SSRs or writes the
-chaining mask returns mid-cycle with the LSU commits still to apply; the
-cluster rebinds and resumes that cycle at its writeback (``resume``).
+an FREP region calls for the memo or the fast path, which the run loop
+then engages.  An ``scfg`` or FP CSR issue that re-arms a stream,
+switches the SSRs or writes the chaining mask returns mid-cycle with the
+LSU commits still to apply; the cluster rebinds and resumes that cycle
+at its writeback (``resume``).
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ def factory(cl, S, ports, mem, f64, u32, lower_fp, lower_int, issue_entry,
     pvals, stall, get = perf.values, perf.stall, perf.stalls.get
     chain, ssr = fp.chain, fp.ssr_enable
     valid, popped, mask = chain.valid, chain._popped_this_cycle, chain.mask
-    lsu, seq, pipe = fp.lsu, fp.sequencer, fp.pipe
-    lport, queue, in_flight = lsu.port, seq.queue, pipe.in_flight
+    lsu, seq = fp.lsu, fp.sequencer
+    lport, queue, in_flight = lsu.port, seq.queue, fp.pipe.in_flight
     fvals, fbusy, cfg = fp.fpregs.values, fp.fpregs.busy, fp.cfg
     cport, uops, base = core.port, core._uops, core._pc_base
     instrs, nuops = core.program.instrs, len(core._uops)
@@ -71,11 +73,11 @@ def factory(cl, S, ports, mem, f64, u32, lower_fp, lower_int, issue_entry,
 #: Top of the cycle: the chaining bookkeeping, the FP LSU's responses
 #: and one issue attempt of the sequencer's head through its micro-op's
 #: body for the bound SSR switch and chaining mask (``uops.issue_body``).
-#: ``frep``, FP CSR and ``scfg`` issue on the seed's ``_issue_entry``.
+#: ``frep``, FP CSR, ``scfg`` and the rare FP compute ops issue on the
+#: seed's ``_issue_entry`` (see :func:`repro.core.uops.lower_fp`).
 _ISSUE = """\
 if popped:
     popped.clear()
-{valid_at_start}
 if lsu._pending_load is not None or lsu._pending_store \\
         or lsu._blocked_value is not None \\
         or lport._pending is not None or lport._response_ready:
@@ -104,24 +106,22 @@ else:
         body(entry, c)
 """
 
-#: The pipe head's writeback (a plain register and, in the concurrent
-#: mode, a chaining push inline; sync results, stream registers and the
-#: conservative mode on the seed's ``_writeback``), the LSU's commits,
-#: then the integer core.
+#: The pipe head's writeback (a plain register and a chaining push
+#: inline; sync results, stream registers and the unpipelined ops, all
+#: issued by the seed's ``_issue_entry``, on the seed's ``_writeback``),
+#: the LSU's commits, then the integer core.
 _WRITEBACK = """\
 if in_flight:
     op = in_flight[0]
     if op.completes_at <= c:
         dest = op.dest
-        if op.sync or op.dest_is_ssr:
+        if op.sync or op.dest_is_ssr or op.unpipelined:
             fp._writeback(c)
         elif {plain}:
             fvals[dest] = float(op.value)
             fbusy[dest] = False
             pvals[{rf_writes}] += 1
             in_flight.popleft()
-            if op.unpipelined:
-                pipe._unpipelined -= 1
 {push}
 if commits:
     for dest, value in commits:
@@ -164,8 +164,6 @@ else:
     chain.pushes += 1
     pvals[{chain_pushes}] += 1
     in_flight.popleft()
-    if op.unpipelined:
-        pipe._unpipelined -= 1
 """
 
 #: The loop memo's recording row, one per cycle boundary from the
@@ -227,15 +225,14 @@ def _key(cl) -> tuple:
         posting.append((len(ports), rot, streamer,
                         read if read in (4, 8) else 0))
         ports.append(port)
-    chain, size = fp.chain, cl.mem.size
     memo = cl.fastpath is not None
     return (tuple(streams), tuple(posting), len(cl.tcdm._streamer_ports),
-            chain.concurrent_push_pop, chain.mask != 0, not size & size - 1,
-            memo, memo and cl.fastpath.loop._rec is not None), ports
+            fp.chain.mask != 0, memo,
+            memo and cl.fastpath.loop._rec is not None), ports
 
 
 def _source(key: tuple) -> str:
-    streams, posting, n, concurrent, chained, pow2, memo, recording = key
+    streams, posting, n, chained, memo, recording = key
     bind = [line for si, spec in enumerate(streams) for line in (
         stream_bind(si, f"S[{si}]") if spec is not None
         else [f"s{si} = S[{si}]", f"fifo{si} = s{si}._fifo",
@@ -244,12 +241,8 @@ def _source(key: tuple) -> str:
     bind += [f"P{i} = ports[{i}]" for i in range(len(posting))]
     stale = " or ".join(["chain.mask != mask", "fp.ssr_enable is not ssr"] + [
         f"s{si}.cfg is not cfg{si}" for si in range(len(streams))])
-    cycle = _ISSUE.format(valid_at_start="" if concurrent else
-                          "chain._valid_at_start = list(valid)",
-                          stale=stale).splitlines()
-    push = "" if not chained else _PUSH.format(
-        chain_pushes=SLOT["chain_pushes"]) if concurrent \
-        else "else:\n    fp._writeback(c)\n"
+    cycle = _ISSUE.format(stale=stale).splitlines()
+    push = _PUSH.format(chain_pushes=SLOT["chain_pushes"]) if chained else ""
     tail = _WRITEBACK.format(
         plain="not mask >> dest & 1" if chained else "True",
         rf_writes=SLOT["fp_rf_writes"], push=block(push.splitlines(), 8),
@@ -264,7 +257,7 @@ def _source(key: tuple) -> str:
                                   for i in range(len(posting))]
     tail += arbitration_lines([(i, f"P{i}.priority", rot, streamer, read)
                                for i, rot, streamer, read in posting], n,
-                              "rr", pow2)
+                              "rr", True)
     first = []
     if recording:
         row = ROW.format(streams="".join(

@@ -9,9 +9,9 @@ them.  This module removes that cost without giving up a single bit of
 fidelity:
 
 1. **Eligibility** -- when the sequencer's FREP buffer fills, the body is
-   analyzed once.  It is eligible when every instruction is a plain FP
-   compute op (no loads/stores, no CSR/SCFG, nothing returning a value
-   to the integer core), every source is an affine read-stream register,
+   analyzed once.  It is eligible when every instruction is an FP op
+   the workloads batch (:data:`_VECTOR_OPS`), every source is an affine
+   read-stream register,
    a loop-invariant register, or a value produced earlier in the *same*
    iteration (through a plain or chaining register), and every
    destination is an affine write-stream register or a register.  Bodies
@@ -44,9 +44,10 @@ fidelity:
    TCDM traffic all land exactly where the scalar model would have put
    them -- the loop tail then drains through the scalar path.
 
-The engine is attached to a single-core, untraced cluster without
-binary fetch under ``CoreConfig.engine == "auto"`` (over the scalar-v2
-micro-op engine); every other cluster steps on the seed interpreter.
+The engine is attached under ``CoreConfig.engine == "auto"`` to the
+clusters the micro-op engine steps (see :mod:`repro.core.cluster`); the
+run loop alone calls :meth:`FastPathEngine.observe` and
+:meth:`LoopMemo.at_head`, so ``Cluster.step`` stays one cycle.
 
 Integer-core loops, which never reach the FREP sequencer, are the loop
 memo's (:class:`LoopMemo`, in the second half of this module): it
@@ -65,7 +66,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.fpu import InFlightOp
+from repro.core.fpu import UNPIPELINED_CLASSES, InFlightOp
 from repro.core.perf import SLOT
 from repro.core.sequencer import DispatchedEntry
 from repro.isa.instructions import InstrClass
@@ -77,55 +78,21 @@ from repro.ssr.address_gen import affine_addresses
 from repro.ssr.config import SsrMode
 
 
-def _np_min(a, b):
-    """Bit-identical to Python's ``min(a, b)`` (ties and NaNs included)."""
-    return np.where(b < a, b, a)
-
-
-def _np_max(a, b):
-    return np.where(b > a, b, a)
-
-
-def _np_fsgnj(a, b):
-    return np.copysign(np.abs(a), b)
-
-
-def _np_fsgnjn(a, b):
-    return np.copysign(np.abs(a), -b)
-
-
-def _np_fsgnjx(a, b):
-    return np.copysign(np.abs(a), np.copysign(1.0, a) * np.copysign(1.0, b))
-
-
-def _guard_div(a, b):
-    return not np.any(b == 0.0)
-
-
-def _guard_sqrt(a):
-    return not np.any(np.signbit(a) & (a != 0.0)) and not np.any(np.isnan(a))
-
-
-#: mnemonic -> (vectorized fn, guard).  The guard returns False when the
-#: scalar executor would *raise* for some operand in the batch (divide by
-#: zero, sqrt of a negative); the region then stays on the scalar path so
-#: the error surfaces exactly where the reference model produces it.
-_VECTOR_OPS: dict[str, tuple] = {
-    "fadd.d": (np.add, None),
-    "fsub.d": (np.subtract, None),
-    "fmul.d": (np.multiply, None),
-    "fdiv.d": (np.divide, _guard_div),
-    "fsqrt.d": (np.sqrt, _guard_sqrt),
-    "fmadd.d": (lambda a, b, c: a * b + c, None),
-    "fmsub.d": (lambda a, b, c: a * b - c, None),
-    "fnmsub.d": (lambda a, b, c: -(a * b) + c, None),
-    "fnmadd.d": (lambda a, b, c: -(a * b) - c, None),
-    "fsgnj.d": (_np_fsgnj, None),
-    "fsgnjn.d": (_np_fsgnjn, None),
-    "fsgnjx.d": (_np_fsgnjx, None),
-    "fmin.d": (_np_min, None),
-    "fmax.d": (_np_max, None),
-    "fcvt.d.w": (lambda a: a, None),
+#: mnemonic -> vectorized fn of the ops a workload or the FREP fuzz
+#: batches (none raises); any other op rejects as ``non-vector-op``.
+#: ``fmin``/``fmax`` are bit-identical to Python's ``min``/``max``, ties
+#: and NaNs included.
+_VECTOR_OPS: dict = {
+    "fadd.d": np.add,
+    "fsub.d": np.subtract,
+    "fmul.d": np.multiply,
+    "fmadd.d": lambda a, b, c: a * b + c,
+    "fnmsub.d": lambda a, b, c: -(a * b) + c,
+    "fsgnj.d": lambda a, b: np.copysign(np.abs(a), b),
+    "fsgnjx.d": lambda a, b: np.copysign(
+        np.abs(a), np.copysign(1.0, a) * np.copysign(1.0, b)),
+    "fmin.d": lambda a, b: np.where(b < a, b, a),
+    "fmax.d": lambda a, b: np.where(b > a, b, a),
 }
 
 #: Counter slots allowed to advance during a steady-state period.  Any
@@ -134,10 +101,9 @@ _VECTOR_OPS: dict[str, tuple] = {
 #: ...) that must not be replayed, so the engine refuses to fast-forward.
 _PERIODIC_SLOTS = frozenset(SLOT[name] for name in (
     "fpu_compute_ops", "fpu_fp_add", "fpu_fp_mul", "fpu_fp_fma",
-    "fpu_fp_div", "fpu_fp_sqrt", "fpu_fp_minmax", "fpu_fp_sgnj",
-    "fpu_fp_cvt", "ssr_reg_reads", "ssr_reg_writes", "chain_pops",
-    "chain_pushes", "fp_rf_reads", "fp_rf_writes", "int_sync_stalls",
-    "int_dispatch_stalls",
+    "fpu_fp_minmax", "fpu_fp_sgnj", "ssr_reg_reads", "ssr_reg_writes",
+    "chain_pops", "chain_pushes", "fp_rf_reads", "fp_rf_writes",
+    "int_sync_stalls", "int_dispatch_stalls",
 ))
 
 _HISTORY_CAP = 4096
@@ -182,8 +148,8 @@ def _data_flow(instrs, nstream: int, mask: int, readable, writable,
     at most once per instruction.  ``regs`` and ``chains`` give the start
     state: a register's symbol (``("r", reg)`` when absent) and each
     chaining FIFO's queued symbols.  Operands are start symbols,
-    ``("o", j)`` (entry ``j``'s result), ``("e", r, k)`` (the ``k``-th
-    pop of stream ``r``) or ``("x", j)`` (entry ``j``'s integer operand).
+    ``("o", j)`` (entry ``j``'s result) or ``("e", r, k)`` (the ``k``-th
+    pop of stream ``r``); no caller passes an integer operand.
     Returns a :class:`_DataFlow`, or ``(j, "operand")``/``(j, "dest")``
     at the first operand or destination outside the model.
     """
@@ -192,10 +158,9 @@ def _data_flow(instrs, nstream: int, mask: int, readable, writable,
     flow = _DataFlow([], {}, {}, {}, {}, {}, queues)
     sources, stream_pops = flow.sources, flow.pops
     for j, instr in enumerate(instrs):
-        operands = _operands(instr)
-        args = [("x", j)] if operands and operands[0][1] == "x" else []
+        args = []
         popped = None
-        for reg, domain in operands:
+        for reg, domain in _operands(instr):
             if domain != "f":
                 continue
             if reg < nstream:
@@ -247,7 +212,6 @@ class _BodyPlan:
 
     mnemonics: list[str]
     sources: list                        # per slot: _data_flow symbols
-    consts: dict[int, float]             # slot -> its integer operand
     slot_of: dict[int, int]              # id(instr) -> slot index
     read_ppi: dict[int, int]             # streamer -> pops / iteration
     read_prefix: dict[int, list[int]]    # streamer -> pops in slots < k
@@ -386,7 +350,7 @@ class FastPathEngine:
         #: The integer-loop iteration memo; reports under ``loop_*``.
         self.loop = LoopMemo(cluster, self)
 
-    # -- per-cycle hook (end of Cluster.step) --------------------------------
+    # -- the run loop's hook, after a stepped cycle in an FREP region ------
 
     def observe(self) -> None:
         seq = self.fp.sequencer
@@ -509,8 +473,7 @@ class FastPathEngine:
         # The instructions before the first non-vector op are analyzed
         # first: a reason found among them takes precedence.
         n_vec = next((j for j, entry in enumerate(body)
-                      if entry.sync or entry.instr.spec.rd_domain != "f"
-                      or entry.instr.mnemonic not in _VECTOR_OPS), L)
+                      if entry.instr.mnemonic not in _VECTOR_OPS), L)
         streamers = fp.streamers if fp.ssr_enable else []
         flow = _data_flow(
             [entry.instr for entry in body[:n_vec]], len(streamers),
@@ -561,9 +524,6 @@ class FastPathEngine:
         return _BodyPlan(
             mnemonics=[entry.instr.mnemonic for entry in body],
             sources=flow.sources,
-            consts={j: float(entry.vals.get("rs1", 0))
-                    for j, entry in enumerate(body)
-                    if entry.instr.spec.rs1_domain == "x"},
             slot_of={id(entry.instr): j for j, entry in enumerate(body)},
             read_ppi={r: len(where) for r, where in flow.pops.items()},
             read_prefix={r: _prefix(where, L)
@@ -772,15 +732,10 @@ class FastPathEngine:
                             // (rep + 1)
                         np.minimum(idx, len(elems[r]) - 1, out=idx)
                         ops.append(elems[r][idx])
-                    elif sym[0] == "r":
+                    else:
                         ops.append(np.full(eval_iters,
                                            fp.fpregs.values[sym[1]]))
-                    else:
-                        ops.append(np.full(eval_iters, plan.consts[j]))
-                fn, guard = _VECTOR_OPS[plan.mnemonics[j]]
-                if guard is not None and not guard(*ops):
-                    return False
-                results[j] = fn(*ops)
+                results[j] = _VECTOR_OPS[plan.mnemonics[j]](*ops)
 
         def value(g: int) -> float:
             return float(results[g % L][g // L])
@@ -942,9 +897,6 @@ _S_FP_LSU = SLOT["fp_lsu_ops"]
 def _fp_kind(instr) -> str:
     """``"c"`` (FP compute), ``"l"`` (fld), ``"s"`` (fsd) or the reason
     the memo declines the instruction."""
-    from repro.core.fpu import UNPIPELINED_CLASSES
-    from repro.isa.instructions import InstrClass
-
     iclass = instr.iclass
     if iclass is InstrClass.FP_LOAD:
         return "l"
@@ -1602,7 +1554,6 @@ class LoopMemo:
             "pipe": [(op.instr, op.dest, op.dest_is_ssr) for op in pipe1],
             "valid": list(chain.valid),
             "popped": set(chain._popped_this_cycle),
-            "valid_at_start": list(chain._valid_at_start),
             "busy": list(fp.fpregs.busy),
             "rep": [s._rep_count for s in fp.streamers],
             "pending_load": lsu._pending_load,
@@ -2231,7 +2182,6 @@ class LoopMemo:
         chain.valid[:] = ex["valid"]
         chain._popped_this_cycle.clear()
         chain._popped_this_cycle.update(ex["popped"])
-        chain._valid_at_start = list(ex["valid_at_start"])
 
         tcdm = cl.tcdm
         tcdm._rr_offset = run.rr

@@ -206,7 +206,8 @@ class FpSubsystem:
     def _issue_entry(self, entry: DispatchedEntry, cycle: int) -> None:
         """One issue attempt of ``entry``, the sequencer's head.  Its
         signature is that of an issue micro-op, so the scalar-v2 engine
-        issues ``frep``, FP CSR and ``scfg`` entries through it."""
+        issues every FP entry but ``fld``/``fsd`` and the pipelined FP
+        ops between FP registers through it (see ``uops.lower_fp``)."""
         instr = entry.instr
         iclass = instr.iclass
 

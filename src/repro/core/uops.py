@@ -11,10 +11,10 @@ cycles get a specialised closure:
 * integer ALU/MUL/DIV ops and branches (a taken backward branch also
   raises the loop memo's loop head);
 * the dispatch of plain FP compute ops and of ``fld``/``fsd``;
-* the issue of ``fld``/``fsd`` and of every FP compute op, the latter
-  through a body generated for its operand shape -- which sources and
-  destination are stream, chaining or plain registers under the current
-  ``ssr_enable`` and chaining mask.
+* the issue of ``fld``/``fsd`` and of pipelined FP ops between FP
+  registers, the latter through a body generated for its operand shape
+  -- which sources and destination are stream, chaining or plain
+  registers under the current ``ssr_enable`` and chaining mask.
 
 In these closures register indices, immediates and operator callables
 are closure cells, perf counters are pre-interned integer slots of the
@@ -27,15 +27,16 @@ Everything else is rare on the benchmark traffic and runs on the seed
 executor it would otherwise duplicate: jumps, integer loads and stores,
 CSR, Xdma and ``ebreak`` on :meth:`IntCore._execute_int`; ``frep``,
 ``scfgw``/``scfgr``, FP CSRs and FP ops that read or return integer
-operands on :meth:`IntCore._dispatch_fp`; ``frep``, FP CSR and ``scfg``
-issue on :meth:`FpSubsystem._issue_entry`.  The seed executors are the
+operands on :meth:`IntCore._dispatch_fp`; the issue of those, of
+``frep``, FP CSR, ``scfg`` and of div/sqrt on
+:meth:`FpSubsystem._issue_entry`.  The seed executors are the
 lockstep oracle, so those paths are bit-identical by construction;
 ``docs/performance.md`` gives the measured instruction mix and the rule
 for specialising a class.
 
-Micro-ops only ever run in a single-core cluster without a trace
-recorder or binary fetch (:class:`~repro.core.cluster.Cluster` steps any
-other cluster on the seed interpreter), so no closure tests for a trace.
+Micro-ops only ever run in the clusters every workload builds (one
+core, no trace or binary fetch, concurrent chaining; see
+:mod:`repro.core.cluster`), so no closure tests for the other cases.
 Integer micro-ops are lowered per core (:func:`lower_int`) and capture
 the core's register file and perf slots directly.  FP micro-ops
 (:func:`lower_fp`) are attached to :class:`DispatchedEntry` objects
@@ -264,10 +265,10 @@ def _lower_dispatch(core, instr: Instr):
 
 def lower_fp(instr: Instr, cfg):
     """Lower ``instr`` into its issue micro-op: an ``issue(fp, entry,
-    cycle)`` closure for ``fld``/``fsd``, the seed's own
-    :meth:`FpSubsystem._issue_entry` for ``frep``, FP CSR and ``scfg``,
-    and for an FP compute op what lowering knows about it
-    (:class:`_ComputeStatic`), whose body depends on the operand modes.
+    cycle)`` closure for ``fld``/``fsd``; for a pipelined FP compute op
+    between FP registers what lowering knows about it
+    (:class:`_ComputeStatic`), whose body depends on the operand modes;
+    the seed's own :meth:`FpSubsystem._issue_entry` for anything else.
     :func:`issue_body` turns each into the ``body(entry, cycle)`` the
     stepped cycle calls.
 
@@ -280,7 +281,10 @@ def lower_fp(instr: Instr, cfg):
         return _lower_fp_load(instr)
     if iclass is InstrClass.FP_STORE:
         return _lower_fp_store(instr)
-    if iclass in (InstrClass.FREP, InstrClass.CSR, InstrClass.SCFG):
+    spec = instr.spec
+    if iclass in (InstrClass.FREP, InstrClass.CSR, InstrClass.SCFG) \
+            or iclass in UNPIPELINED_CLASSES \
+            or spec.rd_domain != "f" or spec.rs1_domain != "f":
         return FpSubsystem._issue_entry
     return _lower_fp_compute(instr, cfg)
 
@@ -386,18 +390,15 @@ def _lower_fp_compute(instr: Instr, cfg):
     spec = instr.spec
     arity, fn = EXECUTORS[instr.mnemonic]
     iclass = instr.iclass
-    sync = spec.rd_domain == "x"       # feq/flt/fle, fcvt.w.d
-    rs1_is_x = spec.rs1_domain == "x"  # fcvt.d.w reads an int operand
     srcs = tuple(reg for reg, domain in (
         (instr.rs1, spec.rs1_domain), (instr.rs2, spec.rs2_domain),
         (instr.rs3, spec.rs3_domain)) if domain == "f")
-    if len(srcs) + rs1_is_x != arity:  # pragma: no cover - spec table
+    if len(srcs) != arity:  # pragma: no cover - spec table
         raise ValueError(f"{instr.mnemonic} expects {arity} operands, got "
-                         f"{len(srcs) + rs1_is_x}")
+                         f"{len(srcs)}")
     return _ComputeStatic(
-        instr=instr, fn=fn, srcs=srcs, dest=None if sync else instr.rd,
-        sync=sync, rs1_is_x=rs1_is_x, latency=cfg.fpu_latency[iclass],
-        unpipelined=iclass in UNPIPELINED_CLASSES,
+        instr=instr, fn=fn, srcs=srcs, dest=instr.rd,
+        latency=cfg.fpu_latency[iclass],
         s_class=SLOT[f"fpu_{iclass.name.lower()}"])
 
 
@@ -409,11 +410,8 @@ class _ComputeStatic:
     instr: Instr
     fn: Callable
     srcs: tuple[int, ...]      # FP source registers, in operand order
-    dest: int | None           # None for results sent to the integer core
-    sync: bool
-    rs1_is_x: bool             # fcvt.d.w: rs1 is an integer operand
+    dest: int
     latency: int
-    unpipelined: bool
     s_class: int               # perf slot of the op's FPU class
 
 
@@ -445,8 +443,7 @@ def _compute_body(static: _ComputeStatic, fp):
 
     srcs = static.srcs
     kinds = tuple((mode(reg), srcs.index(reg)) for reg in srcs)
-    dest_kind = "none" if static.dest is None else mode(static.dest)
-    shape = (kinds, dest_kind, static.rs1_is_x)
+    shape = (kinds, mode(static.dest))
     factory = _BODY_FACTORIES.get(shape)
     if factory is None:
         namespace = {"InFlightOp": InFlightOp, "StallReason": StallReason,
@@ -464,12 +461,12 @@ def _compute_body(static: _ComputeStatic, fp):
 #: The issue body of one operand shape; :func:`_body_source` fills in
 #: the shape-dependent parts.  Below full pipe depth the head-writeback
 #: prediction cannot matter; at full depth a completed head that will
-#: not retire this cycle is chaining backpressure.
+#: not retire this cycle is chaining backpressure.  Sync and unpipelined
+#: ops are the seed's (``_issue_entry``).
 _BODY_TEMPLATE = """\
 def factory(fp, static, chain_srcs):
     instr, fn, dest = static.instr, static.fn, static.dest
-    sync, latency = static.sync, static.latency
-    unpipelined, s_class = static.unpipelined, static.s_class
+    latency, s_class = static.latency, static.s_class
     srcs = static.srcs
     chain = fp.chain
     valid = chain.valid
@@ -501,12 +498,7 @@ def factory(fp, static, chain_srcs):
             elif op.dest_is_ssr:
                 retires = streamers[hd].can_push()
             elif chain.mask >> hd & 1:
-                if chain.concurrent_push_pop:
-                    retires = not valid[hd] or hd in popped \\
-                        or hd in chain_srcs
-                else:
-                    retires = not chain._valid_at_start[hd] \\
-                        and not valid[hd]
+                retires = not valid[hd] or hd in popped or hd in chain_srcs
             else:
                 retires = True
             if n - retires >= depth:
@@ -520,10 +512,8 @@ def factory(fp, static, chain_srcs):
         if completes <= pipe._last_completion:
             completes = pipe._last_completion + 1
         pipe._last_completion = completes
-        if unpipelined:
-            pipe._unpipelined += 1
         in_flight.append(InFlightOp(instr, dest, {dest_is_ssr}, result,
-                                    completes, sync, unpipelined))
+                                    completes))
         if seq._active:
             seq.advance()
         else:
@@ -534,7 +524,7 @@ def factory(fp, static, chain_srcs):
 """
 
 
-def _body_source(kinds, dest_kind, rs1_is_x) -> str:
+def _body_source(kinds, dest_kind) -> str:
     """Python source of the body factory for one operand shape.
 
     ``kinds`` holds one ``(kind, first)`` pair per FP source position:
@@ -597,9 +587,6 @@ def _body_source(kinds, dest_kind, rs1_is_x) -> str:
     if counts["reg"]:
         reads.append(f"pvals[_S_RF_READS] += {counts['reg']}")
     args = [f"a{i}" for i in range(len(kinds))]
-    if rs1_is_x:
-        args.insert(0, 'float(entry.vals.get("rs1", 0))')
-
     return _BODY_TEMPLATE.format(
         bind=block(bind, 4), ready=block(ready, 8), reads=block(reads, 8),
         args=", ".join(args),

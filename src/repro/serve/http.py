@@ -64,7 +64,8 @@ class ReproServer:
 
     ``prune_interval`` (seconds) arms a background task that calls
     :meth:`ResultCache.prune` with the given budgets, so long-running
-    services do not grow their store unbounded.
+    services do not grow their store unbounded; a prune that raises is
+    counted as ``serve.prune_errors`` and the server keeps serving.
     """
 
     def __init__(self, scheduler: Scheduler,
@@ -119,8 +120,9 @@ class ReproServer:
                 self.scheduler.session.cache.prune(
                     max_bytes=self.prune_max_bytes,
                     max_age_days=self.prune_max_age_days)
-            except Exception:  # pragma: no cover - keep serving
-                pass
+            except Exception:
+                # Keep serving; /v1/metrics counts the failures.
+                self.scheduler.note_prune_error()
 
     # -- request handling ---------------------------------------------------
 

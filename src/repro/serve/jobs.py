@@ -131,8 +131,9 @@ class JobStore:
 
     Appends go through :func:`repro.sweep.cache.append_jsonl`, the
     result store's own append: one ``write()`` of one line on an
-    ``O_APPEND`` descriptor, starting a new line after a torn tail, so a
-    crash can at worst lose the line it tore, never a later one.
+    ``O_APPEND`` descriptor, after cutting off a torn tail, so a crash
+    can at worst lose the line it tore, never a later one, and replay
+    skips nothing once the next record is appended.
     """
 
     def __init__(self, path: str | Path):

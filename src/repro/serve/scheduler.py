@@ -46,7 +46,7 @@ __all__ = ["QueueFull", "Scheduler", "SERVE_COUNTERS"]
 SERVE_COUNTERS = (
     "requests", "cache_hits", "dedup_hits", "executions",
     "jobs_done", "jobs_error", "jobs_timeout", "jobs_cancelled",
-    "worker_crashes",
+    "worker_crashes", "prune_errors",
 )
 
 
@@ -112,6 +112,11 @@ class Scheduler:
         self.counters[name] += value
         if _obs.ENABLED:
             METRICS.inc(f"serve.{name}", value)
+
+    def note_prune_error(self) -> None:
+        """Count one failed periodic store prune of the server."""
+        with self._lock:
+            self._count("prune_errors")
 
     def _sync_crashes(self) -> None:
         # Callers hold self._lock.  The pool counts worker deaths.

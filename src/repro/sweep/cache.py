@@ -109,9 +109,10 @@ def append_jsonl(path: Path, record: dict) -> None:
     interleave at line granularity on local filesystems.
 
     A file whose last byte is not a newline ends in a torn line (a crash
-    mid-write, a full disk); the record then starts with one, so it
-    never glues onto that line and is lost with it.  The tail test and
-    the write hold an exclusive ``flock``: another appender's write in
+    mid-write, a full disk).  A torn line that is not a JSON object is
+    cut off before the record is written, so no malformed line is left
+    mid-file; one that is gets its newline.  The tail repair and the
+    write hold an exclusive ``flock``: another appender's write in
     progress would otherwise look like a torn tail.  This is the one
     append path of the result store, its failure log and the job
     journal.
@@ -129,10 +130,22 @@ def append_jsonl(path: Path, record: dict) -> None:
             fcntl.flock(fd, fcntl.LOCK_EX)  # released by the close below
             size = os.fstat(fd).st_size
             if size and os.pread(fd, 1, size - 1) != b"\n":
-                line = b"\n" + line
+                data = os.pread(fd, size, 0)    # only after a crash
+                start = data.rfind(b"\n") + 1
+                if _is_object(data[start:]):
+                    line = b"\n" + line
+                else:
+                    os.ftruncate(fd, start)
             os.write(fd, line)
         finally:
             os.close(fd)
+
+
+def _is_object(raw: bytes) -> bool:
+    try:
+        return isinstance(json.loads(raw), dict)
+    except ValueError:
+        return False
 
 
 #: Held by :func:`append_jsonl` from open to close, and by ``os.fork``
@@ -178,8 +191,8 @@ def _jsonl_lines(path: Path
     JSONL file of the store: the one reader of loading and
     :meth:`ResultCache.verify`.  ``record`` is falsy when the line is
     not a JSON object with a ``key``: False for the file's last line
-    without its newline (a torn append, which the next append steps
-    over), None otherwise (a torn write stepped over, bit rot)."""
+    without its newline (a torn append, which the next append cuts
+    off), None otherwise (bit rot)."""
     with open(path) as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.strip()
@@ -440,7 +453,7 @@ class ResultCache:
         * **corrupt** -- lines that are not JSON (file, line number);
         * **torn_tail** -- a malformed last line without its newline
           (an append cut short; benign: loading skips it and the next
-          append starts on a fresh line);
+          append cuts it off);
         * **invalid** -- records that fail :func:`record_result`;
         * **duplicates** -- keys appearing more than once with
           *identical* payloads (benign: racing cooperating writers);

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core import Cluster, CoreConfig
+from repro.core.fastpath import FastPathEngine
 from repro.kernels.ssrgen import SsrPatternAsm
 from repro.kernels.vecop import VecopVariant, build_vecop
 
@@ -526,9 +527,31 @@ def _gate_workload(kind):
     return make
 
 
+def test_step_is_one_cycle_and_run_alone_engages_the_batch():
+    """``Cluster.step`` advances exactly one cycle under ``auto`` even
+    where the FREP batch would skip thousands; only the run loop
+    engages it, and both routes end in the same machine."""
+    builds = []
+    for _ in range(2):
+        build = build_vecop(n=4096, variant=VecopVariant.CHAINING)
+        cluster = Cluster(build.asm, cfg=CoreConfig(engine="auto"),
+                          symbols=build.symbols)
+        build.load_into(cluster)
+        builds.append(cluster)
+    stepped, ran = builds
+    while not stepped.done:
+        before = stepped.cycle
+        stepped.step()
+        assert stepped.cycle == before + 1
+    assert stepped.fastpath.stats["applications"] == 0
+    ran.run()
+    assert ran.fastpath.stats["fast_forwarded_cycles"] > 1000
+    assert digest(stepped) == digest(ran)
+
+
 @pytest.mark.parametrize("kind", ["accepted", "rejected", "stencil"])
 def test_observe_gate_keeps_fastpath_stats(kind, monkeypatch):
-    """scalar-v2 calls ``FastPathEngine.observe`` only inside an FREP
+    """The run loop calls ``FastPathEngine.observe`` only inside an FREP
     region or with a non-idle engine; calling it every cycle instead
     must leave every fast-path statistic and the run unchanged."""
     make = _gate_workload(kind)
@@ -538,17 +561,13 @@ def test_observe_gate_keeps_fastpath_stats(kind, monkeypatch):
     advance = Cluster._advance
 
     def ungated_advance(self, limit):
-        # One cycle at a time, with the gated call silenced.
-        fastpath = self.fastpath
-        fastpath.observe = lambda: None
-        try:
-            advance(self, min(limit, self.cycle + 1))
-        finally:
-            del fastpath.observe
-        fastpath.observe()
+        # One cycle at a time, each followed by an observation.
+        advance(self, min(limit, self.cycle + 1))
+        FastPathEngine.observe(self.fastpath)
 
     monkeypatch.setattr(Cluster, "_advance", ungated_advance)
     ungated = make()
+    ungated.fastpath.observe = lambda: None    # the run loop's gated call
     ungated.run()
 
     got = {k: gated.fastpath.stats[k] for k in _GATE_STATS}

@@ -78,6 +78,23 @@ def test_journal_keeps_jobs_acknowledged_after_a_torn_tail(tmp_path):
     assert sorted(j.id for j in again.replay()) == ["job-aaa", "job-ccc"]
 
 
+def test_journal_append_cuts_off_a_torn_tail(tmp_path):
+    """The append after a torn tail removes the torn line, so the next
+    replay has nothing to skip."""
+    path = tmp_path / "jobs.jsonl"
+    store = JobStore(path)
+    store.add(Job(id="job-aaa", workloads=[FAST]))
+    with open(path, "a") as sink:
+        sink.write('{"op": "submit", "id": "job-to')  # killed mid-write
+    restarted = JobStore(path)
+    assert [j.id for j in restarted.replay()] == ["job-aaa"]
+    assert restarted.skipped_records == 1
+    restarted.add(Job(id="job-bbb", workloads=[FAST]))
+    again = JobStore(path)
+    assert [j.id for j in again.replay()] == ["job-aaa", "job-bbb"]
+    assert again.skipped_records == 0
+
+
 def test_journal_replay_skips_and_counts_malformed_records(tmp_path):
     """Every journal line replay cannot apply as written is skipped and
     counted, never filled in with defaults or allowed to stop replay."""
@@ -117,6 +134,32 @@ def _scheduler(tmp_path, **kwargs):
     session = Session(cache=str(tmp_path / "store"), workers=1)
     store = JobStore(tmp_path / "store" / "jobs.jsonl")
     return Scheduler(session, store, **kwargs)
+
+
+def test_a_failing_prune_is_counted_and_serving_goes_on(tmp_path):
+    """The periodic store prune raising neither stops the prune task
+    nor passes silently: ``/v1/metrics`` counts each failure."""
+    import asyncio
+
+    from repro.serve import ReproServer
+
+    sched = _scheduler(tmp_path, workers=1)
+
+    def prune(**budgets):
+        raise OSError("store unreadable")
+
+    sched.session.cache.prune = prune
+    server = ReproServer(sched, port=0, prune_interval=0.01,
+                         prune_max_bytes=1)
+
+    async def serve_briefly():
+        await server.start()
+        await asyncio.sleep(0.2)
+        assert not server._pruner.done()
+        await server.stop()
+
+    asyncio.run(serve_briefly())
+    assert sched.metrics()["serve.prune_errors"] >= 2
 
 
 def test_cache_hit_answers_synchronously(tmp_path):

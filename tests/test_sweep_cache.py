@@ -12,6 +12,7 @@ from repro.core.config import CoreConfig
 from repro.sweep.cache import (
     SHARD_PREFIX_LEN,
     ResultCache,
+    append_jsonl,
     point_key,
 )
 from repro.sweep.runner import SweepRunner
@@ -73,8 +74,8 @@ def test_cache_ignores_torn_tail_line(tmp_path):
 
 def test_put_after_a_torn_tail_keeps_the_new_record(tmp_path):
     """A shard torn mid-line, then the point re-run: the fresh record
-    must start a line of its own instead of gluing onto the torn one
-    (which lost it, and the store re-simulated the point forever)."""
+    must not glue onto the torn one (which lost it, and the store
+    re-simulated the point forever), and the torn line is cut off."""
     cache = ResultCache(tmp_path / "c")
     key = point_key(POINT, __version__)
     result = execute_workload(POINT)
@@ -86,9 +87,8 @@ def test_put_after_a_torn_tail_keeps_the_new_record(tmp_path):
         torn = ResultCache(tmp_path / "c")
     assert len(torn) == 0
     torn.put(key, POINT, result, 0.1, __version__)
-    with pytest.warns(UserWarning, match="malformed"):
-        reopened = ResultCache(tmp_path / "c")
-    assert len(reopened) == 1 and reopened.corrupt_lines == 1
+    reopened = ResultCache(tmp_path / "c")
+    assert len(reopened) == 1 and reopened.corrupt_lines == 0
     assert reopened.get(key) is not None
 
 
@@ -341,7 +341,7 @@ def test_mid_shard_corrupt_line_keeps_both_neighbours(tmp_path):
 def test_verify_reports_a_torn_tail_apart_from_corruption(tmp_path):
     """A malformed last line without its newline (a torn append) goes in
     its own bucket and leaves integrity ok; loading skips it and the
-    next append steps over it, after which it is mid-file corruption."""
+    next append cuts it off, so the store is clean again."""
     cache = ResultCache(tmp_path / "c")
     key = point_key(POINT, __version__)
     cache.put(key, POINT, execute_workload(POINT), 0.0, __version__)
@@ -355,8 +355,20 @@ def test_verify_reports_a_torn_tail_apart_from_corruption(tmp_path):
     record = json.loads(shard.read_text().splitlines()[0])
     cache._append(shard, dict(record, key=key[:-1] + "0"))
     report = ResultCache(tmp_path / "c").verify()
-    assert report["corrupt"] == [where] and report["torn_tail"] == []
-    assert not report["ok"]
+    assert report["corrupt"] == [] and report["torn_tail"] == []
+    assert report["ok"] and report["records"] == 2
+
+
+def test_append_keeps_an_unterminated_whole_record(tmp_path):
+    """A last line without its newline that is a whole JSON object is a
+    record, not a torn write: the next append terminates it."""
+    path = tmp_path / "log.jsonl"
+    path.write_text('{"key": "a"}\n{"key": "b"}')
+    append_jsonl(path, {"key": "c"})
+    assert path.read_text() == '{"key": "a"}\n{"key": "b"}\n{"key": "c"}\n'
+    path.write_text('{"key": "a"}\n[1, 2]')
+    append_jsonl(path, {"key": "c"})
+    assert path.read_text() == '{"key": "a"}\n{"key": "c"}\n'
 
 
 # -- failure log ----------------------------------------------------------
