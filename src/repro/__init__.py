@@ -41,40 +41,45 @@ Package map:
   Perfetto timeline export (``docs/observability.md``)
 """
 
+from typing import TYPE_CHECKING
+
 from repro import obs
-from repro.api import (
-    Result,
-    Session,
-    SystemReport,
-    Workload,
-    make_workload,
-    workload,
-)
-from repro.core import ChainController, Cluster, CoreConfig, SystemConfig
-from repro.energy import AreaModel, EnergyModel, EnergyParams
-from repro.eval import geomean
-from repro.isa import assemble, decode, disassemble, encode
-from repro.kernels import (
-    Grid3d,
-    KernelBuild,
-    StencilSpec,
-    Variant,
-    VecopVariant,
-    box3d1r,
-    build_stencil,
-    build_vecop,
-    j3d27pt,
-    star3d1r,
-)
-from repro.kernels.partition import build_partitioned_stencil
-from repro.system import GLOBAL_BASE, System
-from repro.sweep import (
-    Campaign,
-    ResultCache,
-    SweepRunner,
-    SweepSpec,
-)
-from repro.trace import TraceRecorder, render_dataflow, render_issue_trace
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.api import (
+        Result,
+        Session,
+        SystemReport,
+        Workload,
+        make_workload,
+        workload,
+    )
+    from repro.core import ChainController, Cluster, CoreConfig, SystemConfig
+    from repro.energy import AreaModel, EnergyModel, EnergyParams
+    from repro.eval import geomean
+    from repro.isa import assemble, decode, disassemble, encode
+    from repro.kernels import (
+        Grid3d,
+        KernelBuild,
+        StencilSpec,
+        Variant,
+        VecopVariant,
+        box3d1r,
+        build_stencil,
+        build_vecop,
+        j3d27pt,
+        star3d1r,
+    )
+    from repro.kernels.partition import build_partitioned_stencil
+    from repro.system import GLOBAL_BASE, System
+    from repro.sweep import (
+        Campaign,
+        ResultCache,
+        SweepRunner,
+        SweepSpec,
+    )
+    from repro.trace import TraceRecorder, render_dataflow, render_issue_trace
 
 __version__ = "2.0.0"
 
@@ -120,3 +125,5 @@ __all__ = [
     "star3d1r",
     "workload",
 ]
+
+__getattr__, __dir__ = attach(__name__)

@@ -49,7 +49,7 @@ from repro.energy.model import EnergyParams, EnergyReport
 from repro.isa.instructions import InstrClass
 from repro.kernels.layout import DOUBLE, Grid3d
 from repro.kernels.partition import split_slabs
-from repro.kernels.regalloc import plan_registers
+from repro.kernels.regalloc import plan_registers, require_concurrent_push_pop
 from repro.kernels.registry import get_stencil
 from repro.kernels.variants import Variant
 from repro.kernels.vecop import VecopVariant
@@ -163,6 +163,8 @@ def _estimate_vecop(variant: VecopVariant, n: int, loop_mode: str,
     unroll = 1 if variant is VecopVariant.BASELINE else depth + 1
     if variant is not VecopVariant.BASELINE and n % unroll:
         raise ValueError(f"n={n} must be a multiple of {unroll}")
+    if variant is VecopVariant.CHAINING:
+        require_concurrent_push_pop(cfg.chain_concurrent_push_pop)
     if loop_mode not in ("bne", "frep"):
         raise ValueError(f"loop_mode must be 'bne' or 'frep', got "
                          f"{loop_mode!r}")
@@ -227,7 +229,8 @@ def _estimate_stencil_tile(spec, grid: Grid3d, variant: Variant,
                          f"{spec.radius}")
     if grid.nx % unroll:
         raise ValueError(f"nx={grid.nx} not a multiple of unroll={unroll}")
-    plan = plan_registers(variant, spec.ntaps, unroll, cfg.fpu_pipe_depth)
+    plan = plan_registers(variant, spec.ntaps, unroll, cfg.fpu_pipe_depth,
+                          cfg.chain_concurrent_push_pop)
 
     lat = _fp_latency(cfg)
     nbx = grid.nx // unroll

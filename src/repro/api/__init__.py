@@ -27,39 +27,44 @@ See ``docs/api.md`` for the full reference and the names removed in
 2.0.
 """
 
-from repro.api.cancel import CancelToken
-from repro.api.execute import (
-    DEFAULT_MAX_CYCLES,
-    apply_overrides,
-    execute_workload,
-    resolve_config,
-)
-from repro.api.parse import (
-    VECOP_KERNEL,
-    normalize_variant,
-    parse_engine,
-    parse_kernel,
-    parse_stencil_variant,
-    parse_variant,
-    resolve_variant,
-)
-from repro.api.result import (
-    RESULT_KEYS,
-    RESULT_METRICS,
-    RESULT_SCALARS,
-    RESULT_SCHEMA,
-    Result,
-    SystemReport,
-)
-from repro.api.session import Session
-from repro.api.workloads import (
-    FPU_DEPTH_KEY,
-    OVERRIDABLE_FIELDS,
-    SYSTEM_FIELDS,
-    Workload,
-    make_workload,
-    workload,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.api.cancel import CancelToken
+    from repro.api.execute import (
+        DEFAULT_MAX_CYCLES,
+        apply_overrides,
+        execute_workload,
+        resolve_config,
+    )
+    from repro.api.parse import (
+        VECOP_KERNEL,
+        normalize_variant,
+        parse_engine,
+        parse_kernel,
+        parse_stencil_variant,
+        parse_variant,
+        resolve_variant,
+    )
+    from repro.api.result import (
+        RESULT_KEYS,
+        RESULT_METRICS,
+        RESULT_SCALARS,
+        RESULT_SCHEMA,
+        Result,
+        SystemReport,
+    )
+    from repro.api.session import Session
+    from repro.api.workloads import (
+        FPU_DEPTH_KEY,
+        OVERRIDABLE_FIELDS,
+        SYSTEM_FIELDS,
+        Workload,
+        make_workload,
+        workload,
+    )
 
 __all__ = [
     "CancelToken",
@@ -88,3 +93,5 @@ __all__ = [
     "resolve_variant",
     "workload",
 ]
+
+__getattr__, __dir__ = attach(__name__)

@@ -25,15 +25,8 @@ width, per-point timeout, engine selection -- and exposes:
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
-from repro.api.cancel import CancelToken
-from repro.api.execute import (
-    DEFAULT_MAX_CYCLES,
-    apply_engine,
-    execute_workload,
-    resolve_config,
-)
 from repro.api.parse import parse_engine
 from repro.api.result import Result
 from repro.api.workloads import Workload
@@ -41,14 +34,21 @@ from repro.core.config import CoreConfig, SystemConfig
 from repro.kernels.build import KernelBuild
 from repro.obs import spans as _obs
 from repro.obs.metrics import METRICS
-from repro.sweep.audit import (
-    DEFAULT_RETRY_BUDGET,
-    BackfillPlan,
-    CampaignAudit,
-    audit_campaign,
-)
 from repro.sweep.cache import ResultCache, package_version, point_key
-from repro.sweep.runner import Campaign, SweepRunner
+
+if TYPE_CHECKING:
+    from repro.api.cancel import CancelToken
+    from repro.sweep.audit import BackfillPlan, CampaignAudit
+    from repro.sweep.runner import Campaign
+
+
+def execute_workload(work: Workload, **kwargs) -> Result:
+    """:func:`repro.api.execute.execute_workload`, imported on first
+    use: a session that only reads its cache never loads the
+    simulator."""
+    from repro.api.execute import execute_workload as execute
+
+    return execute(work, **kwargs)
 
 
 class Session:
@@ -87,6 +87,8 @@ class Session:
 
     def resolve(self, workload: Workload) -> CoreConfig | SystemConfig:
         """Materialized config ``workload`` runs under in this session."""
+        from repro.api.execute import resolve_config
+
         return resolve_config(workload, base_cfg=self.cfg,
                               engine=self.engine)
 
@@ -113,6 +115,7 @@ class Session:
             if cfg is not None and cfg.engine == "analytical":
                 from repro.analytical.model import estimate_build
                 return estimate_build(work, cfg=cfg)
+            from repro.api.execute import DEFAULT_MAX_CYCLES
             from repro.eval.runner import execute_build
             return execute_build(work, cfg=cfg,
                                  max_cycles=self.max_cycles
@@ -197,6 +200,8 @@ class Session:
         ``"cancelled"`` outcomes for the rest --
         see :meth:`repro.sweep.runner.SweepRunner.run`.
         """
+        from repro.sweep.runner import SweepRunner
+
         works = list(workloads)
         if fidelity not in (None, "cycle", "analytical", "triage"):
             raise ValueError(
@@ -242,7 +247,7 @@ class Session:
         """
         from repro.analytical.model import estimate_workload
         from repro.analytical.triage import select_interest
-        from repro.sweep.runner import Outcome
+        from repro.sweep.runner import Campaign, Outcome, SweepRunner
 
         start = time.perf_counter()
         estimates: list[Result | None] = []
@@ -287,21 +292,31 @@ class Session:
             raise ValueError(
                 "Session.audit requires a result cache; construct the "
                 "session with cache=<dir>")
+        from repro.sweep.audit import audit_campaign
+
         return audit_campaign(spec_or_points, self.cache,
                               base_cfg=self.cfg, engine=self.engine,
                               name=name)
 
     def backfill(self, audit_or_spec,
-                 retry_budget: int = DEFAULT_RETRY_BUDGET,
+                 retry_budget: int | None = None,
                  progress: Callable | None = None,
                  ) -> tuple[BackfillPlan, Campaign]:
         """Plan and execute the gaps of an audit (or of a spec, which
         is audited first): stale points re-key automatically, failed
-        points retry within ``retry_budget`` cumulative attempts.
+        points retry within ``retry_budget`` cumulative attempts
+        (``None``: :data:`~repro.sweep.audit.DEFAULT_RETRY_BUDGET`).
         Returns ``(plan, campaign)`` -- re-audit to confirm coverage."""
+        from repro.sweep.audit import (
+            DEFAULT_RETRY_BUDGET,
+            BackfillPlan,
+            CampaignAudit,
+        )
+
         audit = audit_or_spec if isinstance(audit_or_spec, CampaignAudit) \
             else self.audit(audit_or_spec)
-        plan = BackfillPlan(audit, retry_budget=retry_budget)
+        plan = BackfillPlan(audit, retry_budget=DEFAULT_RETRY_BUDGET
+                            if retry_budget is None else retry_budget)
         return plan, plan.execute(self, progress=progress)
 
     # -- helpers -----------------------------------------------------------
@@ -318,4 +333,6 @@ class Session:
     def _build_cfg(self) -> CoreConfig | None:
         """Session config for ad-hoc builds, with the engine applied
         (``fresh``: the session's base config must not be mutated)."""
+        from repro.api.execute import apply_engine
+
         return apply_engine(self.cfg, self.engine, fresh=True)

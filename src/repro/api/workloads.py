@@ -35,7 +35,9 @@ from repro.api.parse import (
 )
 from repro.core.config import CoreConfig
 from repro.kernels.layout import Grid3d
+from repro.kernels.regalloc import require_concurrent_push_pop
 from repro.kernels.variants import Variant
+from repro.kernels.vecop import VecopVariant
 
 #: Virtual override key: pipeline depth *and* ADD/MUL/FMA latency.
 FPU_DEPTH_KEY = "fpu_depth"
@@ -289,6 +291,13 @@ def workload(kernel: str, variant, grid=None, n=None, loop_mode=None,
         raise FieldError(
             "system", f"kernel {kernel!r} cannot take system axes; "
             f"domain decomposition applies to stencil kernels only")
+    overrides = _checked("overrides", _normalize_overrides, overrides)
+    chaining = label == VecopVariant.CHAINING.value if is_vecop \
+        else Variant.from_label(label).uses_chaining
+    if chaining:
+        # Rejected here, not after minutes of simulating to the budget.
+        _checked("overrides", require_concurrent_push_pop,
+                 dict(overrides).get("chain_concurrent_push_pop", True))
     return Workload(
         kernel=kernel,
         variant=label,
@@ -297,7 +306,7 @@ def workload(kernel: str, variant, grid=None, n=None, loop_mode=None,
         loop_mode=str(loop_mode) if loop_mode is not None else None,
         unroll=_checked("unroll", _positive, "unroll", unroll)
         if unroll is not None else None,
-        overrides=_checked("overrides", _normalize_overrides, overrides),
+        overrides=overrides,
         system=_checked("system", _normalize_system, system),
     )
 

@@ -31,7 +31,10 @@ Every command is a thin shell over :mod:`repro.api`: arguments build a
 :class:`~repro.api.Workload`, a :class:`~repro.api.Session` executes
 it, and all machine-readable output (``--json PATH``, ``--csv PATH``)
 emits the one canonical result schema
-(:meth:`repro.api.Result.to_dict`).
+(:meth:`repro.api.Result.to_dict`).  Each command imports the layer it
+runs (the session, the simulator, the figures) in its handler, so
+building the parser and ``--help`` load neither numpy nor the
+simulator.
 """
 
 from __future__ import annotations
@@ -48,21 +51,10 @@ from repro.api import (
     RESULT_METRICS,
     RESULT_SCALARS,
     CancelToken,
-    Session,
     make_workload,
     normalize_variant,
 )
-from repro.core.cluster import Cluster
 from repro.core.config import ENGINES
-from repro.energy.area import AreaModel
-from repro.eval.figures import (
-    PAPER_CLAIMS,
-    PAPER_FIG3_POWER_MW,
-    PAPER_FIG3_UTILIZATION,
-    claims_from_results,
-    fig1_data,
-    fig3_data,
-)
 from repro.eval.report import format_table
 from repro.kernels.build import MARK_START
 from repro.kernels.registry import kernel_names
@@ -79,7 +71,6 @@ from repro.sweep import (
     summary_rows,
 )
 from repro.sweep.audit import DEFAULT_RETRY_BUDGET
-from repro.trace import TraceRecorder, render_dataflow, render_issue_trace
 
 #: stdout rounding of ``repro run`` (the pre-1.5 display precision).
 _RUN_DISPLAY_DIGITS = {"fpu_utilization": 4, "power_mw": 2, "gflops": 3,
@@ -135,6 +126,8 @@ def _parse_grid(args) -> tuple[int, int, int] | None:
 
 
 def cmd_fig1(args) -> int:
+    from repro.eval.figures import fig1_data
+
     results = fig1_data(n=args.n)
     rows = [[name, res.fpu_utilization, res.region_cycles,
              res.meta["arch_accumulators"]]
@@ -148,6 +141,12 @@ def cmd_fig1(args) -> int:
 
 
 def cmd_fig3(args) -> int:
+    from repro.eval.figures import (
+        PAPER_FIG3_POWER_MW,
+        PAPER_FIG3_UTILIZATION,
+        fig3_data,
+    )
+
     kernels = tuple(args.kernel) if args.kernel else ("box3d1r", "j3d27pt")
     try:
         results = fig3_data(kernels=kernels)
@@ -176,6 +175,12 @@ def cmd_fig3(args) -> int:
 
 
 def cmd_claims(args) -> int:
+    from repro.eval.figures import (
+        PAPER_CLAIMS,
+        claims_from_results,
+        fig3_data,
+    )
+
     results = fig3_data()
     claims = claims_from_results(results).as_dict()
     rows = [[key, PAPER_CLAIMS.get(key, "-"), round(value, 2)]
@@ -187,6 +192,8 @@ def cmd_claims(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from repro.api import Session
+
     grid = _parse_grid(args)
     if args.num_clusters < 1:
         raise SystemExit(f"--num-clusters must be >= 1, got "
@@ -228,6 +235,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    from repro.core.cluster import Cluster
+    from repro.trace import TraceRecorder, render_dataflow, render_issue_trace
+
     variant = VecopVariant(args.variant)
     build = build_vecop(n=args.n, variant=variant, loop_mode=args.loop)
     trace = TraceRecorder()
@@ -251,6 +261,8 @@ def cmd_trace(args) -> int:
 
 
 def cmd_area(args) -> int:
+    from repro.energy.area import AreaModel
+
     model = AreaModel()
     rows = [[name, kge] for name, kge in model.breakdown().items()]
     print(format_table(["component", "kGE"], rows, title="Area model"))
@@ -289,6 +301,8 @@ def _campaign_points(args, what: str) -> tuple[str, str, list]:
 
 
 def cmd_sweep(args) -> int:
+    from repro.api import Session
+
     if args.metric not in RESULT_METRICS:
         raise SystemExit(
             f"unknown metric {args.metric!r}; choose from: "
@@ -420,6 +434,7 @@ def cmd_serve(args) -> int:
     import asyncio
     from pathlib import Path
 
+    from repro.api import Session
     from repro.serve import JobStore, ReproServer, Scheduler
 
     session = Session(cache=args.store, workers=args.workers,
@@ -662,6 +677,8 @@ def _print_verify(cache_dir: str, report: dict) -> None:
 
 
 def cmd_audit(args) -> int:
+    from repro.api import Session
+
     store_only = args.verify_store and not (args.preset or args.spec)
     cache = ResultCache(args.cache_dir)
     store_ok = True
@@ -723,6 +740,8 @@ def cmd_profile(args) -> int:
     import cProfile
     import io
     import pstats
+
+    from repro.api import Session
 
     grid = _parse_grid(args)
     session = Session(engine=args.engine)

@@ -8,10 +8,15 @@ per-class latencies, the FREP hardware loop, SSR streamers, and the paper's
 contribution — *scalar chaining* — in :mod:`repro.core.chaining`.
 """
 
-from repro.core.config import CoreConfig, SystemConfig
-from repro.core.chaining import ChainController
-from repro.core.cluster import Cluster
-from repro.core.perf import PerfCounters, StallReason
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.core.config import CoreConfig, SystemConfig
+    from repro.core.chaining import ChainController
+    from repro.core.cluster import Cluster
+    from repro.core.perf import PerfCounters, StallReason
 
 __all__ = [
     "ChainController",
@@ -21,3 +26,5 @@ __all__ = [
     "StallReason",
     "SystemConfig",
 ]
+
+__getattr__, __dir__ = attach(__name__)

@@ -10,7 +10,14 @@ the paper's claims -- are driven by the event *counts*, which the
 simulator reproduces exactly.
 """
 
-from repro.energy.model import EnergyModel, EnergyParams, EnergyReport
-from repro.energy.area import AreaModel
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.energy.model import EnergyModel, EnergyParams, EnergyReport
+    from repro.energy.area import AreaModel
 
 __all__ = ["AreaModel", "EnergyModel", "EnergyParams", "EnergyReport"]
+
+__getattr__, __dir__ = attach(__name__)

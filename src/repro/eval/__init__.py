@@ -7,8 +7,13 @@ this package holds the execution backends behind it
 reporting helpers.
 """
 
-from repro.eval.report import format_table, geomean
-from repro.eval.runner import Result, execute_build, execute_stencil
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.eval.report import format_table, geomean
+    from repro.eval.runner import Result, execute_build, execute_stencil
 
 __all__ = [
     "Result",
@@ -17,3 +22,5 @@ __all__ = [
     "format_table",
     "geomean",
 ]
+
+__getattr__, __dir__ = attach(__name__)

@@ -11,27 +11,32 @@ text, data arrays, the golden reference and metadata, ready for
 :mod:`repro.eval.runner`.
 """
 
-from repro.kernels.build import KernelBuild
-from repro.kernels.stencil import (
-    StencilSpec,
-    box2d1r,
-    box3d1r,
-    j2d5pt,
-    j3d27pt,
-    star3d1r,
-)
-from repro.kernels.layout import Grid3d
-from repro.kernels.variants import Variant
-from repro.kernels.vecop import VecopVariant, build_vecop
-from repro.kernels.stencil_codegen import build_stencil
-from repro.kernels.linalg import (
-    LinalgVariant,
-    build_axpy,
-    build_cdot,
-    build_dot,
-    build_gemv,
-)
-from repro.kernels.registry import KERNELS, STENCILS, kernel_names
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.kernels.build import KernelBuild
+    from repro.kernels.stencil import (
+        StencilSpec,
+        box2d1r,
+        box3d1r,
+        j2d5pt,
+        j3d27pt,
+        star3d1r,
+    )
+    from repro.kernels.layout import Grid3d
+    from repro.kernels.variants import Variant
+    from repro.kernels.vecop import VecopVariant, build_vecop
+    from repro.kernels.stencil_codegen import build_stencil
+    from repro.kernels.linalg import (
+        LinalgVariant,
+        build_axpy,
+        build_cdot,
+        build_dot,
+        build_gemv,
+    )
+    from repro.kernels.registry import KERNELS, STENCILS, kernel_names
 
 __all__ = [
     "Grid3d",
@@ -55,3 +60,5 @@ __all__ = [
     "kernel_names",
     "star3d1r",
 ]
+
+__getattr__, __dir__ = attach(__name__)

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Region marker ids used by every generated kernel: the measured region
 #: spans from after the setup/prologue to after the FP-subsystem sync
@@ -32,6 +34,8 @@ class KernelBuild:
 
     def load_into(self, cluster) -> None:
         """Place all input arrays into the cluster's memory."""
+        import numpy as np
+
         for addr, array in self.arrays:
             if array.dtype == np.float64:
                 cluster.load_f64(addr, array)
@@ -45,4 +49,6 @@ class KernelBuild:
 
     def check(self, cluster) -> bool:
         """Bit-exact comparison of the kernel output against the golden."""
+        import numpy as np
+
         return np.array_equal(self.read_output(cluster), self.golden)

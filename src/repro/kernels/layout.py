@@ -10,8 +10,10 @@ need.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 DOUBLE = 8
 
@@ -81,6 +83,8 @@ class Grid3d:
 
     def make_input(self, seed: int = 1) -> np.ndarray:
         """Deterministic random input over the padded shape."""
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         return rng.uniform(-1.0, 1.0, self.shape_padded)
 

@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.core.config import CoreConfig
 from repro.kernels.build import MARK_END, MARK_START, KernelBuild
+from repro.kernels.regalloc import require_concurrent_push_pop
 from repro.kernels.ssrgen import SsrPatternAsm
 from repro.mem.memory import Allocator
 
@@ -146,6 +147,8 @@ def build_dot(n: int = 256, variant: LinalgVariant = LinalgVariant.CHAINING,
     lanes = cfg.fpu_pipe_depth + 1
     if n % lanes:
         raise ValueError(f"n={n} must be a multiple of {lanes}")
+    if variant is LinalgVariant.CHAINING:
+        require_concurrent_push_pop(cfg.chain_concurrent_push_pop)
 
     alloc = Allocator(0x1000)
     a_x = alloc.alloc_f64(n)
@@ -198,6 +201,8 @@ def build_gemv(rows: int = 16, n: int = 64,
     lanes = cfg.fpu_pipe_depth + 1
     if n % lanes:
         raise ValueError(f"n={n} must be a multiple of {lanes}")
+    if variant is LinalgVariant.CHAINING:
+        require_concurrent_push_pop(cfg.chain_concurrent_push_pop)
 
     alloc = Allocator(0x1000)
     a_mat = alloc.alloc_f64(rows * n)

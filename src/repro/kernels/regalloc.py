@@ -78,13 +78,29 @@ class RegisterPlan:
                 f"regs used={self.registers_used}/{NUM_FP_REGS - FIRST_FREE}")
 
 
+def require_concurrent_push_pop(concurrent_push_pop: bool) -> None:
+    """Raise ``ValueError`` unless the chaining FIFO may pop and push in
+    one cycle (``CoreConfig.chain_concurrent_push_pop``).
+
+    Every chaining schedule keeps ``fpu_depth + 1`` partials in flight,
+    which fills the logical FIFO; without same-cycle pop and push the
+    head writeback waits for a pop only the blocked consumer could do,
+    so the run could never finish.
+    """
+    if not concurrent_push_pop:
+        raise ValueError(
+            "chaining requires chain_concurrent_push_pop: a full "
+            "chaining FIFO without same-cycle pop and push deadlocks")
+
+
 def plan_registers(variant: Variant, ntaps: int, unroll: int,
-                   fpu_depth: int = 3) -> RegisterPlan:
+                   fpu_depth: int = 3,
+                   concurrent_push_pop: bool = True) -> RegisterPlan:
     """Compute the register allocation for one kernel build.
 
     Raises ``ValueError`` when the configuration cannot work (e.g. a
     chaining variant whose unroll factor does not match the FIFO capacity
-    ``fpu_depth + 1``).
+    ``fpu_depth + 1``, or whose FIFO cannot pop and push in one cycle).
     """
     usable = NUM_FP_REGS - FIRST_FREE
     if variant.uses_chaining:
@@ -94,6 +110,7 @@ def plan_registers(variant: Variant, ntaps: int, unroll: int,
                 f"(= {fpu_depth + 1}), got {unroll}: the logical FIFO "
                 f"holds exactly pipe + architectural register"
             )
+        require_concurrent_push_pop(concurrent_push_pop)
         chain_reg = FIRST_FREE
         acc_regs = (chain_reg,) * unroll
         next_reg = FIRST_FREE + 1

@@ -26,7 +26,7 @@ integer core with the FP subsystem.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.core.config import CoreConfig
 from repro.kernels.build import MARK_END, MARK_START, KernelBuild
@@ -37,6 +37,9 @@ from repro.kernels.stencil import StencilSpec
 from repro.kernels.variants import Variant
 from repro.isa.registers import fp_reg_name
 from repro.mem.memory import Allocator
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: How many tap groups ahead of use a spilled coefficient is reloaded.
 SPILL_LEAD = 2
@@ -50,13 +53,16 @@ def build_stencil(spec: StencilSpec, grid: Grid3d, variant: Variant,
     ``grid.nx`` must be a multiple of ``unroll``; chaining variants
     additionally require ``unroll == fpu_pipe_depth + 1``.
     """
+    import numpy as np
+
     cfg = cfg or CoreConfig()
     if grid.radius < spec.radius:
         raise ValueError(f"grid radius {grid.radius} < stencil radius "
                          f"{spec.radius}")
     if grid.nx % unroll:
         raise ValueError(f"nx={grid.nx} not a multiple of unroll={unroll}")
-    plan = plan_registers(variant, spec.ntaps, unroll, cfg.fpu_pipe_depth)
+    plan = plan_registers(variant, spec.ntaps, unroll, cfg.fpu_pipe_depth,
+                          cfg.chain_concurrent_push_pop)
 
     nbx = grid.nx // unroll
     alloc = Allocator(0x1000)
@@ -123,6 +129,8 @@ def _index_pattern(spec: StencilSpec, grid: Grid3d, unroll: int,
     element ``(-radius, -radius, -radius)`` away from the row's first
     interior point; all offsets are therefore non-negative.
     """
+    import numpy as np
+
     r = grid.radius
     _, py, px = grid.shape_padded
     out = np.empty(nbx * spec.ntaps * unroll, dtype=np.uint32)
@@ -177,7 +185,8 @@ def emit_tile_compute(spec: StencilSpec, tile: Grid3d, variant: Variant,
     if tile.nx % unroll:
         raise ValueError(f"nx={tile.nx} not a multiple of "
                          f"unroll={unroll}")
-    plan = plan_registers(variant, spec.ntaps, unroll, cfg.fpu_pipe_depth)
+    plan = plan_registers(variant, spec.ntaps, unroll, cfg.fpu_pipe_depth,
+                          cfg.chain_concurrent_push_pop)
     nbx = tile.nx // unroll
     idx = _index_pattern(spec, tile, unroll, nbx)
     lines: list[str] = []

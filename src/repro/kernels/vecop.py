@@ -20,11 +20,10 @@ from __future__ import annotations
 
 from enum import Enum
 
-import numpy as np
-
 from repro.core.config import CoreConfig
 from repro.kernels.build import MARK_END, MARK_START, KernelBuild
 from repro.kernels.layout import DOUBLE
+from repro.kernels.regalloc import require_concurrent_push_pop
 from repro.kernels.ssrgen import SsrPatternAsm
 from repro.mem.memory import Allocator
 
@@ -39,11 +38,15 @@ def build_vecop(n: int = 256, variant: VecopVariant = VecopVariant.BASELINE,
                 scalar: float = 3.25, loop_mode: str = "frep",
                 cfg: CoreConfig | None = None, seed: int = 7) -> KernelBuild:
     """Generate one Fig. 1 kernel build for ``n`` elements."""
+    import numpy as np
+
     cfg = cfg or CoreConfig()
     depth = cfg.fpu_pipe_depth
     unroll = depth + 1
     if variant is not VecopVariant.BASELINE and n % unroll:
         raise ValueError(f"n={n} must be a multiple of {unroll}")
+    if variant is VecopVariant.CHAINING:
+        require_concurrent_push_pop(cfg.chain_concurrent_push_pop)
     if loop_mode not in ("bne", "frep"):
         raise ValueError(f"loop_mode must be 'bne' or 'frep', got "
                          f"{loop_mode!r}")

@@ -10,7 +10,14 @@ reproduction in two ways:
   are the source of the paper's energy-efficiency gain.
 """
 
-from repro.mem.memory import Memory
-from repro.mem.tcdm import Tcdm, TcdmPort
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.mem.memory import Memory
+    from repro.mem.tcdm import Tcdm, TcdmPort
 
 __all__ = ["Memory", "Tcdm", "TcdmPort"]
+
+__getattr__, __dir__ = attach(__name__)

@@ -15,13 +15,18 @@ Everything is off by default; instrumented call sites pay one module
 attribute read until :func:`enable` is called.
 """
 
-from repro.obs.export import (chrome_trace, export_dir, load_segments,
-                              recorder_events, write_trace)
-from repro.obs.metrics import (METRICS, MetricsRegistry, campaign_obs,
-                               cluster_run_obs, system_run_obs)
-from repro.obs.progress import ProgressMeter
-from repro.obs.spans import (Tracer, disable, enable, is_enabled,
-                             sim_context, sim_label, sink_dir, tracer)
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.obs.export import (chrome_trace, export_dir, load_segments,
+                                  recorder_events, write_trace)
+    from repro.obs.metrics import (METRICS, MetricsRegistry, campaign_obs,
+                                   cluster_run_obs, system_run_obs)
+    from repro.obs.progress import ProgressMeter
+    from repro.obs.spans import (Tracer, disable, enable, is_enabled,
+                                 sim_context, sim_label, sink_dir, tracer)
 
 __all__ = [
     "METRICS",
@@ -44,3 +49,5 @@ __all__ = [
     "tracer",
     "write_trace",
 ]
+
+__getattr__, __dir__ = attach(__name__)

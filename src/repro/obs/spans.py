@@ -10,7 +10,7 @@ One process-wide :class:`Tracer` records two kinds of events:
   with :func:`time.perf_counter` for precision.
 * **sim** events -- spans and instants whose timeline is *simulated
   cycles* (engine-selection accept/reject, loop-memo replays, system
-  barrier waits, global-memory DMA transfers).  They
+  barrier openings, global-memory DMA transfers).  They
   carry the current :func:`sim_context` label so each workload's cycle
   timeline becomes its own track in the Perfetto export.
 

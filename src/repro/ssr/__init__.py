@@ -9,9 +9,14 @@ multi-dimensional loop nests with an element-repetition count, or indirect
 introduced by SARIS (Scheffler et al., DAC 2024).
 """
 
-from repro.ssr.config import SsrConfig, SsrMode, cfg_addr, CfgField
-from repro.ssr.address_gen import AffineGenerator, IndirectGenerator
-from repro.ssr.streamer import SsrStreamer
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.ssr.config import SsrConfig, SsrMode, cfg_addr, CfgField
+    from repro.ssr.address_gen import AffineGenerator, IndirectGenerator
+    from repro.ssr.streamer import SsrStreamer
 
 __all__ = [
     "AffineGenerator",
@@ -22,3 +27,5 @@ __all__ = [
     "SsrStreamer",
     "cfg_addr",
 ]
+
+__getattr__, __dir__ = attach(__name__)

@@ -14,9 +14,12 @@ against numpy index arithmetic in the property tests.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.ssr.config import SsrConfig
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def affine_addresses(cfg: SsrConfig, indices) -> np.ndarray:
@@ -28,6 +31,8 @@ def affine_addresses(cfg: SsrConfig, indices) -> np.ndarray:
     innermost) -- exactly the address :class:`AffineGenerator` yields on
     its ``i``-th :meth:`~AffineGenerator.next`.
     """
+    import numpy as np
+
     idx = np.asarray(indices, dtype=np.int64)
     addr = np.full(idx.shape, cfg.base, dtype=np.int64)
     radix = 1

@@ -18,37 +18,38 @@ Quick start::
 layout.
 """
 
-from repro.api.workloads import Workload, make_workload
-from repro.sweep.aggregate import (
-    RESULT_METRICS,
-    best_points,
-    by_kernel_variant,
-    group_by,
-    speedup_vs_baseline,
-    summary_rows,
-)
-from repro.sweep.audit import (
-    AUDIT_AXES,
-    AUDIT_SCHEMA,
-    GAP_CLASSES,
-    BackfillPlan,
-    CampaignAudit,
-    PointAudit,
-    audit_campaign,
-)
-from repro.sweep.cache import ResultCache, point_key
-from repro.sweep.presets import PRESETS, preset_points
-from repro.sweep.runner import (
-    Campaign,
-    Outcome,
-    SweepRunner,
-    apply_overrides,
-)
-from repro.sweep.spec import (
-    SweepSpec,
-    VECOP_KERNEL,
-    normalize_variant,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import attach
+
+if TYPE_CHECKING:
+    from repro.api.execute import apply_overrides
+    from repro.api.workloads import Workload, make_workload
+    from repro.sweep.aggregate import (
+        RESULT_METRICS,
+        best_points,
+        by_kernel_variant,
+        group_by,
+        speedup_vs_baseline,
+        summary_rows,
+    )
+    from repro.sweep.audit import (
+        AUDIT_AXES,
+        AUDIT_SCHEMA,
+        GAP_CLASSES,
+        BackfillPlan,
+        CampaignAudit,
+        PointAudit,
+        audit_campaign,
+    )
+    from repro.sweep.cache import ResultCache, point_key
+    from repro.sweep.presets import PRESETS, preset_points
+    from repro.sweep.runner import Campaign, Outcome, SweepRunner
+    from repro.sweep.spec import (
+        SweepSpec,
+        VECOP_KERNEL,
+        normalize_variant,
+    )
 
 __all__ = [
     "AUDIT_AXES",
@@ -78,3 +79,5 @@ __all__ = [
     "speedup_vs_baseline",
     "summary_rows",
 ]
+
+__getattr__, __dir__ = attach(__name__)

@@ -37,11 +37,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from repro.api.cancel import CancelToken
-from repro.api.execute import (
-    DEFAULT_MAX_CYCLES,
-    apply_overrides,
-    execute_workload,
-)
 from repro.api.parse import parse_engine
 from repro.api.result import Result
 from repro.api.workloads import Workload
@@ -53,12 +48,10 @@ from repro.sweep.spec import SweepSpec
 
 __all__ = [
     "Campaign",
-    "DEFAULT_MAX_CYCLES",
     "MAX_WORKER_CRASHES",
     "Outcome",
     "SweepRunner",
     "WorkerPool",
-    "apply_overrides",
     "point_worker",
     "record_outcome",
 ]
@@ -105,6 +98,14 @@ def _pool_worker_init() -> None:
                 os.close(fd)
         except OSError:  # the descriptor listdir itself used
             pass
+
+
+def execute_workload(point: Workload, **kwargs) -> Result:
+    """:func:`repro.api.execute.execute_workload`, imported on first
+    use: a campaign served from the cache never loads the simulator."""
+    from repro.api.execute import execute_workload as execute
+
+    return execute(point, **kwargs)
 
 
 def point_worker(point: Workload, base_cfg: CoreConfig | None,
@@ -190,6 +191,12 @@ class WorkerPool:
     def __init__(self, workers: int, base_cfg: CoreConfig | None = None,
                  max_cycles: int | None = None,
                  engine: str | None = None):
+        # Workers fork from this process: import the execution layer
+        # here, once, so that no worker imports numpy and the
+        # simulator itself.
+        import repro.api.execute  # noqa: F401
+        import repro.eval.system_runner  # noqa: F401
+
         self.workers = workers
         self._bound = (base_cfg, max_cycles)
         self._engine = engine

@@ -413,10 +413,10 @@ class System:
         """Open the system barrier once every core has arrived.
 
         Halted cores count as arrived (matching the cluster barrier).
-        Release aligns every waiting cluster's clock to the latest
-        arrival -- the cycle at which the barrier actually opens -- by
-        stepping the parked clusters, so barrier wait time is fully
-        accounted.
+        The barrier opens at the latest arrival: a parked cluster whose
+        clock is behind it stays parked, and :func:`run_clusters` steps
+        it there like any other cluster, interconnect arbitration
+        included, so barrier wait time is fully accounted.
         """
         waiting = [core for cl in self.clusters for core in cl.cores
                    if core.sys_barrier_wait]
@@ -428,27 +428,18 @@ class System:
                     return
         parked = [cl for cl in self.clusters
                   if any(c.sys_barrier_wait for c in cl.cores)]
-        tmax = max(cl.cycle for cl in parked)
-        arrived_at = [cl.cycle for cl in parked]
-        for cluster in parked:
-            while cluster.cycle < tmax:
-                cluster.step()
+        opens = max(cl.cycle for cl in parked)
+        if any(cl.cycle < opens for cl in parked):
+            return
         for core in waiting:
             core.sys_barrier_wait = False
             core.barrier_wait = False
         self.sys_barriers += 1
         if _obs.ENABLED:
-            tr = _obs.tracer()
-            for cluster, arrived in zip(parked, arrived_at):
-                if tmax > arrived:
-                    tr.sim_span("barrier.wait", "system", arrived, tmax,
-                                lane=cluster.obs_lane,
-                                args={"barrier": self.sys_barriers,
-                                      "wait_cycles": tmax - arrived})
-            tr.sim_instant("barrier.open", "system", tmax,
-                           lane="system",
-                           args={"barrier": self.sys_barriers,
-                                 "clusters": len(parked)})
+            _obs.tracer().sim_instant(
+                "barrier.open", "system", opens, lane="system",
+                args={"barrier": self.sys_barriers,
+                      "clusters": len(parked)})
 
     def runtime_seconds(self) -> float:
         return self.cycle / self.cfg.core.clock_hz

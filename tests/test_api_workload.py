@@ -233,3 +233,31 @@ def test_impossible_shapes_are_rejected_at_the_boundary(kernel, field,
     with pytest.raises(FieldError):
         SweepSpec.from_dict({"kernels": [kernel], "variants": [variant],
                              axis: [kwargs[field]]})
+
+
+@pytest.mark.parametrize("kernel, variant, kwargs", [
+    ("box3d1r", "Chaining", {"grid": (2, 4, 16)}),
+    ("j3d27pt", "Chaining+", {"grid": (2, 4, 16)}),
+    ("box3d1r", "Chaining+", {"grid": (4, 4, 16), "num_clusters": 2}),
+    ("vecop", "chaining", {"n": 64, "loop_mode": "bne"}),
+])
+def test_chaining_without_concurrent_push_pop_fails_fast(kernel, variant,
+                                                         kwargs):
+    """Every chaining schedule fills the FIFO, which deadlocks without
+    same-cycle pop and push: the override is refused when the workload
+    is made, and a session base config in that mode fails at build
+    (or estimate), instead of simulating to the cycle budget."""
+    from repro.api import Session
+
+    conservative = {"chain_concurrent_push_pop": False}
+    with pytest.raises(FieldError, match="chain_concurrent_push_pop") \
+            as err:
+        workload(kernel, variant, overrides=conservative, **kwargs)
+    assert err.value.field == "overrides"
+    for engine in (None, "analytical"):
+        session = Session(CoreConfig(**conservative), engine=engine)
+        with pytest.raises(ValueError, match="chain_concurrent_push_pop"):
+            session.run(workload(kernel, variant, **kwargs))
+    base = "baseline" if kernel == "vecop" else "Base"
+    assert workload(kernel, base, overrides=conservative,
+                    **kwargs).overrides == tuple(conservative.items())

@@ -58,6 +58,17 @@ def test_dot_bad_n():
         build_dot(n=130)
 
 
+@pytest.mark.parametrize("build", [build_dot, build_gemv])
+def test_chained_reductions_need_concurrent_push_pop(build):
+    # depth + 1 chained partials deadlock a FIFO that cannot pop and
+    # push in one cycle; the build refuses instead of hanging the run.
+    cfg = CoreConfig(chain_concurrent_push_pop=False)
+    with pytest.raises(ValueError, match="chain_concurrent_push_pop"):
+        build(n=32, variant=LinalgVariant.CHAINING, cfg=cfg)
+    assert execute_build(build(n=32, variant=LinalgVariant.BASELINE,
+                               cfg=cfg), cfg=cfg).correct
+
+
 @pytest.mark.parametrize("variant", list(LinalgVariant))
 def test_gemv_correct(variant):
     result = execute_build(build_gemv(rows=8, n=32, variant=variant))
