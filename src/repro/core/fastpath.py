@@ -59,7 +59,7 @@ from __future__ import annotations
 import weakref
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 from operator import itemgetter, ne, sub
 from typing import Any
@@ -71,11 +71,12 @@ from repro.core.perf import SLOT
 from repro.core.sequencer import DispatchedEntry
 from repro.isa.instructions import InstrClass
 from repro.mem.timing import (AFFINE_READ, INDIRECT_READ, WRITE, block,
-                               compile_factory, counters_rules,
+                               compile_factory, counters_arm, counters_rules,
                                port_layouts)
 from repro.obs import spans as _obs
-from repro.ssr.address_gen import affine_addresses
-from repro.ssr.config import SsrMode
+from repro.ssr.address_gen import (AffineGenerator, IndirectGenerator,
+                                   affine_addresses)
+from repro.ssr.config import CfgField, SsrMode, split_cfg_addr
 
 
 #: mnemonic -> vectorized fn of the ops a workload or the FREP fuzz
@@ -159,6 +160,9 @@ def _data_flow(instrs, nstream: int, mask: int, readable, writable,
     sources, stream_pops = flow.sources, flow.pops
     for j, instr in enumerate(instrs):
         args = []
+        if instr.iclass is InstrClass.SCFG:
+            sources.append(args)    # an arming: no FP data
+            continue
         popped = None
         for reg, domain in _operands(instr):
             if domain != "f":
@@ -887,8 +891,7 @@ _TRANSIENT = frozenset({"long-iteration", "unproven"})
 # active-cycle, read, write and conflict counters.
 #: Counters whose movement in an iteration declines it, with the reason.
 _MEMO_DECLINES = (("frep_ops", "frep"), ("fp_csr_ops", "csr"),
-                  ("scfg_ops", "scfg"), ("dma_transfers", "dma"),
-                  ("barriers", "barrier"))
+                  ("dma_transfers", "dma"), ("barriers", "barrier"))
 _S_INT_INSTRS = SLOT["int_instrs"]
 _S_COMPUTE = SLOT["fpu_compute_ops"]
 _S_FP_LSU = SLOT["fp_lsu_ops"]
@@ -916,7 +919,8 @@ def _fp_kind(instr) -> str:
 
 def _exec_int(op: tuple, regs: list) -> bool:
     """Apply one recorded integer op; False when a branch or an indirect
-    jump would leave the recorded path."""
+    jump would leave the recorded path, or an ``scfgw`` would write
+    another stream field or arm another configuration."""
     code = op[0]
     if code == 0:
         if op[1]:
@@ -934,6 +938,9 @@ def _exec_int(op: tuple, regs: list) -> bool:
             return False
         if op[4]:
             regs[op[4]] = op[5]
+    elif code == 7:
+        return regs[op[2]] == op[3] and (op[4] is None
+                                         or regs[op[1]] == op[4])
     return True
 
 
@@ -964,8 +971,11 @@ def _situation(k: tuple, context: tuple, cache: dict) -> tuple:
     LSU access, the number (:data:`_USES`) of the queue head's stream
     reads, per stream the FIFO fill, then (with repeats in the context)
     the repeat phase, the stream whose write the pipe head would retire
-    (or -1), and whether an early stall happened."""
-    _, repeats, depths = context
+    (or -1), and whether an early stall happened.  None when a check
+    reads a stream that is not an armed read, pushes into one that is
+    not an armed write, or tests a stream that re-arms (negative
+    pops)."""
+    _, repeats, depths, modes = context
     n = len(depths)
     fills = k[2 * n + 2:3 * n + 2]
     checks = ()
@@ -984,6 +994,10 @@ def _situation(k: tuple, context: tuple, cache: dict) -> tuple:
         checks += ((dest, 0, fills[dest] < depths[dest]),)
     if k[-1]:
         checks = tuple(c for c in checks if not c[1])
+    for si, uses, _ in checks:
+        if modes[si] != (SsrMode.WRITE if not uses else SsrMode.READ) \
+                or k[si] < 0:
+            return None
     entry = cache[k] = (k[:n], k[n:2 * n], k[2 * n],
                         tuple(c[:2] for c in checks),
                         tuple(c[2] for c in checks), checks)
@@ -996,7 +1010,7 @@ class _Recording:
     up to the ``deadline`` cycle."""
 
     __slots__ = ("key", "cycle", "snap", "iregs", "pc", "queue", "pipe",
-                 "log", "deadline")
+                 "cfgs", "arms", "log", "deadline")
     key: tuple
     cycle: int
     snap: dict
@@ -1004,8 +1018,16 @@ class _Recording:
     pc: int
     queue: list
     pipe: list
+    cfgs: list                  # each stream's configuration
+    arms: tuple                 # (dispatch index, stream) per re-arm
     log: list
     deadline: int
+
+
+def _same_but_base(a, b) -> bool:
+    """Whether stream configurations ``a`` and ``b`` differ at most in
+    their base."""
+    return b is not None and replace(a, base=b.base) == b
 
 
 @dataclass(slots=True)
@@ -1017,8 +1039,10 @@ class _Shape:
     lsu_issued: tuple           # kinds of the LSU entries issued
     lsu_entry: bool             # the loop-head LSU op belongs here
     lsu_busy: bool              # the last LSU op is busy at exit
-    reads: tuple                # (si, elements consumed from) per stream
-    advance: tuple              # (si, elements fully consumed)
+    reads: tuple                # (si, from the re-armed window, elements
+    #                             consumed), per stream and window
+    advance: tuple              # (si, re-armed, elements fully consumed
+    #                             in the last window)
 
 
 class _Walk:
@@ -1069,14 +1093,18 @@ class _Node:
     integer path.  They share their schedule up to the first stream
     observation that tells them apart: before ``split`` any of them
     (``rep``) stands for all; at ``split`` the observed outcomes pick a
-    child.  A leaf (``split`` None) holds one iteration."""
+    child.  A leaf (``split`` None) holds one iteration.  A child's part
+    of the schedule starts at its parent's split (``start``); ``seg``
+    keeps that part as the simulator walks it (see :func:`_segment`)."""
 
-    __slots__ = ("split", "rep", "children")
+    __slots__ = ("split", "rep", "children", "start", "seg")
 
-    def __init__(self, it, split=None, children=None):
+    def __init__(self, it, split=None, children=None, start=0):
         self.rep = it
         self.split = split
         self.children = children
+        self.start = start
+        self.seg = None
 
 
 def _insert(node: _Node, it: _Iter) -> bool:
@@ -1090,16 +1118,18 @@ def _insert(node: _Node, it: _Iter) -> bool:
         for cycle in range(start, end):
             if a[cycle][4] != b[cycle][4]:
                 node.children = {
-                    a[cycle][4]: _Node(rep, node.split, node.children),
-                    b[cycle][4]: _Node(it)}
+                    a[cycle][4]: _Node(rep, node.split, node.children,
+                                       cycle),
+                    b[cycle][4]: _Node(it, start=cycle)}
                 node.split = cycle
+                node.seg = None
                 return True
         if node.split is None:
             return False
         start = node.split
         child = node.children.get(b[start][4])
         if child is None:
-            node.children[b[start][4]] = _Node(it)
+            node.children[b[start][4]] = _Node(it, start=start)
             return True
         node = child
 
@@ -1107,8 +1137,9 @@ def _insert(node: _Node, it: _Iter) -> bool:
 class _View:
     """Every element address and bank of one armed stream."""
 
-    __slots__ = ("total", "addr", "idx", "banks", "ibanks", "span",
-                 "ispan")
+    __slots__ = ("base", "total", "addr", "idx", "banks", "ibanks",
+                 "span", "ispan")
+    base: int
     total: int
     addr: Any                   # element byte addresses (numpy int64)
     idx: Any                    # index values of an indirect stream
@@ -1118,14 +1149,23 @@ class _View:
     ispan: tuple | None
 
 
+def _banks(addr, tcdm):
+    """The bank of each byte address in ``addr``, indexable: as bytes
+    (compact, and indexing yields ints) for up to 256 banks."""
+    banks = addr // tcdm.bank_width % tcdm.num_banks
+    return banks.astype(np.uint8).tobytes() if tcdm.num_banks <= 256 \
+        else banks.tolist()
+
+
 class _Run:
     """Virtual machine state across one run of memo hits."""
 
     __slots__ = ("start", "cycle", "ir", "iready", "stall", "lsuq",
                  "lsu_op", "pv", "pcomp", "last_comp", "rv", "pushed",
                  "head", "moved0", "mem", "rr", "tcdm", "order", "views",
-                 "sim", "counts", "st_writes", "ws_writes", "reads",
-                 "writes", "ld_range", "st_range", "hits", "last")
+                 "windows", "shadow", "armed", "sim", "counts", "st_writes",
+                 "ws_writes", "reads", "writes", "ld_range", "st_range",
+                 "hits", "last")
     start: int
     cycle: int
     ir: list                    # integer registers
@@ -1143,8 +1183,14 @@ class _Run:
     mem: list                   # memory-side state per stream
     rr: int
     tcdm: list                  # [accesses, conflicts] added
-    order: list                 # (stream, mode, view) of armed streams
+    order: list                 # (stream, mode) of armed streams
     views: list
+    windows: tuple              # the banks, index banks and totals the
+    #                             simulator reads, per stream
+    shadow: dict                # read stream -> (base it re-arms on,
+    #                             CTRL value that keeps it), or None
+    #                             when it cannot re-arm
+    armed: set                  # streams re-armed in the run
     sim: Any
     counts: dict
     st_writes: list
@@ -1346,6 +1392,7 @@ class LoopMemo:
         rec.queue = list(fp.sequencer.queue)
         rec.pipe = [(op.instr, op.dest, op.dest_is_ssr)
                     for op in fp.pipe.in_flight]
+        rec.cfgs = [s.cfg for s in fp.streamers]
         rec.log = []
         rec.deadline = cl.cycle + _MEMO_MAX_CYCLES
         self._rec = rec
@@ -1390,8 +1437,12 @@ class LoopMemo:
 
     def _int_path(self, rec: _Recording, n_int: int):
         """The integer instructions of the iteration, replayed from the
-        loop-head registers: ``(ops, dispatched, written)`` or a reason.
-        Paths are cached by (pc, length) and re-verified on reuse."""
+        loop-head registers: ``(ops, dispatched, written, arms)`` or a
+        reason.  An ``scfgw`` of a stream's BASE or CTRL is an op that
+        carries its config address, and for CTRL the value, since they
+        decide what it arms; ``arms`` holds ``(dispatch index, stream)``
+        of each CTRL write.  Paths are cached by (pc, length) and
+        re-verified on reuse."""
         from repro.core.int_core import _ALU_OPS, _BRANCH_OPS, \
             _IMM_TO_ALU, IntCore
         from repro.isa.instructions import InstrClass
@@ -1410,6 +1461,7 @@ class LoopMemo:
         ops = []
         dispatched = []
         written = set()
+        arms = []
         for _ in range(n_int):
             index = (pc - program.base) // 4
             if pc % 4 or not 0 <= index < len(instrs):
@@ -1420,11 +1472,19 @@ class LoopMemo:
             rd, rs1, rs2, imm = instr.rd, instr.rs1, instr.rs2, instr.imm
             if instr.is_fp:
                 kind = self._kind(instr)
-                if len(kind) > 1:
+                if kind == "scfg" and mn == "scfgw":
+                    ssr, field = split_cfg_addr(regs[rs2])
+                    if field == CfgField.CTRL:
+                        arms.append((len(dispatched), ssr))
+                    elif field != CfgField.BASE:
+                        return kind
+                    ops.append((7, rs1, rs2, regs[rs2], regs[rs1]
+                                if field == CfgField.CTRL else None))
+                elif len(kind) > 1:
                     return kind
-                dispatched.append(instr)
-                if kind != "c":
+                elif kind != "c":
                     ops.append((6, rs1, imm))
+                dispatched.append(instr)
                 pc += 4
                 continue
             if iclass in (InstrClass.INT_ALU, InstrClass.INT_MUL,
@@ -1472,7 +1532,8 @@ class LoopMemo:
             ops.append(op)
         if pc != core.pc or regs != core.regs.values:
             return "unproven"
-        path = (tuple(ops), tuple(dispatched), tuple(sorted(written)))
+        path = (tuple(ops), tuple(dispatched), tuple(sorted(written)),
+                tuple(arms))
         self._paths[(rec.pc, n_int)] = path
         return path
 
@@ -1501,10 +1562,15 @@ class LoopMemo:
         path = self._int_path(rec, counters.get(_S_INT_INSTRS, 0))
         if isinstance(path, str):
             return path
-        int_ops, dispatched, written = path
+        int_ops, dispatched, written, arms = path
+        n_scfg = counters.get(slot_of.get("scfg_ops"), 0)
+        if (n_scfg or any(op[0] == 7 for op in int_ops)) \
+                and not self._rearms(rec, int_ops, n_scfg):
+            return "scfg"
 
         # The FP side issues in queue order.
-        n_issue = counters.get(_S_COMPUTE, 0) + counters.get(_S_FP_LSU, 0)
+        n_issue = counters.get(_S_COMPUTE, 0) + counters.get(_S_FP_LSU, 0) \
+            + n_scfg
         stream = [e.instr for e in rec.queue] + list(dispatched)
         queue = fp.sequencer.queue
         rest = stream[n_issue:]
@@ -1520,10 +1586,13 @@ class LoopMemo:
         # third of the recordings never replay.
         shape = self._shapes.get(signature) or (
             signature, rec.key, len(rec.pipe), stream, n_issue,
-            delta["streamers"],
-            len(fp.pipe.in_flight), lsu.busy)
+            delta["streamers"], len(fp.pipe.in_flight), lsu.busy,
+            tuple((len(rec.queue) + j, si, rec.cfgs[si]) for j, si in arms))
 
+        rec.arms = arms
         schedule = self._schedule(rec, fp._num_streamers if key[7] else 0)
+        if isinstance(schedule, str):
+            return schedule
 
         # The memory side's own counters come from re-simulation.
         stream_ports = {id(s.data_port) for s in fp.streamers} \
@@ -1569,7 +1638,31 @@ class LoopMemo:
             last_rel=fp.pipe._last_completion - now if n_compute else None,
             pipe_rel=tuple(pipe_rel), schedule=schedule)
 
-    def _schedule(self, rec: _Recording, nstream: int) -> tuple:
+    def _rearms(self, rec: _Recording, int_ops: tuple, n_scfg: int) -> bool:
+        """Whether the ``scfgw`` of the iteration only re-arm read streams
+        on new windows: each of them issued within it, a CTRL write arms
+        a stream at most once and leaves its configuration as it was but
+        for the base, and a BASE write precedes the CTRL write of its
+        stream."""
+        writes = [op for op in int_ops if op[0] == 7]
+        if len(writes) != n_scfg:
+            return False
+        based = set()
+        armed = set()
+        for _, _, _, addr, ctrl in writes:
+            si = split_cfg_addr(addr)[0]
+            if ctrl is None:
+                based.add(si)
+                continue
+            old, new = rec.cfgs[si], self.fp.streamers[si].cfg
+            if si in armed or old is None or old.mode != SsrMode.READ \
+                    or not _same_but_base(old, new):
+                return False
+            armed.add(si)
+            based.discard(si)
+        return not based
+
+    def _schedule(self, rec: _Recording, nstream: int):
         """Per cycle of the recorded iteration, from consecutive log
         rows: what the core did to the memory side (pops and pushes per
         stream, the LSU access), and which stream observations its
@@ -1578,8 +1671,10 @@ class LoopMemo:
         stream test, i.e. took no early stall.  Most cycles repeat a few
         situations -- the flat tuple of a cycle's raw facts, with the
         queue head's instruction reduced to the streams it reads -- so
-        entries are shared through :data:`_SITUATIONS`."""
+        entries are shared through :data:`_SITUATIONS`.  A stream that
+        re-arms (``rec.arms``) must do so in exactly one cycle."""
         log = rec.log
+        arms = rec.arms
         streamers = self.fp.streamers
         n = len(streamers)
         cols = list(zip(*log))
@@ -1595,18 +1690,20 @@ class LoopMemo:
                 code = _USES[reads] = len(_USE_LIST)
                 _USE_LIST.append(reads)
             uses[new] = code
-        # Checks also depend on the streams' repeat counts and depths;
-        # without repeats every phase is 0 and stays out of the key.
+        # Checks also depend on the streams' modes, repeat counts and
+        # depths; without repeats every phase is 0 and stays out of the
+        # key.
         repeats = tuple(st and st[2] for st in rec.key[8])
-        context = (nstream, repeats, tuple(s.fifo_depth for s in streamers))
-        # The owed reads and writes, the LSU count and the early stalls
-        # only move one way within an iteration that gets this far (a
-        # re-arm or a batch would have declined it), so a column whose
-        # ends agree is constant.
+        context = (nstream, repeats, tuple(s.fifo_depth for s in streamers),
+                   tuple(st and st[0] for st in rec.key[8]))
+        # The LSU count and the early stalls only move one way within an
+        # iteration that gets this far (a batch would have declined it),
+        # so a column whose ends agree is constant; so are the owed reads
+        # and writes, unless a stream re-arms.
         dt = len(log) - 1
         base = lsu[0]
         situations = zip(
-            *[map(sub, c, c[1:]) if c[0] != c[-1] else repeat(0, dt)
+            *[map(sub, c, c[1:]) if c[0] != c[-1] or arms else repeat(0, dt)
               for c in cols[:2 * n]],
             [a - base if a != b else -1 for a, b in zip(lsu, lsu[1:])]
             if base != lsu[-1] else repeat(-1, dt),
@@ -1621,8 +1718,14 @@ class LoopMemo:
         if cache is None or len(cache) > _SITUATIONS_CAP:
             cache = _SITUATIONS[context] = {}
         get = cache.get
-        return tuple([get(k) or _situation(k, context, cache)
-                      for k in situations])
+        schedule = tuple([get(k) or _situation(k, context, cache)
+                          for k in situations])
+        # Each re-arm shows as owed pops that grow, once.
+        if None in schedule or any(
+                sum(entry[0][si] < 0 for entry in schedule) != 1
+                for _, si in arms):
+            return "unproven"
+        return schedule
 
     def _walk(self, signature: tuple, key: tuple, stream: list):
         """The data flow of ``stream`` from the loop-head state, every
@@ -1712,7 +1815,7 @@ class LoopMemo:
                 code[("o", j)] = loads
                 walk.lsu.append(("l", instr.rd, loads, j))
                 loads += 1
-            else:
+            elif kind == "s":
                 walk.lsu.append(("s", None, code[args[0]], j))
         walk.comp_at = [c[3] for c in walk.comp]
         walk.lsu_at = [op[3] for op in walk.lsu]
@@ -1720,10 +1823,11 @@ class LoopMemo:
 
     def _shape(self, signature: tuple, key: tuple, n_entry: int,
                stream: list, n_issue: int, sdelta: list, n_exit: int,
-               lsu_busy: bool):
+               lsu_busy: bool, arms: tuple):
         """The data program and the LSU structure of the first
         ``n_issue`` FP entries of ``stream`` (or why they fail): their
-        :meth:`_walk`, then retirement."""
+        :meth:`_walk`, then retirement.  ``arms`` holds the entry, the
+        stream and its configuration of each re-arming."""
         walk = self._walk(signature, key, stream)
         if n_issue > walk.limit:
             return "unproven"
@@ -1756,19 +1860,35 @@ class LoopMemo:
                 pushed.setdefault(dest, []).append(c)
 
         # Stream pops become element indices: ``repeat + 1`` pops read
-        # one element, counting from the loop-head repeat phase.
+        # one element, counting from the loop-head repeat phase, or from
+        # the first element of the new window once the stream re-arms.
         reads, advance = [], []
         npops = {}
+        parts = {}
+        rearm = {si: (j, cfg) for j, si, cfg in arms}
         for si, st in enumerate(streams):
             if st is None:
                 continue
             _, _, dcons, dprod, _ = sdelta[si]
             pops = npops[si] = bisect_left(walk.pops.get(si, ()), n_issue)
-            if pops != -dcons or len(pushed.get(si, ())) != -dprod:
+            per = st[2] + 1
+            owed = pops
+            part = parts[si] = [(False, st[3], pops)]
+            if si in rearm:
+                j, cfg = rearm[si]
+                before = bisect_left(walk.pops.get(si, ()), j)
+                if (st[3] + before) % per:
+                    return "unproven"
+                part[:] = [(False, st[3], before), (True, 0, pops - before)]
+                owed -= cfg.total_elements() * per
+            if owed != -dcons or len(pushed.get(si, ())) != -dprod:
                 return "unproven"
-            if pops:
-                reads.append((si, (st[3] + pops - 1) // (st[2] + 1) + 1))
-                advance.append((si, (st[3] + pops) // (st[2] + 1)))
+            for fresh, phase, count in part:
+                if count:
+                    reads.append((si, fresh, (phase + count - 1) // per + 1))
+            fresh, phase, count = part[-1]
+            if count or fresh:
+                advance.append((si, fresh, (phase + count) // per))
 
         # The data program: slot-numbered operations over a flat value
         # list laid out as pipe values, registers, stream elements,
@@ -1778,12 +1898,13 @@ class LoopMemo:
         base = n_entry + len(self.fp.fpregs.values)
         elements = []
         for si, entries in walk.pops.items():
-            pops = npops.get(si, 0)
-            if pops:
-                phase, per = streams[si][3], streams[si][2] + 1
-                elements += [base + (phase + k) // per for k in range(pops)]
-                base += (phase + pops - 1) // per + 1
-            elements += [-1] * (len(entries) - pops)
+            per = streams[si][2] + 1 if streams[si] else 1
+            for _, phase, count in parts.get(si, ()):
+                if count:
+                    elements += [base + (phase + k) // per
+                                 for k in range(count)]
+                    base += (phase + count - 1) // per + 1
+            elements += [-1] * (len(entries) - npops.get(si, 0))
         slot = list(range(walk.l0))
         slot.append(base + nloads)
         slot += elements
@@ -1792,7 +1913,6 @@ class LoopMemo:
         slot += range(base + nloads + 1, base + nloads + 1 + ncomp)
         slot += [-1] * (walk.ncomp - ncomp + 1)
         program = (
-            tuple(si for si, _ in reads),
             tuple([(fn, slot[a], slot[b], slot[c])
                    for fn, a, b, c in walk.ops[:ncomp]]),
             tuple(slot[c] for _, _, c, _ in pipe_syms[n_retire:]),
@@ -1827,37 +1947,48 @@ class LoopMemo:
         if cached is not None and cached[2] == raw:
             return cached[1]
         tcdm = self.tcdm
-        idx = None
+        view = _View()
+        view.base = cfg.base
+        view.total = total
+        view.idx = view.ibanks = view.ispan = None
         if cfg.indirect:
-            idx = np.frombuffer(
+            view.idx = np.frombuffer(
                 raw, dtype=np.uint32 if isz == 4 else np.uint16
             ).astype(np.int64)
-            addr = cfg.base + (idx << cfg.idx_shift)
+            addr = cfg.base + (view.idx << cfg.idx_shift)
+            view.ibanks = _banks(
+                cfg.idx_base + np.arange(total) * cfg.idx_size, tcdm)
+            view.ispan = (cfg.idx_base, cfg.idx_base + total * cfg.idx_size)
         else:
             addr = affine_addresses(cfg, np.arange(total))
-        if total and (addr.min() < 0 or addr.max() + 8 > mem.size
-                      or np.any(addr & 7)):
+        if not self._place(view, addr):
             return None
-        view = _View()
-        view.total = total
-        view.addr = addr
-        view.idx = idx
-        bw, nb = tcdm.bank_width, tcdm.num_banks
-        # Bank numbers as bytes: compact, and indexing yields ints.
-        kind = np.uint8 if nb <= 256 else np.int64
-        view.banks = (addr // bw % nb).astype(kind).tobytes() \
-            if kind is np.uint8 else (addr // bw % nb).tolist()
-        view.span = (int(addr.min()), int(addr.max()) + 8) if total \
-            else (0, 0)
-        view.ibanks = view.ispan = None
-        if idx is not None:
-            ibanks = (cfg.idx_base + np.arange(total) * cfg.idx_size) \
-                // bw % nb
-            view.ibanks = ibanks.astype(kind).tobytes() \
-                if kind is np.uint8 else ibanks.tolist()
-            view.ispan = (cfg.idx_base, cfg.idx_base + total * cfg.idx_size)
         self._views[id(cfg)] = (cfg, view, raw)
         return view
+
+    def _place(self, view: _View, addr) -> bool:
+        """Give ``view`` its element addresses ``addr`` with their banks
+        and span; False when one is out of range or misaligned."""
+        if view.total and (addr.min() < 0
+                           or addr.max() + 8 > self.cluster.mem.size
+                           or np.any(addr & 7)):
+            return False
+        view.addr = addr
+        view.banks = _banks(addr, self.tcdm)
+        view.span = (int(addr.min()), int(addr.max()) + 8) if view.total \
+            else (0, 0)
+        return True
+
+    def _window(self, view: _View, base: int):
+        """``view`` moved to the new ``base`` of a re-armed stream (None
+        when an element leaves the memory or its alignment)."""
+        moved = _View()
+        moved.base = base
+        moved.total = view.total
+        moved.idx, moved.ibanks, moved.ispan = view.idx, view.ibanks, \
+            view.ispan
+        return moved if self._place(moved, view.addr + (base - view.base)) \
+            else None
 
     def _open_run(self):
         """Virtual state of a run of hits, or the reason none can start
@@ -1886,6 +2017,8 @@ class LoopMemo:
         run.pushed = {}
         run.head = {}
         run.moved0 = {}
+        run.shadow = {}
+        run.armed = set()
         run.mem = mem_state = []
         run.order = order = []
         run.views = views = []
@@ -1921,7 +2054,7 @@ class LoopMemo:
                 else:
                     mode = AFFINE_READ
                     here = pos - s._data_requested
-            order.append((si, mode, view))
+            order.append((si, mode))
             run.moved0[si] = here
             mem_state.append([
                 fill, s._rep_count, s._data_requested,
@@ -1939,6 +2072,13 @@ class LoopMemo:
                 writes.append(view.span)
                 continue
             run.head[si] = here - fill
+            # A re-arm commits the shadow registers: the same stream on
+            # a new base, unless they were written since the last one
+            # (and CTRL must keep the stream's mode and dimensions).
+            shadow = s.cfgspace._shadow
+            run.shadow[si] = (shadow.base, cfg.indirect << 1
+                              | cfg.ndims - 1 << 2) \
+                if _same_but_base(cfg, shadow) else None
             reads.append(view.span)
             if view.ispan is not None:
                 reads.append(view.ispan)
@@ -1965,11 +2105,12 @@ class LoopMemo:
                 if lo < hi2 and lo2 < hi:
                     return "aliasing"
         modes = tuple((si, mode, bool(fp.streamers[si].cfg.repeat))
-                      for si, mode, _ in order)
+                      for si, mode in order)
+        run.windows = ([v and v.banks for v in views],
+                       [v and v.ibanks for v in views],
+                       [v and v.total for v in views])
         run.sim = _simulator(modes, fp.streamers, fp.lsu.port, cl.tcdm)(
-            [v and v.banks for v in views], [v and v.ibanks for v in views],
-            [v and v.total for v in views],
-            [s.cfg and s.cfg.repeat + 1 for s in fp.streamers])
+            *run.windows, [s.cfg and s.cfg.repeat + 1 for s in fp.streamers])
         run.reads = reads
         run.writes = writes
         run.ld_range = run.st_range = None
@@ -2018,25 +2159,47 @@ class LoopMemo:
         """Replay the recorded iteration whose core timing holds onto the
         run's virtual state; returns it, None on a miss, or the reason
         the memo declines it (nothing is touched unless it replays)."""
-        # The integer path first: branch outcomes and LSU addresses.
+        # The integer path first: branch outcomes, LSU addresses and what
+        # the scfgw write.
         for int_ops, root, _ in paths.values():
             regs = run.ir[:]
             new_lsu = []
+            scfg = []
             for op in int_ops:
-                if op[0] == 6:
+                code = op[0]
+                if code == 6:
                     new_lsu.append((regs[op[1]] + op[2]) & _MASK32)
                 elif not _exec_int(op, regs):
                     break
+                elif code == 7:
+                    scfg.append((split_cfg_addr(op[3])[0], op[4],
+                                 regs[op[1]]))
             else:
                 break
         else:
             return None
+        # Each re-arm moves its stream's window to the last base written.
+        arms = []
+        if scfg:
+            bases = {}
+            for si, ctrl, value in scfg:
+                if ctrl is None:
+                    bases[si] = value
+                    continue
+                shadow = run.shadow.get(si)
+                if shadow is None or ctrl != shadow[1]:
+                    return "scfg"
+                view = self._window(run.views[si], bases.get(si, shadow[0]))
+                if view is None:
+                    return "address-range"
+                arms.append((si, view, ctrl))
         lsuq = run.lsuq
         addrs = list(lsuq) + new_lsu
         tcdm = self.tcdm
         bw, nb = tcdm.bank_width, tcdm.num_banks
         sim = run.sim(run.mem, root, [a // bw % nb for a in addrs],
-                      limit - run.cycle, run.rr)
+                      limit - run.cycle, run.rr,
+                      [(v.banks, v.ibanks, v.total) for _, v, _ in arms])
         if sim is None:
             return None
         it = sim[0]
@@ -2050,7 +2213,8 @@ class LoopMemo:
         c1 = run.cycle + it.dt
 
         # The iteration's LSU accesses: in range, aligned, and clear of
-        # every stream and each other.
+        # every stream and each other; a re-armed window clear of the
+        # written bytes.
         kinds = shape.lsu_issued
         n_issue = len(kinds)
         issued = addrs[:n_issue]
@@ -2066,33 +2230,35 @@ class LoopMemo:
             else:
                 st_range = (addr, addr + 8) if st_range is None else (
                     min(st_range[0], addr), max(st_range[1], addr + 8))
+        spans = [view.span for _, view, _ in arms]
         if st_range is not None:
             lo, hi = st_range
-            for lo2, hi2 in run.reads + run.writes:
+            for lo2, hi2 in run.reads + run.writes + spans:
                 if lo < hi2 and lo2 < hi:
                     return "aliasing"
             if ld_range is not None and lo < ld_range[1] \
                     and ld_range[0] < hi:
                 return "aliasing"
         if ld_range is not None:
-            lo, hi = ld_range
+            spans.append(ld_range)
+        for lo, hi in spans:
             for lo2, hi2 in run.writes:
                 if lo < hi2 and lo2 < hi:
                     return "aliasing"
 
         # The core timing holds: run the iteration's data program.
         views = run.views
+        fresh = {si: view for si, view, _ in arms}
         f64 = mem._f64_view()
-        elems = [None] * len(views)
         head = run.head
-        for si, count in shape.reads:
-            k0 = head[si]
-            elems[si] = f64[views[si].addr[k0:k0 + count] >> 3].tolist()
+        chunks = [f64[fresh[si].addr[:count] >> 3].tolist() if new else
+                  f64[views[si].addr[head[si]:head[si] + count] >> 3]
+                  .tolist() for si, new, count in shape.reads]
         loads = [mem.read_f64(addr) for kind, addr in zip(kinds, issued)
                  if kind == "l"]
         lsu_op = run.lsu_op
         ld0 = lsu_op[2] if shape.lsu_entry and lsu_op[0] == "l" else None
-        pv, pushed, stores = _run_program(shape.program, run, elems, loads,
+        pv, pushed, stores = _run_program(shape.program, run, chunks, loads,
                                           ld0)
         run.pv = pv
         pcomp = run.pcomp
@@ -2126,8 +2292,18 @@ class LoopMemo:
         for reg, rel in it.ready_rel:
             iready[reg] = c1 + rel
         run.stall = c1 + it.stall_rel
-        for si, elements in shape.advance:
-            head[si] += elements
+        for si, new, elements in shape.advance:
+            head[si] = elements if new else head[si] + elements
+        for si, view, ctrl in arms:
+            # Elements moved count across re-arms, positions from each.
+            run.moved0[si] -= views[si].total
+            views[si] = view
+            for window, part in zip(run.windows, (view.banks, view.ibanks,
+                                                  view.total)):
+                window[si] = part
+            run.shadow[si] = (view.base, ctrl)
+            run.armed.add(si)
+            run.reads.append(view.span)
         run.ld_range, run.st_range = ld_range, st_range
         count = run.counts.get(id(it))
         if count is None:
@@ -2188,11 +2364,14 @@ class LoopMemo:
         tcdm.total_accesses += run.tcdm[0]
         tcdm.busy_bank_cycles += run.tcdm[0]
         tcdm.total_conflicts += run.tcdm[1]
-        for si, mode, view in run.order:
+        for si, mode in run.order:
             s = fp.streamers[si]
+            view = run.views[si]
             (fill, _, requested, dpend, dresp, ifill, ipend, iresp, pos,
              here, pwa, ielem, active, dreads, dwrites, dconf, ireads,
              iconf) = run.mem[si]
+            if si in run.armed:
+                self._rearm(s, view, *run.shadow[si])
             cfg = s.cfg
             dport, iport = s.data_port, s.idx_port
             s._rep_count = ex["rep"][si]
@@ -2256,52 +2435,135 @@ class LoopMemo:
         for addr, value in run.st_writes:
             mem.write_f64(addr, value)
 
+    def _rearm(self, s, view: _View, base: int, ctrl: int) -> None:
+        """Re-arm stream ``s`` as the ``scfgw`` of a run did: BASE, then
+        CTRL ``ctrl``, committing a fresh configuration on ``view``'s
+        window (its positions are the caller's)."""
+        space = s.cfgspace
+        space._shadow.base = base
+        space.write(CfgField.CTRL, ctrl, active=False)
+        cfg, space.committed = space.committed, None
+        raw = self._views[id(s.cfg)][2]
+        s.cfg = cfg
+        if cfg.indirect:
+            s._igen = IndirectGenerator(cfg)
+        else:
+            s._gen = AffineGenerator(cfg)
+        self._views[id(cfg)] = (cfg, view, raw)
+        # The stepped cycle binds the stream's configuration.
+        self.cluster._loop = None
+
 
 #: Compiled memory-side simulators by armed streams and port layout.
 _SIMULATORS: dict[tuple, object] = {}
 
+#: Flat schedule rows (:func:`_row`) by stream context, then by schedule
+#: entry; a context is dropped past the cap.
+_ROWS: dict[tuple, dict] = {}
+
+
+class _Rearm:
+    """The check of a stream that re-arms in a cycle: it fails at every
+    level, so the simulator takes the failing branch and re-arms there
+    (see :func:`_row`)."""
+
+    __slots__ = ()
+
+    def __getitem__(self, level: int) -> bool:
+        return True
+
+
+_REARM = _Rearm()
+#: Check tuples by failing levels, shared by every row.
+_CHECKS: dict[tuple, tuple] = {}
+
+
+def _row(entry: tuple, context: tuple) -> tuple:
+    """Schedule ``entry`` as the flat row the simulator of stream
+    ``context`` (``(stream, write, FIFO depth, repeat + 1)`` per armed
+    stream) walks: the LSU access (counting from 1; 0 is none), then per
+    stream the change of its level -- the pops a read's FIFO can serve,
+    a write's fill -- and its check: per level, whether the observations
+    logged in that cycle would come out otherwise there (a write without
+    one has none), or :data:`_REARM` where the stream re-arms (its owed
+    pops grow)."""
+    pops, pushes, lsu, _, _, triples = entry
+    row = [lsu + 1]
+    for si, write, depth, per in context:
+        fails = [False] * (depth * per + 1)
+        checked = False
+        for sj, uses, want in triples:
+            if sj == si:
+                # An operand check passes from ``uses`` pops on, a push
+                # check below a full FIFO.
+                checked = True
+                for level in range(len(fails)):
+                    if (level >= uses if uses else level < depth) != want:
+                        fails[level] = True
+        if pops[si] < 0:
+            row += (0, _REARM)
+            continue
+        check = tuple(fails) if checked or not write else ()
+        row += (pushes[si] - pops[si] if write else -pops[si],
+                _CHECKS.setdefault(check, check))
+    return tuple(row)
+
+
+def _segment(node: _Node, context: tuple) -> tuple:
+    """The flat rows (:func:`_row`) of ``node``'s part of its schedule,
+    from its start to its split, and its LSU accesses; kept on the
+    node."""
+    rows = _ROWS.get(context)
+    if rows is None or len(rows) > _SITUATIONS_CAP:
+        rows = _ROWS[context] = {}
+    entries = node.rep.schedule[node.start:node.split]
+    seg = node.seg = (
+        tuple([rows.get(e) or rows.setdefault(e, _row(e, context))
+               for e in entries]),
+        sum(e[2] >= 0 for e in entries))
+    return seg
+
+
 _SIM_TEMPLATE = """\
 def factory(B, IB, T, R1):
+    context = ({context})
+    BIT = {bits}
 {bind}
-    def sim(state, node, LB, budget, rr):
+
+    def segment(node):
+        return _segment(node, context)
+
+    def sim(state, node, LB, budget, rr, AV=()):
 {unpack}
-        it = node.rep
-        schedule = it.schedule
-        split = node.split
-        dt = it.dt
-        if dt > budget and split is None:
-            return None
         acc = conf = 0
-        grants = []
-        cycle = 0
-        while cycle < dt:
-            pops, pushes, lsu, checks, expect, triples = schedule[cycle]
-            if checks:
-                if cycle == split:
-                    seen = []
-                    for si, uses in checks:
+        windows = iter(AV)
+        while True:
+            it = node.rep
+            split = node.split
+            if split is None and it.dt > budget:
+                return None
+            rows, lsus = node.seg or segment(node)
+            acc += lsus
+            for {row} in rows:
+{cycle}
+            if split is None:
+                break
+            # The observations that tell the recordings apart.
+            seen = []
+            for si, uses in it.schedule[split][3]:
 {seen}
-                    node = node.children.get((*seen,))
-                    if node is None:
-                        return None
-                    it = node.rep
-                    schedule = it.schedule
-                    split = node.split
-                    dt = it.dt
-                    if dt > budget and split is None:
-                        return None
-                    pops, pushes, lsu, _, _, _ = schedule[cycle]
-                else:
-                    for si, uses, want in triples:
-{verify}
-{flow}
-{memory}
-            cycle += 1
-        if split is not None or dt > budget:
-            return None
+                seen.append(ok)
+            node = node.children.get((*seen,))
+            if node is None:
+                return None
+{settle}
         return it, [{pack}], rr, acc, conf, grants
     return sim
 """
+
+#: The memory-side state of a stream as the simulator takes and returns
+#: it (see :meth:`LoopMemo._open_run`).
+_STATE = "f r q dp dr g ip ir p m w e a xr xw xc yr yc".split()
 
 
 def _simulator(modes: tuple, streamers: list, lsu, tcdm):
@@ -2311,62 +2573,105 @@ def _simulator(modes: tuple, streamers: list, lsu, tcdm):
     out; returns ``(iteration, streams, rr, accesses, conflicts, write
     grants)`` or None.  Generated per stream configuration (``modes``:
     stream, mode, repeats), FIFO depths and port layout (the streams'
-    and the FP LSU port ``lsu``), with the stream state in locals."""
+    and the FP LSU port ``lsu``), with the stream state in locals.  Each
+    cycle is one flat row (:func:`_row`): its checks are one tuple index
+    per stream, and what follows from the positions the streams reach
+    (grants, accesses, a read's request flag) is worked out once per
+    hit.  ``AV`` holds the banks, index banks and total of each window
+    a stream re-arms on, in order."""
     layout = port_layouts(tcdm)
     streams = tuple(
         (si, mode, streamers[si].fifo_depth, layout[streamers[si].data_port],
          layout[streamers[si].idx_port]) for si, mode, _ in modes)
     key = (modes, streams, layout[lsu], len(tcdm._streamer_ports),
-           len(streamers))
+           len(streamers), tcdm.num_banks)
     factory = _SIMULATORS.get(key)
     if factory is not None:
         return factory
-    names = "f r q dp dr g ip ir p m w e a xr xw xc yr yc".split()
-    bind, unpack, probe, flow = [], [], [], []
-    for index, ((si, mode, repeats), stream) in enumerate(
-            zip(modes, streams)):
-        bind += [f"B{si} = B[{si}]", f"IB{si} = IB[{si}]",
-                 f"T{si} = T[{si}]", f"R1{si} = R1[{si}]"]
-        unpack.append(f"({', '.join(n + str(si) for n in names)}) "
-                      f"= state[{si}]")
+    context, bind, unpack, row, cycle, seen, settle = [], [], [], ["lsu"], \
+        [], [], ["grants = []"]
+    for (si, mode, _), (_, _, depth, _, _) in zip(modes, streams):
+        write = mode == WRITE
+        context.append(f"({si}, {write}, {depth}, R1[{si}])")
+        bind += [f"R1{si} = R1[{si}]", f"D{si} = {depth - 1} * R1{si}"]
+        unpack += [f"({', '.join(n + str(si) for n in _STATE)}) "
+                   f"= state[{si}]",
+                   f"B{si}, IB{si}, T{si} = B[{si}], IB[{si}], T[{si}]",
+                   f"M{si}, P{si} = m{si} + dr{si}, p{si} - ip{si}"]
+        row += [f"d{si}", f"c{si}"]
         # An operand observation: the FIFO serves ``uses`` pops (honouring
         # the repeat phase); a push observation: the FIFO has room.
-        probe += [f"{'elif' if index else 'if'} si == {si}:",
-                  f"    ok = f{si} > 0 and R1{si} - r{si} + (f{si} - 1) "
-                  f"* R1{si} >= uses if uses else f{si} < {stream[2]}"]
-        if repeats:
-            flow += [f"k = pops[{si}]", "if k:", f"    t = r{si} + k",
-                     f"    f{si} -= t // R1{si}", f"    r{si} = t % R1{si}",
-                     f"    if f{si} < 0:", "        return None"]
+        seen += [f"{'elif' if seen else 'if'} si == {si}:",
+                 f"    ok = f{si} > 0 and R1{si} - r{si} + (f{si} - 1) "
+                 f"* R1{si} >= uses if uses else f{si} < {depth}"
+                 if write else f"    ok = v{si} >= uses if uses "
+                 f"else v{si} <= D{si}"]
+        # A read checks and moves in most cycles, a write in few.  A
+        # read re-arms where its check is REARM (see :func:`_row`), on the
+        # next window of ``AV``, once the grants of the window it leaves
+        # are counted.
+        level = f"f{si}" if write else f"v{si}"
+        cycle += [f"if {f'c{si} and ' * write}c{si}[{level}]:"]
+        if write:
+            cycle += ["    return None", f"if d{si}:", f"    f{si} += d{si}"]
         else:
-            flow += [f"if pops[{si}]:", f"    f{si} -= pops[{si}]",
-                     f"    if f{si} < 0:", "        return None"]
+            window = [f"xr{si} += T{si} - M{si}", f"acc += T{si} - M{si}"]
+            if mode == INDIRECT_READ:
+                window += [f"yr{si} += T{si} - P{si}",
+                           f"acc += T{si} - P{si}"]
+            window += [f"M{si} = P{si} = 0",
+                       f"B{si}, IB{si}, T{si} = next(windows)"]
+            cycle += [f"    if c{si} is not REARM:", "        return None"] + [
+                "    " + line for line in counters_arm(
+                    si, mode, "\n".join(window))]
+            unpack.append(f"v{si} = f{si} * R1{si} - r{si}")
+            cycle.append(f"v{si} += d{si}")
+            settle += [f"f{si} = -(-v{si} // R1{si})",
+                       f"r{si} = f{si} * R1{si} - v{si}"]
+        # Grants since the hit began: moved elements plus an answered
+        # request (index fetches: posted minus pending).
+        moved = f"m{si} + dr{si} - M{si}"
         if mode == WRITE:
-            flow += [f"f{si} += pushes[{si}]"]
-    armed = {si for si, _, _ in modes}
+            settle += [f"grants += [({si}, k) for k in range(M{si}, "
+                       f"m{si} + dr{si})]", f"xw{si} += {moved}"]
+        else:
+            settle.append(f"xr{si} += {moved}")
+        settle.append(f"acc += {moved}")
+        if mode == INDIRECT_READ:
+            settle += [f"yr{si} += p{si} - ip{si} - P{si}",
+                       f"acc += p{si} - ip{si} - P{si}"]
+    seen += ["else:" if seen else "if True:", "    ok = None"]
+    cycle += counters_rules(streams, key[2], key[3])
+    if key[3]:
+        settle.append(f"rr %= {key[3]}")
+    armed = {si: mode for si, mode, _ in modes}
     pack = ", ".join(
-        "[" + ", ".join(f"{name}{si}" for name in names) + "]"
+        "[" + ", ".join(
+            ("False" if armed[si] == WRITE else f"dp{si} or dr{si}")
+            if name == "q" else f"p{si} - 1" if name == "e"
+            else f"{name}{si}" for name in _STATE) + "]"
         if si in armed else "None" for si in range(len(streamers)))
     source = _SIM_TEMPLATE.format(
+        context="".join(f"{c}, " for c in context),
         bind=block(bind or ["pass"], 4), unpack=block(unpack or ["pass"], 8),
-        seen=block(probe + ["seen.append(ok)"], 24),
-        verify=block(probe + ["if ok is not want:", "    return None"], 24),
-        flow=block(flow, 12),
-        memory=block(counters_rules(streams, key[2], key[3]), 12),
-        pack=pack)
+        row=", ".join(row) + ("," if len(row) == 1 else ""),
+        cycle=block(cycle, 16), seen=block(seen, 16),
+        bits=tuple(1 << bank for bank in range(key[5])),
+        settle=block(settle, 8), pack=pack)
     factory = _SIMULATORS[key] = compile_factory(
-        source, f"<memory side {key}>")
+        source, f"<memory side {key}>", _segment=_segment, REARM=_REARM)
     return factory
 
 
-def _run_program(prog, run, elems, loads, ld0):
-    """Execute an iteration's data program on the run's values; returns
+def _run_program(prog, run, chunks, loads, ld0):
+    """Execute an iteration's data program on the run's values and the
+    stream elements it reads (``chunks``, see ``_Shape.reads``); returns
     the new pipe values, the values pushed into write streams, and the
     stored values.  The retired registers are updated in place."""
-    e_order, ops, pipe_out, rv_out, push_out, store_out = prog
+    ops, pipe_out, rv_out, push_out, store_out = prog
     vals = run.pv + run.rv
-    for si in e_order:
-        vals += elems[si]
+    for chunk in chunks:
+        vals += chunk
     vals += loads
     vals.append(ld0)
     append = vals.append

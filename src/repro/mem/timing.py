@@ -24,17 +24,18 @@ AFFINE_READ, INDIRECT_READ, WRITE = range(3)
 _RETIRE_INDEX = """\
 if {index_ready}:
     {take_index}
-    wk = True
+    {retired}
 """
 #: A read retires a granted data fetch, then a granted index fetch (an
-#: affine read may hold one from an earlier arming).
+#: affine read may hold one from an earlier arming); either makes it
+#: active in the cycle (``{idle}`` and ``{retired}`` say how).
 _RETIRE_READ = """\
-wk = False
+{idle}
 if {data_ready}:
     {take_data}
-    {requested} = False
+    {unrequest}
     {moved} += 1
-    wk = True
+    {retired}
 """ + _RETIRE_INDEX
 
 _FETCH_INDEX = """\
@@ -60,15 +61,15 @@ if {fill} and {data_idle} and ({held} or {more}):
 
 RULES = {
     AFFINE_READ: _RETIRE_READ + """\
-if {more} and {data_idle} and {depth} - {fill} - {requested} > 0:
+if {more} and {data_idle} and {room}:
     {fetch}
-    {requested} = True
+    {request}
     wk = True
 """,
     INDIRECT_READ: _RETIRE_READ + """\
-if {index_fill} and {data_idle} and {depth} - {fill} - {requested} > 0:
+if {index_fill} and {data_idle} and {room}:
     {fetch_indexed}
-    {requested} = True
+    {request}
     wk = True
 """ + _FETCH_INDEX,
     WRITE: _RETIRE_WRITE + _WRITE,
@@ -89,33 +90,31 @@ _ACTIVE = "if wk:\n    {active} += 1\n"
 #: could fault (``check``) takes the ordered path too, so a fault leaves
 #: the reference's partial grants and counts.
 ARBITRATION = """\
-occ = clash = ns = 0
+{start}
 {requests}
-if occ:
-    old = {rr}
-    if ns > 1:
-        {rr} = (old + 1) % {n}
-    if clash:
-        {head}
-        pend = []
-        {pend}
-        pend.sort()
-        taken = 0
-        try:
-            for _, _, _, bit, code in pend:
-                if taken & bit:
-                    conf += 1
-                    {conflict}
-                    continue
-                taken |= bit
-                {grant}
-                acc += 1
-        except BaseException:
-            {fault}
-            raise
-        {settle}
-    else:
-        {grant_all}
+{advance}
+if clash:
+    {head}
+    old = ({rr} - (ns > 1)) % {n}
+    pend = []
+    {pend}
+    pend.sort()
+    taken = 0
+    try:
+        for _, _, _, bit, code in pend:
+            if taken & bit:
+                conf += 1
+                {conflict}
+                continue
+            taken |= bit
+            {grant}
+            {tally}
+    except BaseException:
+        {fault}
+        raise
+    {settle}
+else:
+    {grant_all}
 """
 
 
@@ -131,10 +130,23 @@ def _post(port: str, addr: str, is_write: bool, data: str,
 #: ``{si}`` in the memo simulator, see ``repro.core.fastpath._simulator``).
 _VERBS = {
     "data_ready": ("port{si}._response_ready", "dr{si}"),
+    # Counters only, a read's FIFO is its level ``v{si}``: the pops it
+    # can serve, ``R1{si}`` (repeat + 1) per element, with room up to
+    # ``D{si}`` (``(depth - 1) * R1{si}``).  Its data request is
+    # outstanding exactly while its port is busy (the flag implies a
+    # pending request or a response, and a response is taken before a
+    # fetch is tried), so the room test needs no flag.
     "take_data": ("port{si}._response_ready = False\n"
                   "fifo{si}.append(float(port{si}._response))\n"
-                  "port{si}._response = None", "dr{si} = False\nf{si} += 1"),
-    "requested": ("s{si}._data_requested", "q{si}"),
+                  "port{si}._response = None",
+                  "dr{si} = False\nv{si} += R1{si}"),
+    "unrequest": ("s{si}._data_requested = False", ""),
+    "request": ("s{si}._data_requested = True", ""),
+    "room": ("{depth} - len(fifo{si}) - s{si}._data_requested > 0",
+             "v{si} <= D{si}"),
+    # Counters only, a read is active if it has a response to retire.
+    "idle": ("wk = False", "wk = dr{si} or ir{si}"),
+    "retired": ("wk = True", ""),
     "moved": ("s{si}.elements_moved", "m{si}"),
     "active": ("s{si}.active_cycles", "a{si}"),
     "index_ready": ("iport{si}._response_ready", "ir{si}"),
@@ -186,9 +198,10 @@ def _under(head: str, body: str) -> str:
     return head + "".join(f"\n    {line}" for line in body.splitlines())
 
 
-def compile_factory(source: str, name: str):
-    """The ``factory`` function ``source`` defines."""
-    namespace: dict = {}
+def compile_factory(source: str, name: str, **names):
+    """The ``factory`` function ``source`` defines, with ``names`` in its
+    globals."""
+    namespace: dict = dict(names)
     exec(compile(source, name, "exec"), namespace)
     return namespace["factory"]
 
@@ -205,22 +218,28 @@ def port_layouts(tcdm) -> dict:
 
 def _arbitration(reqs: list, rr: str, n: int, target: dict) -> list[str]:
     """:data:`ARBITRATION` over ``reqs``, one ``(layout, pending, bank,
-    grant, conflict, check, fast)`` per requester, and the round-robin
-    offset ``rr`` over ``n`` streamer ports.  On a clash ``acc`` and
-    ``conf`` count the outcomes and ``target`` says how to start
-    (``head``) and settle (``settle``) them, and what to do if a grant
-    raises (``fault``; the error then propagates).  A request with a
-    true ``check`` goes the ordered way too; without a clash every
-    request is granted by ``fast`` and counted by ``count``."""
+    grant, conflict, check, fast, always)`` per requester, and the
+    round-robin offset ``rr`` over ``n`` streamer ports.  On a clash
+    ``acc`` and ``conf`` count the outcomes and ``target`` says how to
+    start (``head``) and settle (``settle``) them, and what to do if a
+    grant raises (``fault``; the error then propagates).  A request with
+    a true ``check`` goes the ordered way too; without a clash every
+    request is granted by ``fast`` (untested when ``always``) and
+    counted by ``count``.  ``ns`` counts the streamer requests, one by
+    one or (``{ns}`` in the target) summed once."""
     parts: dict = {"requests": [], "pend": [], "grant": [], "conflict": [],
                    "grant_all": []}
-    for i, (layout, pending, bank, grant, conflict, check, fast) \
+    summed = "{ns}" in target["advance"]
+    bit = target["bit"].format
+    for i, (layout, pending, bank, grant, conflict, check, fast, always) \
             in enumerate(reqs):
         priority, rot, order, streamer = layout
         test = f"if {pending}:"
-        parts["requests"].append(_under(test, f"b{i} = 1 << {bank}\n" + (
-            f"clash |= occ & b{i}\nocc |= b{i}" if i else f"occ = b{i}")
-            + "\nns += 1" * streamer
+        # The last request need not mark its bank taken.
+        parts["requests"].append(_under(test, f"b{i} = {bit(bank)}\n" + (
+            _under(f"if occ & b{i}:", "clash = 1")
+            + f"\nocc |= b{i}" * (i < len(reqs) - 1) if i else f"occ = b{i}")
+            + "\nns += 1" * (streamer and not summed)
             + (_under(f"\nif {check}:", "clash = 1") if check else "")))
         key = "0" if rot is None else f"({rot} - old) % {n}"
         parts["pend"].append(_under(
@@ -228,11 +247,16 @@ def _arbitration(reqs: list, rr: str, n: int, target: dict) -> list[str]:
         case = f"{'elif' if i else 'if'} code == {i}:"
         parts["grant"].append(_under(case, grant or "pass"))
         parts["conflict"].append(_under(case, conflict))
-        parts["grant_all"].append(_under(test, target["count"] + "\n"
-                                         + fast))
-    return _expand(ARBITRATION, dict(
-        {part: "\n".join(code) for part, code in parts.items()}, **target,
-        rr=rr, n=n))
+        grant_all = "\n".join(filter(None, (target["count"], fast)))
+        if grant_all:
+            parts["grant_all"].append(grant_all if always
+                                      else _under(test, grant_all))
+    ns = " + ".join([req[1] for req in reqs if req[0][3]] or ["0"])
+    verbs = {part: "\n".join(code or ["pass"])
+             for part, code in parts.items()}
+    verbs.update({verb: target[verb].format(rr=rr, n=n, ns=ns)
+                  for verb in ("start", "advance", "head")})
+    return _expand(ARBITRATION, dict(target, **verbs, rr=rr, n=n))
 
 
 # -- with data: the scalar-v2 bodies ------------------------------------------
@@ -249,7 +273,8 @@ def stream_bind(si, streamer: str) -> list[str]:
 def stream_lines(si, mode: int, indirect: bool, depth: int) -> list[str]:
     """The with-data step of stream ``si`` armed in ``mode`` (``indirect``
     makes :data:`WRITE` an indirect write) with a FIFO of ``depth``."""
-    verbs = {verb: pair[0].format(si=si) for verb, pair in _VERBS.items()}
+    verbs = {verb: pair[0].format(si=si, depth=depth)
+             for verb, pair in _VERBS.items()}
     if indirect:
         verbs.update({verb: text.format(si=si)
                       for verb, text in _INDIRECT_VERBS.items()})
@@ -264,13 +289,14 @@ def block(lines: list[str], depth: int) -> str:
 
 
 #: What an arbitration needs bound, over the TCDM ``T``, its memory
-#: ``mem`` and the unpackers ``f64``/``u32``.  ``grant`` performs a
-#: request with the errors of :class:`~repro.mem.memory.Memory`: 8- and
-#: 4-byte reads straight from the backing store, the rest by
-#: ``TcdmPort._grant``.
+#: ``mem`` and the unpackers ``f64``/``u32``: each bank's bit in
+#: ``BIT``, and ``grant``, which performs a request with the errors of
+#: :class:`~repro.mem.memory.Memory`: 8- and 4-byte reads straight from
+#: the backing store, the rest by ``TcdmPort._grant``.
 GRANT_BIND = """\
 data, size = mem._data, mem.size
 bw, nb = T.bank_width, T.num_banks
+BIT = tuple(1 << bank for bank in range(nb))
 
 def grant(P, r):
     addr, w = r.addr, r.width
@@ -299,9 +325,14 @@ P{i}._response_ready = True"""
 #: The with-data arbitration's accounting: the grants of the cycles
 #: since ``granted = 0`` accumulate in ``granted`` (for the TCDM's
 #: ``total_accesses`` and ``busy_bank_cycles``, see :data:`FLUSH`); a
-#: faulting grant leaves the reference's partial counts.
+#: faulting grant leaves the reference's partial counts.  The round
+#: robin offset stays reduced.  Both targets take a bank's bit from the
+#: table ``BIT``: the bits of 32 banks are mostly not small ints, which
+#: a shift would allocate.
 _WITH_DATA = {
-    "count": "granted += 1", "head": "acc = conf = 0",
+    "start": "occ = clash = ns = 0", "bit": "BIT[{}]",
+    "advance": "if ns > 1:\n    {rr} = ({rr} + 1) % {n}",
+    "count": "granted += 1", "tally": "acc += 1", "head": "acc = conf = 0",
     "settle": "T.total_conflicts += conf\ngranted += acc",
     "fault": "T.total_accesses += acc\nT.total_conflicts += conf"}
 FLUSH = ["T.total_accesses += granted", "T.busy_bank_cycles += granted"]
@@ -329,7 +360,7 @@ def arbitration_lines(ports: list, n: int, rr: str,
                      f"((a{i} := r{i}.addr) // bw % nb)",
                      f"grant(P{i}, r{i})", f"P{i}.conflicts += 1", check,
                      _READ.format(i=i, unpack="f64" if read == 8 else "u32")
-                     if read else f"grant(P{i}, r{i})"))
+                     if read else f"grant(P{i}, r{i})", False))
     return _arbitration(reqs, rr, n, _WITH_DATA) if reqs else []
 
 
@@ -340,31 +371,83 @@ def unpackers() -> tuple:
 
 # -- counters only: the loop memo's memory side -------------------------------
 
-#: The counters' accounting: ``acc`` and ``conf`` run over a whole
-#: replay.
-_COUNTERS = {"count": "acc += 1", "head": "", "settle": "", "fault": ""}
+#: The counters' accounting: only conflicts are counted (``conf``, over
+#: a whole replay); grants follow from the positions the streams reach.
+#: The streamer requests are summed once (``ns``), and the round robin
+#: offset counts up, to be reduced when it is read.
+_COUNTERS = {"start": "occ = clash = 0", "bit": "BIT[{}]",
+             "advance": "{rr} += {ns} > 1",
+             "head": "ns = {ns}", "count": "", "tally": "", "settle": "",
+             "fault": ""}
+
+
+def _counter_verbs(si, mode: int, depth: int) -> dict:
+    verbs = {verb: pair[1].format(si=si, depth=depth)
+             for verb, pair in _VERBS.items()}
+    if mode != WRITE:
+        verbs["fill"] = f"v{si}"
+    if mode == AFFINE_READ:
+        # The memo declines an affine read whose index port is busy.
+        verbs.update(index_ready="False", idle=f"wk = dr{si}")
+    return dict(verbs, depth=depth)
 
 
 def counters_rules(streams: tuple, lsu: tuple, n: int) -> list[str]:
     """One cycle's stream steps and arbitration on counters, for the
     armed ``streams`` (``(si, mode, FIFO depth, data port layout, index
     port layout)`` each), the FP LSU's port layout ``lsu`` and ``n``
-    streamer ports.  The LSU requests bank ``LB[lsu]`` (none for a
-    negative ``lsu``) and must win it: a lost LSU request returns None,
-    as the recorded core timing has it granted.  Write grants are
-    logged in ``grants`` as ``(si, element)``."""
+    streamer ports.  A read stream's FIFO is held as its level
+    ``v{si}`` (see :data:`_VERBS`).  The LSU requests bank
+    ``LB[lsu - 1]`` (none for ``lsu`` 0) and must win it: a lost LSU
+    request returns None, as the recorded core timing has it granted.
+    A grant moves a request from pending (``dp``/``ip``) to answered
+    (``dr``/``ir``); the grant counts follow from the positions (a
+    stream's data grants are its elements moved plus an answered
+    request), so only the conflicts are counted (``xc``/``yc`` and
+    ``conf``)."""
     lines: list[str] = []
-    reqs = [(lsu, "lsu >= 0", "LB[lsu]", "", "return None", "", "")]
+    reqs = [(lsu, "lsu", "LB[lsu - 1]", "", "return None", "", "", False)]
     for si, mode, depth, data, index in streams:
-        verbs = {verb: pair[1].format(si=si) for verb, pair in _VERBS.items()}
-        lines += _expand(RULES[mode] + _ACTIVE, dict(verbs, depth=depth))
-        done = f"xw{si} += 1\ngrants.append(({si}, m{si}))" \
-            if mode == WRITE else f"xr{si} += 1"
-        grant = f"dp{si} = False\ndr{si} = True\n{done}"
+        # A read is active in most cycles: add the flag.
+        rule = _expand(RULES[mode] + (
+            _ACTIVE if mode == WRITE else "{active} += wk\n"),
+            _counter_verbs(si, mode, depth))
+        # A write moves only with a response to retire or data to write.
+        lines += _expand(f"if dr{si} or f{si}:\n    {{rule}}",
+                         {"rule": "\n".join(rule)}) if mode == WRITE \
+            else rule
+        # A read requests in most cycles: its answer flag (clear once
+        # the stream step ran) takes the request flag untested.
+        grant = f"dp{si} = False\ndr{si} = True"
         reqs.append((data, f"dp{si}", f"B{si}[m{si}]", grant, f"xc{si} += 1",
-                     "", grant))
+                     "", grant if mode == WRITE else
+                     f"dr{si} = dp{si}\ndp{si} = False", mode != WRITE))
         if mode == INDIRECT_READ:
-            grant = f"ip{si} = False\nir{si} = True\nyr{si} += 1"
+            grant = f"ip{si} = False\nir{si} = True"
             reqs.append((index, f"ip{si}", f"IB{si}[e{si}]", grant,
-                         f"yc{si} += 1", "", grant))
+                         f"yc{si} += 1", "", f"ir{si} = ip{si}\nip{si} = False",
+                         True))
     return lines + _arbitration(reqs, "rr", n, _COUNTERS)
+
+
+#: Re-arming a read stream (with data, ``SsrStreamer._arm`` at an
+#: ``scfgw`` to CTRL).  A stream that still owes elements does not
+#: re-arm (stepping raises there): it has moved all of them and served
+#: every pop, and so holds no request.  Then its repeat phase and
+#: positions start over on the new window, which ``{window}`` binds.
+ARM = """\
+if {moved} != {total} or {fill}:
+    return None
+{window}
+{restart}
+"""
+
+
+def counters_arm(si, mode: int, window: str) -> list[str]:
+    """:data:`ARM` for read stream ``si`` in ``mode`` on counters."""
+    restart = f"p{si} = m{si} = 0"
+    if mode == INDIRECT_READ:
+        restart += f"\ng{si} = 0\ne{si} = -1"
+    return _expand(ARM, {"moved": f"m{si}", "total": f"T{si}",
+                         "fill": f"v{si}", "window": window,
+                         "restart": restart})

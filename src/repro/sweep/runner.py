@@ -76,6 +76,19 @@ def _raise_point_timeout(signum, frame):
     raise _PointTimeout()
 
 
+def _import_execution_layer() -> None:
+    """Import what a point runs, in the parent, before a worker forks
+    from it: no worker then imports numpy and the simulator itself, and
+    a pool that never starts a worker (a server that only answers from
+    its store) never loads them.  The engines' own modules
+    (``numpy.random``, ``repro.core.fastpath``, ``repro.core.uops``)
+    stay the workers': in the parent they cost a server 1-10 MB of
+    resident memory each (``fastpath`` mostly for compiling its source
+    where no bytecode cache exists)."""
+    import repro.api.execute  # noqa: F401
+    import repro.eval.system_runner  # noqa: F401
+
+
 def _pool_worker_init() -> None:
     """Pool workers ignore SIGINT: a terminal Ctrl-C reaches the whole
     process group, and the *parent* owns the shutdown story (cooperative
@@ -191,12 +204,6 @@ class WorkerPool:
     def __init__(self, workers: int, base_cfg: CoreConfig | None = None,
                  max_cycles: int | None = None,
                  engine: str | None = None):
-        # Workers fork from this process: import the execution layer
-        # here, once, so that no worker imports numpy and the
-        # simulator itself.
-        import repro.api.execute  # noqa: F401
-        import repro.eval.system_runner  # noqa: F401
-
         self.workers = workers
         self._bound = (base_cfg, max_cycles)
         self._engine = engine
@@ -264,6 +271,7 @@ class WorkerPool:
 
     def _executor(self, slot: _Slot) -> ProcessPoolExecutor:
         if slot.executor is None:
+            _import_execution_layer()
             slot.executor = ProcessPoolExecutor(
                 max_workers=1, initializer=_pool_worker_init)
         return slot.executor

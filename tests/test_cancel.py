@@ -126,7 +126,7 @@ def test_sigint_drains_and_exits_nonzero(tmp_path):
         "name": "cancel regression",
         "kernels": ["box3d1r"],
         "variants": ["Base--", "Base-", "Base", "Chaining", "Chaining+"],
-        # Long enough (about 15 s on a 2-core host) that the interrupt
+        # Long enough (a few seconds on a 2-core host) that the interrupt
         # below lands mid-sweep, not after the last point.
         "grids": [[4, 8, 32], [4, 16, 32], [8, 16, 32], [8, 16, 64],
                   [8, 32, 64], [16, 32, 64]],
@@ -143,7 +143,12 @@ def test_sigint_drains_and_exits_nonzero(tmp_path):
          "--workers", "2", "--quiet"],
         env=env, start_new_session=True,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    time.sleep(3.0)  # let the pool spin up and land a few points
+    # Let the pool spin up and land a first point, however fast the
+    # points simulate.
+    deadline = time.monotonic() + 60
+    while not any(store.glob("shards/*.jsonl")) \
+            and time.monotonic() < deadline:
+        time.sleep(0.05)
     os.killpg(proc.pid, signal.SIGINT)
     try:
         stdout, stderr = proc.communicate(timeout=60)

@@ -66,12 +66,26 @@ def test_set_up_loads_neither_numpy_nor_the_simulator(code, tmp_path):
     assert _loaded_after(code.format(store=str(tmp_path / "store"))) == []
 
 
-def test_worker_pool_imports_the_execution_layer_before_forking():
+def test_worker_pool_imports_the_execution_layer_before_forking(tmp_path):
     """Pool workers fork from the parent, so the parent imports the
-    simulator once and no worker starts cold."""
-    loaded = _loaded_after("from repro.sweep.runner import WorkerPool\n"
-                           "WorkerPool(1).close()")
-    assert loaded == list(HEAVY)
+    simulator before it starts the first one and no worker starts cold;
+    a pool that has started no worker, as in a server that has only
+    answered health checks, has loaded none of it."""
+    assert _loaded_after("from repro.sweep.runner import WorkerPool\n"
+                         "WorkerPool(1).close()") == []
+    ran = ("import threading\n"
+           "from repro.api import workload\n"
+           "from repro.sweep.runner import WorkerPool\n"
+           "pool, done = WorkerPool(1), threading.Event()\n"
+           "pool.submit(workload('vecop', 'baseline', n=16), None,\n"
+           "            lambda *report: done.set())\n"
+           "assert done.wait(120)\n"
+           "pool.close()")
+    assert _loaded_after(ran) == list(HEAVY)
+    served = ("from repro.serve.testing import ServerThread\n"
+              f"with ServerThread({str(tmp_path)!r}) as server:\n"
+              "    assert server.client().healthz()['ok']")
+    assert _loaded_after(served) == []
 
 
 @pytest.mark.parametrize("name", LAZY_PACKAGES)

@@ -7,7 +7,8 @@ body ops).  Everything else steps on the seed executors, bit-identically
 but slower.  This guard runs a sample of every workload family under
 ``auto`` and fails when one of them leaves the specialised paths, so a
 kernel that needs a removed path shows up here instead of as a silent
-slowdown.
+slowdown.  It also fails when a stencil's row end, which re-arms its
+input stream, stops replaying on the loop memo.
 """
 
 from repro.analytical.calibrate import calibration_builds
@@ -26,9 +27,10 @@ def test_workloads_stay_on_the_specialised_paths(monkeypatch):
     release, issue_entry = Cluster.release, FpSubsystem._issue_entry
 
     def spy_release(self):
+        stats = self.fastpath.stats if self.fastpath is not None else {}
         clusters.append((self._v2, self.fastpath is not None,
-                         dict(self.fastpath.stats["reject_reasons"])
-                         if self.fastpath is not None else None))
+                         dict(stats.get("reject_reasons", {})),
+                         dict(stats.get("loop_reject_reasons", {}))))
         release(self)
 
     def spy_issue_entry(self, entry, cycle):
@@ -40,6 +42,8 @@ def test_workloads_stay_on_the_specialised_paths(monkeypatch):
     monkeypatch.setattr(FpSubsystem, "_issue_entry", spy_issue_entry)
     points = [
         workload("box3d1r", "Chaining+", grid=(2, 3, 8)),
+        # A Fig. 3 point: its row ends come after the memo's warm-up.
+        workload("j3d27pt", "Base"),
         workload("j3d27pt", "Base-", grid=(2, 3, 8)),
         workload("vecop", "chaining", n=64, loop_mode="bne"),
         workload("vecop", "chaining", n=64, loop_mode="frep"),
@@ -52,7 +56,8 @@ def test_workloads_stay_on_the_specialised_paths(monkeypatch):
     for build in calibration_builds():
         assert execute_build(build).correct, build.name
     assert len(clusters) == len(points) + 1 + len(calibration_builds())
-    for v2, has_fastpath, reasons in clusters:
+    for v2, has_fastpath, reasons, loop_reasons in clusters:
         assert v2 and has_fastpath
         assert "non-vector-op" not in reasons, reasons
+        assert "scfg" not in loop_reasons, loop_reasons
     assert seed_issued == []

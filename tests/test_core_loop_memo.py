@@ -10,6 +10,8 @@ iterations is written back.
 """
 
 import dataclasses
+import random
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,6 +24,7 @@ from repro.core.perf import StallReason
 from repro.kernels.layout import Grid3d
 from repro.kernels.partition import build_partitioned_stencil
 from repro.kernels.registry import get_stencil
+from repro.kernels.ssrgen import SsrPatternAsm
 from repro.kernels.stencil_codegen import build_stencil
 from repro.kernels.variants import VARIANT_ORDER, Variant
 from repro.kernels.vecop import VecopVariant, build_vecop
@@ -33,7 +36,7 @@ from repro.ssr.config import SsrConfig, SsrMode
 from repro.ssr.streamer import SsrStreamer
 from repro.system import System
 from tests.test_core_scalar_v2 import (PORT_LAYOUTS, apply_layout,
-                                      machine_digest)
+                                      machine_digest, random_stream_body)
 
 #: Grids just long enough for every variant to replay iterations
 #: (the memo records nothing in a cluster's first 32 loop heads, and a
@@ -385,7 +388,7 @@ def test_loop_memo_reports_through_obs():
         loop = {k: v for k, v in result.meta["obs"]["fastpath"].items()
                 if k.startswith("loop_")}
         assert loop["loop_hits"] > 0 and loop["loop_cycles"] > 0, loop
-        assert loop["loop_reject_reasons"].get("scfg", 0) > 0, loop
+        assert loop["loop_reject_reasons"].get("warm-up", 0) > 0, loop
         assert METRICS.counters["loop.hits"] == loop["loop_hits"]
         assert METRICS.counters["loop.cycles"] == loop["loop_cycles"]
         spans = [e for e in tracer.events if e["name"] == "loop-memo"]
@@ -612,3 +615,135 @@ def test_a_finished_cluster_is_freed_without_the_cycle_collector(engine):
         assert [ref() for ref in refs] == [None] * 3
     finally:
         gc.enable()
+
+
+# -- random stream loops ------------------------------------------------------
+
+#: Where a random stream loop keeps its data: SSR0 gathers from ``GATHER``
+#: on through the index array at ``INDEX``, SSR1 reads from ``AFFINE``,
+#: SSR2 writes from ``WRITTEN`` on, ``fld`` loads from ``GATHER`` and
+#: ``fsd`` stores from ``STORED`` on.
+GATHER, INDEX, AFFINE, WRITTEN, STORED = (0x2000, 0x4000, 0x8000, 0x10000,
+                                          0x18000)
+
+
+def _random_stream_loop(rng: random.Random, rearm: bool
+                        ) -> tuple[str, dict[int, np.ndarray]]:
+    """A :func:`random_stream_body` inside a ``bne`` loop of 40-120
+    trips, with ``fld``, ``fsd`` (of plain and stream registers) and
+    integer filler, and its index array.  With ``rearm`` the trips are
+    split into rows: each row re-arms SSR0 over its own window from the
+    pointer register ``s0`` (``SsrPatternAsm.emit_arm(base_reg="s0")``,
+    the stencils' row end), so SSR0 holds one row's elements."""
+    body, pops, pushes = random_stream_body(rng)
+    rows = rng.randrange(3, 7) if rearm else 1
+    trips = rng.randrange(40, 121) // rows
+    for _ in range(rng.randrange(0, 4)):
+        at = rng.randrange(len(body) + 1)
+        kind = rng.randrange(4)
+        if kind == 0:
+            line = f"fld f{rng.randrange(3, 7)}, {8 * rng.randrange(64)}(x8)"
+        elif kind == 1:
+            reg = rng.choice((0, 1, 3, 4, 5, 6))
+            if reg < 2:
+                pops[reg] += 1
+            line = f"fsd f{reg}, {8 * rng.randrange(16)}(x9)"
+        elif kind == 2:
+            line = "addi x9, x9, 8"
+        else:
+            line = (f"{rng.choice(('add', 'xor', 'mul', 'sltu'))} "
+                    f"x{rng.randrange(10, 14)}, x{rng.randrange(10, 14)}, "
+                    f"x{rng.randrange(5, 14)}")
+        body.insert(at, line)
+    n0, n1 = pops[0] * trips, pops[1] * trips * rows
+    repeat0 = 1 if n0 % 2 == 0 and rng.random() < 0.4 else 0
+    repeat1 = 1 if n1 % 2 == 0 and rng.random() < 0.4 else 0
+    e0, e1 = n0 // (repeat0 + 1), n1 // (repeat1 + 1)
+    inner = rng.choice([d for d in range(1, min(e1, 16) + 1) if e1 % d == 0])
+    step = 8 * rng.choice((1, 2))
+    # One loop in ten walks SSR1 below address 0 halfway through.
+    outer = rng.choice((0, 8, step * inner) * 3
+                       + (-8 * (AFFINE // 8 // max(1, e1 // inner // 2)),))
+    idx_size = rng.choice((2, 4))
+    gather = SsrPatternAsm(ssr=0, base=GATHER, bounds=[e0], strides=[8],
+                           repeat=repeat0, indirect=True, idx_base=INDEX,
+                           idx_size=idx_size, idx_shift=3)
+    streams = [
+        SsrPatternAsm(ssr=1, base=AFFINE + 8 * rng.randrange(8),
+                      bounds=[inner, e1 // inner],
+                      strides=[step, outer],
+                      repeat=repeat1),
+        SsrPatternAsm(ssr=2, base=WRITTEN, bounds=[pushes * trips * rows],
+                      strides=[8], write=True)]
+    lines = [f"li x8, {GATHER}", f"li x9, {STORED}", f"li s0, {GATHER}",
+             f"li x10, {rng.randrange(1 << 12)}", "li x11, 7"]
+    lines += [p.emit() for p in streams]
+    lines += [f"li x7, {(1 << 20) | (1 << 21)}", "csrrw x0, 0x7C3, x7"]
+    if rearm:
+        lines += [gather.emit_setup(), "csrrsi x0, 0x7C0, 1",
+                  f"li s3, {rows}", "row:", gather.emit_arm(base_reg="s0")]
+    else:
+        lines += [gather.emit(), "csrrsi x0, 0x7C0, 1"]
+    lines += [f"li x5, {trips}", "loop:", *body, "addi x5, x5, -1",
+              "bne x5, x0, loop"]
+    if rearm:
+        # The next row's window starts 1-4 doubles further on.
+        lines += [f"addi s0, s0, {8 * rng.randrange(1, 5)}",
+                  "addi s3, s3, -1", "bne s3, x0, row"]
+    lines += ["csrrci x0, 0x7C0, 1", "csrrwi x0, 0x7C3, 0",
+              "fsd f3, 0(x9)", "ebreak"]
+    dtype = np.uint16 if idx_size == 2 else np.uint32
+    indices = np.array([rng.randrange(120) for _ in range(e0)], dtype=dtype)
+    return "\n".join(lines), {INDEX: indices}
+
+
+def _outcome(source: str, engine: str, arrays: dict, data) -> tuple:
+    """How a run of ``source`` ends -- normally or with an exception --
+    and the machine it leaves, plus the loop memo's hits."""
+    cluster = Cluster(source, cfg=CoreConfig(engine=engine))
+    cluster.load_f64(GATHER, data)
+    cluster.load_f64(AFFINE, data)
+    for addr, array in arrays.items():
+        cluster.mem.write_array(addr, array)
+    try:
+        cluster.run(max_cycles=100_000)
+        error = None
+    except Exception as exc:                    # compared, not raised
+        error = (type(exc).__name__, str(exc))
+    digest = machine_digest(cluster)
+    # Bit patterns: a NaN result must match itself.
+    digest["fpregs"] = [struct.pack(f"<{len(v)}d", *v)
+                        for v in digest["fpregs"]]
+    hits = cluster.fastpath.stats["loop_hits"] if cluster.fastpath else 0
+    return (error, digest), hits
+
+
+#: Seeds per test case of the random stream loops, and the share of them
+#: that must replay at least one iteration.
+_LOOP_SEEDS = 40
+_LOOP_HIT_SHARE = 0.7
+
+
+@pytest.mark.parametrize("rearm", [False, True], ids=["loop", "row-end"])
+@pytest.mark.parametrize("chunk", range(4))
+def test_random_stream_loops_match_the_seed_interpreter(chunk, rearm,
+                                                        monkeypatch):
+    """Random stream loops under ``auto`` end exactly as on the seed
+    interpreter, exceptions included: with every loop head recorded
+    from the first on (``_MEMO_WARMUP`` 0), and for every fifth seed
+    also with the default warm-up.  Most seeds must replay iterations,
+    so a memo that always declines cannot pass."""
+    hit = 0
+    seeds = range(chunk * _LOOP_SEEDS, (chunk + 1) * _LOOP_SEEDS)
+    for seed in seeds:
+        rng = random.Random(9000 + 1000 * rearm + seed)
+        source, arrays = _random_stream_loop(rng, rearm)
+        data = np.array([rng.uniform(-1, 1) for _ in range(2048)])
+        want, _ = _outcome(source, "scalar", arrays, data)
+        warmups = (0, fastpath._MEMO_WARMUP) if seed % 5 == 0 else (0,)
+        for warmup in warmups:
+            monkeypatch.setattr(fastpath, "_MEMO_WARMUP", warmup)
+            got, hits = _outcome(source, "auto", arrays, data)
+            assert got == want, f"seed {seed}, warm-up {warmup}\n{source}"
+            hit += bool(hits) and not warmup
+    assert hit >= _LOOP_HIT_SHARE * len(seeds), hit

@@ -445,20 +445,12 @@ def _random_program(rng: random.Random, boundary: bool = False) -> str:
     return "\n".join(lines)
 
 
-def _random_ssr_program(rng: random.Random, scatter: bool = False
-                        ) -> tuple[str, dict[int, np.ndarray]]:
-    """A random stream program and its index arrays, by address.
-
-    SSR0 gathers ``DATA`` through the index array at ``IDX``, SSR1 reads
-    ``DATA`` affinely (2-D, optionally repeating) and SSR2 writes to
-    ``OUT`` -- affinely, or with ``scatter`` through the index array at
-    ``SCATTER_IDX``; a random body of plain and chained FMAs, some
-    inside an ``frep.o``, pops and pushes exactly as many elements as
-    the streams hold, with ``fsd`` of plain and stream registers between
-    steps.  ``scatter`` draws only after everything else.
-    """
-    frep = rng.random() < 0.5
-    iters = rng.randrange(1, 4)
+def random_stream_body(rng: random.Random) -> tuple[list[str], list[int],
+                                                    int]:
+    """A random body of plain and chained FMAs over the f3-f6 registers,
+    the chaining registers f20/f21 and the streams: SSR0 and SSR1 read,
+    SSR2 written, each at least once.  Returns its lines, the pops of
+    SSR0 and SSR1 and the pushes into SSR2."""
     plain = lambda: rng.randrange(3, 7)                   # noqa: E731
     body = []
 
@@ -476,7 +468,6 @@ def _random_ssr_program(rng: random.Random, scatter: bool = False
             return 2
         return plain()
 
-    # Every program reads SSR0 and SSR1 and writes SSR2 at least once.
     body.append(f"fmadd.d f2, f0, f1, f{plain()}")
     pops = [1, 1]
     pushes = 1
@@ -496,6 +487,24 @@ def _random_ssr_program(rng: random.Random, scatter: bool = False
         else:
             body.append(f"{rng.choice(_FP_OPS2)} f{dest()}, f{source()}, "
                         f"f{source()}")
+    return body, pops, pushes
+
+
+def _random_ssr_program(rng: random.Random, scatter: bool = False
+                        ) -> tuple[str, dict[int, np.ndarray]]:
+    """A random stream program and its index arrays, by address.
+
+    SSR0 gathers ``DATA`` through the index array at ``IDX``, SSR1 reads
+    ``DATA`` affinely (2-D, optionally repeating) and SSR2 writes to
+    ``OUT`` -- affinely, or with ``scatter`` through the index array at
+    ``SCATTER_IDX``; a :func:`random_stream_body`, repeated or inside an
+    ``frep.o``, pops and pushes exactly as many elements as the streams
+    hold, with ``fsd`` of plain and stream registers between steps.
+    ``scatter`` draws only after everything else.
+    """
+    frep = rng.random() < 0.5
+    iters = rng.randrange(1, 4)
+    body, pops, pushes = random_stream_body(rng)
     n0, n1 = pops[0] * iters, pops[1] * iters
     stores = []
     if not frep:
