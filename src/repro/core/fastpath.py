@@ -34,15 +34,16 @@ fidelity:
 
 3. **Batch execution** -- the remaining whole periods are then applied at
    once: every counter advances by ``N x`` its measured per-period
-   delta, the stream walkers jump ahead, and all data values (register
-   file, in-flight pipe results, stream FIFOs, memory written by write
-   streams) are reconstructed from a *vectorized numpy evaluation* of
-   the body dataflow over the batched iterations.  The numpy operators
-   are chosen to be bit-identical to the scalar executors (including
-   Python's ``min``/``max`` tie and NaN behavior), so results, cycle
-   counts, perf counters, stall breakdowns, SSR generator state and
-   TCDM traffic all land exactly where the scalar model would have put
-   them -- the loop tail then drains through the scalar path.
+   delta, each stream moves on by the elements of ``N`` periods, and all
+   data values (register file, in-flight pipe results, write-stream
+   FIFOs, memory written by write streams) are reconstructed from a
+   *vectorized numpy evaluation* of the body dataflow over the batched
+   iterations.  The numpy operators are chosen to be bit-identical to
+   the scalar executors (including Python's ``min``/``max`` tie and NaN
+   behavior), so results, cycle counts, perf counters, stall
+   breakdowns, SSR generator state and TCDM traffic all land exactly
+   where the scalar model would have put them -- the loop tail then
+   drains through the scalar path.
 
 The engine is attached under ``CoreConfig.engine == "auto"`` to the
 clusters the micro-op engine steps (see :mod:`repro.core.cluster`); the
@@ -52,6 +53,13 @@ run loop alone calls :meth:`FastPathEngine.observe` and
 Integer-core loops, which never reach the FREP sequencer, are the loop
 memo's (:class:`LoopMemo`, in the second half of this module): it
 replays recorded loop iterations under the same bit-identity contract.
+
+Both engines take a stream's element addresses from the memo's view of
+its arming (:meth:`LoopMemo._view`), and read and write its position in
+the element sequence only through the streamer
+(:meth:`~repro.ssr.streamer.SsrStreamer.position`,
+:meth:`~repro.ssr.streamer.SsrStreamer.place` and
+:meth:`~repro.ssr.streamer.SsrStreamer.rearm`).
 """
 
 from __future__ import annotations
@@ -74,9 +82,9 @@ from repro.mem.timing import (AFFINE_READ, INDIRECT_READ, WRITE, block,
                                compile_factory, counters_arm, counters_rules,
                                port_layouts)
 from repro.obs import spans as _obs
-from repro.ssr.address_gen import (AffineGenerator, IndirectGenerator,
-                                   affine_addresses)
+from repro.ssr.address_gen import affine_addresses
 from repro.ssr.config import CfgField, SsrMode, split_cfg_addr
+from repro.ssr.streamer import StreamPosition
 
 
 #: mnemonic -> vectorized fn of the ops a workload or the FREP fuzz
@@ -224,6 +232,7 @@ class _BodyPlan:
     chain_pops: dict[int, tuple]         # reg -> (per_iter, prefix)
     chain_pushes: dict[int, tuple]
     reg_writers: dict[int, list[int]]    # non-stream dest -> writer slots
+    views: dict                          # streamer -> its arming's _View
 
 
 def _prefix(where: list[int], body_len: int) -> list[int]:
@@ -260,13 +269,6 @@ def _snapshot(cl) -> dict:
     """Every counter of the machine, the start of a measured window
     (the performance counters as a :meth:`PerfCounters.window`)."""
     fp = cl.fp
-    streamers = []
-    for s in fp.streamers:
-        gen, igen = s._gen, s._igen
-        streamers.append((
-            s.active_cycles, s.elements_moved, s._to_consume, s._to_produce,
-            gen.position if gen is not None
-            else igen._pos if igen is not None else 0))
     return {
         "perf": cl.perf.window(),
         "pos": fp.sequencer.position,
@@ -276,7 +278,8 @@ def _snapshot(cl) -> dict:
         "tcdm": (cl.tcdm.total_accesses, cl.tcdm.total_conflicts,
                  cl.tcdm.busy_bank_cycles),
         "ports": [(p.reads, p.writes, p.conflicts) for p in cl.tcdm.ports],
-        "streamers": streamers,
+        "streamers": [(s.active_cycles, s.elements_moved, s._to_consume,
+                       s._to_produce) for s in fp.streamers],
         "lsu": (fp.lsu.loads, fp.lsu.stores),
         "dma": cl.dma.bytes_moved,
     }
@@ -300,7 +303,8 @@ def _since(cl, a: dict) -> dict:
 def _apply_delta(cl, delta: dict, n: int) -> None:
     """Advance every counter of ``cl`` by ``n`` times a measured
     :func:`_since` delta (the shared applier of the FREP batch and the
-    loop memo; stream data and positions are the caller's)."""
+    loop memo; stream positions, and the reads and writes they still
+    owe, are placed by the caller)."""
     cl.perf.replay(delta["perf"], n)
     fp = cl.fp
     chain = fp.chain
@@ -320,12 +324,9 @@ def _apply_delta(cl, delta: dict, n: int) -> None:
     dl, dst = delta["lsu"]
     fp.lsu.loads += n * dl
     fp.lsu.stores += n * dst
-    for s, (dact, dmov, dcons, dprod, _) in zip(fp.streamers,
-                                                delta["streamers"]):
+    for s, (dact, dmov, *_) in zip(fp.streamers, delta["streamers"]):
         s.active_cycles += n * dact
         s.elements_moved += n * dmov
-        s._to_consume += n * dcons
-        s._to_produce += n * dprod
 
 
 class FastPathEngine:
@@ -501,25 +502,24 @@ class FastPathEngine:
                for sources in flow.sources for sym in sources):
             return self._reject("cross-iteration-register-carry")
 
+        # Element addresses are the loop memo's views of the armings.
+        views = {r: self.loop._view(fp.streamers[r])
+                 for r in (*flow.pushes, *flow.pops)}
+        for r, view in views.items():
+            if view is None:
+                # The seed path must surface the fault.
+                return self._reject("write-stream-out-of-range"
+                                    if r in flow.pushes
+                                    else "read-stream-out-of-range")
         # The streams the body writes must not alias anything the body
         # reads (bulk gathers assume stable inputs) or another write
         # stream (bulk scatters assume a single in-order writer).
-        from repro.ssr.address_gen import affine_addr_range
-        mem_size = self.cluster.mem.size
-        wranges = [affine_addr_range(fp.streamers[r].cfg)
-                   for r in flow.pushes]
-        rranges = [affine_addr_range(fp.streamers[r].cfg)
-                   for r in flow.pops]
-        for i, (wlo, whi) in enumerate(wranges):
-            if wlo < 0 or whi >= mem_size:
-                # Scalar path must surface the fault.
-                return self._reject("write-stream-out-of-range")
-            for rlo, rhi in rranges:
-                if wlo <= rhi and rlo <= whi:
-                    return self._reject("write-stream-alias")
-            for wlo2, whi2 in wranges[i + 1:]:
-                if wlo <= whi2 and wlo2 <= whi:
-                    return self._reject("write-stream-alias")
+        spans = [views[r].span for r in flow.pops]
+        for r in flow.pushes:
+            lo, hi = views[r].span
+            if any(lo < hi2 and lo2 < hi for lo2, hi2 in spans):
+                return self._reject("write-stream-alias")
+            spans.append((lo, hi))
 
         def per_iteration(events: dict) -> dict:
             return {key: (len(where), _prefix(where, L))
@@ -537,7 +537,7 @@ class FastPathEngine:
                           for r, where in flow.pushes.items()},
             chain_pops=per_iteration(flow.chain_pops),
             chain_pushes=per_iteration(flow.chain_pushes),
-            reg_writers=flow.writers)
+            reg_writers=flow.writers, views=views)
 
     # -- structural fingerprint ----------------------------------------------
 
@@ -602,16 +602,13 @@ class FastPathEngine:
             return False
         if any(slot not in _PERIODIC_SLOTS for slot, _ in delta["perf"][0]):
             return False
-        plan = self._plan
-        ports = self.cluster.tcdm.ports
-        used_ports = {self.fp.streamers[r].data_port
-                      for r in (*plan.read_ppi, *plan.write_slots)}
-        for index, d in enumerate(delta["ports"]):
-            if ports[index] not in used_ports and any(d):
+        used = self._plan.views     # the streams the body reads or writes
+        used_ports = {self.fp.streamers[r].data_port for r in used}
+        for port, d in zip(self.cluster.tcdm.ports, delta["ports"]):
+            if port not in used_ports and any(d):
                 return False
-        used_idx = set(plan.read_ppi) | set(plan.write_slots)
         for si, d in enumerate(delta["streamers"]):
-            if si not in used_idx and any(d):
+            if si not in used and any(d):
                 return False
         return True
 
@@ -625,10 +622,12 @@ class FastPathEngine:
         for s, d in zip(self.fp.streamers, delta["streamers"]):
             if s._gen is None:
                 continue
-            dact, dmov, dcons, dprod, dgen = d
-            if dgen > 0:
+            # Within an arming a stream issues, per period, the addresses
+            # of the elements it moves (its fingerprint fixes the rest).
+            dact, dmov, dcons, dprod = d
+            if dmov > 0:
                 n = min(n, (s._gen.cfg.total_elements()
-                            - s._gen.position) // dgen)
+                            - s._gen.position) // dmov)
             if dcons < 0:
                 n = min(n, s._to_consume // -dcons)
             if dprod < 0:
@@ -663,8 +662,10 @@ class FastPathEngine:
             if int(fp.chain.valid[c]) - (pushes - pops) != 0:
                 return False
 
-        # Per-stream alignment of pop/push indices with iteration count.
-        sdelta = delta["streamers"]
+        # Per-stream alignment of pop/push indices with iteration count,
+        # and how many iterations the vectorized evaluation must cover.
+        at = {r: fp.streamers[r].position() for r in plan.views}
+        eval_iters = seq.iters
         pre_pops: dict[int, int] = {}
         for r, ppi in plan.read_ppi.items():
             s = fp.streamers[r]
@@ -674,52 +675,28 @@ class FastPathEngine:
             if pre < 0:
                 return False
             pre_pops[r] = pre
+            eval_iters = min(eval_iters, (init_c - pre) // ppi + 1)
         pre_push: dict[int, int] = {}
         for r, wslots in plan.write_slots.items():
-            s = fp.streamers[r]
-            pre = (s.cfg.total_elements() - s._to_produce) \
+            total = fp.streamers[r].cfg.total_elements()
+            pre = (total - fp.streamers[r]._to_produce) \
                 - _prefix_f(retired0, len(wslots), plan.write_prefix[r], L)
-            if pre < 0:
+            # Every write before the region's must be in memory.
+            if pre < 0 or at[r].here + at[r].data_ready < pre:
                 return False
             pre_push[r] = pre
-            rflag = 1 if s.data_port._response_ready else 0
-            if s.elements_moved + rflag < pre:
-                return False
-
-        # How many iterations the vectorized evaluation must cover.
-        iters = seq.iters
-        eval_iters = iters
-        for r, ppi in plan.read_ppi.items():
-            s = fp.streamers[r]
-            init_c = s.cfg.total_elements() * (s.cfg.repeat + 1)
-            eval_iters = min(eval_iters,
-                             (init_c - pre_pops[r]) // ppi + 1)
-        for r, wslots in plan.write_slots.items():
-            s = fp.streamers[r]
-            eval_iters = min(
-                eval_iters,
-                (s.cfg.total_elements() - pre_push[r]) // len(wslots) + 1)
+            eval_iters = min(eval_iters, (total - pre) // len(wslots) + 1)
         if (pos1 - 1) // L >= eval_iters:
             return False
 
         # Gather stream inputs and evaluate the body over the batch.
         elems: dict[int, np.ndarray] = {}
         for r, ppi in plan.read_ppi.items():
-            s = fp.streamers[r]
-            rep = s.cfg.repeat
-            dgen = sdelta[r][4]
-            dmov = sdelta[r][1]
-            total_r = s.cfg.total_elements()
-            needed = max(
+            rep = fp.streamers[r].cfg.repeat
+            view = plan.views[r]
+            elems[r] = mem.gather_f64(view.addr[:min(
                 (pre_pops[r] + eval_iters * ppi + rep) // (rep + 1) + 1,
-                s._gen.position + n * dgen,
-                s.elements_moved + n * dmov)
-            needed = min(needed, total_r)
-            addrs = affine_addresses(s.cfg, np.arange(needed))
-            try:
-                elems[r] = mem.gather_f64(addrs)
-            except Exception:
-                return False
+                view.total)])
 
         results: dict[int, np.ndarray] = {}
         it = np.arange(eval_iters, dtype=np.int64)
@@ -769,54 +746,24 @@ class FastPathEngine:
             if g >= 0:
                 fp.fpregs.values[reg] = value(g)
 
-        for si, (dact, dmov, dcons, dprod, dgen) in enumerate(sdelta):
-            s = fp.streamers[si]
-            if s._gen is None or (not dgen and not dmov
-                                  and not dcons and not dprod):
-                continue
-            if si in plan.read_ppi:
-                s._gen.jump_to(s._gen.position + n * dgen)
-                fill = len(s._fifo)
-                end = s.elements_moved
-                s._fifo.clear()
-                s._fifo.extend(float(v) for v in elems[si][end - fill:end])
-                port = s.data_port
-                if port._pending is not None:
-                    port._pending.addr = int(affine_addresses(
-                        s.cfg, [s._gen.position - 1])[0])
-                if port._response_ready:
-                    port._response = float(elems[si][s._gen.position - 1])
-            elif si in plan.write_slots:
-                rflag = 1 if s.data_port._response_ready else 0
-                w0 = s.elements_moved - n * dmov
-                w1 = s.elements_moved
-                q = np.arange(w0 + rflag, w1 + rflag, dtype=np.int64)
-                if q.size:
-                    mem.scatter_f64(affine_addresses(s.cfg, q),
-                                    wvals(si, q))
-                s._gen.jump_to(s._gen.position + n * dgen)
-                pushes = s.cfg.total_elements() - s._to_produce
-                fill = len(s._fifo)
-                window = np.arange(pushes - fill, pushes, dtype=np.int64)
-                s._fifo.clear()
-                s._fifo.extend(float(v) for v in wvals(si, window))
-                if s._pending_write_addr is not None:
-                    s._pending_write_addr = int(affine_addresses(
-                        s.cfg, [w1])[0])
-                port = s.data_port
-                if port._pending is not None:
-                    port._pending.addr = int(affine_addresses(
-                        s.cfg, [w1])[0])
-                    port._pending.data = float(wvals(
-                        si, np.array([w1]))[0])
+        # Each stream moves on by the elements of ``n`` periods.
+        for r, view in plan.views.items():
+            here, ready, fill = at[r].here, at[r].data_ready, at[r].fill
+            moved = n * delta["streamers"][r][1]
+            values = ()
+            if r in plan.write_slots:
+                # The batch's writes; a granted one is in memory already.
+                q = np.arange(here + ready, here + moved + ready)
+                mem.scatter_f64(view.addr[q], wvals(r, q))
+                values = wvals(r, np.arange(here + moved,
+                                            here + moved + fill)).tolist()
+            ahead = at[r]._replace(issued=at[r].issued + moved,
+                                   here=here + moved)
+            fp.streamers[r].place(ahead, view.addr, values)
 
         cl.cycle += dt
         perf.cycles = cl.cycle
         return True
-
-
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -854,7 +801,8 @@ class FastPathEngine:
 #   scoreboard and the chaining valid bits enforce it), so a hit runs the
 #   iteration's FP operations -- the scalar executors, in issue order --
 #   over a virtual register, pipe and FIFO state.  Hits chain through
-#   their exit keys; the machine is written once when a run ends.
+#   their exit keys; the machine is written once when a run ends, each
+#   stream placed at the position its memory side reached.
 #
 # Anything outside that model declines with a counted reason and steps:
 # SCFG/CSR/FREP/DMA/barrier/integer memory/FP-to-integer instructions, a
@@ -884,11 +832,9 @@ _MASK32 = 0xFFFFFFFF
 #: key stays recordable.
 _TRANSIENT = frozenset({"long-iteration", "unproven"})
 
-# The memory-side simulation's per-stream state is a list: fill, repeat
-# count, data requested, data request pending, data response ready,
-# index fill, index request pending, index response ready, position,
-# elements moved, write address held, index element, then the
-# active-cycle, read, write and conflict counters.
+# The memory-side simulation's per-stream state is a list: the stream's
+# position (the fields of a ``repro.ssr.streamer.StreamPosition``), then
+# the active-cycle, read, write and conflict counters.
 #: Counters whose movement in an iteration declines it, with the reason.
 _MEMO_DECLINES = (("frep_ops", "frep"), ("fp_csr_ops", "csr"),
                   ("dma_transfers", "dma"), ("barriers", "barrier"))
@@ -942,16 +888,6 @@ def _exec_int(op: tuple, regs: list) -> bool:
         return regs[op[2]] == op[3] and (op[4] is None
                                          or regs[op[1]] == op[4])
     return True
-
-
-def _post(port, addr: int, is_write: bool, data, width: int) -> None:
-    """Leave ``port`` with a pending request, as a requester would."""
-    req = port._req
-    req.addr = addr
-    req.is_write = is_write
-    req.data = data
-    req.width = width
-    port._pending = req
 
 
 #: Schedule entries by stream context (nstream, repeat counts, FIFO
@@ -1135,7 +1071,8 @@ def _insert(node: _Node, it: _Iter) -> bool:
 
 
 class _View:
-    """Every element address and bank of one armed stream."""
+    """Every element address and bank of one armed stream: the one
+    source of a stream's addresses for the FREP batch and the memo."""
 
     __slots__ = ("base", "total", "addr", "idx", "banks", "ibanks",
                  "span", "ispan")
@@ -1143,7 +1080,8 @@ class _View:
     total: int
     addr: Any                   # element byte addresses (numpy int64)
     idx: Any                    # index values of an indirect stream
-    banks: Any                  # bank of each element, indexable
+    banks: Any                  # bank of each element, indexable (None
+    #                             until a replay needs them)
     ibanks: Any                 # bank of each index element
     span: tuple                 # [lo, hi) bytes the elements cover
     ispan: tuple | None
@@ -1603,7 +1541,7 @@ class LoopMemo:
         delta["ports"] = [(0, 0, 0) if id(port) in stream_ports else d
                           for port, d in zip(cl.tcdm.ports, delta["ports"])]
         delta["tcdm"] = (0, 0, 0)
-        delta["streamers"] = [(0, 0, d[2], d[3], 0)
+        delta["streamers"] = [(0, 0, d[2], d[3])
                               for d in delta["streamers"]]
 
         ready = core.regs.ready_cycle
@@ -1624,7 +1562,6 @@ class LoopMemo:
             "valid": list(chain.valid),
             "popped": set(chain._popped_this_cycle),
             "busy": list(fp.fpregs.busy),
-            "rep": [s._rep_count for s in fp.streamers],
             "pending_load": lsu._pending_load,
             "pending_store": lsu._pending_store,
             "lsu_response": lsu.port._response_ready,
@@ -1869,7 +1806,7 @@ class LoopMemo:
         for si, st in enumerate(streams):
             if st is None:
                 continue
-            _, _, dcons, dprod, _ = sdelta[si]
+            _, _, dcons, dprod = sdelta[si]
             pops = npops[si] = bisect_left(walk.pops.get(si, ()), n_issue)
             per = st[2] + 1
             owed = pops
@@ -1929,10 +1866,11 @@ class LoopMemo:
     # -- replay ---------------------------------------------------------------
 
     def _view(self, s):
-        """Addresses and banks of every element of ``s``'s armed stream
-        (None when some element is out of range or misaligned: stepping
-        must raise there).  Views are kept per configuration; an
-        indirect one is rebuilt when its index array changed."""
+        """Addresses of every element of ``s``'s armed stream (None when
+        some element is out of range or misaligned: stepping must raise
+        there); their banks are filled in once a replay needs them.
+        Views are kept per configuration; an indirect one is rebuilt when
+        its index array changed."""
         cfg = s.cfg
         mem = self.cluster.mem
         total = cfg.total_elements()
@@ -1946,11 +1884,14 @@ class LoopMemo:
         cached = self._views.get(id(cfg))
         if cached is not None and cached[2] == raw:
             return cached[1]
+        armed = {id(s.cfg) for s in self.fp.streamers}
+        for stale in [k for k in self._views if k not in armed]:
+            del self._views[stale]
         tcdm = self.tcdm
         view = _View()
         view.base = cfg.base
         view.total = total
-        view.idx = view.ibanks = view.ispan = None
+        view.idx = view.ibanks = view.ispan = view.banks = None
         if cfg.indirect:
             view.idx = np.frombuffer(
                 raw, dtype=np.uint32 if isz == 4 else np.uint16
@@ -1960,23 +1901,19 @@ class LoopMemo:
                 cfg.idx_base + np.arange(total) * cfg.idx_size, tcdm)
             view.ispan = (cfg.idx_base, cfg.idx_base + total * cfg.idx_size)
         else:
-            addr = affine_addresses(cfg, np.arange(total))
+            addr = affine_addresses(cfg)
         if not self._place(view, addr):
             return None
         self._views[id(cfg)] = (cfg, view, raw)
         return view
 
     def _place(self, view: _View, addr) -> bool:
-        """Give ``view`` its element addresses ``addr`` with their banks
-        and span; False when one is out of range or misaligned."""
-        if view.total and (addr.min() < 0
-                           or addr.max() + 8 > self.cluster.mem.size
-                           or np.any(addr & 7)):
+        """Give ``view`` its element addresses ``addr`` and their span;
+        False when one is out of range or misaligned."""
+        lo, hi = int(addr.min()), int(addr.max()) + 8
+        if lo < 0 or hi > self.cluster.mem.size or (addr & 7).any():
             return False
-        view.addr = addr
-        view.banks = _banks(addr, self.tcdm)
-        view.span = (int(addr.min()), int(addr.max()) + 8) if view.total \
-            else (0, 0)
+        view.addr, view.span = addr, (lo, hi)
         return True
 
     def _window(self, view: _View, base: int):
@@ -1987,8 +1924,10 @@ class LoopMemo:
         moved.total = view.total
         moved.idx, moved.ibanks, moved.ispan = view.idx, view.ibanks, \
             view.ispan
-        return moved if self._place(moved, view.addr + (base - view.base)) \
-            else None
+        if not self._place(moved, view.addr + (base - view.base)):
+            return None
+        moved.banks = _banks(moved.addr, self.tcdm)
+        return moved
 
     def _open_run(self):
         """Virtual state of a run of hits, or the reason none can start
@@ -2024,9 +1963,6 @@ class LoopMemo:
         run.views = views = []
         reads, writes = [], []
         mem = cl.mem
-        armed = {id(s.cfg) for s in fp.streamers}
-        for stale in [k for k in self._views if k not in armed]:
-            del self._views[stale]
         for si, s in enumerate(fp.streamers):
             cfg = s.cfg
             if cfg is None:
@@ -2036,39 +1972,23 @@ class LoopMemo:
             view = self._view(s)
             if view is None:
                 return "address-range"
+            if view.banks is None:
+                view.banks = _banks(view.addr, self.tcdm)
             views.append(view)
             dport, iport = s.data_port, s.idx_port
-            fill = len(s._fifo)
-            ipending = iport._pending is not None or iport._response_ready
-            if s._igen is not None:
-                pos = s._igen._pos
-                mode = INDIRECT_READ
-                # Element indices count from the stream's arming, while
-                # ``elements_moved`` counts across re-arms.
-                here = pos - len(s._idx_fifo) - s._data_requested - ipending
-            else:
-                pos = s._gen.position
-                if cfg.mode == SsrMode.WRITE:
-                    mode = WRITE
-                    here = pos - (s._pending_write_addr is not None)
-                else:
-                    mode = AFFINE_READ
-                    here = pos - s._data_requested
+            at = s.position()
+            here, fill = at.here, at.fill
+            mode = INDIRECT_READ if cfg.indirect else \
+                WRITE if cfg.mode == SsrMode.WRITE else AFFINE_READ
             order.append((si, mode))
+            # Element indices count from the stream's arming, while
+            # ``elements_moved`` counts across re-arms.
             run.moved0[si] = here
-            mem_state.append([
-                fill, s._rep_count, s._data_requested,
-                dport._pending is not None, dport._response_ready,
-                len(s._idx_fifo), iport._pending is not None,
-                iport._response_ready, pos, here,
-                s._pending_write_addr is not None, pos - 1,
-                0, 0, 0, 0, 0, 0])
+            mem_state.append([*at, 0, 0, 0, 0, 0, 0])
             addr = view.addr
             if mode == WRITE:
+                # A write holds element ``here``'s address by construction.
                 run.pushed[si] = [here, list(s._fifo)]
-                if s._pending_write_addr is not None \
-                        and s._pending_write_addr != addr[here]:
-                    return "aliasing"
                 writes.append(view.span)
                 continue
             run.head[si] = here - fill
@@ -2092,13 +2012,12 @@ class LoopMemo:
                     and dport._response != mem.read_f64(int(addr[here])):
                 return "aliasing"
             if view.idx is not None:
-                first = here + s._data_requested
-                for k, v in zip(range(first, first + len(s._idx_fifo)),
+                first = here + at.requested
+                for k, v in zip(range(first, first + at.idx_fill),
                                 s._idx_fifo):
                     if view.idx[k] != v:
                         return "aliasing"
-                if iport._response_ready \
-                        and iport._response != view.idx[pos - 1]:
+                if at.idx_ready and iport._response != view.idx[at.idx_elem]:
                     return "aliasing"
         for i, (lo, hi) in enumerate(writes):
             for lo2, hi2 in reads + writes[:i]:
@@ -2367,58 +2286,29 @@ class LoopMemo:
         for si, mode in run.order:
             s = fp.streamers[si]
             view = run.views[si]
-            (fill, _, requested, dpend, dresp, ifill, ipend, iresp, pos,
-             here, pwa, ielem, active, dreads, dwrites, dconf, ireads,
-             iconf) = run.mem[si]
             if si in run.armed:
-                self._rearm(s, view, *run.shadow[si])
-            cfg = s.cfg
+                # The scfgw of the run, on the window of the last hit.
+                raw = self._views.pop(id(s.cfg))[2]
+                s.rearm(*run.shadow[si])
+                self._views[id(s.cfg)] = (s.cfg, view, raw)
+                # The stepped cycle binds the stream's configuration.
+                cl._loop = None
+            state = run.mem[si]
+            active, dreads, dwrites, dconf, ireads, iconf = state[12:]
             dport, iport = s.data_port, s.idx_port
-            s._rep_count = ex["rep"][si]
-            s._data_requested = requested
             s.active_cycles += active
             dport.reads += dreads
             dport.writes += dwrites
             dport.conflicts += dconf
             iport.reads += ireads
             iport.conflicts += iconf
-            addr = int(view.addr[here]) if here < view.total else None
-            s.elements_moved += here - run.moved0[si]
+            at = StreamPosition(*state[:12])
+            s.elements_moved += at.here - run.moved0[si]
+            values = ()
             if mode == WRITE:
                 first, values = run.pushed[si]
-                fifo = values[here - first:here - first + fill]
-                s._pending_write_addr = addr if pwa else None
-                if dpend:
-                    _post(dport, addr, True, fifo[0], 8)
-                else:
-                    dport._pending = None
-                dport._response = None
-            else:
-                fifo = [mem.read_f64(int(a))
-                        for a in view.addr[here - fill:here]]
-                if dpend:
-                    _post(dport, addr, False, None, 8)
-                else:
-                    dport._pending = None
-                dport._response = mem.read_f64(addr) if dresp else None
-            dport._response_ready = dresp
-            s._fifo.clear()
-            s._fifo.extend(fifo)
-            if mode == INDIRECT_READ:
-                s._igen._pos = pos
-                first = here + requested
-                s._idx_fifo.clear()
-                s._idx_fifo.extend(int(v) for v in
-                                   view.idx[first:first + ifill])
-                if ipend:
-                    _post(iport, cfg.idx_base + ielem * cfg.idx_size,
-                          False, None, cfg.idx_size)
-                else:
-                    iport._pending = None
-                iport._response_ready = iresp
-                iport._response = int(view.idx[ielem]) if iresp else None
-            else:
-                s._gen.jump_to(pos)
+                values = values[at.here - first:at.here - first + at.fill]
+            s.place(at, view.addr, values)
 
         lsu = fp.lsu
         lsu._pending_load = ex["pending_load"]
@@ -2434,24 +2324,6 @@ class LoopMemo:
             mem.write_f64(addr, value)
         for addr, value in run.st_writes:
             mem.write_f64(addr, value)
-
-    def _rearm(self, s, view: _View, base: int, ctrl: int) -> None:
-        """Re-arm stream ``s`` as the ``scfgw`` of a run did: BASE, then
-        CTRL ``ctrl``, committing a fresh configuration on ``view``'s
-        window (its positions are the caller's)."""
-        space = s.cfgspace
-        space._shadow.base = base
-        space.write(CfgField.CTRL, ctrl, active=False)
-        cfg, space.committed = space.committed, None
-        raw = self._views[id(s.cfg)][2]
-        s.cfg = cfg
-        if cfg.indirect:
-            s._igen = IndirectGenerator(cfg)
-        else:
-            s._gen = AffineGenerator(cfg)
-        self._views[id(cfg)] = (cfg, view, raw)
-        # The stepped cycle binds the stream's configuration.
-        self.cluster._loop = None
 
 
 #: Compiled memory-side simulators by armed streams and port layout.
@@ -2562,7 +2434,7 @@ def factory(B, IB, T, R1):
 """
 
 #: The memory-side state of a stream as the simulator takes and returns
-#: it (see :meth:`LoopMemo._open_run`).
+#: it: a ``StreamPosition``, then counters (see :meth:`LoopMemo._open_run`).
 _STATE = "f r q dp dr g ip ir p m w e a xr xw xc yr yc".split()
 
 

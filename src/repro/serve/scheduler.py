@@ -268,7 +268,6 @@ class Scheduler:
         # "interrupted": the next boot resolves them from the store.
         with self._lock:
             task = self._tasks.pop(key)
-            self._inflight -= 1
             self._sync_crashes()
             outcome = Outcome.from_worker(task.workload, key, status,
                                           payload, seconds)
@@ -282,6 +281,10 @@ class Scheduler:
                     point=task.workload, status="error", key=key,
                     seconds=seconds, error=f"result store write failed: "
                     f"{exc.strerror or exc}")
+            finally:
+                # In flight until its outcome is in the store: a server
+                # with none in flight has stored every point it ran.
+                self._inflight -= 1
             if self._shutdown:
                 return
             record = _point_record(

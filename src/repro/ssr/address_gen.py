@@ -22,41 +22,19 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-def affine_addresses(cfg: SsrConfig, indices) -> np.ndarray:
-    """Addresses of stream elements ``indices`` (vectorized, no state).
-
-    Element ``i`` of an affine stream sits at
-    ``base + sum_d digit_d(i) * stride_d`` where the digits are ``i``
-    decomposed in the mixed radix of the loop-nest bounds (dimension 0
-    innermost) -- exactly the address :class:`AffineGenerator` yields on
-    its ``i``-th :meth:`~AffineGenerator.next`.
-    """
+def affine_addresses(cfg: SsrConfig) -> np.ndarray:
+    """Address of every element of an affine stream, in stream order
+    (vectorized, no state): ``base + sum_d idx_d * stride_d`` over the
+    loop nest, dimension 0 innermost -- exactly what
+    :class:`AffineGenerator` yields, one :meth:`~AffineGenerator.next`
+    after another."""
     import numpy as np
 
-    idx = np.asarray(indices, dtype=np.int64)
-    addr = np.full(idx.shape, cfg.base, dtype=np.int64)
-    radix = 1
+    addr = np.array(cfg.base, dtype=np.int64)
     for d in range(cfg.ndims):
-        addr += (idx // radix) % cfg.bounds[d] * cfg.strides[d]
-        radix *= cfg.bounds[d]
-    return addr
-
-
-def affine_addr_range(cfg: SsrConfig) -> tuple[int, int]:
-    """Inclusive ``[lo, hi]`` byte range the whole affine stream touches.
-
-    Each dimension contributes ``(bound - 1) * stride`` at its extreme;
-    negative strides extend the range downward.  ``hi`` covers the full
-    64-bit element at the highest base address.
-    """
-    lo = hi = cfg.base
-    for d in range(cfg.ndims):
-        extent = (cfg.bounds[d] - 1) * cfg.strides[d]
-        if extent >= 0:
-            hi += extent
-        else:
-            lo += extent
-    return lo, hi + 7
+        addr = np.add.outer(
+            np.arange(cfg.bounds[d], dtype=np.int64) * cfg.strides[d], addr)
+    return addr.ravel()
 
 
 class AffineGenerator:
@@ -106,10 +84,11 @@ class AffineGenerator:
     def jump_to(self, position: int) -> None:
         """Teleport the walker so the next element is ``position``.
 
-        Used by the fast path to retire a whole batch of elements at
-        once; the resulting state is exactly what ``position`` calls of
-        :meth:`next` would have left behind (including the all-zeros
-        digit wrap at exhaustion).
+        Used when a stream is placed at a position
+        (:meth:`~repro.ssr.streamer.SsrStreamer.place`); the resulting
+        state is exactly what ``position`` calls of :meth:`next` would
+        have left behind (including the all-zeros digit wrap at
+        exhaustion).
         """
         total = self.cfg.total_elements()
         if not 0 <= position <= total:

@@ -10,19 +10,48 @@ own TCDM connection).
 The register-port interface (``can_pop``/``pop``/``can_push``/``push``) is
 what the FP subsystem uses at instruction issue; the FIFO being empty (or
 full, for writes) is exactly the stall condition the core observes.
+
+A stream's state is its configuration plus a position in its element
+sequence (Schuiki et al., IEEE TC 2021).  :meth:`SsrStreamer.position`
+reads that position, counted from the current arming, and
+:meth:`SsrStreamer.place` writes it: the engines that skip cycles (the
+FREP batch and the loop memo, :mod:`repro.core.fastpath`) move a stream
+only through these two methods and :meth:`SsrStreamer.rearm`.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from typing import NamedTuple
+
 from repro.mem.tcdm import Tcdm, TcdmPort
 from repro.ssr.address_gen import AffineGenerator, IndirectGenerator
-from repro.ssr.config import SsrConfig, SsrConfigSpace, SsrMode
+from repro.ssr.config import CfgField, SsrConfig, SsrConfigSpace, SsrMode
 
 
 #: TCDM priority of every stream port: after the core (0) and FP LSU (1)
 #: ports, and equal among streams, which round robin orders.
 _PORT_PRIORITY = 10
+
+
+class StreamPosition(NamedTuple):
+    """Where an arming stands, counted from the arming, laid out as the
+    loop memo's memory side simulates it.  Element ``here`` is the one
+    the data port serves next: a read's FIFO holds the ``fill`` elements
+    before it, a write's FIFO the ``fill`` values from it on."""
+
+    fill: int
+    rep: int                # pops the read FIFO's head has served
+    requested: bool         # a read's data fetch is outstanding
+    data_pending: bool      # the data port holds a request ...
+    data_ready: bool        # ... or a response
+    idx_fill: int
+    idx_pending: bool
+    idx_ready: bool
+    issued: int             # addresses (indirect: index addresses) issued
+    here: int
+    held: bool              # a write holds element ``here``'s address
+    idx_elem: int           # the index element fetched last
 
 
 class SsrStreamer:
@@ -37,6 +66,7 @@ class SsrStreamer:
         self.idx_port: TcdmPort = tcdm.port(
             f"ssr{ssr_id}_idx", _PORT_PRIORITY, is_streamer=True)
 
+        self._mem = tcdm.mem
         self.cfg: SsrConfig | None = None
         self._gen: AffineGenerator | None = None
         self._igen: IndirectGenerator | None = None
@@ -78,6 +108,15 @@ class SsrStreamer:
             self._arm(self.cfgspace.committed)
             self.cfgspace.committed = None
 
+    def rearm(self, base: int, ctrl: int) -> None:
+        """Commit BASE ``base`` and CTRL ``ctrl`` as an ``scfgw`` pair
+        does once the current arming is done (here it may still be placed
+        mid-stream); :meth:`place` then moves the new arming on."""
+        self.cfgspace.write(CfgField.BASE, base, active=False)
+        self.cfgspace.write(CfgField.CTRL, ctrl, active=False)
+        self._arm(self.cfgspace.committed)
+        self.cfgspace.committed = None
+
     def read_cfg(self, field: int) -> int:
         """Handle a ``scfgr`` targeting this lane."""
         return self.cfgspace.read(field)
@@ -102,6 +141,70 @@ class SsrStreamer:
         else:
             self._to_produce = total
             self._to_consume = 0
+
+    # -- position within the arming -------------------------------------
+
+    def position(self) -> StreamPosition:
+        """Where the current arming stands (see :class:`StreamPosition`)."""
+        dport, iport = self.data_port, self.idx_port
+        requested, ifill = self._data_requested, len(self._idx_fifo)
+        held = self._pending_write_addr is not None
+        ipend, iready = iport._pending is not None, iport._response_ready
+        if self._igen is not None:
+            issued = self._igen._pos
+            here = issued - ifill - requested - (ipend or iready)
+        else:
+            issued = self._gen.position
+            here = issued - requested - held
+        return StreamPosition(
+            len(self._fifo), self._rep_count, requested,
+            dport._pending is not None, dport._response_ready, ifill, ipend,
+            iready, issued, here, held, issued - 1)
+
+    def place(self, at: StreamPosition, addr, values=()) -> None:
+        """Put the current arming at ``at``.  ``addr`` holds the byte
+        address of each of its elements, ``values`` a write's FIFO,
+        oldest first; a read refills its FIFO, its data response and its
+        index FIFO from memory.  The FIFOs are refilled in place: the
+        generated stepped cycle binds them."""
+        cfg, mem, here, port = self.cfg, self._mem, at.here, self.data_port
+        total = cfg.total_elements()
+        elem = int(addr[here]) if here < total else None
+        write = cfg.mode == SsrMode.WRITE
+        self._fifo.clear()
+        if write:
+            self._fifo.extend(values)
+            self._to_produce = total - here - at.fill
+        else:
+            self._fifo.extend(mem.read_f64(int(a))
+                              for a in addr[here - at.fill:here])
+            self._to_consume = \
+                (total - here + at.fill) * (cfg.repeat + 1) - at.rep
+        self._rep_count = at.rep
+        self._data_requested = at.requested
+        self._pending_write_addr = elem if at.held else None
+        port._pending = None
+        port._response_ready = at.data_ready
+        port._response = mem.read_f64(elem) \
+            if at.data_ready and not write else None
+        if at.data_pending:
+            port.request(elem, write, values[0] if write else None)
+        if self._igen is None:
+            self._gen.jump_to(at.issued)
+            return
+        self._igen._pos = at.issued
+        width, port = cfg.idx_size, self.idx_port
+        read = mem.read_u32 if width == 4 else mem.read_u16
+        first = here + at.requested
+        self._idx_fifo.clear()
+        self._idx_fifo.extend(read(cfg.idx_base + k * width)
+                              for k in range(first, first + at.idx_fill))
+        index = cfg.idx_base + at.idx_elem * width
+        port._pending = None
+        port._response_ready = at.idx_ready
+        port._response = read(index) if at.idx_ready else None
+        if at.idx_pending:
+            port.request(index, width=width)
 
     # -- register-port interface (used at FP instruction issue) -----------
 

@@ -67,6 +67,12 @@ MAX_WORKER_CRASHES = 3
 #: in-worker SIGALRM; the slack absorbs worker start-up).
 BACKSTOP_SLACK_S = 30.0
 
+#: Seconds a worker may hold a point without using any CPU time before
+#: the pool judges it hung, timeout or not: a point only computes, so a
+#: worker idle that long never received its point or is deadlocked (a
+#: lock another thread of the parent held at the fork, say).
+HUNG_WORKER_S = 10.0
+
 
 class _PointTimeout(Exception):
     """Raised by the SIGALRM handler when a point's budget expires."""
@@ -180,6 +186,21 @@ class _Slot:
     start: float = 0.0
     crashes: int = 0
     backstop: threading.Timer | None = None
+    #: The worker's CPU time at the watchdog's last look at this point.
+    cpu: int | None = None
+
+
+def _cpu_ticks(slot: _Slot) -> int | None:
+    """User plus system CPU time of the slot's worker, in clock ticks;
+    None when there is no worker or ``/proc`` cannot tell."""
+    for pid in list(getattr(slot.executor, "_processes", None) or {}):
+        try:
+            with open(f"/proc/{pid}/stat", "rb") as stat_file:
+                fields = stat_file.read().rsplit(b")", 1)[1].split()
+        except OSError:  # the worker is gone, or no /proc here
+            return None
+        return int(fields[11]) + int(fields[12])
+    return None
 
 
 class WorkerPool:
@@ -196,7 +217,10 @@ class WorkerPool:
     A worker's death is charged to the one point it ran: the pool
     replaces the worker and re-runs the point, which becomes an
     ``"error"`` only after :data:`MAX_WORKER_CRASHES` deaths in a row.
-    A point still running at the backstop (three times its timeout plus
+    A worker that holds a point and uses no CPU time for
+    :data:`HUNG_WORKER_S` is hung: the pool's watchdog thread kills it,
+    and that counts as its death, timeout or not.  A point still running
+    at the backstop (three times its timeout plus
     :data:`BACKSTOP_SLACK_S`) has its worker killed and becomes a
     ``"timeout"``.  :attr:`crashes` counts every worker death.
     """
@@ -213,6 +237,10 @@ class WorkerPool:
         self._slots = [_Slot() for _ in range(workers)]
         self._closed = False
         self.crashes = 0
+        # The watchdog runs from the first point until the pool is
+        # closed with no point left in flight.
+        self._watchdog: threading.Thread | None = None
+        self._wake = threading.Condition(self._lock)
 
     @property
     def inflight(self) -> int:
@@ -260,7 +288,11 @@ class WorkerPool:
             self.crashes += 1
             self._discard(slot)
             future = self._executor(slot).submit(*call)
-        slot.future = future
+        slot.future, slot.cpu = future, None
+        if self._watchdog is None:
+            self._watchdog = threading.Thread(
+                target=self._watch, daemon=True, name="worker-watchdog")
+            self._watchdog.start()
         if slot.timeout is not None:
             slot.backstop = threading.Timer(
                 3.0 * slot.timeout + BACKSTOP_SLACK_S, self._expire,
@@ -294,6 +326,8 @@ class WorkerPool:
         if slot.backstop is not None:
             slot.backstop.cancel()
         slot.future = slot.backstop = None
+        if self._closed:  # the watchdog may be done
+            self._wake.notify()
         if seconds is None:
             seconds = time.perf_counter() - slot.start
         return partial(slot.done, status, payload, seconds)
@@ -342,6 +376,33 @@ class WorkerPool:
                                 f"killed")
         report()
 
+    def _watch(self) -> None:
+        # Runs on the watchdog thread.  A worker whose CPU time has not
+        # moved in a whole look's interval while it held one point is
+        # killed; its point runs again as after any death.
+        while True:
+            reports = []
+            with self._lock:
+                if self._closed and not self.inflight:
+                    self._watchdog = None
+                    return
+                if self._wake.wait(HUNG_WORKER_S):
+                    continue  # woken by close() before a whole interval
+                for slot in self._slots:
+                    if slot.future is None:
+                        continue
+                    cpu, slot.cpu = slot.cpu, _cpu_ticks(slot)
+                    if cpu is None or cpu != slot.cpu:
+                        continue
+                    self._discard(slot, kill=True)
+                    if not self._rerun(slot):
+                        reports.append(self._free(
+                            slot, "cancelled" if self._closed else "error",
+                            f"worker died {slot.crashes} time(s) running "
+                            f"this point; the last one hung"))
+            for report in reports:
+                report()
+
     def close(self, wait: bool = True, kill: str | None = None) -> None:
         """Accept no more points; in-flight points finish and report
         (``wait`` blocks until they have).  With ``kill``, every worker
@@ -349,6 +410,7 @@ class WorkerPool:
         ``"cancelled"`` with ``kill`` as the reason."""
         with self._lock:
             self._closed = True
+            self._wake.notify()
             executors = [slot.executor for slot in self._slots
                          if slot.executor is not None]
             reports = []

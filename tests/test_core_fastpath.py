@@ -307,6 +307,49 @@ def test_unused_armed_stream_and_sequential_regions():
     assert fast.fastpath.stats["applications"] >= 1
 
 
+@pytest.mark.parametrize("rearmed", [(0,), (0, 2)],
+                         ids=["read", "read-write"])
+def test_rearmed_streams_batch_in_a_second_region(rearmed):
+    """Between two FREP regions SSR0 (and SSR2, the write stream) is
+    re-armed on a new base.  The second region's batch must place the
+    re-armed streams by their position within the new arming, not by the
+    elements they moved since the first."""
+    rng = np.random.default_rng(19)
+    n = 512
+    c = SsrPatternAsm(ssr=0, base=C, bounds=[n], strides=[8])
+    d = SsrPatternAsm(ssr=1, base=D, bounds=[2 * n], strides=[8])
+    a = SsrPatternAsm(ssr=2, base=A, bounds=[n if 2 in rearmed else 2 * n],
+                      strides=[8], write=True)
+    again = {0: SsrPatternAsm(ssr=0, base=C + 8 * n, bounds=[n],
+                              strides=[8]),
+             2: SsrPatternAsm(ssr=2, base=A + 8 * n, bounds=[n],
+                              strides=[8], write=True)}
+    region = f"""
+    li t2, {n - 1}
+    frep.o t2, 0
+    fadd.d ft2, ft0, ft1
+"""
+    setup = "\n".join(p.emit() for p in (c, d, a))
+    # The ``csrr`` holds the core until the first region has issued, so
+    # the write stream has drained by the time its re-arm issues.
+    rearm = "\n".join(again[si].emit_arm() for si in rearmed)
+    asm = f"""
+{setup}
+    csrrsi x0, ssr_enable, 1
+{region}
+    csrr t5, ssr_enable
+{rearm}
+{region}
+    csrr t5, ssr_enable
+    csrrci x0, ssr_enable, 1
+    ebreak
+"""
+    arrays = [(C, rng.uniform(-1.0, 1.0, 2 * n)),
+              (D, rng.uniform(-1.0, 1.0, 2 * n)), (A, np.zeros(2 * n))]
+    fast = run_both(asm, arrays)
+    assert fast.fastpath.stats["applications"] == 2
+
+
 # -- mandatory rejections -------------------------------------------------
 
 

@@ -627,14 +627,18 @@ GATHER, INDEX, AFFINE, WRITTEN, STORED = (0x2000, 0x4000, 0x8000, 0x10000,
                                           0x18000)
 
 
-def _random_stream_loop(rng: random.Random, rearm: bool
+def _random_stream_loop(rng: random.Random, family: str
                         ) -> tuple[str, dict[int, np.ndarray]]:
     """A :func:`random_stream_body` inside a ``bne`` loop of 40-120
     trips, with ``fld``, ``fsd`` (of plain and stream registers) and
-    integer filler, and its index array.  With ``rearm`` the trips are
-    split into rows: each row re-arms SSR0 over its own window from the
-    pointer register ``s0`` (``SsrPatternAsm.emit_arm(base_reg="s0")``,
-    the stencils' row end), so SSR0 holds one row's elements."""
+    integer filler, and its index array.  In the ``row-end`` family the
+    trips are split into rows: each row re-arms SSR0 over its own window
+    from the pointer register ``s0``
+    (``SsrPatternAsm.emit_arm(base_reg="s0")``, the stencils' row end),
+    so SSR0 holds one row's elements.  In the ``store-into-window``
+    family the body stores a plain register through ``x9`` at least
+    once, and ``x9`` starts inside the SSR0 window or at SSR1's base."""
+    rearm = family == "row-end"
     body, pops, pushes = random_stream_body(rng)
     rows = rng.randrange(3, 7) if rearm else 1
     trips = rng.randrange(40, 121) // rows
@@ -675,7 +679,13 @@ def _random_stream_loop(rng: random.Random, rearm: bool
                       repeat=repeat1),
         SsrPatternAsm(ssr=2, base=WRITTEN, bounds=[pushes * trips * rows],
                       strides=[8], write=True)]
-    lines = [f"li x8, {GATHER}", f"li x9, {STORED}", f"li s0, {GATHER}",
+    stored = STORED
+    if family == "store-into-window":
+        body.insert(rng.randrange(len(body) + 1),
+                    f"fsd f{rng.randrange(3, 7)}, 0(x9)")
+        stored = rng.choice((GATHER + 8 * rng.randrange(120),
+                             streams[0].base))
+    lines = [f"li x8, {GATHER}", f"li x9, {stored}", f"li s0, {GATHER}",
              f"li x10, {rng.randrange(1 << 12)}", "li x11, 7"]
     lines += [p.emit() for p in streams]
     lines += [f"li x7, {(1 << 20) | (1 << 21)}", "csrrw x0, 0x7C3, x7"]
@@ -699,7 +709,8 @@ def _random_stream_loop(rng: random.Random, rearm: bool
 
 def _outcome(source: str, engine: str, arrays: dict, data) -> tuple:
     """How a run of ``source`` ends -- normally or with an exception --
-    and the machine it leaves, plus the loop memo's hits."""
+    and the machine it leaves, plus the fast-path statistics (None off
+    ``auto``)."""
     cluster = Cluster(source, cfg=CoreConfig(engine=engine))
     cluster.load_f64(GATHER, data)
     cluster.load_f64(AFFINE, data)
@@ -714,36 +725,42 @@ def _outcome(source: str, engine: str, arrays: dict, data) -> tuple:
     # Bit patterns: a NaN result must match itself.
     digest["fpregs"] = [struct.pack(f"<{len(v)}d", *v)
                         for v in digest["fpregs"]]
-    hits = cluster.fastpath.stats["loop_hits"] if cluster.fastpath else 0
-    return (error, digest), hits
+    return (error, digest), cluster.fastpath and cluster.fastpath.stats
 
 
 #: Seeds per test case of the random stream loops, and the share of them
-#: that must replay at least one iteration.
+#: that must replay at least one iteration (or, storing into a stream
+#: window, decline one as ``aliasing``).
 _LOOP_SEEDS = 40
 _LOOP_HIT_SHARE = 0.7
+_LOOP_FAMILIES = ("loop", "row-end", "store-into-window")
 
 
-@pytest.mark.parametrize("rearm", [False, True], ids=["loop", "row-end"])
+@pytest.mark.parametrize("family", _LOOP_FAMILIES)
 @pytest.mark.parametrize("chunk", range(4))
-def test_random_stream_loops_match_the_seed_interpreter(chunk, rearm,
+def test_random_stream_loops_match_the_seed_interpreter(chunk, family,
                                                         monkeypatch):
     """Random stream loops under ``auto`` end exactly as on the seed
     interpreter, exceptions included: with every loop head recorded
     from the first on (``_MEMO_WARMUP`` 0), and for every fifth seed
     also with the default warm-up.  Most seeds must replay iterations,
-    so a memo that always declines cannot pass."""
-    hit = 0
+    so a memo that always declines cannot pass; where the loop stores
+    into a stream window, most must decline a run as ``aliasing``."""
+    seen = 0
+    default = fastpath._MEMO_WARMUP
     seeds = range(chunk * _LOOP_SEEDS, (chunk + 1) * _LOOP_SEEDS)
     for seed in seeds:
-        rng = random.Random(9000 + 1000 * rearm + seed)
-        source, arrays = _random_stream_loop(rng, rearm)
+        rng = random.Random(9000 + 1000 * _LOOP_FAMILIES.index(family)
+                            + seed)
+        source, arrays = _random_stream_loop(rng, family)
         data = np.array([rng.uniform(-1, 1) for _ in range(2048)])
         want, _ = _outcome(source, "scalar", arrays, data)
-        warmups = (0, fastpath._MEMO_WARMUP) if seed % 5 == 0 else (0,)
+        warmups = (0, default) if seed % 5 == 0 else (0,)
         for warmup in warmups:
             monkeypatch.setattr(fastpath, "_MEMO_WARMUP", warmup)
-            got, hits = _outcome(source, "auto", arrays, data)
+            got, stats = _outcome(source, "auto", arrays, data)
             assert got == want, f"seed {seed}, warm-up {warmup}\n{source}"
-            hit += bool(hits) and not warmup
-    assert hit >= _LOOP_HIT_SHARE * len(seeds), hit
+            seen += bool(stats["loop_reject_reasons"].get("aliasing")
+                         if family == "store-into-window"
+                         else stats["loop_hits"]) and not warmup
+    assert seen >= _LOOP_HIT_SHARE * len(seeds), seen

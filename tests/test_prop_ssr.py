@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.mem.memory import Memory
 from repro.mem.tcdm import Tcdm
-from repro.ssr.address_gen import AffineGenerator
+from repro.ssr.address_gen import AffineGenerator, affine_addresses
 from repro.ssr.config import CfgField, SsrConfig
 from repro.ssr.streamer import SsrStreamer
 
@@ -45,6 +45,13 @@ def reference_addresses(cfg: SsrConfig) -> list[int]:
 def test_affine_generator_matches_reference(cfg):
     gen = AffineGenerator(cfg)
     assert gen.all_addresses() == reference_addresses(cfg)
+
+
+@given(affine_configs())
+@settings(max_examples=200)
+def test_affine_addresses_match_reference(cfg):
+    """The vectorized element addresses the fast paths place streams by."""
+    assert affine_addresses(cfg).tolist() == reference_addresses(cfg)
 
 
 @given(affine_configs())

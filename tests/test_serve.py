@@ -233,6 +233,27 @@ def test_failed_store_write_is_an_error_and_dispatch_continues(
         sched.shutdown(wait=True)
 
 
+def test_a_point_stays_in_flight_until_its_outcome_is_stored(tmp_path,
+                                                              monkeypatch):
+    """A server with no point in flight has stored every point it ran,
+    so a server started on its store next finds them all."""
+    sched = _scheduler(tmp_path, workers=1)
+    put, seen = sched.session.cache.put, []
+
+    def watched_put(*args, **kwargs):
+        seen.append(sched.metrics()["serve.inflight"])
+        return put(*args, **kwargs)
+
+    monkeypatch.setattr(sched.session.cache, "put", watched_put)
+    try:
+        job = sched.submit([FAST])
+        assert _wait_terminal(sched, job.id, timeout=60.0).status == "done"
+        assert seen == [1]
+        assert sched.metrics()["serve.inflight"] == 0
+    finally:
+        sched.shutdown(wait=True)
+
+
 def _wait_terminal(sched, job_id, timeout=120.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:

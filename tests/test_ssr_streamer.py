@@ -201,3 +201,106 @@ def test_cfgspace_unknown_field():
     space = SsrConfigSpace(0)
     with pytest.raises(ValueError, match="unknown config field"):
         space.write(40, 1, active=False)
+
+
+# -- placing a stream at a position -------------------------------------------
+
+def arm_indirect(streamer, base, n):
+    streamer.write_cfg(CfgField.BASE, base)
+    streamer.write_cfg(CfgField.BOUND0, n)
+    streamer.write_cfg(CfgField.STRIDE0, 0)
+    streamer.write_cfg(CfgField.REPEAT, 0)
+    streamer.write_cfg(CfgField.IDX_BASE, 0x8000)
+    streamer.write_cfg(CfgField.IDX_CFG, 2 | (3 << 4))   # 4-byte idx, shift 3
+    streamer.write_cfg(CfgField.CTRL, 2)
+
+
+#: Per stream kind: how it is armed on a base, its CTRL value.
+PLACED = {
+    "read": (lambda s, base: arm_read(s, base, 24), 0),
+    "read-repeat": (lambda s, base: arm_read(s, base, 24, repeat=1), 0),
+    "indirect-read": (lambda s, base: arm_indirect(s, base, 24), 2),
+    "write": (lambda s, base: arm_write(s, base, 24), 1),
+}
+
+
+def _drive(streamers, rng):
+    """One cycle: the FPU pops or pushes (the same on every streamer,
+    decided on the first), then each streamer and its TCDM step."""
+    first = streamers[0][0]
+    if rng.random() < 0.6:
+        if first.cfg.mode == 0 and first.can_pop():
+            for s, _ in streamers:
+                s.pop()
+        elif first.cfg.mode == 1 and first._to_produce \
+                and first.can_push():
+            value = rng.random()
+            for s, _ in streamers:
+                s.push(value)
+    for s, tcdm in streamers:
+        tick(s, tcdm)
+
+
+def _placed_state(s, moved):
+    """Everything a placed stream must reproduce; counters since
+    ``moved`` (the streamer's counters when it was placed)."""
+    def port(p):
+        req = p._pending
+        return (None if req is None else
+                (req.addr, req.is_write, req.data, req.width),
+                p._response_ready, p._response)
+    gen = s._gen.position if s._gen is not None else s._igen._pos
+    counters = (s.active_cycles, s.elements_moved, s.data_port.reads,
+                s.data_port.writes, s.data_port.conflicts, s.idx_port.reads,
+                s.idx_port.conflicts)
+    return (list(s._fifo), list(s._idx_fifo), s._rep_count, s._to_consume,
+            s._to_produce, s._data_requested, s._pending_write_addr,
+            port(s.data_port), port(s.idx_port), gen, s.position(),
+            tuple(c - m for c, m in zip(counters, moved)))
+
+
+@pytest.mark.parametrize("rearmed", [False, True], ids=["armed", "rearmed"])
+@pytest.mark.parametrize("kind", sorted(PLACED))
+def test_placed_stream_steps_like_the_stepped_one(kind, rearmed):
+    """Step a streamer ``k`` cycles, read its position, place a fresh
+    streamer there, then step both: FIFOs, ports, generator and
+    counters agree every cycle.  A re-armed reference counts its
+    position from the re-arm (the fresh one re-arms through
+    ``SsrStreamer.rearm`` before it is placed)."""
+    from repro.ssr.address_gen import affine_addresses
+
+    arm, ctrl = PLACED[kind]
+    for k in range(0, 48, 3):
+        rng = np.random.default_rng(k)
+        mem, tcdm, ref = make_streamer()
+        mem.write_array(0x1000, rng.uniform(-1, 1, 512))
+        mem.write_array(0x8000, rng.integers(0, 64, 24).astype(np.uint32))
+        arm(ref, 0x1000)
+        if rearmed:
+            while not ref.done:
+                _drive([(ref, tcdm)], rng)
+            arm(ref, 0x1400)
+        for _ in range(k):
+            _drive([(ref, tcdm)], rng)
+
+        fmem, ftcdm, fresh = make_streamer()
+        fmem._data[:] = mem._data
+        ftcdm._rr_offset = tcdm._rr_offset
+        arm(fresh, 0x1000)
+        if rearmed:
+            fresh.rearm(0x1400, ctrl)
+        cfg = ref.cfg
+        addr = cfg.base + (mem.read_array(0x8000, (24,), np.uint32)
+                           .astype(np.int64)
+                           << cfg.idx_shift) if cfg.indirect \
+            else affine_addresses(cfg)
+        fresh.place(ref.position(), addr, list(ref._fifo))
+        moved = [(0,) * 7, (ref.active_cycles, ref.elements_moved,
+                            ref.data_port.reads, ref.data_port.writes,
+                            ref.data_port.conflicts, ref.idx_port.reads,
+                            ref.idx_port.conflicts)]
+        for cycle in range(60):
+            assert _placed_state(fresh, moved[0]) == \
+                _placed_state(ref, moved[1]), (k, cycle)
+            _drive([(ref, tcdm), (fresh, ftcdm)], rng)
+        assert bytes(fmem._data) == bytes(mem._data), k

@@ -124,6 +124,36 @@ def test_signal_immune_hang_is_a_timeout_and_later_points_run(
     assert not _new_children(before)  # the hung worker was reaped
 
 
+def test_idle_worker_holding_a_point_is_killed_and_its_point_reruns(
+        tmp_path, monkeypatch):
+    """With no point timeout, a worker that holds its point and uses no
+    CPU time (one that never received its point, or is deadlocked after
+    the fork) is killed within two watchdog intervals; the point runs
+    again on a fresh worker."""
+    victim, marker = POINTS[2], tmp_path / "stuck"
+    _inject(monkeypatch, lambda p: p == victim and _first_time(marker)
+            and time.sleep(120))
+    monkeypatch.setattr(runner, "HUNG_WORKER_S", 0.5)
+    start = time.monotonic()
+    campaign = SweepRunner(workers=2).run(POINTS[:6])
+
+    assert marker.exists()  # the worker really stalled mid-point
+    assert time.monotonic() - start < 30
+    assert [o.status for o in campaign] == ["ok"] * 6
+
+
+def test_point_that_always_stalls_its_worker_errors_after_the_crash_cap(
+        tmp_path, monkeypatch):
+    stall = POINTS[1]
+    _inject(monkeypatch, lambda p: p == stall and time.sleep(120))
+    monkeypatch.setattr(runner, "HUNG_WORKER_S", 0.5)
+    campaign = SweepRunner(workers=2).run(POINTS[:4])
+
+    assert [o.status for o in campaign] == ["ok", "error", "ok", "ok"]
+    assert (f"worker died {MAX_WORKER_CRASHES} time(s) running this "
+            f"point; the last one hung") in campaign.outcomes[1].error
+
+
 def test_pool_stress_more_workers_than_cores_with_kills(tmp_path,
                                                       monkeypatch):
     """Four workers on a smaller host, a short thread switch interval,
