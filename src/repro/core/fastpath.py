@@ -977,8 +977,6 @@ class _Shape:
     lsu_busy: bool              # the last LSU op is busy at exit
     reads: tuple                # (si, from the re-armed window, elements
     #                             consumed), per stream and window
-    advance: tuple              # (si, re-armed, elements fully consumed
-    #                             in the last window)
 
 
 class _Walk:
@@ -1100,7 +1098,7 @@ class _Run:
 
     __slots__ = ("start", "cycle", "ir", "iready", "stall", "lsuq",
                  "lsu_op", "pv", "pcomp", "last_comp", "rv", "pushed",
-                 "head", "moved0", "mem", "rr", "tcdm", "order", "views",
+                 "moved0", "mem", "rr", "tcdm", "order", "views",
                  "windows", "shadow", "armed", "sim", "counts", "st_writes",
                  "ws_writes", "reads", "writes", "ld_range", "st_range",
                  "hits", "last")
@@ -1116,7 +1114,6 @@ class _Run:
     last_comp: int
     rv: list                    # retired FP register values
     pushed: dict                # write stream -> [first element, values]
-    head: dict                  # read stream -> first unconsumed element
     moved0: dict                # stream -> elements moved at run start
     mem: list                   # memory-side state per stream
     rr: int
@@ -1799,7 +1796,7 @@ class LoopMemo:
         # Stream pops become element indices: ``repeat + 1`` pops read
         # one element, counting from the loop-head repeat phase, or from
         # the first element of the new window once the stream re-arms.
-        reads, advance = [], []
+        reads = []
         npops = {}
         parts = {}
         rearm = {si: (j, cfg) for j, si, cfg in arms}
@@ -1823,9 +1820,6 @@ class LoopMemo:
             for fresh, phase, count in part:
                 if count:
                     reads.append((si, fresh, (phase + count - 1) // per + 1))
-            fresh, phase, count = part[-1]
-            if count or fresh:
-                advance.append((si, fresh, (phase + count) // per))
 
         # The data program: slot-numbered operations over a flat value
         # list laid out as pipe values, registers, stream elements,
@@ -1861,7 +1855,7 @@ class LoopMemo:
             program=program,
             lsu_issued=tuple(kind for kind, _, _, _ in issued),
             lsu_entry=key[9] is not None or bool(key[10]),
-            lsu_busy=lsu_busy, reads=tuple(reads), advance=tuple(advance))
+            lsu_busy=lsu_busy, reads=tuple(reads))
 
     # -- replay ---------------------------------------------------------------
 
@@ -1954,7 +1948,6 @@ class LoopMemo:
         run.last_comp = pipe._last_completion
         run.rv = list(fp.fpregs.values)
         run.pushed = {}
-        run.head = {}
         run.moved0 = {}
         run.shadow = {}
         run.armed = set()
@@ -1991,7 +1984,6 @@ class LoopMemo:
                 run.pushed[si] = [here, list(s._fifo)]
                 writes.append(view.span)
                 continue
-            run.head[si] = here - fill
             # A re-arm commits the shadow registers: the same stream on
             # a new base, unless they were written since the last one
             # (and CTRL must keep the stream's mode and dimensions).
@@ -2169,10 +2161,12 @@ class LoopMemo:
         views = run.views
         fresh = {si: view for si, view, _ in arms}
         f64 = mem._f64_view()
-        head = run.head
+        # A read's first unconsumed element at the hit's start is its
+        # ``here - fill`` (fields 9 and 0 of its memory-side state).
+        state = run.mem
         chunks = [f64[fresh[si].addr[:count] >> 3].tolist() if new else
-                  f64[views[si].addr[head[si]:head[si] + count] >> 3]
-                  .tolist() for si, new, count in shape.reads]
+                  f64[views[si].addr[state[si][9] - state[si][0]:][:count]
+                      >> 3].tolist() for si, new, count in shape.reads]
         loads = [mem.read_f64(addr) for kind, addr in zip(kinds, issued)
                  if kind == "l"]
         lsu_op = run.lsu_op
@@ -2211,8 +2205,6 @@ class LoopMemo:
         for reg, rel in it.ready_rel:
             iready[reg] = c1 + rel
         run.stall = c1 + it.stall_rel
-        for si, new, elements in shape.advance:
-            head[si] = elements if new else head[si] + elements
         for si, view, ctrl in arms:
             # Elements moved count across re-arms, positions from each.
             run.moved0[si] -= views[si].total

@@ -45,6 +45,7 @@ own counters regardless.
 
 from __future__ import annotations
 
+import os
 import threading
 
 __all__ = [
@@ -103,8 +104,12 @@ class MetricsRegistry:
             self.histograms.clear()
 
 
-#: The process-wide registry all instrumentation sites write into.
+#: The process-wide registry all instrumentation sites write into.  A
+#: forked worker takes a fresh lock: another parent thread may hold the
+#: inherited one at the fork, and none of the worker's would release it.
 METRICS = MetricsRegistry()
+os.register_at_fork(
+    after_in_child=lambda: setattr(METRICS, "_lock", threading.Lock()))
 
 
 # -- run summaries ------------------------------------------------------------

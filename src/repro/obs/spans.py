@@ -106,10 +106,12 @@ class Tracer:
         pid = os.getpid()
         if pid != self._pid:
             # Forked child inheriting an enabled tracer: drop the
-            # parent's buffer and sink handle, write an own segment.
+            # parent's buffer, sink handle and lock (another parent
+            # thread may have held it at the fork), write an own segment.
             self._pid = pid
             self._sink = None
             self.events = []
+            self._lock = threading.Lock()
         event["pid"] = pid
         with self._lock:
             if self.keep_in_memory:

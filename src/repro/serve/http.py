@@ -32,7 +32,7 @@ __all__ = ["ReproServer"]
 
 _MAX_BODY = 8 * 1024 * 1024
 #: Poll interval of the ``/events`` stream (the scheduler appends to
-#: ``Job.events`` from executor threads; the stream tails the list).
+#: ``Job.events`` from the pool's thread; the stream tails the list).
 _EVENT_POLL_SECONDS = 0.05
 
 

@@ -78,9 +78,9 @@ class Scheduler:
     """Bridge between job submissions and the simulation pool.
 
     Thread-safe: submissions arrive from the asyncio event loop,
-    completions from pool threads, all serialized by one lock (every
-    hold is short -- key hashing, dict/heap bookkeeping, one store
-    append).
+    completions from the pool's monitor thread, all serialized by one
+    lock (every hold is short -- key hashing, dict/heap bookkeeping, one
+    store append).
     """
 
     def __init__(self, session: Session, store: JobStore, *,
@@ -263,8 +263,8 @@ class Scheduler:
 
     def _on_done(self, key: str, status: str, payload,
                  seconds: float) -> None:
-        # Runs on a pool thread.  After shutdown an outcome still
-        # reaches the store, but jobs keep their journaled
+        # Runs on the pool's monitor thread.  After shutdown an outcome
+        # still reaches the store, but jobs keep their journaled
         # "interrupted": the next boot resolves them from the store.
         with self._lock:
             task = self._tasks.pop(key)

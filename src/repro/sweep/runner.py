@@ -9,32 +9,30 @@ results, so there is exactly one writer and no lock file.
 
 Failure isolation: a point that raises is an ``"error"`` outcome with
 its traceback, and a worker that dies is replaced and its point re-run
-(see :class:`WorkerPool`).  The per-point ``timeout`` is enforced
-*inside* the executing process via ``SIGALRM`` (wall-clock from the
-point's own start), so a timed-out worker survives and picks up the
-next point; a parent-side backstop kills a worker that hangs somewhere
-signals cannot reach.
+(see :class:`WorkerPool`, whose one monitor thread watches every
+worker).  The per-point ``timeout`` is enforced *inside* the executing
+process via ``SIGALRM`` (wall-clock from the point's own start), so a
+timed-out worker survives and picks up the next point; the monitor's
+backstop kills a worker that hangs somewhere signals cannot reach.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import queue
 import signal
+import socket
 import stat
 import threading
 import time
 import traceback
 from collections import deque
 from collections.abc import Callable
-from concurrent.futures import (
-    BrokenExecutor,
-    CancelledError,
-    Future,
-    ProcessPoolExecutor,
-)
 from dataclasses import dataclass, field
 from functools import partial
+from multiprocessing import connection
+from multiprocessing.process import BaseProcess
 
 from repro.api.cancel import CancelToken
 from repro.api.parse import parse_engine
@@ -73,6 +71,9 @@ BACKSTOP_SLACK_S = 30.0
 #: lock another thread of the parent held at the fork, say).
 HUNG_WORKER_S = 10.0
 
+#: Workers fork on every platform: they inherit the execution layer.
+_FORK = multiprocessing.get_context("fork")
+
 
 class _PointTimeout(Exception):
     """Raised by the SIGALRM handler when a point's budget expires."""
@@ -95,17 +96,18 @@ def _import_execution_layer() -> None:
     import repro.eval.system_runner  # noqa: F401
 
 
-def _pool_worker_init() -> None:
-    """Pool workers ignore SIGINT: a terminal Ctrl-C reaches the whole
-    process group, and the *parent* owns the shutdown story (cooperative
-    cancellation or a clean drain) -- a worker that dies mid-point to
-    the shared signal would count as a crash instead.  Workers stay
-    bound by their per-point SIGALRM budgets and die with the parent.
+def _worker_main(conn: connection.Connection) -> None:
+    """Run each point the pipe brings and answer it, until the parent
+    closes the pipe.  Workers ignore SIGINT: a terminal Ctrl-C reaches
+    the whole process group, and the *parent* owns the shutdown story
+    (cooperative cancellation or a clean drain) -- a worker that dies
+    mid-point to the shared signal would count as a crash instead.
+    Workers stay bound by their per-point SIGALRM budgets and die with
+    the parent.
 
-    A forked worker also closes every socket it inherited: a worker
-    forked while ``repro serve`` streams a job's events would otherwise
-    hold that connection open after the server closes it.  Workers talk
-    to the parent over pipes only."""
+    A worker also closes every socket it inherited but its own pipe: a
+    worker forked while ``repro serve`` streams a job's events would
+    otherwise hold that connection open after the server closes it."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
         fds = [int(fd) for fd in os.listdir("/dev/fd")]
@@ -113,10 +115,15 @@ def _pool_worker_init() -> None:
         fds = []
     for fd in fds:
         try:
-            if stat.S_ISSOCK(os.fstat(fd).st_mode):
+            if fd != conn.fileno() and stat.S_ISSOCK(os.fstat(fd).st_mode):
                 os.close(fd)
         except OSError:  # the descriptor listdir itself used
             pass
+    while True:
+        try:
+            conn.send(point_worker(*conn.recv()))
+        except (EOFError, OSError):  # the parent closed the pipe, or died
+            return
 
 
 def execute_workload(point: Workload, **kwargs) -> Result:
@@ -176,53 +183,42 @@ def point_worker(point: Workload, base_cfg: CoreConfig | None,
 
 @dataclass(eq=False)
 class _Slot:
-    """One worker process; ``future`` is set while it runs a point."""
+    """One worker process, the parent's end of its pipe, its point."""
 
-    executor: ProcessPoolExecutor | None = None
-    future: Future | None = None
+    process: BaseProcess | None = None
+    conn: connection.Connection | None = None
     point: Workload | None = None
     timeout: float | None = None
     done: Callable[[str, object, float], None] | None = None
     start: float = 0.0
     crashes: int = 0
-    backstop: threading.Timer | None = None
-    #: The worker's CPU time at the watchdog's last look at this point.
+    deadline: float | None = None   # of the backstop; None: no timeout
+    #: The worker's CPU time at the monitor's last look at this point.
     cpu: int | None = None
-
-
-def _cpu_ticks(slot: _Slot) -> int | None:
-    """User plus system CPU time of the slot's worker, in clock ticks;
-    None when there is no worker or ``/proc`` cannot tell."""
-    for pid in list(getattr(slot.executor, "_processes", None) or {}):
-        try:
-            with open(f"/proc/{pid}/stat", "rb") as stat_file:
-                fields = stat_file.read().rsplit(b")", 1)[1].split()
-        except OSError:  # the worker is gone, or no /proc here
-            return None
-        return int(fields[11]) + int(fields[12])
-    return None
+    failed: str | None = None       # why no worker could be started
 
 
 class WorkerPool:
     """The one owner of simulation worker processes.
 
-    Each of the ``workers`` slots is a single-process executor running
-    :func:`point_worker` bound to one session's ``base_cfg``,
-    ``max_cycles`` and ``engine``.  :meth:`submit` starts a point on a
-    free slot; ``done(status, payload, seconds)`` is called once per
-    point, on a pool thread, after the slot is free again -- callers
-    keep at most ``workers`` points in flight and dispatch the next one
-    from ``done``.
+    Each of the ``workers`` slots owns one forked process that runs
+    :func:`point_worker`, bound to one session's ``base_cfg``,
+    ``max_cycles`` and ``engine``, on each point its pipe brings.
+    :meth:`submit` starts a point on a free slot; ``done(status,
+    payload, seconds)`` is called once per point, after the slot is
+    free again, on the pool's one thread: ``worker-monitor``, which
+    waits on every busy worker at once.  Callers keep at most
+    ``workers`` points in flight and dispatch the next from ``done``.
 
     A worker's death is charged to the one point it ran: the pool
     replaces the worker and re-runs the point, which becomes an
     ``"error"`` only after :data:`MAX_WORKER_CRASHES` deaths in a row.
     A worker that holds a point and uses no CPU time for
-    :data:`HUNG_WORKER_S` is hung: the pool's watchdog thread kills it,
-    and that counts as its death, timeout or not.  A point still running
-    at the backstop (three times its timeout plus
-    :data:`BACKSTOP_SLACK_S`) has its worker killed and becomes a
-    ``"timeout"``.  :attr:`crashes` counts every worker death.
+    :data:`HUNG_WORKER_S` is hung: the monitor kills it, and that counts
+    as its death, timeout or not.  A point still running at the
+    backstop (three times its timeout plus :data:`BACKSTOP_SLACK_S`)
+    has its worker killed and becomes a ``"timeout"``.  :attr:`crashes`
+    counts every worker death.
     """
 
     def __init__(self, workers: int, base_cfg: CoreConfig | None = None,
@@ -231,38 +227,33 @@ class WorkerPool:
         self.workers = workers
         self._bound = (base_cfg, max_cycles)
         self._engine = engine
-        # Reentrant: a future that resolves before its callback is
-        # registered runs the callback on the registering thread.
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._slots = [_Slot() for _ in range(workers)]
         self._closed = False
         self.crashes = 0
-        # The watchdog runs from the first point until the pool is
-        # closed with no point left in flight.
-        self._watchdog: threading.Thread | None = None
-        self._wake = threading.Condition(self._lock)
+        # The monitor runs from the first point until the pool is closed
+        # with no point left in flight; a byte on ``_wake`` wakes it.
+        self._monitor: threading.Thread | None = None
+        self._wake: socket.socket | None = None
 
     @property
     def inflight(self) -> int:
         with self._lock:
-            return sum(slot.future is not None for slot in self._slots)
+            return sum(slot.point is not None for slot in self._slots)
 
     @property
     def live_workers(self) -> int:
         """Slots whose worker process is alive (workers start on a
         slot's first point and are replaced after a death)."""
         with self._lock:
-            return sum(
-                any(proc.is_alive() for proc in list(
-                    (getattr(slot.executor, "_processes", None)
-                     or {}).values()))
-                for slot in self._slots)
+            return sum(slot.process is not None and slot.process.is_alive()
+                       for slot in self._slots)
 
     def submit(self, point: Workload, timeout: float | None,
                done: Callable[[str, object, float], None]) -> None:
         """Start ``point`` on a free worker; ``done`` reports it."""
         with self._lock:
-            free = [slot for slot in self._slots if slot.future is None]
+            free = [slot for slot in self._slots if slot.point is None]
             if self._closed or not free:
                 raise RuntimeError("worker pool is closed" if self._closed
                                    else "all workers are busy")
@@ -272,136 +263,146 @@ class WorkerPool:
             try:
                 self._start(slot)
             except Exception:  # no worker can be spawned (EAGAIN, EMFILE)
+                # The monitor reports it, as every point: ``done`` submits.
                 self._discard(slot)
-                report = self._free(slot, "error", traceback.format_exc())
-                # Reported from its own thread, like every other point:
-                # the caller may dispatch again from ``done``.
-                threading.Thread(target=report, daemon=True).start()
+                slot.failed = traceback.format_exc()
+            if self._monitor is None:
+                self._wake, wake = socket.socketpair()
+                self._monitor = threading.Thread(
+                    target=self._watch, args=(wake,), daemon=True,
+                    name="worker-monitor")
+                self._monitor.start()
+            self._wake.send(b"\0")
 
     def _start(self, slot: _Slot) -> None:
-        # Callers hold self._lock.
-        call = (point_worker, slot.point, *self._bound, slot.timeout,
-                self._engine, _obs.sink_dir())
-        try:
-            future = self._executor(slot).submit(*call)
-        except BrokenExecutor:  # its idle worker died since the last point
-            self.crashes += 1
+        # Callers hold self._lock.  Hands the slot's point to its worker,
+        # forking a new one when the slot has none alive.
+        if slot.process is not None and not slot.process.is_alive():
+            self.crashes += 1  # its idle worker died since the last point
             self._discard(slot)
-            future = self._executor(slot).submit(*call)
-        slot.future, slot.cpu = future, None
-        if self._watchdog is None:
-            self._watchdog = threading.Thread(
-                target=self._watch, daemon=True, name="worker-watchdog")
-            self._watchdog.start()
-        if slot.timeout is not None:
-            slot.backstop = threading.Timer(
-                3.0 * slot.timeout + BACKSTOP_SLACK_S, self._expire,
-                (slot, future))
-            slot.backstop.daemon = True
-            slot.backstop.start()
-        future.add_done_callback(partial(self._finished, slot))
-
-    def _executor(self, slot: _Slot) -> ProcessPoolExecutor:
-        if slot.executor is None:
+        if slot.process is None:
             _import_execution_layer()
-            slot.executor = ProcessPoolExecutor(
-                max_workers=1, initializer=_pool_worker_init)
-        return slot.executor
+            slot.conn, child = _FORK.Pipe()
+            try:
+                process = _FORK.Process(target=_worker_main, args=(child,),
+                                        daemon=True)
+                process.start()
+                slot.process = process
+            finally:
+                child.close()
+        slot.deadline = None if slot.timeout is None else \
+            time.monotonic() + 3.0 * slot.timeout + BACKSTOP_SLACK_S
+        slot.cpu = None
+        try:
+            slot.conn.send((slot.point, *self._bound, slot.timeout,
+                            self._engine, _obs.sink_dir()))
+        except OSError:  # the worker died just now: the monitor sees it
+            pass
 
-    def _discard(self, slot: _Slot, kill: bool = False) -> None:
-        # Callers hold self._lock.
-        executor, slot.executor = slot.executor, None
-        if executor is None:
-            return
-        if kill:  # the executor has no public way to kill its worker
-            for proc in list((getattr(executor, "_processes", None)
-                              or {}).values()):
-                proc.kill()
-        executor.shutdown(wait=False, cancel_futures=True)
+    def _discard(self, slot: _Slot) -> None:
+        # Callers hold self._lock.  Ends the slot's worker: killed while
+        # the slot holds a point, else it exits as its pipe closes.
+        if slot.conn is not None:
+            slot.conn.close()
+        if slot.process is not None:
+            if slot.point is not None:
+                slot.process.kill()
+            slot.process.join()
+        slot.conn = slot.process = None
 
     def _free(self, slot: _Slot, status: str, payload,
               seconds: float | None = None) -> Callable[[], None]:
-        # Callers hold self._lock.  Frees the slot and returns the report
-        # of its point, for the caller to make outside the lock.
-        if slot.backstop is not None:
-            slot.backstop.cancel()
-        slot.future = slot.backstop = None
-        if self._closed:  # the watchdog may be done
-            self._wake.notify()
+        # Callers hold self._lock.  Frees the slot, ending its worker once
+        # the pool is closed, and returns the report of its point for the
+        # caller to make outside the lock.
+        if self._closed:
+            self._discard(slot)
         if seconds is None:
             seconds = time.perf_counter() - slot.start
-        return partial(slot.done, status, payload, seconds)
+        report = partial(slot.done, status, payload, seconds)
+        slot.point = slot.done = slot.failed = None
+        return report
 
-    def _finished(self, slot: _Slot, future: Future) -> None:
-        # Runs on the slot's executor thread.
-        with self._lock:
-            if slot.future is not future:
-                return  # already reported by the backstop or close()
-            try:
-                report = self._free(slot, *future.result())
-            except (BrokenExecutor, CancelledError):  # its worker died
-                if self._rerun(slot):
-                    return
-                report = self._free(
-                    slot, "cancelled" if self._closed else "error",
-                    f"worker died {slot.crashes} time(s) running this "
-                    f"point")
-            except Exception:  # e.g. a result that fails to unpickle
-                report = self._free(slot, "error", traceback.format_exc())
-        report()
-
-    def _rerun(self, slot: _Slot) -> bool:
-        # Callers hold self._lock.  Counts the death of the slot's
-        # worker; True when the point runs again on a fresh one.
+    def _died(self, slot: _Slot, how: str = "") -> Callable[[], None] | None:
+        # Callers hold self._lock.  Counts the death of the slot's worker
+        # (killing it if it was hung) and runs its point again on a fresh
+        # one; returns the report when the point is given up instead.
         self.crashes += 1
         slot.crashes += 1
         self._discard(slot)
-        if self._closed or slot.crashes >= MAX_WORKER_CRASHES:
-            return False
-        try:
-            self._start(slot)
-        except Exception:  # no worker can be spawned: give the point up
+        if not self._closed and slot.crashes < MAX_WORKER_CRASHES:
+            try:
+                self._start(slot)
+                return None
+            except Exception:  # no worker can be spawned: give it up
+                self._discard(slot)
+        return self._free(slot, "cancelled" if self._closed else "error",
+                          f"worker died {slot.crashes} time(s) running "
+                          f"this point{how}")
+
+    def _check(self, slot: _Slot, now: float,
+               look: bool) -> Callable[[], None] | None:
+        # Callers hold self._lock.  The report of the busy slot's point
+        # once it is over, else None; ``look`` checks its CPU time too.
+        if slot.failed is not None:
+            return self._free(slot, "error", slot.failed)
+        if slot.conn.poll():
+            try:
+                return self._free(slot, *slot.conn.recv())
+            except (EOFError, OSError):  # the worker died
+                return self._died(slot)
+            except Exception:  # e.g. a result that fails to unpickle
+                return self._free(slot, "error", traceback.format_exc())
+        if not slot.process.is_alive():
+            return self._died(slot)
+        if slot.deadline is not None and now >= slot.deadline:
             self._discard(slot)
-            return False
-        return True
+            return self._free(slot, "timeout", f"exceeded {slot.timeout}s "
+                              f"budget; hung worker killed")
+        if look:  # user plus system CPU time, in clock ticks
+            try:
+                with open(f"/proc/{slot.process.pid}/stat", "rb") as file:
+                    fields = file.read().rsplit(b")", 1)[1].split()
+            except OSError:  # the worker is gone, or no /proc here
+                return None
+            cpu, slot.cpu = slot.cpu, int(fields[11]) + int(fields[12])
+            if cpu == slot.cpu:
+                return self._died(slot, "; the last one hung")
+        return None
 
-    def _expire(self, slot: _Slot, future: Future) -> None:
-        # Runs on the backstop timer thread.
-        with self._lock:
-            if slot.future is not future:
-                return
-            self._discard(slot, kill=True)
-            report = self._free(slot, "timeout", f"exceeded "
-                                f"{slot.timeout}s budget; hung worker "
-                                f"killed")
-        report()
-
-    def _watch(self) -> None:
-        # Runs on the watchdog thread.  A worker whose CPU time has not
-        # moved in a whole look's interval while it held one point is
-        # killed; its point runs again as after any death.
+    def _watch(self, wake: socket.socket) -> None:
+        # Runs on the worker-monitor thread.
+        look = time.monotonic() + HUNG_WORKER_S
         while True:
-            reports = []
             with self._lock:
-                if self._closed and not self.inflight:
-                    self._watchdog = None
+                busy = [slot for slot in self._slots
+                        if slot.point is not None]
+                if self._closed and not busy:
+                    wake.close()
+                    self._wake.close()
+                    self._monitor = self._wake = None
                     return
-                if self._wake.wait(HUNG_WORKER_S):
-                    continue  # woken by close() before a whole interval
-                for slot in self._slots:
-                    if slot.future is None:
-                        continue
-                    cpu, slot.cpu = slot.cpu, _cpu_ticks(slot)
-                    if cpu is None or cpu != slot.cpu:
-                        continue
-                    self._discard(slot, kill=True)
-                    if not self._rerun(slot):
-                        reports.append(self._free(
-                            slot, "cancelled" if self._closed else "error",
-                            f"worker died {slot.crashes} time(s) running "
-                            f"this point; the last one hung"))
-            for report in reports:
-                report()
+                # Descriptors, not connections: close(kill) may close one.
+                waits = [wake] + [fd for slot in busy if slot.process
+                                  for fd in (slot.conn.fileno(),
+                                             slot.process.sentinel)]
+                due = min([look] + [slot.deadline for slot in busy
+                                    if slot.deadline is not None])
+            if wake in connection.wait(waits,
+                                       max(0.0, due - time.monotonic())):
+                wake.recv(4096)
+            now = time.monotonic()
+            looking = now >= look
+            if looking:
+                look = now + HUNG_WORKER_S
+            with self._lock:
+                reports = [self._check(slot, now, looking)
+                           for slot in self._slots if slot.point is not None]
+            for report in filter(None, reports):
+                try:
+                    report()
+                except Exception:  # a faulty ``done`` strands no other point
+                    traceback.print_exc()
 
     def close(self, wait: bool = True, kill: str | None = None) -> None:
         """Accept no more points; in-flight points finish and report
@@ -410,20 +411,19 @@ class WorkerPool:
         ``"cancelled"`` with ``kill`` as the reason."""
         with self._lock:
             self._closed = True
-            self._wake.notify()
-            executors = [slot.executor for slot in self._slots
-                         if slot.executor is not None]
-            reports = []
-            if kill:
-                reports = [self._free(slot, "cancelled", kill)
-                           for slot in self._slots
-                           if slot.future is not None]
-                for slot in self._slots:
-                    self._discard(slot, kill=True)
-        for executor in executors:
-            executor.shutdown(wait=wait)
+            reports = [self._free(slot, "cancelled", kill)
+                       for slot in self._slots
+                       if kill and slot.point is not None]
+            for slot in self._slots:
+                if slot.point is None:
+                    self._discard(slot)
+            monitor = self._monitor
+            if monitor is not None:
+                self._wake.send(b"\0")
         for report in reports:
             report()
+        if wait and monitor not in (None, threading.current_thread()):
+            monitor.join()
 
 
 @dataclass
@@ -714,7 +714,7 @@ class SweepRunner:
                           self.engine)
         todo = deque(pending)
         landed: queue.SimpleQueue = queue.SimpleQueue()
-        lock = threading.RLock()
+        lock = threading.Lock()
         stopped = interrupted = False
 
         def dispatch() -> None:

@@ -14,6 +14,7 @@ clears.
 import errno
 import multiprocessing
 import os
+import queue
 import signal
 import sys
 import threading
@@ -21,11 +22,14 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.api import workload
+from repro.obs import spans
+from repro.obs.metrics import METRICS
 from repro.serve import ServeError
 from repro.serve.testing import ServerThread
 from repro.sweep import ResultCache, SweepRunner
-from repro.sweep import runner
+from repro.sweep import cache, runner
 from repro.sweep.runner import MAX_WORKER_CRASHES
 
 POINTS = [workload("vecop", variant, n=n)
@@ -66,6 +70,13 @@ def _new_children(before: set[int]) -> list:
 def _failure_lines(store) -> int:
     path = store / "failures.jsonl"
     return len(path.read_text().splitlines()) if path.exists() else 0
+
+
+#: Callables run in the parent just before every fork; empty outside
+#: the tests that fill it.  Registered after ``repro.sweep.cache`` is
+#: imported, so these run before its ``_APPEND_LOCK`` guard.
+_BEFORE_FORK: list = []
+os.register_at_fork(before=lambda: [hook() for hook in _BEFORE_FORK])
 
 
 # -- sweeps -------------------------------------------------------------------
@@ -202,14 +213,81 @@ def test_failed_store_write_raises_and_leaves_no_worker(tmp_path,
 
 
 def test_unspawnable_worker_is_an_error_outcome(monkeypatch):
-    class NoFork(runner.ProcessPoolExecutor):
-        def submit(self, *args, **kwargs):
+    class NoFork(runner._FORK.Process):
+        def start(self):
             raise OSError(errno.EAGAIN, "fork refused")
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", NoFork)
+    monkeypatch.setattr(runner._FORK, "Process", NoFork)
     campaign = SweepRunner(workers=2).run(POINTS[:5])
     assert [o.status for o in campaign] == ["error"] * 5
     assert "fork refused" in campaign.outcomes[0].error
+
+
+#: The parent's locks a worker takes, by name; each entry returns the
+#: lock object in use.
+_LOCKS = {
+    "metrics": lambda: METRICS._lock,
+    "spans": lambda: spans.tracer()._lock,
+    "append": lambda: cache._APPEND_LOCK,
+}
+
+
+@pytest.mark.parametrize("lock", sorted(_LOCKS))
+def test_a_lock_held_by_another_thread_at_the_fork_does_not_hang_workers(
+        tmp_path, monkeypatch, lock):
+    """A fork copies only the forking thread: a lock another thread of
+    the parent holds at that moment stays held in the worker forever,
+    unless the fork waits for it or the worker makes a fresh one."""
+    def hold() -> None:
+        held = threading.Event()
+
+        def holder() -> None:
+            with _LOCKS[lock]():
+                held.set()
+                time.sleep(0.2)
+
+        threading.Thread(target=holder, daemon=True).start()
+        held.wait()
+
+    monkeypatch.setattr(runner, "HUNG_WORKER_S", 0.5)
+    obs.enable(jsonl_dir=tmp_path / "obs", keep_in_memory=False)
+    _BEFORE_FORK.append(hold)
+    pool = runner.WorkerPool(2)
+    try:
+        landed: queue.SimpleQueue = queue.SimpleQueue()
+        for point in POINTS[:2]:
+            pool.submit(point, None, lambda *report: landed.put(report))
+        statuses = [landed.get(timeout=60)[0] for _ in range(2)]
+    finally:
+        _BEFORE_FORK.clear()
+        pool.close()
+        obs.disable()
+    assert statuses == ["ok", "ok"]
+    assert pool.crashes == 0
+
+
+def test_the_pool_adds_one_thread_at_every_worker_fork(tmp_path,
+                                                      monkeypatch):
+    """Every worker, the replacement of a killed one too, forks while
+    the pool runs at most one thread of its own, ``worker-monitor``."""
+    victim, marker = POINTS[1], tmp_path / "killed"
+    _inject(monkeypatch,
+            lambda p: p == victim and _first_time(marker) and _die())
+    before = set(threading.enumerate())
+    added: list = []
+    _BEFORE_FORK.append(
+        lambda: added.append(set(threading.enumerate()) - before))
+    try:
+        campaign = SweepRunner(workers=2).run(POINTS[:4])
+    finally:
+        _BEFORE_FORK.clear()
+
+    assert marker.exists()
+    assert [o.status for o in campaign] == ["ok"] * 4
+    assert len(added) == 3  # two workers and the killed one's successor
+    for threads in added:
+        assert len(threads) <= 1
+        assert {thread.name for thread in threads} <= {"worker-monitor"}
 
 
 # -- serve --------------------------------------------------------------------
