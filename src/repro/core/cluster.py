@@ -149,7 +149,6 @@ class Cluster:
         self._loop = None
         self._bodies.clear()
         if self.fastpath is not None:
-            self.fastpath._reset()
             self.fastpath.loop.reset()
 
     def _install_program_image(self) -> None:
@@ -338,13 +337,13 @@ def run_clusters(clusters: list[Cluster], max_cycles: int, system=None,
                  errors=(SimulationTimeout, SimulationDeadlock)) -> None:
     """The one run loop: step the unfinished clusters whose clock is
     lowest until every cluster is :attr:`~Cluster.done`, then release
-    them; the one place the fast paths engage (the FREP batch observes
-    a step in an FREP region, the memo runs at a loop head).  Once every
-    core of every unfinished cluster has halted, 64 iterations without
-    progress are a deadlock.  A ``system`` (:class:`repro.system.System`)
-    opens its barrier before each batch is chosen and arbitrates its
-    interconnect before the batch steps; a bare cluster never opens a
-    system barrier.
+    them; the one place the fast paths engage (the FREP batch watches a
+    region until it decides it, the memo runs at a loop head).  Once
+    every core of every unfinished cluster has halted, 64 iterations
+    without progress are a deadlock.  A ``system``
+    (:class:`repro.system.System`) opens its barrier before each batch is
+    chosen and arbitrates its interconnect before the batch steps; a
+    bare cluster never opens a system barrier.
     """
     timeout, deadlock = errors
     active = [cl for cl in clusters if not cl.done]
@@ -377,7 +376,7 @@ def run_clusters(clusters: list[Cluster], max_cycles: int, system=None,
                 else:
                     cl._advance(now + 1)
                 if fastpath is not None:
-                    if fastpath._state or seq._active:  # else a no-op
+                    if fastpath.deciding or seq.frep_begun:  # else a no-op
                         fastpath.observe()
                     if core.loop_head:
                         fastpath.loop.at_head(max_cycles)

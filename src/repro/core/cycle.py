@@ -15,12 +15,12 @@ seed interpreter steps any other cluster); each text is compiled once
 per process, and every cluster binds its own objects into it.
 
 ``run(limit, resume)`` returns after the cycle in which the clock
-reaches ``limit``, core 0 is halted or, under ``auto``, a loop head or
-an FREP region calls for the memo or the fast path, which the run loop
-then engages.  An ``scfg`` or FP CSR issue that re-arms a stream,
-switches the SSRs or writes the chaining mask returns mid-cycle with the
-LSU commits still to apply; the cluster rebinds and resumes that cycle
-at its writeback (``resume``).
+reaches ``limit`` or core 0 is halted, or, under ``auto``, after a loop
+head, an ``frep`` and each later cycle until the fast path decides the
+region, for the run loop to engage them.  An ``scfg`` or FP CSR issue
+that re-arms a stream, switches the SSRs or writes the chaining mask
+returns mid-cycle with the LSU commits still to apply; the cluster
+rebinds and resumes that cycle at its writeback (``resume``).
 """
 
 from __future__ import annotations
@@ -271,7 +271,7 @@ def _source(key: tuple) -> str:
         tail += _RECORD.format(row=row).splitlines()
     exits = ["c >= limit", "core.halted"]
     if memo:
-        exits += ["core.loop_head", "seq._active", "fastpath._state"]
+        exits += ["core.loop_head", "seq.frep_begun", "fastpath.deciding"]
     tail += _END.format(exits=" or ".join(exits)).splitlines()
     return _TEMPLATE.format(bind=block(bind, 4), first=block(first, 12),
                             resume=block(tail, 16),

@@ -19,18 +19,17 @@ fidelity:
    register staggering, cross-iteration register carries, FP loads --
    fall back to the scalar model, which remains the reference.
 
-2. **Period detection** -- while the region is eligible and the rest of
-   the cluster is quiescent, a structural fingerprint of all
-   timing-relevant state (pipe occupancy and relative completion times,
-   FIFO fill levels, chaining valid bits, TCDM port states, stream
-   walker phase modulo the bank interleave) is taken each cycle,
-   together with a snapshot of every counter in the machine.  Since the
-   micro-architecture's timing is value-independent, two instants with
-   equal fingerprints bracket one steady-state period: everything the
-   window changed, later windows change identically.  The per-window
-   counter deltas are additionally screened for one-shot events (an
-   in-flight load landing, an integer instruction retiring) which mark
-   the window as non-replayable.
+2. **Period detection** -- an eligible region with at least
+   ``_MIN_REMAINING`` body instances left is watched until it is
+   decided.  While the rest of the cluster is quiescent, a structural
+   fingerprint of all timing-relevant state (pipe occupancy and
+   relative completion times, FIFO fill levels, chaining valid bits,
+   TCDM port states, stream walker phase modulo the bank interleave)
+   and a snapshot of every counter are taken at each iteration
+   boundary.  Timing is value-independent, so two instants with equal
+   fingerprints bracket one steady-state period.  A window with a
+   one-shot event (an in-flight load landing, an integer instruction
+   retiring) declines the region.
 
 3. **Batch execution** -- the remaining whole periods are then applied at
    once: every counter advances by ``N x`` its measured per-period
@@ -46,9 +45,11 @@ fidelity:
    drains through the scalar path.
 
 The engine is attached under ``CoreConfig.engine == "auto"`` to the
-clusters the micro-op engine steps (see :mod:`repro.core.cluster`); the
-run loop alone calls :meth:`FastPathEngine.observe` and
-:meth:`LoopMemo.at_head`, so ``Cluster.step`` stays one cycle.
+clusters the micro-op engine steps (see :mod:`repro.core.cluster`).  An
+``frep`` raises ``Sequencer.frep_begun`` as a loop head raises
+``IntCore.loop_head``; the run loop alone then calls
+:meth:`FastPathEngine.observe` until the region is decided (batched,
+declined or ended), so ``Cluster.step`` stays one cycle.
 
 Integer-core loops, which never reach the FREP sequencer, are the loop
 memo's (:class:`LoopMemo`, in the second half of this module): it
@@ -116,8 +117,10 @@ _PERIODIC_SLOTS = frozenset(SLOT[name] for name in (
 ))
 
 _HISTORY_CAP = 4096
-
-_IDLE, _ARMED, _DONE, _REJECTED = range(4)
+#: Fewest body instances an eligible region must have left to be
+#: watched; a shorter one declines as ``short-region`` (the A/B n-sweep
+#: behind the value is in docs/performance.md, "Admission").
+_MIN_REMAINING = 576
 
 
 @dataclass(slots=True)
@@ -338,55 +341,47 @@ class FastPathEngine:
         self.cluster = weakref.proxy(cluster)
         self.core = cluster.core
         self.fp = cluster.fp
-        self._state = _IDLE
+        #: Set from an ``frep`` until the region is decided: batched,
+        #: declined or ended (the stepped cycle returns while it is set).
+        self.deciding = False
         self._plan: _BodyPlan | None = None
         self._history: dict[tuple, tuple[int, int, dict]] = {}
-        self.stats = {
-            "regions_seen": 0,
-            "regions_eligible": 0,
-            "applications": 0,
-            "fast_forwarded_cycles": 0,
-            "fast_forwarded_instrs": 0,
-            "reject_reasons": {},
-        }
-        #: Why the most recent region analysis bailed (``None`` while
-        #: the last region was eligible).
-        self.reject_reason: str | None = None
+        self.stats = dict(regions_seen=0, regions_eligible=0, applications=0,
+                          fast_forwarded_cycles=0, fast_forwarded_instrs=0,
+                          reject_reasons={})
         #: The integer-loop iteration memo; reports under ``loop_*``.
         self.loop = LoopMemo(cluster, self)
 
-    # -- the run loop's hook, after a stepped cycle in an FREP region ------
+    # -- the run loop's hook, while an FREP region is undecided ------------
 
     def observe(self) -> None:
+        """Called at a cycle boundary from the cycle of an ``frep`` (the
+        sequencer's ``frep_begun``) on, until the region is decided."""
         seq = self.fp.sequencer
-        if not seq.frep_active:
-            if self._state != _IDLE:
-                self._reset()
+        if seq.frep_begun:
+            seq.frep_begun = False
+            self.deciding = True
+        elif not self.deciding:
             return
-        if self._state in (_DONE, _REJECTED):
+        if not seq._active:
+            # Seen (and counted) only once its body was buffered.
+            self._decide("no-repeat" if self._plan is not None else None)
             return
-        if self._state == _IDLE:
+        if self._plan is None:
             if not seq.body_buffered:
                 return
             self.stats["regions_seen"] += 1
-            self.reject_reason = None
-            self._plan = self._analyze()
-            if self._plan is None:
-                self._state = _REJECTED
-                if _obs.ENABLED:
-                    _obs.tracer().sim_instant(
-                        "fastpath.reject", "engine", self.cluster.cycle,
-                        lane=getattr(self.cluster, "obs_lane", "cluster"),
-                        args={"reason": self.reject_reason})
+            plan = self._analyze()
+            if isinstance(plan, str):
+                self._decide(plan)
                 return
             self.stats["regions_eligible"] += 1
-            if _obs.ENABLED:
-                _obs.tracer().sim_instant(
-                    "fastpath.accept", "engine", self.cluster.cycle,
-                    lane=getattr(self.cluster, "obs_lane", "cluster"),
-                    args={"body_len": seq.body_len, "iters": seq.iters})
-            self._state = _ARMED
-            self._history = {}
+            self._event("fastpath.accept", body_len=seq.body_len,
+                        iters=seq.iters)
+            if seq.iters * seq.body_len - seq.position < _MIN_REMAINING:
+                self._decide("short-region")
+                return
+            self._plan = plan
         if not self._gate():
             # The steady state is only replayable when the whole window
             # is; any non-quiescent cycle poisons collected evidence.
@@ -408,26 +403,39 @@ class FastPathEngine:
             period, dpos = cycle - prev[0], pos - prev[1]
             delta = _since(self.cluster, prev[2])
             if not self._delta_ok(delta):
-                self._state = _REJECTED
+                self._decide("one-shot-event")
                 return
             periods = self._max_periods(delta)
-            if periods >= 1 and self._apply(period, delta, periods):
+            if periods < 1:
+                self._decide("no-whole-period")
+            elif not self._apply(period, delta, periods):
+                self._decide("apply-refused")
+            else:
                 self.stats["applications"] += 1
                 self.stats["fast_forwarded_cycles"] += periods * period
                 self.stats["fast_forwarded_instrs"] += periods * dpos
-            self._state = _DONE
-            self._history.clear()
+                self._decide(None)
             return
         if len(self._history) >= _HISTORY_CAP:
-            self._state = _REJECTED
-            self._history.clear()
+            self._decide("no-repeat")
             return
         self._history[fingerprint] = (cycle, pos, _snapshot(self.cluster))
 
-    def _reset(self) -> None:
-        self._state = _IDLE
+    def _decide(self, reason: str | None) -> None:
+        """End the watch on a region: batched, or declined for ``reason``."""
+        self.deciding = False
         self._plan = None
         self._history = {}
+        if reason is not None:
+            reasons = self.stats["reject_reasons"]
+            reasons[reason] = reasons.get(reason, 0) + 1
+            self._event("fastpath.reject", reason=reason)
+
+    def _event(self, name: str, **args) -> None:
+        if _obs.ENABLED:
+            _obs.tracer().sim_instant(
+                name, "engine", self.cluster.cycle, args=args,
+                lane=getattr(self.cluster, "obs_lane", "cluster"))
 
     # -- quiescence gate -----------------------------------------------------
 
@@ -460,18 +468,12 @@ class FastPathEngine:
             return False
         return all(cfg.strides[d] % 8 == 0 for d in range(cfg.ndims))
 
-    def _reject(self, reason: str) -> None:
-        """Record why this region falls back to the scalar path."""
-        self.reject_reason = reason
-        reasons = self.stats["reject_reasons"]
-        reasons[reason] = reasons.get(reason, 0) + 1
-        return None
-
-    def _analyze(self) -> _BodyPlan | None:
+    def _analyze(self) -> _BodyPlan | str:
+        """The region's body plan, or why it is not eligible."""
         fp = self.fp
         seq = fp.sequencer
         if seq.inner or seq.staggered:
-            return self._reject("nested-or-staggered-frep")
+            return "nested-or-staggered-frep"
 
         body = seq.body_entries()
         L = len(body)
@@ -488,19 +490,19 @@ class FastPathEngine:
             {r for r, s in enumerate(streamers)
              if self._affine_ok(s, SsrMode.WRITE)})
         if type(flow) is tuple:
-            return self._reject("ineligible-operand" if flow[1] == "operand"
-                                else "non-affine-write-stream")
+            return ("ineligible-operand" if flow[1] == "operand"
+                    else "non-affine-write-stream")
         if n_vec < L:
-            return self._reject("non-vector-op")
+            return "non-vector-op"
         # A chaining push left unmatched would be popped next iteration:
         # a cross-iteration carry the vectorized evaluation cannot model.
         if any(flow.chains.values()):
-            return self._reject("cross-iteration-chain-carry")
+            return "cross-iteration-chain-carry"
         # A register read before any write in the same iteration carries
         # the previous iteration's value.
         if any(sym[0] == "r" and sym[1] in flow.writers
                for sources in flow.sources for sym in sources):
-            return self._reject("cross-iteration-register-carry")
+            return "cross-iteration-register-carry"
 
         # Element addresses are the loop memo's views of the armings.
         views = {r: self.loop._view(fp.streamers[r])
@@ -508,9 +510,8 @@ class FastPathEngine:
         for r, view in views.items():
             if view is None:
                 # The seed path must surface the fault.
-                return self._reject("write-stream-out-of-range"
-                                    if r in flow.pushes
-                                    else "read-stream-out-of-range")
+                return ("write-stream-out-of-range" if r in flow.pushes
+                        else "read-stream-out-of-range")
         # The streams the body writes must not alias anything the body
         # reads (bulk gathers assume stable inputs) or another write
         # stream (bulk scatters assume a single in-order writer).
@@ -518,7 +519,7 @@ class FastPathEngine:
         for r in flow.pushes:
             lo, hi = views[r].span
             if any(lo < hi2 and lo2 < hi for lo2, hi2 in spans):
-                return self._reject("write-stream-alias")
+                return "write-stream-alias"
             spans.append((lo, hi))
 
         def per_iteration(events: dict) -> dict:

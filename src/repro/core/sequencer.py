@@ -60,6 +60,8 @@ class Sequencer:
         self._stagger_mask = 0
         self._buffer: list[DispatchedEntry] = []
         self._active = False
+        #: Raised by each ``frep``, for the FREP batch to clear.
+        self.frep_begun = False
         #: Staggered entry copies, memoized by (body index, register
         #: offset): the rewrite depends only on those two, and offsets
         #: cycle with period ``stagger_max + 1``, so each distinct copy
@@ -80,10 +82,6 @@ class Sequencer:
         self.queue.append(entry)
 
     # -- frep --------------------------------------------------------------
-
-    @property
-    def frep_active(self) -> bool:
-        return self._active
 
     @property
     def body_len(self) -> int:
@@ -155,6 +153,7 @@ class Sequencer:
         self._buffer = []
         self._stagger_cache = {}
         self._active = True
+        self.frep_begun = True
 
     def _indices(self) -> tuple[int, int]:
         """(body index, iteration index) for the current position."""

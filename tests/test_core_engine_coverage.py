@@ -8,7 +8,8 @@ but slower.  This guard runs a sample of every workload family under
 ``auto`` and fails when one of them leaves the specialised paths, so a
 kernel that needs a removed path shows up here instead of as a silent
 slowdown.  It also fails when a stencil's row end, which re-arms its
-input stream, stops replaying on the loop memo.
+input stream, stops replaying on the loop memo, or when an FREP region
+the batch saw ends without an outcome.
 """
 
 from repro.analytical.calibrate import calibration_builds
@@ -30,7 +31,9 @@ def test_workloads_stay_on_the_specialised_paths(monkeypatch):
         stats = self.fastpath.stats if self.fastpath is not None else {}
         clusters.append((self._v2, self.fastpath is not None,
                          dict(stats.get("reject_reasons", {})),
-                         dict(stats.get("loop_reject_reasons", {}))))
+                         dict(stats.get("loop_reject_reasons", {})),
+                         stats.get("regions_seen", 0)
+                         - stats.get("applications", 0)))
         release(self)
 
     def spy_issue_entry(self, entry, cycle):
@@ -56,8 +59,10 @@ def test_workloads_stay_on_the_specialised_paths(monkeypatch):
     for build in calibration_builds():
         assert execute_build(build).correct, build.name
     assert len(clusters) == len(points) + 1 + len(calibration_builds())
-    for v2, has_fastpath, reasons, loop_reasons in clusters:
+    for v2, has_fastpath, reasons, loop_reasons, unbatched in clusters:
         assert v2 and has_fastpath
+        # Every FREP region seen is batched or declined for one reason.
+        assert sum(reasons.values()) == unbatched, reasons
         assert "non-vector-op" not in reasons, reasons
         assert "scfg" not in loop_reasons, loop_reasons
     assert seed_issued == []

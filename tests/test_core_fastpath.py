@@ -15,12 +15,23 @@ the contract.
 import numpy as np
 import pytest
 
-from repro.core import Cluster, CoreConfig
+from repro.core import Cluster, CoreConfig, fastpath
 from repro.core.fastpath import FastPathEngine
 from repro.kernels.ssrgen import SsrPatternAsm
 from repro.kernels.vecop import VecopVariant, build_vecop
 
 A, B, C, D = 0x10000, 0x20000, 0x30000, 0x50000
+
+#: The admission threshold the engine ships with.
+DEFAULT_MIN_REMAINING = fastpath._MIN_REMAINING
+
+
+@pytest.fixture(autouse=True)
+def admit_every_region(monkeypatch):
+    """Most programs here are short regions, which the engine declines
+    at its default admission threshold: admit every region, so the
+    batch is what they test."""
+    monkeypatch.setattr(fastpath, "_MIN_REMAINING", 0)
 
 
 def digest(cluster) -> dict:
@@ -220,9 +231,14 @@ def random_frep_case(seed):
 
 
 @pytest.mark.parametrize("seed", range(16))
-def test_random_frep_shapes(seed):
+def test_random_frep_shapes(seed, monkeypatch):
+    """Bit-identical with every region admitted and at the default
+    admission threshold."""
     asm, arrays = random_frep_case(seed)
-    run_both(asm, arrays)
+    expected = digest(run_engine(asm, "scalar", arrays))
+    assert digest(run_engine(asm, "auto", arrays)) == expected
+    monkeypatch.setattr(fastpath, "_MIN_REMAINING", DEFAULT_MIN_REMAINING)
+    assert digest(run_engine(asm, "auto", arrays)) == expected
 
 
 def test_random_family_exercises_fast_path():
@@ -594,9 +610,10 @@ def test_step_is_one_cycle_and_run_alone_engages_the_batch():
 
 @pytest.mark.parametrize("kind", ["accepted", "rejected", "stencil"])
 def test_observe_gate_keeps_fastpath_stats(kind, monkeypatch):
-    """The run loop calls ``FastPathEngine.observe`` only inside an FREP
-    region or with a non-idle engine; calling it every cycle instead
-    must leave every fast-path statistic and the run unchanged."""
+    """The run loop calls ``FastPathEngine.observe`` only from the cycle
+    of an ``frep`` until the engine decides the region; calling it every
+    cycle instead must leave every fast-path statistic and the run
+    unchanged."""
     make = _gate_workload(kind)
     gated = make()
     gated.run()
@@ -622,3 +639,114 @@ def test_observe_gate_keeps_fastpath_stats(kind, monkeypatch):
         assert got["regions_seen"] == 2 and got["regions_eligible"] == 0
     else:
         assert got["regions_seen"] == 0
+
+
+def _short_vecop():
+    cfg = CoreConfig(engine="auto")
+    build = build_vecop(n=64, variant=VecopVariant.BASELINE, cfg=cfg)
+
+    def make():
+        cluster = Cluster(build.asm, cfg=cfg, symbols=build.symbols)
+        build.load_into(cluster)
+        return cluster
+    return make
+
+
+@pytest.mark.parametrize("kind", ["rejected", "short-vecop"])
+def test_a_decided_region_runs_without_the_run_loop(kind, monkeypatch):
+    """Once the engine has decided a region (here: declined it), the
+    stepped cycle runs the rest of it without coming back: while core 0
+    runs, the run loop re-enters ``Cluster._advance`` outside a decision
+    only once per region, not once per cycle.  (After the halt every
+    engine returns each cycle, to watch the drain for a deadlock.)"""
+    monkeypatch.setattr(fastpath, "_MIN_REMAINING", DEFAULT_MIN_REMAINING)
+    make = _gate_workload("rejected") if kind == "rejected" \
+        else _short_vecop()
+    cluster = make()
+    entries = []
+    advance = Cluster._advance
+
+    def counted(self, limit):
+        if not self.fastpath.deciding and not self.core.halted:
+            entries.append(self.cycle)
+        advance(self, limit)
+
+    monkeypatch.setattr(Cluster, "_advance", counted)
+    cluster.run()
+    stats = cluster.fastpath.stats
+    assert stats["regions_seen"] == (2 if kind == "rejected" else 1)
+    assert stats["applications"] == 0
+    # The first entry, then one after each decision.
+    assert len(entries) <= 1 + stats["regions_seen"], entries
+
+
+def _one_shot_program(n):
+    """An FREP region beside an integer loop (the queue is full, so the
+    core counts as quiescent): its integer retires are one-shot events
+    in every window."""
+    fill = "\n".join(["    fadd.d fa3, fa0, fa0"] * 16)
+    return f"""
+    li a0, {B}
+    fld fa0, 0(a0)
+{streams_asm(n)}
+    csrrsi x0, ssr_enable, 1
+    li t2, {n - 1}
+    frep.o t2, 0
+    fadd.d ft2, ft0, ft1
+{fill}
+    li t0, 400
+spin:
+    addi t0, t0, -1
+    bne t0, x0, spin
+    csrr t5, ssr_enable
+    csrrci x0, ssr_enable, 1
+    ebreak
+"""
+
+
+def test_every_region_ends_in_one_outcome(monkeypatch):
+    """Every region the engine sees is batched or declined with exactly
+    one reason, however the watch ends: no repeat before the region
+    ends, a window with a one-shot event, no whole period left, a batch
+    the consistency checks refuse, or a region too short to admit."""
+    rng = np.random.default_rng(23)
+    n = 256
+    cases = [
+        # (program, arrays, config fields, admission threshold)
+        (_one_shot_program(512), vec_arrays(rng, 512),
+         {"branch_penalty": 0}, 0),
+        (frep_program(["fadd.d ft3, ft0, ft1", "fmul.d ft2, ft3, fa0"], n,
+                      streams_asm(n), chain_mask=8,
+                      pre_loop="    fadd.d ft3, fa0, fa0\n"),
+         vec_arrays(rng, n), {}, 0),
+        (*random_frep_case(2), {}, 0),
+        (*random_frep_case(11), {}, 0),
+        (*random_frep_case(0), {}, 0),
+    ]
+    reasons = {}
+    for asm, arrays, fields, admit in cases:
+        monkeypatch.setattr(fastpath, "_MIN_REMAINING", admit)
+        runs = []
+        for engine in ("scalar", "auto"):
+            cluster = Cluster(asm, cfg=CoreConfig(engine=engine, **fields))
+            for addr, data in arrays:
+                cluster.load_f64(addr, np.asarray(data, dtype=np.float64))
+            cluster.run()
+            runs.append(digest(cluster))
+        assert runs[0] == runs[1]
+        stats = cluster.fastpath.stats
+        assert stats["regions_seen"] == 1
+        assert stats["applications"] + sum(
+            stats["reject_reasons"].values()) == 1, stats
+        for reason, count in stats["reject_reasons"].items():
+            reasons[reason] = reasons.get(reason, 0) + count
+    assert reasons == {"one-shot-event": 1, "apply-refused": 1,
+                       "no-whole-period": 1, "no-repeat": 1}
+    # An eligible region below the admission threshold.
+    vecop = _short_vecop()()
+    monkeypatch.setattr(fastpath, "_MIN_REMAINING", DEFAULT_MIN_REMAINING)
+    vecop.run()
+    stats = vecop.fastpath.stats
+    assert (stats["regions_seen"], stats["regions_eligible"],
+            stats["applications"], stats["reject_reasons"]) == (
+        1, 1, 0, {"short-region": 1})

@@ -736,7 +736,7 @@ def test_generated_cycle_lockstep_across_rebinds(engine, seed, monkeypatch):
     while not (core.halted and got.done):
         got._advance(got.cycle + rng.randrange(1, 8))
         fp = got.fastpath
-        if fp is not None and (fp._state or got.fp.sequencer._active):
+        if fp is not None and (fp.deciding or got.fp.sequencer.frep_begun):
             fp.observe()
         if core.loop_head:
             fp.loop.at_head(10_000)
